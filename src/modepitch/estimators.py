@@ -63,7 +63,9 @@ class FrameCandidates:
     candidates: list[PitchCandidate]
 
 
-def _check_frame(frame, cfg: EstimatorConfig) -> tuple[np.ndarray, int]:
+def _frame_spectrum(frame, cfg: EstimatorConfig, spectrum) -> Spectrum:
+    """Validate the frame, zero-pad it to next_pow2(4n) and take its spectrum
+    with `spectrum` (power_spectrum or magnitude_spectrum)."""
     x = np.asarray(frame.samples, dtype=np.float64)
     fs = frame.sample_rate_hz
     if x.size / fs < 2.0 / cfg.f_min:
@@ -72,7 +74,15 @@ def _check_frame(frame, cfg: EstimatorConfig) -> tuple[np.ndarray, int]:
             f"periods at f_min={cfg.f_min} Hz")
     if not np.any(x):
         raise ValueError("degenerate frame (all zeros)")
-    return x, fs
+    return spectrum(x, fs, next_pow2(4 * x.size), window=cfg.window)
+
+
+def _log_spectrum(spec: Spectrum, cfg: EstimatorConfig,
+                  num_harmonics: int) -> LogSpectrum:
+    """Log-frequency view from f_min/2 up to the highest flank a comb of
+    num_harmonics can reach from f_max, capped at Nyquist."""
+    f_hi = min(spec.max_hz, cfg.f_max * (num_harmonics + 0.5))
+    return to_log_frequency(spec, cfg.f_min / 2.0, f_hi, cfg.bins_per_octave)
 
 
 def _candidate_grid(f_min: float, f_max: float, bins_per_octave: int) -> np.ndarray:
@@ -93,6 +103,40 @@ def _parabolic_refine(y: np.ndarray, i: int) -> float:
     return i + 0.5 * (y[i - 1] - y[i + 1]) / denom
 
 
+def _refined_peak(scores: np.ndarray, cands: np.ndarray, bins_per_octave: int,
+                  f_lo: float, f_hi: float) -> tuple[float, float]:
+    """F0 at the parabola-refined score maximum, clipped to [f_lo, f_hi],
+    and the maximum score itself."""
+    best = int(np.argmax(scores))
+    refined = _parabolic_refine(scores, best)
+    f0 = float(np.clip(cands[0] * 2.0 ** (refined / bins_per_octave), f_lo, f_hi))
+    return f0, float(scores[best])
+
+
+def _comb(read, cand_hz: np.ndarray, counts: np.ndarray,
+          offsets: tuple[float, ...]) -> list[np.ndarray]:
+    """Spectrum values at the comb positions (h + offset) * f0, h = 1..count.
+
+    Returns one (candidates x max count) array per offset. Each is filled
+    by a single read(f0, h + offset) call over exactly the counted
+    positions of every candidate, and holds 0 where h exceeds the count.
+    """
+    h = np.arange(1, counts.max(initial=0) + 1)
+    kept = h <= counts[:, None]
+    f0 = np.broadcast_to(cand_hz[:, None], kept.shape)[kept]
+    h_kept = np.broadcast_to(h, kept.shape)[kept]
+    rows = []
+    for offset in offsets:
+        values = np.zeros(kept.shape)
+        values[kept] = read(f0, h_kept + offset)
+        rows.append(values)
+    return rows
+
+
+def _log_reader(logspec: LogSpectrum):
+    return lambda f0, h: logspec.sample(np.log2(f0) + np.log2(h))
+
+
 # ---------------------------------------------------------------------------
 # PEFAC-lite: harmonic-summation comb on the log-frequency power spectrum
 # ---------------------------------------------------------------------------
@@ -108,23 +152,14 @@ def harmonic_summation_scores(logspec: LogSpectrum, cand_hz: np.ndarray,
     halving errors; keeping them shallow (1/sqrt rather than 1/h) keeps
     bandlimited inputs, whose low harmonics are absent, scorable.
     Harmonics are truncated per candidate where (h + 1/2)*f0 would leave
-    the spectrum's support.
+    the spectrum's support; a candidate left with none scores -inf.
     """
     top_log2 = logspec.grid_log2()[-1]
-    scores = np.empty(cand_hz.size)
-    for i, f0 in enumerate(cand_hz):
-        base = math.log2(f0)
-        h_max = min(num_harmonics, int(2.0 ** (top_log2 - base) - 0.5))
-        if h_max < 1:
-            scores[i] = -np.inf
-            continue
-        h = np.arange(1, h_max + 1)
-        weights = 1.0 / np.sqrt(h)
-        peaks = logspec.sample(base + np.log2(h))
-        valleys_lo = logspec.sample(base + np.log2(h - 0.5))
-        valleys_hi = logspec.sample(base + np.log2(h + 0.5))
-        scores[i] = float(np.dot(weights, peaks - 0.5 * (valleys_lo + valleys_hi)))
-    return scores
+    counts = np.minimum(num_harmonics,
+                        (2.0 ** (top_log2 - np.log2(cand_hz)) - 0.5).astype(int))
+    peaks, lo, hi = _comb(_log_reader(logspec), cand_hz, counts, (0.0, -0.5, 0.5))
+    weights = 1.0 / np.sqrt(np.arange(1, peaks.shape[1] + 1))
+    return np.where(counts >= 1, (peaks - 0.5 * (lo + hi)) @ weights, -np.inf)
 
 
 def pefac_scores(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
@@ -135,11 +170,8 @@ def pefac_scores(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorCo
     (power**pefac_compression) before filtering so formant peaks cannot
     drown the harmonic pattern.
     """
-    x, fs = _check_frame(frame, cfg)
-    nfft = next_pow2(4 * x.size)
-    spec = power_spectrum(x, fs, nfft, window=cfg.window)
-    f_hi = min(fs / 2.0, cfg.f_max * (cfg.pefac_num_harmonics + 0.5))
-    logspec = to_log_frequency(spec, cfg.f_min / 2.0, f_hi, cfg.bins_per_octave)
+    logspec = _log_spectrum(_frame_spectrum(frame, cfg, power_spectrum), cfg,
+                            cfg.pefac_num_harmonics)
     compressed = LogSpectrum(values=logspec.values ** cfg.pefac_compression,
                              log2_f_start=logspec.log2_f_start,
                              step_log2=logspec.step_log2)
@@ -152,11 +184,9 @@ def pefac_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = Estimator
                    ) -> PitchCandidate:
     """Pick the F0 maximizing the harmonic-summation response."""
     cands, scores = pefac_scores(frame, cfg)
-    best = int(np.argmax(scores))
-    refined = _parabolic_refine(scores, best)
-    f0 = float(np.clip(cands[0] * 2.0 ** (refined / cfg.bins_per_octave),
-                       cfg.f_min, cfg.f_max))
-    return PitchCandidate(f0_hz=f0, salience=float(scores[best]), source="pefac")
+    f0, salience = _refined_peak(scores, cands, cfg.bins_per_octave,
+                                 cfg.f_min, cfg.f_max)
+    return PitchCandidate(f0_hz=f0, salience=salience, source="pefac")
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +199,21 @@ def subharmonic_ratio_curves(logspec: LogSpectrum, cand_hz: np.ndarray,
     """Harmonic sum SH(F0) and subharmonic sum SS(F0) per candidate.
 
     SH sums amplitudes at n*F0, SS at (n - 1/2)*F0, n = 1..N, both truncated
-    where positions leave the spectrum support.
+    where positions leave the spectrum support (but never below n = 1).
     """
     top_log2 = logspec.grid_log2()[-1]
-    sh = np.empty(cand_hz.size)
-    ss = np.empty(cand_hz.size)
-    for i, f0 in enumerate(cand_hz):
-        base = math.log2(f0)
-        n_max = min(max_harmonics, int(2.0 ** (top_log2 - base)))
-        n_max = max(n_max, 1)
-        n = np.arange(1, n_max + 1)
-        sh[i] = float(np.sum(logspec.sample(base + np.log2(n))))
-        ss[i] = float(np.sum(logspec.sample(base + np.log2(n - 0.5))))
-    return sh, ss
+    counts = np.maximum(np.minimum(
+        max_harmonics, (2.0 ** (top_log2 - np.log2(cand_hz))).astype(int)), 1)
+    harmonic, subharmonic = _comb(_log_reader(logspec), cand_hz, counts, (0.0, -0.5))
+    return harmonic.sum(axis=1), subharmonic.sum(axis=1)
 
 
 def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
                  ) -> PitchCandidate:
     """Harmonic-sum peak, demoted one octave when the subharmonic-to-harmonic
     ratio exceeds the threshold."""
-    x, fs = _check_frame(frame, cfg)
-    nfft = next_pow2(4 * x.size)
-    spec = magnitude_spectrum(x, fs, nfft, window=cfg.window)
-    f_hi = min(fs / 2.0, cfg.f_max * (cfg.shr_max_harmonics + 0.5))
-    logspec = to_log_frequency(spec, cfg.f_min / 2.0, f_hi, cfg.bins_per_octave)
+    logspec = _log_spectrum(_frame_spectrum(frame, cfg, magnitude_spectrum), cfg,
+                            cfg.shr_max_harmonics)
     cands = _candidate_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
     sh, ss = subharmonic_ratio_curves(logspec, cands, cfg.shr_max_harmonics)
     best = int(np.argmax(sh))
@@ -216,38 +237,26 @@ def swipe_apvd(spec: Spectrum, cand_hz: np.ndarray, num_peaks: int = 5) -> np.nd
 
     d_n(f) = |X(nf)| - ([|X((n-1/2)f)| + |X((n+1/2)f)|]) / 2, averaged over
     the first num_peaks peaks; peaks whose upper valley leaves the spectrum
-    are dropped and the average renormalized.
+    are dropped and the average renormalized. A candidate left with no
+    peak scores -inf.
     """
     freqs = spec.frequencies()
-    mags = spec.bins
-    top = freqs[-1]
-    scores = np.empty(cand_hz.size)
-    for i, f0 in enumerate(cand_hz):
-        p = min(num_peaks, int(top / f0 - 0.5))
-        if p < 1:
-            scores[i] = -np.inf
-            continue
-        n = np.arange(1, p + 1)
-        peak = np.interp(n * f0, freqs, mags)
-        val_lo = np.interp((n - 0.5) * f0, freqs, mags)
-        val_hi = np.interp((n + 0.5) * f0, freqs, mags)
-        scores[i] = float(np.mean(peak - 0.5 * (val_lo + val_hi)))
-    return scores
+    counts = np.minimum(num_peaks, (spec.max_hz / cand_hz - 0.5).astype(int))
+    peak, lo, hi = _comb(lambda f0, h: np.interp(h * f0, freqs, spec.bins),
+                         cand_hz, counts, (0.0, -0.5, 0.5))
+    return np.divide((peak - 0.5 * (lo + hi)).sum(axis=1), counts,
+                     out=np.full(cand_hz.size, -np.inf), where=counts >= 1)
 
 
 def swipe_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
                    ) -> PitchCandidate:
     """F0 whose harmonic comb best matches the magnitude spectrum."""
-    x, fs = _check_frame(frame, cfg)
-    nfft = next_pow2(4 * x.size)
-    spec = magnitude_spectrum(x, fs, nfft, window=cfg.window)
+    spec = _frame_spectrum(frame, cfg, magnitude_spectrum)
     cands = _candidate_grid(cfg.f_min, cfg.swipe_f_max, cfg.swipe_bins_per_octave)
     scores = swipe_apvd(spec, cands, cfg.swipe_num_peaks)
-    best = int(np.argmax(scores))
-    refined = _parabolic_refine(scores, best)
-    f0 = float(np.clip(cands[0] * 2.0 ** (refined / cfg.swipe_bins_per_octave),
-                       cfg.f_min, cfg.swipe_f_max))
-    return PitchCandidate(f0_hz=f0, salience=float(scores[best]), source="swipe")
+    f0, salience = _refined_peak(scores, cands, cfg.swipe_bins_per_octave,
+                                 cfg.f_min, cfg.swipe_f_max)
+    return PitchCandidate(f0_hz=f0, salience=salience, source="swipe")
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +335,7 @@ def hht_select(cands: list[PitchCandidate]) -> PitchCandidate | None:
 
     Returns None for an empty list (unvoiced / no estimate).
     """
-    best = None
-    for cand in cands:
-        if best is None or cand.salience > best.salience:
-            best = cand
-    return best
+    return max(cands, key=lambda c: c.salience, default=None)
 
 
 FRAME_ESTIMATORS = {

@@ -133,7 +133,7 @@ def _bench_utterance(args):
     """One utterance under one (noise, snr): mix, analyze, score all keys.
 
     Module-level so a process pool can pickle it. Returns
-    (utt_idx, {key: (ge, mae, sep, frames)}) or (utt_idx, error string).
+    {key: (ge, mae, sep, frames)}, or an error string if any step raised.
     """
     (item, noise, snr_db, estimators, methods, cfg, seed, gate, gamma) = args
     try:

@@ -38,7 +38,6 @@ class ProConfig:
     gamma_hz: float = 200.0
     k_imfs: int = 4
     inner_estimator: str = "pefac"
-    pair_rule: str = "row_sum"  # or "min_pair": pair with smallest mutual distance
     smooth_frames: int = 5      # moving average of inner score curves; <=1 disables
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class ProConfig:
             raise ValueError("gamma_hz must lie in (50, 400)")
         if self.k_imfs < 2:
             raise ValueError("k_imfs must be at least 2")
-        if self.pair_rule not in ("row_sum", "min_pair"):
-            raise ValueError(f"unknown pair_rule {self.pair_rule!r}")
         if self.smooth_frames < 0:
             raise ValueError("smooth_frames must be non-negative")
 
@@ -105,33 +102,21 @@ def distance_matrix(f0_vector: np.ndarray) -> np.ndarray:
     return diff / total
 
 
-def select_imf_pair(d: np.ndarray,
-                    pair_rule: str = "row_sum") -> tuple[tuple[int, int], np.ndarray]:
+def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
     """Pick the two modes with the smallest variation against the rest.
 
     Row sums of the distance matrix score each mode's variation; the two
     smallest win, ties toward the smaller index. Returns 1-based indices in
-    ascending order plus the row-sum scores. pair_rule="min_pair" instead
-    picks the pair with the smallest mutual distance.
+    ascending order plus the row-sum scores.
     """
     d = np.asarray(d, dtype=np.float64)
     k = d.shape[0]
     if d.shape != (k, k) or k < 2:
         raise ValueError("need a square matrix of size >= 2")
     scores = d.sum(axis=1)
-    if pair_rule == "row_sum":
-        order = np.argsort(scores, kind="stable")
-        pair = sorted((int(order[0]) + 1, int(order[1]) + 1))
-    elif pair_rule == "min_pair":
-        best = None
-        for i in range(k):
-            for j in range(i + 1, k):
-                if best is None or d[i, j] < d[best[0] - 1, best[1] - 1]:
-                    best = (i + 1, j + 1)
-        pair = list(best)
-    else:
-        raise ValueError(f"unknown pair_rule {pair_rule!r}")
-    return (pair[0], pair[1]), scores
+    order = np.argsort(scores, kind="stable")
+    a, b = sorted((int(order[0]) + 1, int(order[1]) + 1))
+    return (a, b), scores
 
 
 def classify_region(v: ImfPitchVector, cfg: ProConfig = ProConfig()) -> FrequencyRegion:
@@ -148,7 +133,7 @@ def classify_region(v: ImfPitchVector, cfg: ProConfig = ProConfig()) -> Frequenc
             f"frame {v.frame_index}: only {valid.size} usable mode estimates")
     sub = v.f0_per_imf[valid]
     d = distance_matrix(sub)
-    (a, b), _ = select_imf_pair(d, cfg.pair_rule)
+    (a, b), _ = select_imf_pair(d)
     imf_a = int(valid[a - 1]) + 1
     imf_b = int(valid[b - 1]) + 1
     mean_f0 = float(0.5 * (sub[a - 1] + sub[b - 1]))

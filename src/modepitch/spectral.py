@@ -59,13 +59,8 @@ def _window(name: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown window {name!r}")
 
 
-def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
-                   window: str = "hann") -> Spectrum:
-    """One-sided power spectrum of the windowed, zero-padded frame.
-
-    Scaled so the bins sum to the mean-square power of the windowed frame
-    (Parseval), with interior bins doubled to fold in negative frequencies.
-    """
+def _windowed_rfft(samples: np.ndarray, nfft: int, window: str) -> np.ndarray:
+    """rfft of the windowed frame zero-padded to nfft, a power of two >= n."""
     x = np.asarray(samples, dtype=np.float64)
     n = x.size
     if n == 0:
@@ -74,8 +69,18 @@ def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
         raise ValueError(f"nfft={nfft} smaller than frame length {n}")
     if nfft & (nfft - 1):
         raise ValueError(f"nfft={nfft} is not a power of two")
-    xw = x * _window(window, n)
-    spec = np.fft.rfft(xw, nfft)
+    return np.fft.rfft(x * _window(window, n), nfft)
+
+
+def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
+                   window: str = "hann") -> Spectrum:
+    """One-sided power spectrum of the windowed, zero-padded frame.
+
+    Scaled so the bins sum to the mean-square power of the windowed frame
+    (Parseval), with interior bins doubled to fold in negative frequencies.
+    """
+    spec = _windowed_rfft(samples, nfft, window)
+    n = np.size(samples)
     power = (spec.real ** 2 + spec.imag ** 2) / (nfft * n)
     power[1:] *= 2.0
     if nfft % 2 == 0:
@@ -86,16 +91,7 @@ def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
 def magnitude_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
                        window: str = "hann") -> Spectrum:
     """One-sided magnitude spectrum |X(f)| of the windowed frame."""
-    x = np.asarray(samples, dtype=np.float64)
-    n = x.size
-    if n == 0:
-        raise ValueError("empty frame")
-    if nfft < n:
-        raise ValueError(f"nfft={nfft} smaller than frame length {n}")
-    if nfft & (nfft - 1):
-        raise ValueError(f"nfft={nfft} is not a power of two")
-    xw = x * _window(window, n)
-    mags = np.abs(np.fft.rfft(xw, nfft))
+    mags = np.abs(_windowed_rfft(samples, nfft, window))
     return Spectrum(bins=mags, bin_hz=sample_rate_hz / nfft, kind="magnitude")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,15 @@ from modepitch.estimators import (
     PitchCandidate,
     estimate_frame,
     hht_candidates,
+    harmonic_summation_scores,
     hht_select,
     pefac_estimate,
     shr_estimate,
+    subharmonic_ratio_curves,
     swipe_apvd,
     swipe_estimate,
 )
-from modepitch.spectral import Spectrum
+from modepitch.spectral import LogSpectrum, Spectrum
 
 CFG = EstimatorConfig()
 
@@ -31,6 +35,52 @@ def harmonic_comb(f0, amps, duration_s=0.5, fs=FS):
 
 def first_frame(buf):
     return frame_signal(buf, FrameSpec())[0]
+
+
+def brute_force_harmonic_summation(logspec, cand_hz, num_harmonics):
+    """Per-candidate loop transcribing the harmonic-summation comb."""
+    top_log2 = logspec.grid_log2()[-1]
+    scores = np.empty(cand_hz.size)
+    for i, f0 in enumerate(cand_hz):
+        base = math.log2(f0)
+        h_max = min(num_harmonics, int(2.0 ** (top_log2 - base) - 0.5))
+        if h_max < 1:
+            scores[i] = -np.inf
+            continue
+        h = np.arange(1, h_max + 1)
+        weights = 1.0 / np.sqrt(h)
+        peaks = logspec.sample(base + np.log2(h))
+        valleys_lo = logspec.sample(base + np.log2(h - 0.5))
+        valleys_hi = logspec.sample(base + np.log2(h + 0.5))
+        scores[i] = float(np.dot(weights, peaks - 0.5 * (valleys_lo + valleys_hi)))
+    return scores
+
+
+def brute_force_subharmonic_curves(logspec, cand_hz, max_harmonics):
+    """Per-candidate loop transcribing the SH and SS sums."""
+    top_log2 = logspec.grid_log2()[-1]
+    sh = np.empty(cand_hz.size)
+    ss = np.empty(cand_hz.size)
+    for i, f0 in enumerate(cand_hz):
+        base = math.log2(f0)
+        n_max = max(min(max_harmonics, int(2.0 ** (top_log2 - base))), 1)
+        n = np.arange(1, n_max + 1)
+        sh[i] = float(np.sum(logspec.sample(base + np.log2(n))))
+        ss[i] = float(np.sum(logspec.sample(base + np.log2(n - 0.5))))
+    return sh, ss
+
+
+def random_log_spectrum(rng):
+    """300 random values on a 48-per-octave grid from 25 Hz (top ~1.9 kHz)."""
+    return LogSpectrum(values=rng.uniform(0, 1, 300), log2_f_start=math.log2(25.0),
+                       step_log2=1 / 48)
+
+
+def random_candidates(rng, top_hz):
+    """Candidates from 50 Hz to past the spectrum's top, so their combs run
+    from full length through truncated to none left (a single clamped
+    harmonic for SHR)."""
+    return np.sort(np.exp(rng.uniform(np.log(50.0), np.log(1.2 * top_hz), 200)))
 
 
 class TestPefac:
@@ -59,6 +109,17 @@ class TestPefac:
         with pytest.raises(ValueError, match="short"):
             pefac_estimate(short, CFG)
 
+    def test_comb_matches_brute_force(self, rng):
+        for _ in range(5):
+            logspec = random_log_spectrum(rng)
+            top_hz = 2.0 ** logspec.grid_log2()[-1]
+            cands = random_candidates(rng, top_hz)
+            fast = harmonic_summation_scores(logspec, cands, num_harmonics=10)
+            slow = brute_force_harmonic_summation(logspec, cands, 10)
+            assert np.isinf(slow).any() and np.isfinite(slow).any()
+            assert (cands > top_hz / 10.5).any()  # truncated combs
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
 
 class TestShr:
     def test_no_subharmonics_returns_fundamental(self):
@@ -80,6 +141,17 @@ class TestShr:
         sh, ss = subharmonic_ratio_curves(logspec, cands, 8)
         best = int(np.argmax(sh))
         assert ss[best] / sh[best] <= 0.05
+
+    def test_curves_match_brute_force(self, rng):
+        for _ in range(5):
+            logspec = random_log_spectrum(rng)
+            top_hz = 2.0 ** logspec.grid_log2()[-1]
+            cands = random_candidates(rng, top_hz)
+            sh, ss = subharmonic_ratio_curves(logspec, cands, max_harmonics=8)
+            slow_sh, slow_ss = brute_force_subharmonic_curves(logspec, cands, 8)
+            assert (cands > top_hz / 8).any() and (cands > top_hz).any()
+            np.testing.assert_allclose(sh, slow_sh, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ss, slow_ss, rtol=0, atol=1e-12)
 
     def test_strong_subharmonics_halve_the_pick(self):
         # 200 Hz harmonics at full strength plus 100 Hz odd harmonics at 80%
@@ -116,11 +188,16 @@ class TestSwipe:
         # 64-bin synthetic spectrum scored against a direct transcription
         bins = rng.uniform(0, 1, 64)
         spec = Spectrum(bins=bins, bin_hz=25.0, kind="magnitude")
-        cands = np.array([55.0, 80.0, 120.0, 133.7, 250.0])
+        # at 1200 Hz even the first upper valley (1800 Hz) leaves the
+        # 1575 Hz spectrum, so no peak counts and the score is -inf
+        cands = np.array([55.0, 80.0, 120.0, 133.7, 250.0, 1200.0])
         fast = swipe_apvd(spec, cands, num_peaks=5)
         freqs = np.arange(64) * 25.0
         for i, f in enumerate(cands):
             p = min(5, int(freqs[-1] / f - 0.5))
+            if p < 1:
+                assert fast[i] == -np.inf
+                continue
             total = 0.0
             for n in range(1, p + 1):
                 peak = np.interp(n * f, freqs, bins)

@@ -97,13 +97,12 @@ class TestSelectImfPair:
         pair, _ = select_imf_pair(d)
         assert pair == brute_force_pair(d)
 
-    def test_min_pair_rule(self):
+    def test_row_sum_not_closest_pair(self):
         # (1, 2) are mutually closest, but mode 3 sits nearer the crowd so
-        # row sums prefer (2, 3); the alternative rule picks the twins
+        # row sums prefer (2, 3)
         v = np.array([100.0, 101.0, 350.0, 356.0])
         d = distance_matrix(v)
-        assert select_imf_pair(d, "row_sum")[0] == (2, 3)
-        assert select_imf_pair(d, "min_pair")[0] == (1, 2)
+        assert select_imf_pair(d)[0] == (2, 3)
 
 
 class TestClassifyRegion:

@@ -15,6 +15,8 @@ from modepitch.spectral import (
 )
 
 FS = 8000
+BOTH_SPECTRA = pytest.mark.parametrize(
+    "spectrum", [power_spectrum, magnitude_spectrum], ids=lambda f: f.__name__)
 
 
 def brute_force_acf(x, max_lag):
@@ -55,13 +57,15 @@ class TestPowerSpectrum:
         assert abs(found[0] - 100) <= spec.bin_hz
         assert abs(found[1] - 300) <= spec.bin_hz
 
-    def test_nfft_too_small_rejected(self):
+    @BOTH_SPECTRA
+    def test_nfft_too_small_rejected(self, spectrum):
         with pytest.raises(ValueError, match="smaller"):
-            power_spectrum(np.ones(100), FS, 64)
+            spectrum(np.ones(100), FS, 64)
 
-    def test_nfft_not_pow2_rejected(self):
+    @BOTH_SPECTRA
+    def test_nfft_not_pow2_rejected(self, spectrum):
         with pytest.raises(ValueError, match="power of two"):
-            power_spectrum(np.ones(100), FS, 300)
+            spectrum(np.ones(100), FS, 300)
 
 
 class TestAnalyticSignal:

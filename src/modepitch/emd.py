@@ -164,10 +164,13 @@ def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     average of residuals, so reconstruction misses the input only by the
     mean of the injected noise. Each trial draws from its own child seed of
     rng_seed, making the result independent of trial execution order.
+    With zero noise (wgn_std_ratio 0 or a constant input) every trial would
+    decompose the same signal, so the result is plain `emd_decompose`.
     """
     data = x.samples.astype(np.float64)
-    noise_std = cfg.wgn_std_ratio * float(np.std(data))
-    if cfg.ensemble_size == 1 and noise_std == 0.0:
+    # np.std of a constant can read ~1e-16 from rounding; its spread is 0
+    noise_std = cfg.wgn_std_ratio * float(np.std(data)) if np.ptp(data) > 0 else 0.0
+    if noise_std == 0.0:
         return emd_decompose(x, cfg)
 
     n = data.size
@@ -177,8 +180,7 @@ def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     max_modes = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        noise = noise_std * rng.standard_normal(n) if noise_std > 0 else 0.0
-        modes, remainder = _emd_raw(data + noise, cfg)
+        modes, remainder = _emd_raw(data + noise_std * rng.standard_normal(n), cfg)
         for k, m in enumerate(modes):
             mode_sums[k] += m
         residual_sum += remainder
@@ -188,9 +190,6 @@ def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     scale = 1.0 / cfg.ensemble_size
     imfs = [SampleBuffer(mode_sums[k] * scale, rate) for k in range(max_modes)]
     residual = SampleBuffer(residual_sum * scale, rate)
-    if not imfs and noise_std == 0.0:
-        # degenerate input with nothing to sift
-        return ImfSet(imfs=[], residual=x, source_len=n)
     return ImfSet(imfs=imfs, residual=residual, source_len=n)
 
 

@@ -166,9 +166,11 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
 
     Each mixed utterance is analyzed once for all estimator/method keys, so
     method comparisons within a cell are paired on identical noisy audio.
-    Reports average per-utterance scores; utterances that fail are recorded
-    per affected cell and skipped. Deterministic for a fixed seed: mixing
-    seeds derive from (seed, noise, snr, utterance) indices only.
+    Each report averages the scores of the utterances that succeeded. Every
+    failed utterance is recorded once per estimator/method key, with its
+    reason prefixed by the corpus item name; a cell with no successful
+    utterance is left out of the reports. Deterministic for a fixed seed:
+    mixing seeds derive from (seed, noise, snr, utterance) indices only.
     """
     if not corpus or not noises or not snrs or not estimators or not methods:
         raise ValueError("benchmark grids must be non-empty")
@@ -188,16 +190,15 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
                     outcomes = list(pool.map(_bench_utterance, tasks))
                 else:
                     outcomes = [_bench_utterance(t) for t in tasks]
-                utt_errors = [o for o in outcomes if isinstance(o, str)]
+                utt_errors = [f"{item.name}: {o}" for item, o in zip(corpus, outcomes)
+                              if isinstance(o, str)]
                 per_utt = [o for o in outcomes if not isinstance(o, str)]
                 for est in estimators:
                     for meth in methods:
-                        key = (est, meth)
-                        cell = [u[key] for u in per_utt if key in u]
+                        failures += [BenchFailure(noise_name, snr, est, meth, reason)
+                                     for reason in utt_errors]
+                        cell = [u[(est, meth)] for u in per_utt]
                         if not cell:
-                            reason = utt_errors[0] if utt_errors else "no scores"
-                            failures.append(BenchFailure(noise_name, snr, est,
-                                                         meth, reason))
                             continue
                         ges = [c[0] for c in cell]
                         maes = [c[1] for c in cell if not math.isnan(c[1])]

@@ -10,7 +10,7 @@ shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,13 +19,12 @@ from .emd import EmdConfig, ImfSet, eemd_decompose
 from .estimators import (
     EstimatorConfig,
     FrameCandidates,
-    PitchCandidate,
     estimate_frame,
     hht_candidates,
     hht_select,
     pefac_scores,
 )
-from .track import NO_ESTIMATE, FramePitchTrack
+from .track import NO_ESTIMATE, FramePitchTrack, has_estimate
 from .vad import VadConfig, detect_voiced, voiced_segments
 
 LOW = "low"
@@ -303,18 +302,12 @@ class FrameDiagnostic:
 
 @dataclass(frozen=True)
 class MethodResult:
+    """One estimator/method result. All pro keys of one analysis share the
+    same regions tuple; raw keys carry no regions and no diagnostics."""
+
     track: FramePitchTrack
-    regions: list[FrequencyRegion]
-    diagnostics: list[FrameDiagnostic]
-
-
-def _segment_sample_span(first_frame: int, last_frame: int, vad_cfg: VadConfig,
-                         sample_rate_hz: int, n_samples: int) -> tuple[int, int]:
-    hop = int(round(vad_cfg.hop_ms * sample_rate_hz / 1000.0))
-    flen = int(round(vad_cfg.frame_ms * sample_rate_hz / 1000.0))
-    start = first_frame * hop
-    stop = min(n_samples, last_frame * hop + flen)
-    return start, stop
+    regions: tuple[FrequencyRegion, ...]
+    diagnostics: tuple[FrameDiagnostic, ...]
 
 
 def _segment_candidates(seg: SampleBuffer, estimator: str, decomposition: ImfSet | None,
@@ -338,14 +331,44 @@ def _segment_candidates(seg: SampleBuffer, estimator: str, decomposition: ImfSet
     return out
 
 
+def _segment_regions(decomposition: ImfSet, n_frames: int, first: int,
+                     initial_region: str, cfg: AnalysisConfig) -> list[FrequencyRegion]:
+    """Region of every analysis frame of one voiced segment, indexed on the
+    utterance's frame grid. With too few modes no frame has evidence, so the
+    whole segment inherits initial_region."""
+    if len(decomposition) >= cfg.pro.k_imfs:
+        vectors = imf_pitch_vector(decomposition, cfg.frame, cfg.pro, cfg.estimator)
+    else:
+        vectors = [ImfPitchVector(frame_index=i, start_ms=i * cfg.frame.hop_ms,
+                                  f0_per_imf=np.full(cfg.pro.k_imfs, np.nan))
+                   for i in range(n_frames)]
+    return [replace(r, frame_index=first + r.frame_index)
+            for r in classify_frames(vectors, cfg.pro, initial_region)]
+
+
+def _diagnostic(fc: FrameCandidates, region: FrequencyRegion,
+                start_ms: float) -> FrameDiagnostic:
+    raw_f0s = tuple(c.f0_hz for c in fc.candidates)
+    return FrameDiagnostic(
+        frame_index=region.frame_index, start_ms=start_ms, region=region.region,
+        mean_f0=region.mean_f0, selected_imfs=region.selected_imfs,
+        raw_f0s=raw_f0s,
+        corrected_f0s=tuple(correct_candidate(f, region.region) for f in raw_f0s),
+        out_of_model=any(is_out_of_model(f) for f in raw_f0s))
+
+
 def analyze_utterance(buf: SampleBuffer, estimators: list[str],
                       methods: list[str], cfg: AnalysisConfig = AnalysisConfig()
                       ) -> dict[tuple[str, str], MethodResult]:
     """Run the requested estimator/method combinations over one utterance.
 
-    The decomposition of each voiced segment is computed once and shared by
-    every consumer (mode candidates and region classification), which also
-    keeps raw-versus-corrected comparisons paired.
+    One pass per voiced segment: the voiced mask, the decomposition and, for
+    "pro", the low/high region of every frame are computed once and shared
+    by every estimator, which also keeps raw-versus-corrected comparisons
+    paired. Each estimator makes one candidate pass; its raw F0 is the most
+    salient candidate and its pro F0 is that pick folded into the frame's
+    region. Folding keeps salience and order, so this equals picking among
+    the folded candidates.
     """
     for m in methods:
         if m not in ("raw", "pro"):
@@ -358,88 +381,54 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     if n_track == 0:
         raise ValueError("buffer shorter than one analysis frame")
     times = np.arange(n_track) * hop_ms
+    pro = "pro" in methods
+    vad_frame = cfg.vad.frame_spec()
+    vad_hop, vad_len = vad_frame.hop(fs), vad_frame.frame_len(fs)
 
-    vad_mask = detect_voiced(buf, cfg.vad)
-    segments = voiced_segments(vad_mask)
-
-    need_emd = "pro" in methods or "hht" in estimators
-    results: dict[tuple[str, str], dict] = {
-        (est, meth): {"f0": np.full(n_track, NO_ESTIMATE),
-                      "voiced": np.zeros(n_track, dtype=bool),
-                      "regions": [], "diags": []}
-        for est in estimators for meth in methods
-    }
-
+    voiced = np.zeros(n_track, dtype=bool)
+    raw_f0 = {est: np.full(n_track, NO_ESTIMATE) for est in estimators}
+    regions: list[FrequencyRegion] = []
+    diagnostics: dict[str, list[FrameDiagnostic]] = {est: [] for est in estimators}
     last_region = LOW
-    for first, last_f in segments:
-        start, stop = _segment_sample_span(first, last_f, cfg.vad, fs, len(buf))
-        seg_samples = buf.samples[start:stop]
-        flen = cfg.frame.frame_len(fs)
-        if seg_samples.size < flen:
+    for first, last in voiced_segments(detect_voiced(buf, cfg.vad)):
+        seg = SampleBuffer(buf.samples[first * vad_hop:last * vad_hop + vad_len], fs)
+        n_frames = cfg.frame.num_frames(len(seg), fs)
+        if n_frames == 0:
             continue
-        seg = SampleBuffer(seg_samples, fs)
-        n_seg_frames = cfg.frame.num_frames(len(seg), fs)
-
-        decomposition = eemd_decompose(seg, cfg.emd) if need_emd else None
-
-        regions = None
-        if "pro" in methods:
-            if decomposition is not None and len(decomposition) >= cfg.pro.k_imfs:
-                vectors = imf_pitch_vector(decomposition, cfg.frame, cfg.pro,
-                                           cfg.estimator)
-            else:
-                vectors = [ImfPitchVector(frame_index=i, start_ms=i * hop_ms,
-                                          f0_per_imf=np.full(max(2, cfg.pro.k_imfs),
-                                                             np.nan))
-                           for i in range(n_seg_frames)]
-            regions = classify_frames(vectors, cfg.pro, initial_region=last_region)
-            if regions:
-                last_region = regions[-1].region
-
+        voiced[first:first + n_frames] = True
+        decomposition = (eemd_decompose(seg, cfg.emd)
+                         if pro or "hht" in estimators else None)
+        if pro:
+            seg_regions = _segment_regions(decomposition, n_frames, first,
+                                           last_region, cfg)
+            regions += seg_regions
+            last_region = seg_regions[-1].region
         for est in estimators:
             per_frame = _segment_candidates(seg, est, decomposition, cfg)
-            for local_i, fc in enumerate(per_frame):
-                global_i = first + local_i
-                if global_i >= n_track:
-                    break
-                for meth in methods:
-                    slot = results[(est, meth)]
-                    slot["voiced"][global_i] = True
-                    cands = fc.candidates
-                    if meth == "pro" and regions is not None:
-                        region = regions[local_i]
-                        raw_f0s = tuple(c.f0_hz for c in cands)
-                        corrected = [
-                            PitchCandidate(
-                                f0_hz=correct_candidate(c.f0_hz, region.region),
-                                salience=c.salience, source=c.source)
-                            for c in cands
-                        ]
-                        slot["diags"].append(FrameDiagnostic(
-                            frame_index=global_i,
-                            start_ms=float(times[global_i]),
-                            region=region.region,
-                            mean_f0=region.mean_f0,
-                            selected_imfs=region.selected_imfs,
-                            raw_f0s=raw_f0s,
-                            corrected_f0s=tuple(c.f0_hz for c in corrected),
-                            out_of_model=any(is_out_of_model(f) for f in raw_f0s),
-                        ))
-                        slot["regions"].append(FrequencyRegion(
-                            frame_index=global_i, region=region.region,
-                            mean_f0=region.mean_f0,
-                            selected_imfs=region.selected_imfs))
-                        cands = corrected
-                    chosen = hht_select(cands)
-                    if chosen is not None:
-                        slot["f0"][global_i] = chosen.f0_hz
+            for i, fc in enumerate(per_frame, first):
+                pick = hht_select(fc.candidates)
+                if pick is not None:
+                    raw_f0[est][i] = pick.f0_hz
+            if pro:
+                diagnostics[est] += [_diagnostic(fc, r, float(times[r.frame_index]))
+                                     for fc, r in zip(per_frame, seg_regions)]
 
+    region_at = {r.frame_index: r.region for r in regions}
+    shared_regions = tuple(regions)
     out: dict[tuple[str, str], MethodResult] = {}
-    for key, slot in results.items():
-        track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=slot["f0"],
-                                voiced_mask=slot["voiced"])
-        out[key] = MethodResult(track=track, regions=slot["regions"],
-                                diagnostics=slot["diags"])
+    for est in estimators:
+        f0 = {"raw": raw_f0[est]}
+        if pro:
+            f0["pro"] = raw_f0[est].copy()
+            for i in np.flatnonzero(has_estimate(raw_f0[est])):
+                f0["pro"][i] = correct_candidate(raw_f0[est][i], region_at[i])
+        for meth in methods:
+            track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=f0[meth],
+                                    voiced_mask=voiced.copy())
+            out[(est, meth)] = MethodResult(
+                track=track,
+                regions=shared_regions if meth == "pro" else (),
+                diagnostics=tuple(diagnostics[est]) if meth == "pro" else ())
     return out
 
 

@@ -104,10 +104,17 @@ class TestEmd:
 
 
 class TestEemd:
-    def test_degenerate_ensemble_equals_emd(self):
-        buf, _, _ = two_tone(0.5)
+    @pytest.mark.parametrize("signal,ensemble_size,wgn_std_ratio", [
+        ("two_tone", 1, 0.0),
+        ("two_tone", 5, 0.0),
+        ("constant", 5, 0.2),   # no spread, so the injected noise is zero too
+    ])
+    def test_degenerate_ensemble_equals_emd(self, signal, ensemble_size, wgn_std_ratio):
+        buf = two_tone(0.5)[0] if signal == "two_tone" \
+            else SampleBuffer(np.full(FS // 2, 0.3), FS)
         plain = emd_decompose(buf, EmdConfig())
-        degenerate = eemd_decompose(buf, EmdConfig(ensemble_size=1, wgn_std_ratio=0.0))
+        degenerate = eemd_decompose(buf, EmdConfig(ensemble_size=ensemble_size,
+                                                   wgn_std_ratio=wgn_std_ratio))
         assert len(plain) == len(degenerate)
         for mp, md in zip(plain.imfs, degenerate.imfs):
             assert np.array_equal(mp.samples, md.samples)

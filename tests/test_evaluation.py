@@ -253,8 +253,8 @@ class TestRunBenchmark:
                           [0.0], ["shr"], ["raw"], FAST_CFG)
 
     def test_failures_recorded_not_fatal(self):
-        # an unmixable (all-zero) utterance fails its cells but the run,
-        # and the other utterance's scores, survive
+        # an unmixable (all-zero) utterance is recorded as a failure of its
+        # cell, while the run and the other utterance's scores survive
         from modepitch.audio import SampleBuffer
         silent_truth = track([100.0] * 5)
         corpus = small_corpus(1) + [
@@ -263,7 +263,9 @@ class TestRunBenchmark:
         reports, failures = run_benchmark(corpus, noises, [5.0], ["shr"],
                                           ["raw"], FAST_CFG, seed=0)
         assert len(reports) == 1  # cell still reported from the good utterance
-        assert not failures
+        assert len(failures) == 1
+        assert failures[0].reason.startswith("silent: ")
+        assert "SNR undefined" in failures[0].reason
 
     def test_all_utterances_failing_marks_cell(self):
         from modepitch.audio import SampleBuffer

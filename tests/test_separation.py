@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS
-from modepitch.audio import SampleBuffer, FrameSpec
-from modepitch.corpus import SynthUtteranceSpec, synthesize_utterance
+from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
+from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
-from modepitch.estimators import EstimatorConfig
+from modepitch.estimators import EstimatorConfig, PitchCandidate, hht_select
 from modepitch.separation import (
     HIGH,
     LOW,
@@ -231,6 +231,30 @@ class TestCorrectCandidate:
         assert correct_candidate(high_once, HIGH) == high_once
 
 
+class TestPickThenFold:
+    """The pipeline picks the most salient raw candidate and folds only the
+    pick; the oracle folds every candidate and then picks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cands=st.lists(st.tuples(
+               st.floats(min_value=1.0, max_value=1600.0),
+               st.one_of(st.sampled_from([0.25, 0.5, 0.75]),  # forces ties
+                         st.floats(min_value=0.0, max_value=1.0))),
+               max_size=6),
+           region=st.sampled_from([LOW, HIGH]))
+    def test_pick_then_fold_equals_fold_then_pick(self, cands, region):
+        raw = [PitchCandidate(f, sal, f"hht_imf{k + 1}")
+               for k, (f, sal) in enumerate(cands)]
+        folded = [PitchCandidate(correct_candidate(c.f0_hz, region), c.salience,
+                                 c.source) for c in raw]
+        oracle = hht_select(folded)
+        pick = hht_select(raw)
+        if pick is None:
+            assert oracle is None
+        else:
+            assert correct_candidate(pick.f0_hz, region) == oracle.f0_hz
+
+
 class TestImfPitchVector:
     def test_identical_modes_agree(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
@@ -296,6 +320,36 @@ class TestPipeline:
         pro = out[("hht", "pro")].track
         np.testing.assert_array_equal(raw.frame_times_ms, pro.frame_times_ms)
         np.testing.assert_array_equal(raw.voiced_mask, pro.voiced_mask)
+
+    @pytest.mark.parametrize("f0_hz", [120.0, 300.0])
+    def test_pro_is_raw_pick_folded_into_shared_regions(self, f0_hz):
+        # white noise at 0 dB puts some raw picks in the wrong octave
+        clean, _ = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, f0_hz), (500, f0_hz)), duration_ms=500, rng_seed=3))
+        buf = mix_at_snr(NoisyMix(clean=clean, snr_db=0.0, seed=2,
+                                  noise=make_noise("white", len(clean), FS, seed=1)))
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0))
+        estimators = ["shr", "swipe", "hht"]
+        out = analyze_utterance(buf, estimators, ["raw", "pro"], cfg)
+        regions = out[("shr", "pro")].regions
+        assert isinstance(regions, tuple) and regions
+        region_at = {r.frame_index: r.region for r in regions}
+        voiced = out[("shr", "raw")].track.voiced_mask
+        assert sorted(region_at) == list(np.flatnonzero(voiced))
+        moved = 0
+        for est in estimators:
+            raw, pro = out[(est, "raw")], out[(est, "pro")]
+            assert pro.regions is regions
+            assert raw.regions == () and raw.diagnostics == ()
+            np.testing.assert_array_equal(raw.track.voiced_mask, voiced)
+            np.testing.assert_array_equal(pro.track.voiced_mask, voiced)
+            for i, f in enumerate(raw.track.f0_hz):
+                if np.isnan(f):
+                    assert np.isnan(pro.track.f0_hz[i])
+                else:
+                    assert pro.track.f0_hz[i] == correct_candidate(f, region_at[i])
+                    moved += pro.track.f0_hz[i] != f
+        assert moved > 0
 
     def test_unknown_method_rejected(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(

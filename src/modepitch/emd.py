@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from .audio import SampleBuffer, save_wav_multichannel
 
@@ -80,36 +80,73 @@ def _local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return maxima, minima
 
 
-def _envelope(t_ext: np.ndarray, v_ext: np.ndarray, n: int) -> np.ndarray:
-    """Natural cubic spline through extrema, with two extrema mirrored
-    beyond each end to tame boundary swings."""
-    left_t = (-t_ext[:2])[::-1]
-    left_v = (v_ext[:2])[::-1]
-    keep = left_t < t_ext[0]
-    left_t, left_v = left_t[keep], left_v[keep]
-    end = n - 1
-    right_t = (2 * end - t_ext[-2:])[::-1]
-    right_v = (v_ext[-2:])[::-1]
-    keep = right_t > t_ext[-1]
-    right_t, right_v = right_t[keep], right_v[keep]
-    knots_t = np.concatenate([left_t, t_ext, right_t])
-    knots_v = np.concatenate([left_v, v_ext, right_v])
-    spline = CubicSpline(knots_t, knots_v, bc_type="natural")
-    return spline(np.arange(n))
+def _mirrored_knots(t_ext: np.ndarray, v_ext: np.ndarray,
+                    end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extrema with up to two of them mirrored strictly beyond each end of
+    [0, end], to tame the envelope's boundary swings."""
+    left_t = -t_ext[1::-1]
+    right_t = 2 * end - t_ext[:-3:-1]
+    keep_l = left_t < t_ext[0]
+    keep_r = right_t > t_ext[-1]
+    return (np.concatenate([left_t[keep_l], t_ext, right_t[keep_r]]),
+            np.concatenate([v_ext[1::-1][keep_l], v_ext, v_ext[:-3:-1][keep_r]]))
+
+
+def _mean_envelope(h: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
+    """Mean of the natural cubic splines through the mirrored maxima and
+    minima, at every sample of h.
+
+    Both splines' second-derivative systems are stacked into one
+    tridiagonal system whose block-end rows read M = 0, so nothing couples
+    across the seam, and solved by one LAPACK call (diagonally dominant: no
+    pivoting). The mirrored knots of at least two extrema in [0, n-1]
+    bracket every sample, so no sample is extrapolated.
+    """
+    n = h.size
+    t_up, v_up = _mirrored_knots(maxima, h[maxima], n - 1)
+    t_lo, v_lo = _mirrored_knots(minima, h[minima], n - 1)
+    m = t_up.size
+    t = np.concatenate([t_up, t_lo])
+    v = np.concatenate([v_up, v_lo])
+    ends = [0, m - 1, m, t.size - 1]
+    dx = np.diff(t).astype(np.float64)          # dx[m - 1] spans the seam
+    slope = np.diff(v) / dx
+    # row i: dx[i-1] M[i-1] + 2 (dx[i-1] + dx[i]) M[i] + dx[i] M[i+1]
+    #        = 6 (slope[i] - slope[i-1]); block-end rows: M[i] = 0
+    diag = np.empty(t.size)
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    diag[ends] = 1.0
+    upper = dx.copy()
+    upper[ends[:3]] = 0.0
+    lower = dx.copy()
+    lower[[m - 2, m - 1, t.size - 2]] = 0.0
+    rhs = np.empty(t.size)
+    rhs[1:-1] = 6.0 * np.diff(slope)
+    rhs[ends] = 0.0
+    curv = dgtsv(lower, diag, upper, rhs)[3]
+    c1 = slope - dx * (2.0 * curv[:-1] + curv[1:]) / 6.0
+    c2 = 0.5 * curv[:-1]
+    c3 = (curv[1:] - curv[:-1]) / (6.0 * dx)
+    # interval j covers samples [t[j], t[j+1]); the lower spline's samples
+    # follow the upper's, so the seam interval covers none
+    bounds = np.clip(t, 0, n)
+    bounds[m:] += n
+    j = np.repeat(np.arange(t.size - 1), np.diff(bounds))
+    t[m:] += n
+    s = np.arange(2 * n) - t[j]
+    env = ((c3[j] * s + c2[j]) * s + c1[j]) * s + v[j]
+    return 0.5 * (env[:n] + env[n:])
 
 
 def _sift_one_imf(r: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
     """Extract one mode from the running remainder, or None if the
     remainder has too few extrema to build envelopes."""
-    n = r.size
     h = r
     for _ in range(cfg.max_sift_iters):
         maxima, minima = _local_extrema(h)
         if maxima.size < 2 or minima.size < 2:
             return None if h is r else h
-        upper = _envelope(maxima, h[maxima], n)
-        lower = _envelope(minima, h[minima], n)
-        mean_env = 0.5 * (upper + lower)
+        mean_env = _mean_envelope(h, maxima, minima)
         h_new = h - mean_env
         denom = float(np.sum(h * h))
         if denom == 0.0:
@@ -123,9 +160,6 @@ def _sift_one_imf(r: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
 
 def _emd_raw(data: np.ndarray, cfg: EmdConfig) -> tuple[list[np.ndarray], np.ndarray]:
     """Array-level sift loop; returns (modes, remainder)."""
-    maxima, minima = _local_extrema(data)
-    if maxima.size + minima.size < 4:
-        return [], data.copy()
     modes: list[np.ndarray] = []
     remainder = data.copy()
     while len(modes) < cfg.max_imfs:

@@ -61,15 +61,18 @@ def _majority_hold(mask: np.ndarray, hangover: int) -> np.ndarray:
 
 def detect_voiced(buf: SampleBuffer, cfg: VadConfig = VadConfig()) -> np.ndarray:
     """Per-frame voiced mask: low zero-crossing rate AND energy above a
-    fraction of the utterance mean, then hangover-smoothed."""
+    fraction of the utterance mean, then hangover-smoothed. A frame whose
+    samples are all equal (DC, or silence) has no periodic content and is
+    always unvoiced, whatever its neighbours."""
     frames = frame_signal(buf, cfg.frame_spec())
     energies = np.array([float(np.mean(f.samples ** 2)) for f in frames])
     zcrs = np.array([_zcr(f.samples) for f in frames])
+    moving = np.array([np.ptp(f.samples) > 0 for f in frames])
     mean_energy = float(energies.mean())
     if mean_energy == 0.0:
         return np.zeros(len(frames), dtype=bool)
-    raw = (zcrs < cfg.zcr_max) & (energies > cfg.energy_min_ratio * mean_energy)
-    return _majority_hold(raw, cfg.hangover_frames)
+    raw = (zcrs < cfg.zcr_max) & (energies > cfg.energy_min_ratio * mean_energy) & moving
+    return _majority_hold(raw, cfg.hangover_frames) & moving
 
 
 def voiced_segments(mask: np.ndarray) -> list[tuple[int, int]]:

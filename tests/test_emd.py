@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+from modepitch import emd
 from modepitch.audio import SampleBuffer
+from modepitch.corpus import SynthUtteranceSpec, synthesize_utterance
 from modepitch.emd import (
     EmdConfig,
     ImfSet,
@@ -10,6 +15,7 @@ from modepitch.emd import (
     mode_energies,
     write_imf_wav,
     _local_extrema,
+    _mean_envelope,
 )
 
 FS = 8000
@@ -48,6 +54,108 @@ class TestLocalExtrema:
         maxima, minima = _local_extrema(x)
         assert len(maxima) == 1
         assert len(minima) == 1
+
+
+def _envelope_oracle(t_ext, v_ext, n):
+    """Reference envelope: scipy's natural CubicSpline through the extrema
+    and up to two mirrored extrema beyond each end."""
+    left_t = (-t_ext[:2])[::-1]
+    left_v = (v_ext[:2])[::-1]
+    keep = left_t < t_ext[0]
+    left_t, left_v = left_t[keep], left_v[keep]
+    end = n - 1
+    right_t = (2 * end - t_ext[-2:])[::-1]
+    right_v = (v_ext[-2:])[::-1]
+    keep = right_t > t_ext[-1]
+    right_t, right_v = right_t[keep], right_v[keep]
+    knots_t = np.concatenate([left_t, t_ext, right_t])
+    knots_v = np.concatenate([left_v, v_ext, right_v])
+    spline = CubicSpline(knots_t, knots_v, bc_type="natural")
+    return spline(np.arange(n))
+
+
+def _sift_one_imf_oracle(r, cfg):
+    """Reference sift step: two CubicSpline envelopes per iteration."""
+    n = r.size
+    h = r
+    for _ in range(cfg.max_sift_iters):
+        maxima, minima = _local_extrema(h)
+        if maxima.size < 2 or minima.size < 2:
+            return None if h is r else h
+        upper = _envelope_oracle(maxima, h[maxima], n)
+        lower = _envelope_oracle(minima, h[minima], n)
+        mean_env = 0.5 * (upper + lower)
+        h_new = h - mean_env
+        denom = float(np.sum(h * h))
+        if denom == 0.0:
+            return None if h is r else h
+        sd = float(np.sum(mean_env * mean_env)) / denom
+        h = h_new
+        if sd < cfg.sift_stop_sd:
+            break
+    return h
+
+
+@st.composite
+def envelope_cases(draw):
+    """A signal and two random extremum sets of at least two samples each."""
+    n = draw(st.integers(2, 600))
+    positions = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 80),
+                         unique=True).map(lambda p: np.array(sorted(p), dtype=np.intp))
+    seed = draw(st.integers(0, 2 ** 16))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    h = scale * np.random.default_rng(seed).standard_normal(n)
+    return h, draw(positions), draw(positions)
+
+
+def _case(n, maxima, minima, seed=0):
+    h = np.random.default_rng(seed).standard_normal(n)
+    return h, np.array(maxima, dtype=np.intp), np.array(minima, dtype=np.intp)
+
+
+class TestMeanEnvelope:
+    @settings(max_examples=200, deadline=None)
+    @given(case=envelope_cases())
+    # extrema at sample 0 and n-1 drop the mirror of the end extremum
+    @example(case=_case(50, [0, 49], [0, 49]))
+    @example(case=_case(2, [0, 1], [0, 1]))
+    # knots one sample apart, exactly two minima
+    @example(case=_case(40, [3, 4, 5, 6], [10, 30]))
+    @example(case=_case(300, list(range(1, 299, 2)), [0, 299]))
+    def test_matches_cubic_spline(self, case):
+        h, maxima, minima = case
+        upper = _envelope_oracle(maxima, h[maxima], h.size)
+        lower = _envelope_oracle(minima, h[minima], h.size)
+        scale = max(np.abs(upper).max(), np.abs(lower).max())
+        np.testing.assert_allclose(_mean_envelope(h, maxima, minima),
+                                   0.5 * (upper + lower), rtol=0, atol=1e-12 * scale)
+
+
+def _two_tone_plus_noise(fs):
+    buf = two_tone(0.4, fs)[0]
+    noise = 0.3 * np.random.default_rng(5).standard_normal(len(buf))
+    return SampleBuffer(buf.samples + noise, fs)
+
+
+def _vowel(fs):
+    return synthesize_utterance(SynthUtteranceSpec(
+        f0_contour=((0, 140.0), (400, 180.0)), duration_ms=400, rng_seed=1,
+        sample_rate_hz=fs))[0]
+
+
+class TestDecompositionOracle:
+    @pytest.mark.parametrize("decompose", [emd_decompose, eemd_decompose])
+    @pytest.mark.parametrize("signal,fs", [
+        (_two_tone_plus_noise, 8000), (_vowel, 8000), (_vowel, 16000)])
+    def test_matches_cubic_spline_sift(self, monkeypatch, decompose, signal, fs):
+        buf = signal(fs)
+        cfg = EmdConfig(ensemble_size=5, rng_seed=2)
+        fast = decompose(buf, cfg)
+        monkeypatch.setattr(emd, "_sift_one_imf", _sift_one_imf_oracle)
+        slow = decompose(buf, cfg)
+        assert len(fast) == len(slow) >= 3
+        for mf, ms in zip(fast.imfs + [fast.residual], slow.imfs + [slow.residual]):
+            np.testing.assert_allclose(mf.samples, ms.samples, rtol=0, atol=1e-9)
 
 
 class TestEmd:

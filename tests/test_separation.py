@@ -297,6 +297,15 @@ class TestPipeline:
         assert not track.voiced_mask.any()
         assert not track.estimated_mask().any()
 
+    def test_dc_input_has_no_pitch(self):
+        buf = SampleBuffer(np.full(FS, 0.3), FS)
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0))
+        out = analyze_utterance(buf, ["pefac", "shr", "swipe", "hht"], ["raw", "pro"], cfg)
+        assert len(out) == 8
+        for key, result in out.items():
+            assert not np.isfinite(result.track.f0_hz).any(), key
+            assert not result.track.voiced_mask.any(), key
+
     def test_high_segment_candidates_corrected_into_band(self):
         # a high-frequency vowel whose raw mode candidates often sit at or
         # below 200 Hz must come out with all corrected candidates in the

@@ -71,6 +71,24 @@ class TestDetectVoiced:
         mask = detect_voiced(SampleBuffer(np.zeros(FS) + 0.0, FS), VadConfig())
         assert not mask.any()
 
+    def test_constant_input_unvoiced(self):
+        # zero crossings 0 and energy at the utterance mean pass both gates
+        mask = detect_voiced(SampleBuffer(np.full(FS, 0.3), FS), VadConfig())
+        assert not mask.any()
+
+    def test_constant_run_inside_voicing_unvoiced(self):
+        # a held sample between two tones: its frames have no spread, and the
+        # voiced frames around them must not vote them voiced
+        cfg = VadConfig()
+        seg = tone(150.0, 0.4).samples
+        buf = SampleBuffer(np.concatenate([seg, np.full(int(0.1 * FS), 0.3), seg]), FS)
+        mask = detect_voiced(buf, cfg)
+        flat = np.array([np.ptp(f.samples) == 0
+                         for f in frame_signal(buf, cfg.frame_spec())])
+        assert flat.sum() >= 5
+        assert not mask[flat].any()
+        assert mask[~flat].mean() > 0.9
+
 
 class TestVoicedSegments:
     def test_runs_extracted(self):

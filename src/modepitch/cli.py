@@ -199,8 +199,9 @@ def separate(audio, output, **kwargs):
     """Classify voiced frames of AUDIO as low or high frequency."""
     cfg, _ = _setup(kwargs)
     buf = load_wav(audio)
-    result = analyze_utterance(buf, [cfg.pro.inner_estimator], ["pro"], cfg)
-    regions = result[(cfg.pro.inner_estimator, "pro")].regions
+    # regions come from the modes alone; the estimator only names the result key
+    result = analyze_utterance(buf, ["pefac"], ["pro"], cfg)
+    regions = result[("pefac", "pro")].regions
     if output is None:
         stem = os.path.splitext(os.path.basename(audio))[0]
         output = _default_out(f"{stem}_regions.csv")

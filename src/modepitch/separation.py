@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import FrameSpec, SampleBuffer, frame_signal
 from .emd import EmdConfig, ImfSet, eemd_decompose
 from .estimators import (
+    FRAME_ESTIMATORS,
     EstimatorConfig,
     FrameCandidates,
+    _candidate_grid,
     estimate_frame,
     hht_candidates,
     hht_select,
@@ -30,22 +33,19 @@ from .vad import VadConfig, detect_voiced, voiced_segments
 LOW = "low"
 HIGH = "high"
 OUT_OF_MODEL_HZ = 50.0  # candidates below this pass through uncorrected
+SMOOTH_FRAMES = 5  # per-mode PEFAC score curves are averaged over this many frames
 
 
 @dataclass(frozen=True)
 class ProConfig:
     gamma_hz: float = 200.0
     k_imfs: int = 4
-    inner_estimator: str = "pefac"
-    smooth_frames: int = 5      # moving average of inner score curves; <=1 disables
 
     def __post_init__(self):
         if not 50.0 < self.gamma_hz < 400.0:
             raise ValueError("gamma_hz must lie in (50, 400)")
         if self.k_imfs < 2:
             raise ValueError("k_imfs must be at least 2")
-        if self.smooth_frames < 0:
-            raise ValueError("smooth_frames must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -159,82 +159,59 @@ def classify_frames(vectors: list[ImfPitchVector], cfg: ProConfig = ProConfig(),
 
 
 def _smoothed_argmax_track(cands: np.ndarray, scores: np.ndarray,
-                           valid: np.ndarray, window: int) -> np.ndarray:
+                           valid: np.ndarray, window: int = SMOOTH_FRAMES
+                           ) -> np.ndarray:
     """Per-frame argmax over score curves averaged across neighbor frames.
 
     Pools pitch evidence over time the way a tracking back end would, which
-    stabilizes estimates on noisy bandlimited modes. Frames whose window
-    holds no valid curves come out NaN.
+    stabilizes estimates on noisy bandlimited modes. Each frame averages the
+    valid rows among the 2 * (window // 2) + 1 frames centred on it. Invalid
+    rows and the padding past either end enter the window sums as zeros, so
+    each sum equals the sum of its valid rows. Frames whose window holds no
+    valid curves come out NaN.
     """
-    n = scores.shape[0]
-    estimates = np.full(n, np.nan)
     half = max(0, window // 2)
-    for i in range(n):
-        lo, hi = max(0, i - half), min(n, i + half + 1)
-        mask = valid[lo:hi]
-        if not mask.any():
-            continue
-        curve = scores[lo:hi][mask].mean(axis=0)
-        estimates[i] = cands[int(np.argmax(curve))]
-    return estimates
+    width = 2 * half + 1
+    masked = np.pad(np.where(valid[:, None], scores, 0.0), ((half, half), (0, 0)))
+    sums = sliding_window_view(masked, width, axis=0).sum(axis=-1)
+    counts = sliding_window_view(np.pad(valid.astype(np.int64), half),
+                                 width).sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        picks = cands[np.argmax(sums / counts[:, None], axis=1)]
+    return np.where(counts > 0, picks, np.nan)
 
 
 def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
                      cfg: ProConfig = ProConfig(),
                      est_cfg: EstimatorConfig = EstimatorConfig()
                      ) -> list[ImfPitchVector]:
-    """Frame-by-frame inner-estimator F0 on each of the first k_imfs modes.
+    """Frame-by-frame PEFAC F0 on each of the first k_imfs modes.
 
     Frames are aligned across modes by start time (all modes share the
-    source length, so the framing is identical). With the default pefac
-    inner estimator, the comb score curves are averaged over smooth_frames
-    neighboring frames before the argmax. A mode frame the inner estimator
-    cannot handle yields NaN for that entry.
+    source length, so the framing is identical). Each mode's comb score
+    curves are averaged over SMOOTH_FRAMES neighboring frames before the
+    argmax. A mode frame PEFAC cannot score counts as missing in that
+    average; a frame whose whole window is missing yields NaN for that mode.
     """
     if len(imfs) < cfg.k_imfs:
         raise ValueError(
             f"separation needs {cfg.k_imfs} modes, decomposition produced "
             f"{len(imfs)}")
+    cands = _candidate_grid(est_cfg.f_min, est_cfg.f_max, est_cfg.bins_per_octave)
     per_mode = []
-    for k in range(cfg.k_imfs):
-        frames = frame_signal(imfs.imfs[k], spec)
-        if cfg.inner_estimator == "pefac":
-            cands = None
-            score_rows = []
-            valid = np.zeros(len(frames), dtype=bool)
-            for i, frame in enumerate(frames):
-                try:
-                    cands, row = pefac_scores(frame, est_cfg)
-                    score_rows.append(row)
-                    valid[i] = True
-                except ValueError:
-                    score_rows.append(None)
-            if cands is None:
-                estimates = np.full(len(frames), np.nan)
-            else:
-                blank = np.full(cands.size, -np.inf)
-                matrix = np.stack([r if r is not None else blank
-                                   for r in score_rows])
-                estimates = _smoothed_argmax_track(cands, matrix, valid,
-                                                   cfg.smooth_frames)
-        else:
-            estimates = np.full(len(frames), np.nan)
-            for i, frame in enumerate(frames):
-                try:
-                    estimates[i] = estimate_frame(cfg.inner_estimator, frame,
-                                                  est_cfg).f0_hz
-                except ValueError:
-                    pass
-        per_mode.append((frames, estimates))
-    n_frames = len(per_mode[0][0])
-    vectors = []
-    for q in range(n_frames):
-        vectors.append(ImfPitchVector(
-            frame_index=q,
-            start_ms=per_mode[0][0][q].start_ms,
-            f0_per_imf=np.array([per_mode[k][1][q] for k in range(cfg.k_imfs)]),
-        ))
-    return vectors
+    for mode in imfs.imfs[:cfg.k_imfs]:
+        frames = frame_signal(mode, spec)
+        scores = np.full((len(frames), cands.size), -np.inf)
+        valid = np.zeros(len(frames), dtype=bool)
+        for i, frame in enumerate(frames):
+            try:
+                scores[i] = pefac_scores(frame, est_cfg)[1]
+                valid[i] = True
+            except ValueError:
+                pass
+        per_mode.append(_smoothed_argmax_track(cands, scores, valid))
+    return [ImfPitchVector(frame_index=q, start_ms=frame.start_ms, f0_per_imf=f0s)
+            for q, (frame, f0s) in enumerate(zip(frames, np.column_stack(per_mode)))]
 
 
 def correct_candidate(f_cand: float, region: str) -> float:
@@ -373,6 +350,10 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     for m in methods:
         if m not in ("raw", "pro"):
             raise ValueError(f"unknown method {m!r}")
+    for est in estimators:
+        if est != "hht" and est not in FRAME_ESTIMATORS:
+            raise ValueError(f"unknown estimator {est!r}; "
+                             f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
     fs = buf.sample_rate_hz
     hop_ms = cfg.frame.hop_ms
     if cfg.vad.hop_ms != hop_ms:

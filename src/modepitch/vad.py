@@ -8,8 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import FrameSpec, SampleBuffer, frame_signal
+from .audio import FrameSpec, SampleBuffer
 
 
 @dataclass(frozen=True)
@@ -37,26 +38,28 @@ class VadConfig:
                          window="rectangular")
 
 
-def _zcr(x: np.ndarray) -> float:
-    signs = np.sign(x)
-    signs[signs == 0] = -1.0
-    flips = signs[1:] * signs[:-1] < 0
-    return float(flips.mean()) if flips.size else 0.0
-
-
 def _majority_hold(mask: np.ndarray, hangover: int) -> np.ndarray:
     """Majority vote over a (2*hangover+1)-frame window, clipped at the ends."""
-    if hangover == 0 or mask.size == 0:
-        return mask
-    n = mask.size
     padded = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
-    out = np.empty(n, dtype=bool)
-    for i in range(n):
-        lo = max(0, i - hangover)
-        hi = min(n - 1, i + hangover)
-        votes = padded[hi + 1] - padded[lo]
-        out[i] = votes * 2 > (hi - lo + 1)
-    return out
+    i = np.arange(mask.size)
+    lo = np.maximum(0, i - hangover)
+    hi = np.minimum(mask.size - 1, i + hangover)
+    return (padded[hi + 1] - padded[lo]) * 2 > (hi - lo + 1)
+
+
+def _frame_features(buf: SampleBuffer, spec: FrameSpec
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean-square energy, zero-crossing rate and nonzero spread of every
+    frame on frame_signal's grid, reduced over the rows of one strided view
+    of the samples. A zero sample counts as negative for zero crossings."""
+    flen, hop = spec.frame_len(buf.sample_rate_hz), spec.hop(buf.sample_rate_hz)
+    if len(buf) < flen:
+        raise ValueError(f"buffer of {len(buf)} samples is shorter than one "
+                         f"{spec.frame_len_ms} ms frame ({flen} samples)")
+    frames = sliding_window_view(buf.samples, flen)[::hop]
+    signs = frames > 0
+    zcrs = (signs[:, 1:] != signs[:, :-1]).mean(axis=1)
+    return np.mean(frames ** 2, axis=1), zcrs, np.ptp(frames, axis=1) > 0
 
 
 def detect_voiced(buf: SampleBuffer, cfg: VadConfig = VadConfig()) -> np.ndarray:
@@ -64,13 +67,10 @@ def detect_voiced(buf: SampleBuffer, cfg: VadConfig = VadConfig()) -> np.ndarray
     fraction of the utterance mean, then hangover-smoothed. A frame whose
     samples are all equal (DC, or silence) has no periodic content and is
     always unvoiced, whatever its neighbours."""
-    frames = frame_signal(buf, cfg.frame_spec())
-    energies = np.array([float(np.mean(f.samples ** 2)) for f in frames])
-    zcrs = np.array([_zcr(f.samples) for f in frames])
-    moving = np.array([np.ptp(f.samples) > 0 for f in frames])
+    energies, zcrs, moving = _frame_features(buf, cfg.frame_spec())
     mean_energy = float(energies.mean())
     if mean_energy == 0.0:
-        return np.zeros(len(frames), dtype=bool)
+        return np.zeros(len(energies), dtype=bool)
     raw = (zcrs < cfg.zcr_max) & (energies > cfg.energy_min_ratio * mean_energy) & moving
     return _majority_hold(raw, cfg.hangover_frames) & moving
 

@@ -147,6 +147,23 @@ class TestSeparate:
         # a 120 Hz vowel should be overwhelmingly low-frequency
         assert regions.count("low") / len(regions) >= 0.8
 
+    def test_removed_inner_estimator_flag_usage_error(self, runner, vowel_wav, tmp_path):
+        result = runner.invoke(main, [
+            "separate", vowel_wav, "-o", str(tmp_path / "r.csv"),
+            "--emd-ensemble-size", "2", "--pro-inner-estimator", "shr"])
+        assert result.exit_code == 2
+        assert "--pro-inner-estimator" in result.output
+
+    def test_config_file_naming_removed_field_rejected(self, runner, vowel_wav,
+                                                       tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"pro": {"smooth_frames": 3}}))
+        result = runner.invoke(main, [
+            "separate", vowel_wav, "-o", str(tmp_path / "r.csv"),
+            "--emd-ensemble-size", "2", "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        assert "unknown config field pro.smooth_frames" in result.output
+
 
 class TestSynthAndBench:
     def test_synth_writes_corpus_and_noises(self, runner, tmp_path):
@@ -178,6 +195,19 @@ class TestSynthAndBench:
         text = outputs[0].decode()
         assert text.splitlines()[0].startswith("noise,snr_db")
         assert len(text.splitlines()) == 2
+
+    def test_bench_unknown_estimator_fails(self, runner, tmp_path):
+        # every utterance is reported failed, not scored as a 100% GE cell
+        manifest = generate_corpus(tmp_path / "corpus", count=1, seed=0,
+                                   duration_ms=300.0)
+        noise_dir = tmp_path / "noises"
+        write_noise_set(noise_dir, kinds=("white",), duration_ms=1000.0, seed=0)
+        result = runner.invoke(main, [
+            "bench", "--manifest", manifest, "--noise-dir", str(noise_dir),
+            "--snrs", "5", "--estimators", "shr,yin", "--methods", "raw",
+            "--jobs", "1", "-o", str(tmp_path / "r.csv"), "--emd-ensemble-size", "2"])
+        assert result.exit_code == 1
+        assert "unknown estimator 'yin'" in result.output
 
     def test_dump_mixes_materializes_wavs(self, runner, tmp_path):
         manifest = generate_corpus(tmp_path / "c", count=1, seed=0,

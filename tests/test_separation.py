@@ -15,8 +15,10 @@ from modepitch.separation import (
     LOW,
     AnalysisConfig,
     FrequencyRegion,
+    SMOOTH_FRAMES,
     ImfPitchVector,
     ProConfig,
+    _smoothed_argmax_track,
     analyze_utterance,
     classify_frames,
     classify_region,
@@ -31,6 +33,22 @@ from modepitch.separation import (
 def vector(entries, q=0):
     return ImfPitchVector(frame_index=q, start_ms=q * 10.0,
                           f0_per_imf=np.asarray(entries, dtype=float))
+
+
+def smoothed_argmax_loop(cands, scores, valid, window):
+    """Frame-by-frame oracle for _smoothed_argmax_track: mean of the valid
+    rows in each clipped window, then the argmax candidate."""
+    n = scores.shape[0]
+    estimates = np.full(n, np.nan)
+    half = max(0, window // 2)
+    for i in range(n):
+        lo, hi = max(0, i - half), min(n, i + half + 1)
+        mask = valid[lo:hi]
+        if not mask.any():
+            continue
+        curve = scores[lo:hi][mask].mean(axis=0)
+        estimates[i] = cands[int(np.argmax(curve))]
+    return estimates
 
 
 def brute_force_pair(d):
@@ -255,6 +273,40 @@ class TestPickThenFold:
             assert correct_candidate(pick.f0_hz, region) == oracle.f0_hz
 
 
+class TestSmoothedArgmaxTrack:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), window=st.sampled_from([0, 1, 3, SMOOTH_FRAMES]),
+           coarse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracle(self, data, window, coarse, seed):
+        # coarse scores (multiples of 0.1) make sums that differ only in
+        # rounding order tie or flip the argmax, so the picks check the
+        # summation bit for bit
+        n = data.draw(st.integers(1, 40), label="frames")
+        c = data.draw(st.integers(1, 12), label="candidates")
+        valid = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                                   label="valid rows"), dtype=bool)
+        dead = np.array(data.draw(st.lists(st.booleans(), min_size=c, max_size=c),
+                                  label="-inf columns"), dtype=bool)
+        gen = np.random.default_rng(seed)
+        if coarse:
+            scores = 0.1 * gen.integers(-3, 4, size=(n, c))
+        else:
+            scores = gen.standard_normal((n, c)) * 10.0 ** gen.uniform(-3, 3, (n, 1))
+        scores[:, dead] = -np.inf
+        scores[~valid] = -np.inf
+        cands = np.sort(gen.uniform(50.0, 400.0, c))
+        got = _smoothed_argmax_track(cands, scores, valid, window)
+        want = smoothed_argmax_loop(cands, scores, valid, window)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_all_invalid_window_is_nan(self):
+        valid = np.array([True] + [False] * 6 + [True])
+        scores = np.where(valid[:, None], np.array([[0.0, 1.0]]), -np.inf)
+        track = _smoothed_argmax_track(np.array([100.0, 200.0]), scores, valid)
+        assert np.isnan(track[3:5]).all()
+        assert (track[:3] == 200.0).all() and (track[5:] == 200.0).all()
+
+
 class TestImfPitchVector:
     def test_identical_modes_agree(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
@@ -267,6 +319,21 @@ class TestImfPitchVector:
         for v in vectors:
             spread = np.nanmax(v.f0_per_imf) - np.nanmin(v.f0_per_imf)
             assert spread <= 3.0
+
+    def test_silent_mode_is_nan(self):
+        # PEFAC rejects every all-zero frame, so that mode never has evidence
+        buf, _ = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, 150.0), (500, 150.0)), duration_ms=500,
+            jitter_pct=0.0, rng_seed=1))
+        modes = [SampleBuffer(buf.samples, FS) for _ in range(3)]
+        modes.append(SampleBuffer(np.zeros(len(buf)), FS))
+        imfs = ImfSet(imfs=modes, residual=SampleBuffer(np.full(len(buf), 1e-12), FS),
+                      source_len=len(buf))
+        vectors = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
+        assert len(vectors) == FrameSpec().num_frames(len(buf), FS)
+        for q, v in enumerate(vectors):
+            assert v.frame_index == q and v.start_ms == q * FrameSpec().hop_ms
+            assert np.isfinite(v.f0_per_imf[:3]).all() and np.isnan(v.f0_per_imf[3])
 
     def test_too_few_modes_rejected(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
@@ -365,6 +432,14 @@ class TestPipeline:
             f0_contour=((0, 150.0), (500, 150.0)), duration_ms=500, rng_seed=2))
         with pytest.raises(ValueError, match="method"):
             analyze_utterance(buf, ["hht"], ["dcnn"], AnalysisConfig())
+
+    def test_unknown_estimator_rejected(self):
+        # a name no estimator answers to must not come back as an all-missing track
+        buf, _ = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, 150.0), (600, 150.0)), duration_ms=600, rng_seed=2))
+        for estimators in (["yin"], ["shr", "yin"]):
+            with pytest.raises(ValueError, match="unknown estimator 'yin'"):
+                analyze_utterance(buf, estimators, ["raw"], AnalysisConfig())
 
 
 class TestFrequencyRegionType:

@@ -5,7 +5,52 @@ from hypothesis import strategies as st
 
 from conftest import FS, tone
 from modepitch.audio import SampleBuffer, frame_signal
-from modepitch.vad import VadConfig, detect_voiced, voiced_segments
+from modepitch.vad import (
+    VadConfig,
+    _frame_features,
+    _majority_hold,
+    detect_voiced,
+    voiced_segments,
+)
+
+
+def majority_hold_loop(mask, hangover):
+    """Frame-by-frame oracle for _majority_hold."""
+    if hangover == 0 or mask.size == 0:
+        return mask
+    n = mask.size
+    padded = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
+    out = np.empty(n, dtype=bool)
+    for i in range(n):
+        lo = max(0, i - hangover)
+        hi = min(n - 1, i + hangover)
+        votes = padded[hi + 1] - padded[lo]
+        out[i] = votes * 2 > (hi - lo + 1)
+    return out
+
+
+def zcr_loop(x):
+    signs = np.sign(x)
+    signs[signs == 0] = -1.0
+    flips = signs[1:] * signs[:-1] < 0
+    return float(flips.mean()) if flips.size else 0.0
+
+
+def detect_voiced_loop(buf, cfg):
+    """Oracle for detect_voiced over a list of Frame objects; returns the
+    mask and the per-frame energies, zero-crossing rates and spread flags."""
+    frames = frame_signal(buf, cfg.frame_spec())
+    energies = np.array([float(np.mean(f.samples ** 2)) for f in frames])
+    zcrs = np.array([zcr_loop(f.samples) for f in frames])
+    moving = np.array([np.ptp(f.samples) > 0 for f in frames])
+    mean_energy = float(energies.mean())
+    if mean_energy == 0.0:
+        mask = np.zeros(len(frames), dtype=bool)
+    else:
+        raw = ((zcrs < cfg.zcr_max) & (energies > cfg.energy_min_ratio * mean_energy)
+               & moving)
+        mask = majority_hold_loop(raw, cfg.hangover_frames) & moving
+    return mask, energies, zcrs, moving
 
 
 class TestDetectVoiced:
@@ -88,6 +133,43 @@ class TestDetectVoiced:
         assert flat.sum() >= 5
         assert not mask[flat].any()
         assert mask[~flat].mean() > 0.9
+
+
+class TestLoopOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(rate=st.sampled_from([8000, 11025, 16000, 22050]),
+           duration_ms=st.integers(26, 700), seed=st.integers(0, 2**32 - 1),
+           noise=st.floats(0.0, 1.0), held=st.booleans(), clip=st.booleans(),
+           silent_tail=st.booleans(), hangover=st.integers(0, 3))
+    def test_matches_frame_loop(self, rate, duration_ms, seed, noise, held, clip,
+                                silent_tail, hangover):
+        gen = np.random.default_rng(seed)
+        n = int(duration_ms * rate / 1000)
+        t = np.arange(n) / rate
+        x = (gen.uniform(0.0, 1.0) * np.sin(2 * np.pi * gen.uniform(60, 450) * t)
+             + noise * gen.standard_normal(n))
+        if held:
+            start = int(gen.integers(0, n))
+            x[start:start + int(gen.integers(1, n + 1))] = gen.uniform(-1.0, 1.0)
+        if clip:
+            x = np.clip(x, -0.3, 0.3)
+        if silent_tail:
+            x[n - int(gen.integers(1, n + 1)):] = 0.0
+        buf = SampleBuffer(x, rate)
+        cfg = VadConfig(hangover_frames=hangover)
+        mask, energies, zcrs, moving = detect_voiced_loop(buf, cfg)
+        got_energies, got_zcrs, got_moving = _frame_features(buf, cfg.frame_spec())
+        np.testing.assert_array_equal(detect_voiced(buf, cfg), mask)
+        assert np.array_equal(got_energies, energies)
+        assert np.array_equal(got_zcrs, zcrs)
+        np.testing.assert_array_equal(got_moving, moving)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask=st.lists(st.booleans(), max_size=30), hangover=st.integers(0, 4))
+    def test_majority_hold_matches_loop(self, mask, hangover):
+        mask = np.array(mask, dtype=bool)
+        np.testing.assert_array_equal(_majority_hold(mask, hangover),
+                                      majority_hold_loop(mask, hangover))
 
 
 class TestVoicedSegments:

@@ -18,7 +18,7 @@ from modepitch.audio import load_wav
 from modepitch.corpus import NOISE_KINDS, generate_corpus, load_manifest, write_noise_set
 from modepitch.emd import EmdConfig
 from modepitch.evaluation import run_benchmark, write_report_csv
-from modepitch.separation import AnalysisConfig
+from modepitch.separation import AnalysisConfig, check_keys
 
 
 def main():
@@ -34,6 +34,12 @@ def main():
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    estimators = args.estimators.split(",")
+    methods = args.methods.split(",")
+    try:
+        check_keys(estimators, methods)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     os.makedirs(args.out, exist_ok=True)
     manifest = generate_corpus(os.path.join(args.out, "corpus"),
@@ -47,8 +53,6 @@ def main():
     cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=args.ensemble,
                                        rng_seed=args.seed))
     snrs = [float(s) for s in args.snrs.split(",")]
-    estimators = args.estimators.split(",")
-    methods = args.methods.split(",")
 
     t0 = time.time()
     reports, failures = run_benchmark(corpus, noises, snrs, estimators,

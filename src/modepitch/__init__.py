@@ -23,9 +23,7 @@ from .corpus import (
 from .emd import EmdConfig, ImfSet, eemd_decompose, emd_decompose
 from .estimators import (
     EstimatorConfig,
-    FrameCandidates,
     PitchCandidate,
-    estimate_frame,
     hht_candidates,
     hht_select,
     pefac_estimate,
@@ -43,7 +41,6 @@ from .evaluation import (
 from .separation import (
     AnalysisConfig,
     FrequencyRegion,
-    ImfPitchVector,
     ProConfig,
     classify_frames,
     classify_region,

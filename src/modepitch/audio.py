@@ -49,15 +49,12 @@ class FrameSpec:
 
     frame_len_ms: float = 90.0
     hop_ms: float = 10.0
-    window: str = "hann"
 
     def __post_init__(self):
         if self.frame_len_ms <= 0 or self.hop_ms <= 0:
             raise ValueError("frame_len_ms and hop_ms must be positive")
         if self.hop_ms > self.frame_len_ms:
             raise ValueError("hop_ms must not exceed frame_len_ms")
-        if self.window not in ("rectangular", "hann"):
-            raise ValueError(f"unknown window {self.window!r}")
 
     def frame_len(self, sample_rate_hz: int) -> int:
         return int(round(self.frame_len_ms * sample_rate_hz / 1000.0))
@@ -194,8 +191,8 @@ def measured_snr_db(mixed: SampleBuffer, clean: SampleBuffer) -> float:
 def frame_signal(buf: SampleBuffer, spec: FrameSpec) -> list[Frame]:
     """Slice a buffer into overlapping frames; the last partial frame is dropped.
 
-    Frames carry raw (unwindowed) samples; spectral ops apply the window
-    named in the FrameSpec.
+    Frames carry raw (unwindowed) samples; the estimators apply the window
+    named in their EstimatorConfig.
     """
     flen = spec.frame_len(buf.sample_rate_hz)
     hop = spec.hop(buf.sample_rate_hz)

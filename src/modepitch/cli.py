@@ -25,7 +25,7 @@ from .corpus import (
 from .emd import EmdConfig, eemd_decompose, mode_energies, write_imf_wav
 from .estimators import EstimatorConfig
 from .evaluation import mix_seed, run_benchmark, write_report_csv
-from .separation import AnalysisConfig, ProConfig, analyze_utterance
+from .separation import AnalysisConfig, ProConfig, analyze_utterance, check_keys
 from .vad import VadConfig
 
 OUT_DIR_ENV = "MODEPITCH_OUT_DIR"
@@ -243,6 +243,12 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
           dump_mixes, output, **kwargs):
     """Score estimators over the (noise x SNR x method) grid."""
     cfg, seed = _setup(kwargs)
+    est_list = [e.strip() for e in estimators.split(",") if e.strip()]
+    meth_list = [m.strip() for m in methods.split(",") if m.strip()]
+    try:
+        check_keys(est_list, meth_list)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     corpus = load_manifest(manifest)
     noise_files = sorted(f for f in os.listdir(noise_dir) if f.endswith(".wav"))
     if not noise_files:
@@ -250,8 +256,6 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
     noises = [(os.path.splitext(f)[0], load_wav(os.path.join(noise_dir, f)))
               for f in noise_files]
     snr_list = [float(s) for s in snrs.split(",") if s.strip()]
-    est_list = [e.strip() for e in estimators.split(",") if e.strip()]
-    meth_list = [m.strip() for m in methods.split(",") if m.strip()]
     reports, failures = run_benchmark(
         corpus, noises, snr_list, est_list, meth_list, cfg,
         seed=seed, gate=gate, jobs=jobs)

@@ -50,11 +50,6 @@ class ImfSet:
     def __len__(self) -> int:
         return len(self.imfs)
 
-    def mode_array(self) -> np.ndarray:
-        """Modes stacked as rows, residual excluded."""
-        return np.stack([m.samples for m in self.imfs]) if self.imfs else \
-            np.empty((0, self.source_len))
-
     def reconstruct(self) -> np.ndarray:
         total = self.residual.samples.copy()
         for imf in self.imfs:

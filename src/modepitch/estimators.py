@@ -55,14 +55,6 @@ class PitchCandidate:
     source: str  # "pefac", "shr", "swipe", or "hht_imf<k>"
 
 
-@dataclass(frozen=True)
-class FrameCandidates:
-    """All candidates proposed for one analysis frame."""
-
-    start_ms: float
-    candidates: list[PitchCandidate]
-
-
 def _frame_spectrum(frame, cfg: EstimatorConfig, spectrum) -> Spectrum:
     """Validate the frame, zero-pad it to next_pow2(4n) and take its spectrum
     with `spectrum` (power_spectrum or magnitude_spectrum)."""
@@ -275,8 +267,9 @@ def _first_acf_peak(r: np.ndarray, tau_min: int, tau_max: int) -> int | None:
 
 def hht_candidates(voiced_segment: SampleBuffer, imfs: ImfSet,
                    cfg: EstimatorConfig = EstimatorConfig(),
-                   frame: FrameSpec = FrameSpec()) -> list[FrameCandidates]:
-    """Per 10 ms interval, one candidate from each of the first modes.
+                   frame: FrameSpec = FrameSpec()) -> list[list[PitchCandidate]]:
+    """Candidates of every analysis frame: at most one from each of the
+    first modes.
 
     Mode k contributes f0 = fs / tau0 where tau0 is the smallest lag of a
     local ACF maximum of its instantaneous-amplitude envelope, searched in
@@ -299,7 +292,7 @@ def hht_candidates(voiced_segment: SampleBuffer, imfs: ImfSet,
         return []
     envelopes = [envelope(imfs.imfs[k].samples) for k in range(cfg.hht_num_imfs)]
 
-    out: list[FrameCandidates] = []
+    out: list[list[PitchCandidate]] = []
     n_frames = (n - flen) // hop + 1
     for i in range(n_frames):
         start = i * hop
@@ -326,7 +319,7 @@ def hht_candidates(voiced_segment: SampleBuffer, imfs: ImfSet,
                 salience=float(r[tau0] / r[0]),
                 source=f"hht_imf{k + 1}",
             ))
-        out.append(FrameCandidates(start_ms=1000.0 * start / fs, candidates=cands))
+        out.append(cands)
     return out
 
 
@@ -343,14 +336,3 @@ FRAME_ESTIMATORS = {
     "shr": shr_estimate,
     "swipe": swipe_estimate,
 }
-
-
-def estimate_frame(name: str, frame: Frame | SampleBuffer,
-                   cfg: EstimatorConfig = EstimatorConfig()) -> PitchCandidate:
-    """Dispatch a single-candidate estimator by name."""
-    try:
-        fn = FRAME_ESTIMATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown estimator {name!r}; "
-                         f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
-    return fn(frame, cfg)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .audio import NoisyMix, SampleBuffer, mix_at_snr
 from .corpus import CorpusItem
-from .separation import AnalysisConfig, FrequencyRegion, analyze_utterance
+from .separation import AnalysisConfig, FrequencyRegion, analyze_utterance, check_keys
 from .track import FramePitchTrack, has_estimate, tracks_aligned
 
 GE_DEVIATION_THRESHOLD = 0.20
@@ -169,11 +169,13 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     Each report averages the scores of the utterances that succeeded. Every
     failed utterance is recorded once per estimator/method key, with its
     reason prefixed by the corpus item name; a cell with no successful
-    utterance is left out of the reports. Deterministic for a fixed seed:
+    utterance is left out of the reports. Unknown estimator or method names
+    raise before anything is mixed. Deterministic for a fixed seed:
     mixing seeds derive from (seed, noise, snr, utterance) indices only.
     """
     if not corpus or not noises or not snrs or not estimators or not methods:
         raise ValueError("benchmark grids must be non-empty")
+    check_keys(estimators, methods)
     gamma = cfg.pro.gamma_hz
     reports: list[EvalReport] = []
     failures: list[BenchFailure] = []

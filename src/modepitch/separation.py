@@ -10,7 +10,7 @@ shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,14 +20,13 @@ from .emd import EmdConfig, ImfSet, eemd_decompose
 from .estimators import (
     FRAME_ESTIMATORS,
     EstimatorConfig,
-    FrameCandidates,
+    PitchCandidate,
     _candidate_grid,
-    estimate_frame,
     hht_candidates,
     hht_select,
     pefac_scores,
 )
-from .track import NO_ESTIMATE, FramePitchTrack, has_estimate
+from .track import NO_ESTIMATE, FramePitchTrack
 from .vad import VadConfig, detect_voiced, voiced_segments
 
 LOW = "low"
@@ -46,24 +45,6 @@ class ProConfig:
             raise ValueError("gamma_hz must lie in (50, 400)")
         if self.k_imfs < 2:
             raise ValueError("k_imfs must be at least 2")
-
-
-@dataclass(frozen=True)
-class ImfPitchVector:
-    """Per-frame F0 estimated on each of the first modes; NaN marks a
-    mode whose inner estimate failed."""
-
-    frame_index: int
-    start_ms: float
-    f0_per_imf: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.f0_per_imf, dtype=np.float64)
-        if v.size < 2:
-            raise ValueError("need at least two mode estimates")
-        if np.any(np.isfinite(v) & (v <= 0)):
-            raise ValueError("mode F0 entries must be positive or NaN")
-        object.__setattr__(self, "f0_per_imf", v)
 
 
 @dataclass(frozen=True)
@@ -118,40 +99,57 @@ def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
     return (a, b), scores
 
 
-def classify_region(v: ImfPitchVector, cfg: ProConfig = ProConfig()) -> FrequencyRegion:
+def _check_mode_f0(mode_f0: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-mode F0 as a float64 array of ndim axes, modes on the last: at
+    least two modes, every finite entry positive (NaN marks no estimate)."""
+    mode_f0 = np.asarray(mode_f0, dtype=np.float64)
+    if mode_f0.ndim != ndim or mode_f0.shape[-1] < 2:
+        raise ValueError(f"need a {ndim}-D array of at least two mode estimates")
+    if np.any(np.isfinite(mode_f0) & (mode_f0 <= 0)):
+        raise ValueError("mode F0 entries must be positive or NaN")
+    return mode_f0
+
+
+def classify_region(f0_per_imf: np.ndarray, cfg: ProConfig = ProConfig(),
+                    frame_index: int = 0) -> FrequencyRegion:
     """Mean F0 of the selected mode pair against the gamma threshold;
     exactly gamma counts as low.
 
     Modes with missing estimates are excluded before pair selection; fewer
-    than two usable modes raises ValueError (callers fall back to the
-    previous frame's region).
+    than two usable modes raises ValueError, as does a vector that is not
+    valid per-mode F0.
     """
-    valid = np.flatnonzero(np.isfinite(v.f0_per_imf) & (v.f0_per_imf > 0))
+    v = _check_mode_f0(f0_per_imf, 1)
+    valid = np.flatnonzero(np.isfinite(v))
     if valid.size < 2:
         raise ValueError(
-            f"frame {v.frame_index}: only {valid.size} usable mode estimates")
-    sub = v.f0_per_imf[valid]
+            f"frame {frame_index}: only {valid.size} usable mode estimates")
+    sub = v[valid]
     d = distance_matrix(sub)
     (a, b), _ = select_imf_pair(d)
     imf_a = int(valid[a - 1]) + 1
     imf_b = int(valid[b - 1]) + 1
     mean_f0 = float(0.5 * (sub[a - 1] + sub[b - 1]))
     region = LOW if mean_f0 <= cfg.gamma_hz else HIGH
-    return FrequencyRegion(frame_index=v.frame_index, region=region,
+    return FrequencyRegion(frame_index=frame_index, region=region,
                            mean_f0=mean_f0, selected_imfs=(imf_a, imf_b))
 
 
-def classify_frames(vectors: list[ImfPitchVector], cfg: ProConfig = ProConfig(),
-                    initial_region: str = LOW) -> list[FrequencyRegion]:
-    """Classify a frame sequence; frames without enough evidence inherit
-    the previous frame's region (the first frame defaults to low)."""
+def classify_frames(mode_f0: np.ndarray, cfg: ProConfig = ProConfig(),
+                    frames: np.ndarray | None = None) -> list[FrequencyRegion]:
+    """Classify the given rows (frame indices, in order; default all) of a
+    (frames x modes) F0 matrix. A frame with fewer than two usable mode
+    estimates inherits the region of the frame classified before it; the
+    first one defaults to low."""
+    mode_f0 = _check_mode_f0(mode_f0, 2)
     regions: list[FrequencyRegion] = []
-    last = initial_region
-    for v in vectors:
-        try:
-            region = classify_region(v, cfg)
-        except ValueError:
-            region = FrequencyRegion(frame_index=v.frame_index, region=last,
+    last = LOW
+    for i in range(len(mode_f0)) if frames is None else frames:
+        row = mode_f0[i]
+        if np.count_nonzero(np.isfinite(row)) >= 2:
+            region = classify_region(row, cfg, int(i))
+        else:
+            region = FrequencyRegion(frame_index=int(i), region=last,
                                      mean_f0=math.nan, selected_imfs=None)
         regions.append(region)
         last = region.region
@@ -184,14 +182,13 @@ def _smoothed_argmax_track(cands: np.ndarray, scores: np.ndarray,
 def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
                      cfg: ProConfig = ProConfig(),
                      est_cfg: EstimatorConfig = EstimatorConfig()
-                     ) -> list[ImfPitchVector]:
-    """Frame-by-frame PEFAC F0 on each of the first k_imfs modes.
-
-    Frames are aligned across modes by start time (all modes share the
-    source length, so the framing is identical). Each mode's comb score
-    curves are averaged over SMOOTH_FRAMES neighboring frames before the
-    argmax. A mode frame PEFAC cannot score counts as missing in that
-    average; a frame whose whole window is missing yields NaN for that mode.
+                     ) -> np.ndarray:
+    """Frame-by-frame PEFAC F0 on each of the first k_imfs modes, as a
+    (frames x k_imfs) matrix (all modes share the source length, so the
+    framing is identical). Each mode's comb score curves are averaged over
+    SMOOTH_FRAMES neighboring frames before the argmax. A mode frame PEFAC
+    cannot score counts as missing in that average; a frame whose whole
+    window is missing yields NaN for that mode.
     """
     if len(imfs) < cfg.k_imfs:
         raise ValueError(
@@ -210,8 +207,7 @@ def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
             except ValueError:
                 pass
         per_mode.append(_smoothed_argmax_track(cands, scores, valid))
-    return [ImfPitchVector(frame_index=q, start_ms=frame.start_ms, f0_per_imf=f0s)
-            for q, (frame, f0s) in enumerate(zip(frames, np.column_stack(per_mode)))]
+    return np.column_stack(per_mode)
 
 
 def correct_candidate(f_cand: float, region: str) -> float:
@@ -262,6 +258,11 @@ class AnalysisConfig:
     pro: ProConfig = ProConfig()
     vad: VadConfig = VadConfig()
 
+    def __post_init__(self):
+        # the VAD frames sit on the analysis hop and must not leave gaps
+        if self.frame.hop_ms > self.vad.frame_ms:
+            raise ValueError("frame.hop_ms must not exceed vad.frame_ms")
+
 
 @dataclass(frozen=True)
 class FrameDiagnostic:
@@ -287,45 +288,20 @@ class MethodResult:
     diagnostics: tuple[FrameDiagnostic, ...]
 
 
-def _segment_candidates(seg: SampleBuffer, estimator: str, decomposition: ImfSet | None,
-                        cfg: AnalysisConfig) -> list[FrameCandidates]:
-    """Candidate sets per frame of one voiced segment."""
-    if estimator == "hht":
-        if decomposition is None or len(decomposition) < cfg.estimator.hht_num_imfs:
-            n = cfg.frame.num_frames(len(seg), seg.sample_rate_hz)
-            hop_ms = cfg.frame.hop_ms
-            return [FrameCandidates(start_ms=i * hop_ms, candidates=[])
-                    for i in range(n)]
-        return hht_candidates(seg, decomposition, cfg.estimator, cfg.frame)
-    out = []
-    for frame in frame_signal(seg, cfg.frame):
-        try:
-            cand = estimate_frame(estimator, frame, cfg.estimator)
-            cands = [cand]
-        except ValueError:
-            cands = []
-        out.append(FrameCandidates(start_ms=frame.start_ms, candidates=cands))
-    return out
+def check_keys(estimators: list[str], methods: list[str]) -> None:
+    """Reject estimator or method names the pipeline does not know."""
+    for m in methods:
+        if m not in ("raw", "pro"):
+            raise ValueError(f"unknown method {m!r}")
+    for est in estimators:
+        if est != "hht" and est not in FRAME_ESTIMATORS:
+            raise ValueError(f"unknown estimator {est!r}; "
+                             f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
 
 
-def _segment_regions(decomposition: ImfSet, n_frames: int, first: int,
-                     initial_region: str, cfg: AnalysisConfig) -> list[FrequencyRegion]:
-    """Region of every analysis frame of one voiced segment, indexed on the
-    utterance's frame grid. With too few modes no frame has evidence, so the
-    whole segment inherits initial_region."""
-    if len(decomposition) >= cfg.pro.k_imfs:
-        vectors = imf_pitch_vector(decomposition, cfg.frame, cfg.pro, cfg.estimator)
-    else:
-        vectors = [ImfPitchVector(frame_index=i, start_ms=i * cfg.frame.hop_ms,
-                                  f0_per_imf=np.full(cfg.pro.k_imfs, np.nan))
-                   for i in range(n_frames)]
-    return [replace(r, frame_index=first + r.frame_index)
-            for r in classify_frames(vectors, cfg.pro, initial_region)]
-
-
-def _diagnostic(fc: FrameCandidates, region: FrequencyRegion,
+def _diagnostic(cands: list[PitchCandidate], region: FrequencyRegion,
                 start_ms: float) -> FrameDiagnostic:
-    raw_f0s = tuple(c.f0_hz for c in fc.candidates)
+    raw_f0s = tuple(c.f0_hz for c in cands)
     return FrameDiagnostic(
         frame_index=region.frame_index, start_ms=start_ms, region=region.region,
         mean_f0=region.mean_f0, selected_imfs=region.selected_imfs,
@@ -339,77 +315,77 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
                       ) -> dict[tuple[str, str], MethodResult]:
     """Run the requested estimator/method combinations over one utterance.
 
-    One pass per voiced segment: the voiced mask, the decomposition and, for
-    "pro", the low/high region of every frame are computed once and shared
-    by every estimator, which also keeps raw-versus-corrected comparisons
-    paired. Each estimator makes one candidate pass; its raw F0 is the most
-    salient candidate and its pro F0 is that pick folded into the frame's
-    region. Folding keeps salience and order, so this equals picking among
-    the folded candidates.
+    Every stage writes onto the utterance's frame grid. Each voiced segment
+    is decomposed once; its per-mode F0 rows and every estimator's
+    candidate lists land at the segment's frames. One region pass then
+    classifies all voiced frames in order, so a frame without mode evidence
+    inherits the previous voiced frame's region, across segments too. The
+    raw F0 is each frame's most salient candidate and the pro F0 is that
+    pick folded into the frame's region. Folding keeps salience and order,
+    so this equals picking among the folded candidates.
     """
-    for m in methods:
-        if m not in ("raw", "pro"):
-            raise ValueError(f"unknown method {m!r}")
-    for est in estimators:
-        if est != "hht" and est not in FRAME_ESTIMATORS:
-            raise ValueError(f"unknown estimator {est!r}; "
-                             f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
+    check_keys(estimators, methods)
     fs = buf.sample_rate_hz
-    hop_ms = cfg.frame.hop_ms
-    if cfg.vad.hop_ms != hop_ms:
-        raise ValueError("vad hop and analysis hop must match for frame alignment")
     n_track = cfg.frame.num_frames(len(buf), fs)
     if n_track == 0:
         raise ValueError("buffer shorter than one analysis frame")
-    times = np.arange(n_track) * hop_ms
+    times = np.arange(n_track) * cfg.frame.hop_ms
     pro = "pro" in methods
-    vad_frame = cfg.vad.frame_spec()
-    vad_hop, vad_len = vad_frame.hop(fs), vad_frame.frame_len(fs)
+    hop, vad_len = cfg.frame.hop(fs), cfg.vad.frame_spec(cfg.frame).frame_len(fs)
 
     voiced = np.zeros(n_track, dtype=bool)
-    raw_f0 = {est: np.full(n_track, NO_ESTIMATE) for est in estimators}
-    regions: list[FrequencyRegion] = []
-    diagnostics: dict[str, list[FrameDiagnostic]] = {est: [] for est in estimators}
-    last_region = LOW
-    for first, last in voiced_segments(detect_voiced(buf, cfg.vad)):
-        seg = SampleBuffer(buf.samples[first * vad_hop:last * vad_hop + vad_len], fs)
+    mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
+    cands = {est: [[] for _ in range(n_track)] for est in estimators}
+    for first, last in voiced_segments(detect_voiced(buf, cfg.vad, cfg.frame)):
+        seg = SampleBuffer(buf.samples[first * hop:last * hop + vad_len], fs)
         n_frames = cfg.frame.num_frames(len(seg), fs)
         if n_frames == 0:
             continue
-        voiced[first:first + n_frames] = True
+        rows = slice(first, first + n_frames)
+        voiced[rows] = True
         decomposition = (eemd_decompose(seg, cfg.emd)
                          if pro or "hht" in estimators else None)
-        if pro:
-            seg_regions = _segment_regions(decomposition, n_frames, first,
-                                           last_region, cfg)
-            regions += seg_regions
-            last_region = seg_regions[-1].region
+        if pro and len(decomposition) >= cfg.pro.k_imfs:
+            mode_f0[rows] = imf_pitch_vector(decomposition, cfg.frame, cfg.pro,
+                                             cfg.estimator)
         for est in estimators:
-            per_frame = _segment_candidates(seg, est, decomposition, cfg)
-            for i, fc in enumerate(per_frame, first):
-                pick = hht_select(fc.candidates)
-                if pick is not None:
-                    raw_f0[est][i] = pick.f0_hz
-            if pro:
-                diagnostics[est] += [_diagnostic(fc, r, float(times[r.frame_index]))
-                                     for fc, r in zip(per_frame, seg_regions)]
+            if est != "hht":
+                estimate = FRAME_ESTIMATORS[est]
+                for i, frame in enumerate(frame_signal(seg, cfg.frame), first):
+                    try:
+                        cands[est][i] = [estimate(frame, cfg.estimator)]
+                    except ValueError:
+                        pass
+            elif len(decomposition) >= cfg.estimator.hht_num_imfs:
+                cands[est][rows] = hht_candidates(seg, decomposition, cfg.estimator,
+                                                  cfg.frame)
 
-    region_at = {r.frame_index: r.region for r in regions}
-    shared_regions = tuple(regions)
+    voiced_frames = np.flatnonzero(voiced)
+    regions = tuple(classify_frames(mode_f0, cfg.pro, voiced_frames)) if pro else ()
     out: dict[tuple[str, str], MethodResult] = {}
     for est in estimators:
-        f0 = {"raw": raw_f0[est]}
+        raw = np.full(n_track, NO_ESTIMATE)
+        for i in voiced_frames:
+            pick = hht_select(cands[est][i])
+            if pick is not None:
+                raw[i] = pick.f0_hz
+        f0, diagnostics = {"raw": raw}, ()
         if pro:
-            f0["pro"] = raw_f0[est].copy()
-            for i in np.flatnonzero(has_estimate(raw_f0[est])):
-                f0["pro"][i] = correct_candidate(raw_f0[est][i], region_at[i])
+            f0["pro"] = raw.copy()
+            for r in regions:
+                if not math.isnan(raw[r.frame_index]):
+                    f0["pro"][r.frame_index] = correct_candidate(raw[r.frame_index],
+                                                                 r.region)
+            diagnostics = tuple(_diagnostic(cands[est][r.frame_index], r,
+                                            float(times[r.frame_index]))
+                                for r in regions)
         for meth in methods:
             track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=f0[meth],
                                     voiced_mask=voiced.copy())
             out[(est, meth)] = MethodResult(
                 track=track,
-                regions=shared_regions if meth == "pro" else (),
-                diagnostics=tuple(diagnostics[est]) if meth == "pro" else ())
+                regions=regions if meth == "pro" else (),
+                diagnostics=diagnostics if meth == "pro" else ())
     return out
 
 

@@ -16,7 +16,6 @@ from .audio import FrameSpec, SampleBuffer
 @dataclass(frozen=True)
 class VadConfig:
     frame_ms: float = 25.0
-    hop_ms: float = 10.0
     # sign flips per sample transition; broadband noise sits near 0.5, so the
     # ceiling is set just under that to keep voiced frames at low SNR
     zcr_max: float = 0.48
@@ -24,8 +23,8 @@ class VadConfig:
     hangover_frames: int = 2
 
     def __post_init__(self):
-        if self.frame_ms <= 0 or self.hop_ms <= 0:
-            raise ValueError("frame_ms and hop_ms must be positive")
+        if self.frame_ms <= 0:
+            raise ValueError("frame_ms must be positive")
         if not 0 < self.zcr_max < 1:
             raise ValueError("zcr_max must lie in (0, 1)")
         if self.energy_min_ratio <= 0:
@@ -33,9 +32,9 @@ class VadConfig:
         if self.hangover_frames < 0:
             raise ValueError("hangover_frames must be non-negative")
 
-    def frame_spec(self) -> FrameSpec:
-        return FrameSpec(frame_len_ms=self.frame_ms, hop_ms=self.hop_ms,
-                         window="rectangular")
+    def frame_spec(self, analysis: FrameSpec = FrameSpec()) -> FrameSpec:
+        # on the analysis hop: VAD frame i starts where analysis frame i does
+        return FrameSpec(frame_len_ms=self.frame_ms, hop_ms=analysis.hop_ms)
 
 
 def _majority_hold(mask: np.ndarray, hangover: int) -> np.ndarray:
@@ -62,12 +61,14 @@ def _frame_features(buf: SampleBuffer, spec: FrameSpec
     return np.mean(frames ** 2, axis=1), zcrs, np.ptp(frames, axis=1) > 0
 
 
-def detect_voiced(buf: SampleBuffer, cfg: VadConfig = VadConfig()) -> np.ndarray:
-    """Per-frame voiced mask: low zero-crossing rate AND energy above a
-    fraction of the utterance mean, then hangover-smoothed. A frame whose
-    samples are all equal (DC, or silence) has no periodic content and is
-    always unvoiced, whatever its neighbours."""
-    energies, zcrs, moving = _frame_features(buf, cfg.frame_spec())
+def detect_voiced(buf: SampleBuffer, cfg: VadConfig = VadConfig(),
+                  frame: FrameSpec = FrameSpec()) -> np.ndarray:
+    """Per-frame voiced mask on the hop of `frame`: low zero-crossing rate
+    AND energy above a fraction of the utterance mean, then
+    hangover-smoothed. A frame whose samples are all equal (DC, or silence)
+    has no periodic content and is always unvoiced, whatever its
+    neighbours."""
+    energies, zcrs, moving = _frame_features(buf, cfg.frame_spec(frame))
     mean_energy = float(energies.mean())
     if mean_energy == 0.0:
         return np.zeros(len(energies), dtype=bool)
@@ -77,14 +78,6 @@ def detect_voiced(buf: SampleBuffer, cfg: VadConfig = VadConfig()) -> np.ndarray
 
 def voiced_segments(mask: np.ndarray) -> list[tuple[int, int]]:
     """Contiguous voiced runs as (first_frame, last_frame) inclusive pairs."""
-    out = []
-    start = None
-    for i, v in enumerate(mask):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            out.append((start, i - 1))
-            start = None
-    if start is not None:
-        out.append((start, len(mask) - 1))
-    return out
+    edges = np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0)
+    return [(int(first), int(end) - 1) for first, end
+            in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]

@@ -24,7 +24,12 @@ from modepitch.corpus import (
     load_manifest,
 )
 from modepitch.emd import EmdConfig, eemd_decompose, emd_decompose
-from modepitch.estimators import EstimatorConfig, estimate_frame, hht_candidates, hht_select
+from modepitch.estimators import (
+    FRAME_ESTIMATORS,
+    EstimatorConfig,
+    hht_candidates,
+    hht_select,
+)
 from modepitch.evaluation import (
     gross_error,
     mean_absolute_error,
@@ -261,14 +266,14 @@ def test_c7_estimator_sanity():
         buf, _ = synthesize_utterance(spec)
         frames = frame_signal(buf, FrameSpec())
         for name in ("pefac", "shr", "swipe"):
-            est = np.array([estimate_frame(name, fr, cfg).f0_hz
+            est = np.array([FRAME_ESTIMATORS[name](fr, cfg).f0_hz
                             for fr in frames])
             frac = float(np.mean(np.abs(est - f0_true) / f0_true <= 0.20))
             results.append(f"{name}@{f0_true:.0f}:{100 * frac:.0f}%")
             ok &= frac >= 0.95
         imfs = eemd_decompose(buf, EmdConfig(ensemble_size=10, rng_seed=0))
         per_frame = hht_candidates(buf, imfs, cfg)
-        picks = np.array([pick.f0_hz if (pick := hht_select(fc.candidates))
+        picks = np.array([pick.f0_hz if (pick := hht_select(fc))
                           else np.nan for fc in per_frame])
         frac = float(np.mean(np.abs(picks - f0_true) / f0_true <= 0.20))
         results.append(f"hht@{f0_true:.0f}:{100 * frac:.0f}%")

@@ -133,6 +133,40 @@ class TestTrack:
         assert config["pro"]["gamma_hz"] == 220.0   # flag beats file
         assert config["emd"]["ensemble_size"] == 3  # file beats default
 
+    @pytest.mark.parametrize("flag,value", [("--frame-window", "rectangular"),
+                                            ("--vad-hop-ms", "20")])
+    def test_removed_flag_usage_error(self, runner, vowel_wav, tmp_path, flag, value):
+        result = runner.invoke(main, [
+            "track", vowel_wav, "--estimator", "shr", "-o", str(tmp_path / "t.csv"),
+            flag, value])
+        assert result.exit_code == 2
+        assert flag in result.output
+
+    @pytest.mark.parametrize("section,name,value", [("frame", "window", "rectangular"),
+                                                    ("vad", "hop_ms", 20.0)])
+    def test_config_file_naming_removed_field_rejected(self, runner, vowel_wav,
+                                                       tmp_path, section, name, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({section: {name: value}}))
+        result = runner.invoke(main, [
+            "track", vowel_wav, "--estimator", "shr", "-o", str(tmp_path / "t.csv"),
+            "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        assert f"unknown config field {section}.{name}" in result.output
+
+    def test_pro_on_20_ms_hop(self, runner, vowel_wav, tmp_path):
+        # the VAD follows the analysis hop, so a non-default hop just works
+        out = str(tmp_path / "track_pro.csv")
+        result = runner.invoke(main, [
+            "track", vowel_wav, "--estimator", "shr", "--pro", "-o", out,
+            "--emd-ensemble-size", "2", "--frame-hop-ms", "20"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        times = [float(row[0]) for row in rows]
+        assert len(times) == (600 - 90) // 20 + 1
+        assert times == [20.0 * i for i in range(len(times))]
+        assert any(row[3] for row in rows)  # voiced frames carry a region
+
 
 class TestSeparate:
     def test_regions_csv(self, runner, vowel_wav, tmp_path):
@@ -197,7 +231,7 @@ class TestSynthAndBench:
         assert len(text.splitlines()) == 2
 
     def test_bench_unknown_estimator_fails(self, runner, tmp_path):
-        # every utterance is reported failed, not scored as a 100% GE cell
+        # the name is rejected once, before any utterance is mixed or scored
         manifest = generate_corpus(tmp_path / "corpus", count=1, seed=0,
                                    duration_ms=300.0)
         noise_dir = tmp_path / "noises"
@@ -207,7 +241,8 @@ class TestSynthAndBench:
             "--snrs", "5", "--estimators", "shr,yin", "--methods", "raw",
             "--jobs", "1", "-o", str(tmp_path / "r.csv"), "--emd-ensemble-size", "2"])
         assert result.exit_code == 1
-        assert "unknown estimator 'yin'" in result.output
+        assert result.output.count("unknown estimator 'yin'") == 1
+        assert not (tmp_path / "r.csv").exists()
 
     def test_dump_mixes_materializes_wavs(self, runner, tmp_path):
         manifest = generate_corpus(tmp_path / "c", count=1, seed=0,

@@ -8,9 +8,9 @@ from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, frame_signal, mix
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
 from modepitch.estimators import (
+    FRAME_ESTIMATORS,
     EstimatorConfig,
     PitchCandidate,
-    estimate_frame,
     hht_candidates,
     harmonic_summation_scores,
     hht_select,
@@ -20,6 +20,7 @@ from modepitch.estimators import (
     swipe_apvd,
     swipe_estimate,
 )
+from modepitch.separation import check_keys
 from modepitch.spectral import LogSpectrum, Spectrum
 
 CFG = EstimatorConfig()
@@ -229,7 +230,7 @@ class TestHhtCandidates:
         imfs = self._imfset([am, filler1, filler2])
         buf = SampleBuffer(am + filler1 + filler2, FS)
         frames = hht_candidates(buf, imfs, CFG)
-        mode1 = [c for fc in frames for c in fc.candidates if c.source == "hht_imf1"]
+        mode1 = [c for fc in frames for c in fc if c.source == "hht_imf1"]
         assert mode1, "expected candidates from the AM mode"
         f0s = np.array([c.f0_hz for c in mode1])
         # envelope period 8 ms -> 125 Hz
@@ -242,7 +243,7 @@ class TestHhtCandidates:
         buf = SampleBuffer(flat, FS)
         frames = hht_candidates(buf, imfs, CFG)
         for fc in frames:
-            assert fc.candidates == []
+            assert fc == []
 
     def test_candidates_per_interval_capped(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
@@ -252,7 +253,7 @@ class TestHhtCandidates:
         hop_count = FrameSpec().num_frames(len(buf), FS)
         assert len(frames) == hop_count
         for fc in frames:
-            assert len(fc.candidates) <= CFG.hht_num_imfs
+            assert len(fc) <= CFG.hht_num_imfs
 
     def test_synthetic_voiced_has_candidate_near_truth(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
@@ -261,7 +262,7 @@ class TestHhtCandidates:
         frames = hht_candidates(buf, imfs, CFG)
         hits = 0
         for fc in frames:
-            if any(abs(c.f0_hz - 110.0) / 110.0 <= 0.20 for c in fc.candidates):
+            if any(abs(c.f0_hz - 110.0) / 110.0 <= 0.20 for c in fc):
                 hits += 1
         assert hits >= 0.8 * len(frames)
 
@@ -298,10 +299,10 @@ class TestInvariants:
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 170.0), (500, 170.0)), duration_ms=500, rng_seed=4))
         frame = first_frame(buf)
-        base = estimate_frame(name, frame, CFG).f0_hz
+        base = FRAME_ESTIMATORS[name](frame, CFG).f0_hz
         for c in (0.01, 3.0, 250.0):
             scaled = SampleBuffer(frame.samples * c, FS)
-            assert estimate_frame(name, scaled, CFG).f0_hz == pytest.approx(base)
+            assert FRAME_ESTIMATORS[name](scaled, CFG).f0_hz == pytest.approx(base)
 
     def test_hht_scale_invariance(self):
         t = np.arange(FS) / FS
@@ -315,7 +316,7 @@ class TestInvariants:
                           source_len=FS)
             frames = hht_candidates(SampleBuffer(am * c, FS), imfs, CFG)
             results.append([pick.f0_hz for fc in frames
-                            if (pick := hht_select(fc.candidates)) is not None])
+                            if (pick := hht_select(fc)) is not None])
         np.testing.assert_allclose(results[0], results[1], rtol=1e-9)
 
     @pytest.mark.parametrize("name", ["pefac", "shr", "swipe"])
@@ -323,10 +324,11 @@ class TestInvariants:
         for seed in range(5):
             gen = np.random.default_rng(seed)
             buf = SampleBuffer(0.4 * gen.standard_normal(int(0.3 * FS)), FS)
-            cand = estimate_frame(name, first_frame(buf), CFG)
+            cand = FRAME_ESTIMATORS[name](first_frame(buf), CFG)
             upper = CFG.swipe_f_max if name == "swipe" else CFG.f_max
             assert CFG.f_min <= cand.f0_hz <= upper
 
     def test_unknown_estimator_rejected(self):
-        with pytest.raises(ValueError, match="unknown estimator"):
-            estimate_frame("yin", tone(100.0), CFG)
+        assert "yin" not in FRAME_ESTIMATORS
+        with pytest.raises(ValueError, match="unknown estimator 'yin'"):
+            check_keys(["shr", "yin"], ["raw"])

@@ -252,6 +252,21 @@ class TestRunBenchmark:
             run_benchmark([], [("white", make_noise("white", FS, FS))],
                           [0.0], ["shr"], ["raw"], FAST_CFG)
 
+    @pytest.mark.parametrize("estimators,methods,match", [
+        (["shr", "yin"], ["raw"], "unknown estimator 'yin'"),
+        (["shr"], ["raw", "dcnn"], "unknown method 'dcnn'")])
+    def test_unknown_names_rejected_before_mixing(self, monkeypatch, estimators,
+                                                  methods, match):
+        from modepitch import evaluation
+
+        def no_mixing(mix):
+            raise AssertionError("mixed before the names were checked")
+        monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
+        noises = [("white", make_noise("white", 2 * FS, FS, seed=1))]
+        with pytest.raises(ValueError, match=match):
+            run_benchmark(small_corpus(1), noises, [5.0], estimators, methods,
+                          FAST_CFG)
+
     def test_failures_recorded_not_fatal(self):
         # an unmixable (all-zero) utterance is recorded as a failure of its
         # cell, while the run and the other utterance's scores survive

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FS
+from conftest import FS, glottal_pulse_train
+from modepitch import separation
 from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
@@ -16,7 +17,6 @@ from modepitch.separation import (
     AnalysisConfig,
     FrequencyRegion,
     SMOOTH_FRAMES,
-    ImfPitchVector,
     ProConfig,
     _smoothed_argmax_track,
     analyze_utterance,
@@ -28,11 +28,11 @@ from modepitch.separation import (
     pro_pipeline,
     select_imf_pair,
 )
+from modepitch.vad import VadConfig, voiced_segments
 
 
-def vector(entries, q=0):
-    return ImfPitchVector(frame_index=q, start_ms=q * 10.0,
-                          f0_per_imf=np.asarray(entries, dtype=float))
+def vector(entries):
+    return np.asarray(entries, dtype=float)
 
 
 def smoothed_argmax_loop(cands, scores, valid, window):
@@ -158,6 +158,15 @@ class TestClassifyRegion:
         with pytest.raises(ValueError):
             classify_region(vector([np.nan, 150.0, np.nan, np.nan]), ProConfig())
 
+    def test_single_mode_rejected(self):
+        with pytest.raises(ValueError, match="two mode estimates"):
+            classify_region(vector([150.0]), ProConfig())
+
+    @pytest.mark.parametrize("bad", [0.0, -150.0])
+    def test_non_positive_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive or NaN"):
+            classify_region(vector([150.0, bad, 151.0, 152.0]), ProConfig())
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10 ** 6),
            gamma_lo=st.floats(min_value=60, max_value=390),
@@ -173,17 +182,35 @@ class TestClassifyRegion:
 
 class TestClassifyFrames:
     def test_inheritance_defaults_low(self):
-        frames = [vector([np.nan] * 4, q=0), vector([300.0, 301.0, 60.0, 80.0], q=1),
-                  vector([np.nan] * 4, q=2)]
-        regions = classify_frames(frames, ProConfig())
+        mode_f0 = np.array([[np.nan] * 4, [300.0, 301.0, 60.0, 80.0], [np.nan] * 4])
+        regions = classify_frames(mode_f0, ProConfig())
         assert [r.region for r in regions] == [LOW, HIGH, HIGH]
+        assert [r.frame_index for r in regions] == [0, 1, 2]
         assert regions[0].selected_imfs is None
         assert np.isnan(regions[0].mean_f0)
 
-    def test_initial_region_respected(self):
-        frames = [vector([np.nan] * 4, q=0)]
-        assert classify_frames(frames, ProConfig(),
-                               initial_region=HIGH)[0].region == HIGH
+    def test_inheritance_follows_given_frames(self):
+        # only the listed rows are classified, in order, and a frame without
+        # evidence inherits from the frame listed before it, however far back
+        mode_f0 = np.full((6, 4), np.nan)
+        mode_f0[1] = [300.0, 301.0, 60.0, 80.0]
+        mode_f0[3] = [120.0, 121.0, 60.0, 80.0]
+        regions = classify_frames(mode_f0, ProConfig(), [1, 4, 5])
+        assert [r.frame_index for r in regions] == [1, 4, 5]
+        assert [r.region for r in regions] == [HIGH, HIGH, HIGH]
+        assert [r.selected_imfs is None for r in regions] == [False, True, True]
+
+    def test_single_mode_column_rejected(self):
+        with pytest.raises(ValueError, match="two mode estimates"):
+            classify_frames(np.full((3, 1), 150.0), ProConfig())
+
+    @pytest.mark.parametrize("bad", [0.0, -150.0])
+    def test_non_positive_entry_rejected_not_inherited(self, bad):
+        # a bad frame raises; with no other finite entry it must not be
+        # taken for a frame without evidence and inherit a region
+        mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [bad, np.nan, np.nan, np.nan]])
+        with pytest.raises(ValueError, match="positive or NaN"):
+            classify_frames(mode_f0, ProConfig())
 
 
 class TestCorrectCandidate:
@@ -315,10 +342,9 @@ class TestImfPitchVector:
         copies = [SampleBuffer(buf.samples, FS) for _ in range(4)]
         imfs = ImfSet(imfs=copies, residual=SampleBuffer(np.full(len(buf), 1e-12), FS),
                       source_len=len(buf))
-        vectors = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
-        for v in vectors:
-            spread = np.nanmax(v.f0_per_imf) - np.nanmin(v.f0_per_imf)
-            assert spread <= 3.0
+        mode_f0 = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
+        spread = np.nanmax(mode_f0, axis=1) - np.nanmin(mode_f0, axis=1)
+        assert (spread <= 3.0).all()
 
     def test_silent_mode_is_nan(self):
         # PEFAC rejects every all-zero frame, so that mode never has evidence
@@ -329,11 +355,9 @@ class TestImfPitchVector:
         modes.append(SampleBuffer(np.zeros(len(buf)), FS))
         imfs = ImfSet(imfs=modes, residual=SampleBuffer(np.full(len(buf), 1e-12), FS),
                       source_len=len(buf))
-        vectors = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
-        assert len(vectors) == FrameSpec().num_frames(len(buf), FS)
-        for q, v in enumerate(vectors):
-            assert v.frame_index == q and v.start_ms == q * FrameSpec().hop_ms
-            assert np.isfinite(v.f0_per_imf[:3]).all() and np.isnan(v.f0_per_imf[3])
+        mode_f0 = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
+        assert mode_f0.shape == (FrameSpec().num_frames(len(buf), FS), 4)
+        assert np.isfinite(mode_f0[:, :3]).all() and np.isnan(mode_f0[:, 3]).all()
 
     def test_too_few_modes_rejected(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
@@ -426,6 +450,54 @@ class TestPipeline:
                     assert pro.track.f0_hz[i] == correct_candidate(f, region_at[i])
                     moved += pro.track.f0_hz[i] != f
         assert moved > 0
+
+    def test_frames_without_mode_evidence_inherit_across_segments(self, monkeypatch):
+        # a high vowel, a pause, then a low vowel whose decomposition keeps
+        # fewer than k_imfs modes: no frame of the second segment has mode
+        # evidence, so each inherits the first segment's last region
+        high = glottal_pulse_train(300.0, duration_s=0.4).samples
+        low = glottal_pulse_train(120.0, duration_s=0.4).samples
+        buf = SampleBuffer(np.concatenate([high, np.zeros(int(0.3 * FS)), low]), FS)
+        real_decompose = separation.eemd_decompose
+        calls = []
+
+        def decompose(seg, cfg):
+            imfs = real_decompose(seg, cfg)
+            calls.append(len(imfs))
+            if len(calls) == 1:
+                return imfs
+            kept = imfs.imfs[:ProConfig().k_imfs - 1]
+            residual = imfs.reconstruct() - sum(m.samples for m in kept)
+            return ImfSet(imfs=kept, residual=SampleBuffer(residual, FS),
+                          source_len=imfs.source_len)
+        monkeypatch.setattr(separation, "eemd_decompose", decompose)
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0))
+        result = analyze_utterance(buf, ["shr"], ["pro"], cfg)[("shr", "pro")]
+        assert len(calls) == 2 and calls[0] >= ProConfig().k_imfs
+        (a0, a1), (b0, b1) = voiced_segments(result.track.voiced_mask)
+        region_at = {r.frame_index: r for r in result.regions}
+        assert sorted(region_at) == [*range(a0, a1 + 1), *range(b0, b1 + 1)]
+        handed_over = region_at[a1]
+        assert handed_over.region == HIGH and handed_over.selected_imfs is not None
+        for i in range(b0, b1 + 1):
+            assert region_at[i].region == HIGH
+            assert region_at[i].selected_imfs is None and np.isnan(region_at[i].mean_f0)
+
+    def test_hop_longer_than_vad_frame_rejected(self):
+        with pytest.raises(ValueError, match="vad.frame_ms"):
+            AnalysisConfig(frame=FrameSpec(hop_ms=30.0), vad=VadConfig(frame_ms=25.0))
+
+    def test_vad_runs_on_analysis_hop(self):
+        buf = glottal_pulse_train(150.0, duration_s=0.6)
+        cfg = AnalysisConfig(frame=FrameSpec(hop_ms=20.0),
+                             emd=EmdConfig(ensemble_size=2, rng_seed=0))
+        out = analyze_utterance(buf, ["shr"], ["raw", "pro"], cfg)
+        track = out[("shr", "pro")].track
+        n = FrameSpec(hop_ms=20.0).num_frames(len(buf), FS)
+        np.testing.assert_array_equal(track.frame_times_ms, 20.0 * np.arange(n))
+        assert track.voiced_mask.sum() >= n - 2
+        assert [r.frame_index for r in out[("shr", "pro")].regions] == \
+            list(np.flatnonzero(track.voiced_mask))
 
     def test_unknown_method_rejected(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS, tone
-from modepitch.audio import SampleBuffer, frame_signal
+from modepitch.audio import FrameSpec, SampleBuffer, frame_signal
 from modepitch.vad import (
     VadConfig,
     _frame_features,
@@ -26,6 +26,21 @@ def majority_hold_loop(mask, hangover):
         hi = min(n - 1, i + hangover)
         votes = padded[hi + 1] - padded[lo]
         out[i] = votes * 2 > (hi - lo + 1)
+    return out
+
+
+def voiced_segments_loop(mask):
+    """Frame-by-frame oracle for voiced_segments."""
+    out = []
+    start = None
+    for i, v in enumerate(mask):
+        if v and start is None:
+            start = i
+        elif not v and start is not None:
+            out.append((start, i - 1))
+            start = None
+    if start is not None:
+        out.append((start, len(mask) - 1))
     return out
 
 
@@ -96,6 +111,16 @@ class TestDetectVoiced:
             cfg = VadConfig()
             mask = detect_voiced(buf, cfg)
             assert len(mask) == len(frame_signal(buf, cfg.frame_spec()))
+
+    @pytest.mark.parametrize("hop_ms", [5.0, 10.0, 20.0, 25.0])
+    def test_frames_follow_analysis_hop(self, hop_ms, rng):
+        # VAD frame i is vad.frame_ms long and starts where analysis frame i does
+        buf = SampleBuffer(rng.standard_normal(int(0.777 * FS)), FS)
+        cfg = VadConfig()
+        spec = cfg.frame_spec(FrameSpec(hop_ms=hop_ms))
+        assert (spec.frame_len_ms, spec.hop_ms) == (cfg.frame_ms, hop_ms)
+        mask = detect_voiced(buf, cfg, FrameSpec(hop_ms=hop_ms))
+        assert len(mask) == spec.num_frames(len(buf), FS)
 
     @settings(max_examples=30, deadline=None)
     @given(gain=st.floats(min_value=1e-4, max_value=1e4), seed=st.integers(0, 99))
@@ -183,3 +208,10 @@ class TestVoicedSegments:
 
     def test_empty(self):
         assert voiced_segments(np.zeros(5, dtype=bool)) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask=st.lists(st.booleans(), max_size=40))
+    def test_matches_loop(self, mask):
+        got = voiced_segments(np.array(mask, dtype=bool))
+        assert got == voiced_segments_loop(mask)
+        assert all(type(i) is int for run in got for i in run)

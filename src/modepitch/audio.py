@@ -3,11 +3,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 INT16_FULL_SCALE = 32768.0
 
@@ -98,6 +95,8 @@ def load_wav(path) -> SampleBuffer:
     Accepts 16-bit PCM and 32-bit float, mono or stereo (stereo is
     downmixed by channel averaging). 16-bit data is scaled by 1/32768.
     """
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -122,6 +121,8 @@ def load_wav(path) -> SampleBuffer:
 
 def save_wav(path, buf: SampleBuffer) -> None:
     """Write a buffer as 16-bit PCM, clipping to full scale."""
+    from scipy.io import wavfile
+
     clipped = np.clip(buf.samples, -1.0, 1.0)
     pcm = np.round(clipped * (INT16_FULL_SCALE - 1)).astype(np.int16)
     wavfile.write(path, buf.sample_rate_hz, pcm)
@@ -129,6 +130,8 @@ def save_wav(path, buf: SampleBuffer) -> None:
 
 def save_wav_multichannel(path, channels: list[np.ndarray], sample_rate_hz: int) -> None:
     """Write several equal-length signals as one 32-bit float multi-channel WAV."""
+    from scipy.io import wavfile
+
     if not channels:
         raise ValueError("no channels to write")
     stacked = np.stack([np.asarray(c, dtype=np.float32) for c in channels], axis=1)
@@ -139,14 +142,18 @@ def resample(buf: SampleBuffer, target_hz: int) -> SampleBuffer:
     """Resample with a windowed-sinc (Kaiser) polyphase filter.
 
     beta=8 keeps alias rejection around 80 dB, comfortably above the
-    60 dB quality bound this library promises.
+    60 dB quality bound this library promises. The up/down factors are the
+    exact reduced ratio of the two rates, so the output holds
+    ceil(n * target / source) samples.
     """
     if target_hz <= 0:
         raise ValueError("target_hz must be positive")
     if target_hz == buf.sample_rate_hz:
         return buf
-    ratio = Fraction(target_hz, buf.sample_rate_hz).limit_denominator(1000)
-    out = resample_poly(buf.samples, ratio.numerator, ratio.denominator,
+    from scipy.signal import resample_poly
+
+    g = math.gcd(target_hz, buf.sample_rate_hz)
+    out = resample_poly(buf.samples, target_hz // g, buf.sample_rate_hz // g,
                         window=("kaiser", 8.0))
     return SampleBuffer(out, target_hz)
 

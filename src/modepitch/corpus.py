@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from .audio import FrameSpec, SampleBuffer, load_wav, save_wav
 from .track import FramePitchTrack
@@ -46,10 +46,24 @@ class SynthUtteranceSpec:
         return np.interp(np.asarray(times_ms, dtype=np.float64), knots_t, knots_f)
 
 
+def _all_pole(a, x) -> np.ndarray:
+    """``lfilter([1.0], a, x)`` for ``a[0] == 1``, zero initial state.
+
+    The recursion y[i] = x[i] - sum_k a[k] y[i-k] is the forward
+    substitution through the unit lower-triangular banded Toeplitz matrix
+    of ``a``. The band is built in Fortran order so LAPACK reads it
+    without a copy.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    band = np.tile(a, (x.size, 1)).T
+    return dtbtrs(band, x, uplo="L", diag="U")[0]
+
+
 def _resonator_coeffs(freq_hz: float, bw_hz: float, fs: int):
     r = np.exp(-np.pi * bw_hz / fs)
     theta = 2.0 * np.pi * freq_hz / fs
-    return [1.0], [1.0, -2.0 * r * np.cos(theta), r * r]
+    return [1.0, -2.0 * r * np.cos(theta), r * r]
 
 
 def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec()
@@ -78,10 +92,9 @@ def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec(
         t += period
 
     # -6 dB/oct glottal tilt, then the formant cascade
-    x = lfilter([1.0], [1.0, -0.95], pulses)
+    x = _all_pole([1.0, -0.95], pulses)
     for freq, bw in spec.formant_set:
-        b, a = _resonator_coeffs(freq, bw, fs)
-        x = lfilter(b, a, x)
+        x = _all_pole(_resonator_coeffs(freq, bw, fs), x)
     peak = np.max(np.abs(x))
     if peak > 0:
         x = 0.5 * x / peak
@@ -130,7 +143,7 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
         for h, amp in ((1, 1.0), (2, 0.7), (3, 0.45), (4, 0.3)):
             phase = rng.uniform(0, 2 * np.pi)
             x += amp * np.sin(2 * np.pi * 55.0 * h * times + phase)
-        x += 0.3 * lfilter([1.0], [1.0, -0.98], rng.standard_normal(n_samples))
+        x += 0.3 * _all_pole([1.0, -0.98], rng.standard_normal(n_samples))
     elif kind == "bursts":
         # sparse wideband clatter over a quiet floor
         x = 0.1 * rng.standard_normal(n_samples)

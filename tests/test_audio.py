@@ -1,9 +1,16 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+import modepitch
 from modepitch.audio import (
     FrameSpec,
     NoisyMix,
@@ -162,6 +169,18 @@ class TestResample:
         spectrum = np.abs(np.fft.rfft(out.samples))
         assert abs(np.argmax(spectrum) * fs_out / len(out) - 440) < 2.0
 
+    @pytest.mark.parametrize("fs_out", [7999, 16001])
+    def test_rate_off_by_one_is_exact(self, fs_out):
+        # rates whose ratio has no small-denominator approximation
+        fs_in = 8000
+        t = np.arange(fs_in) / fs_in
+        buf = SampleBuffer(0.5 * np.sin(2 * np.pi * 1000 * t), fs_in)
+        out = resample(buf, fs_out)
+        assert out.sample_rate_hz == fs_out
+        assert len(out) == math.ceil(len(buf) * fs_out / fs_in)
+        spectrum = np.abs(np.fft.rfft(out.samples))
+        assert abs(np.argmax(spectrum) * fs_out / len(out) - 1000) < 2.0
+
 
 class TestFrameSignal:
     def test_92_frames_for_one_second(self):
@@ -203,3 +222,33 @@ class TestFrameSignal:
     def test_hop_longer_than_frame_rejected(self):
         with pytest.raises(ValueError):
             FrameSpec(frame_len_ms=10, hop_ms=20)
+
+
+def _run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports this modepitch."""
+    src = str(Path(modepitch.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+class TestDeferredImports:
+    """`import modepitch` loads no scipy module beyond scipy.linalg; WAV
+    I/O and resampling load theirs on first use."""
+
+    def test_package_import_skips_heavy_scipy(self):
+        _run_python(
+            "import sys, modepitch, modepitch.cli\n"
+            "loaded = [m for m in ('scipy.signal', 'scipy.io', 'scipy.stats',"
+            " 'scipy.sparse') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+
+    def test_load_wav_imports_wavfile(self, tmp_path):
+        path = tmp_path / "tone.wav"
+        wavfile.write(path, FS, np.zeros(FS // 10, dtype=np.int16) + 100)
+        _run_python(
+            "import sys, modepitch\n"
+            "assert 'scipy.io' not in sys.modules\n"
+            f"buf = modepitch.load_wav({str(path)!r})\n"
+            "assert len(buf) == 1600\n"
+            "assert 'scipy.io' in sys.modules\n")

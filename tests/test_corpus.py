@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from conftest import FS
+from modepitch import corpus
 from modepitch.audio import FrameSpec
 from modepitch.corpus import (
     NOISE_KINDS,
@@ -70,6 +74,57 @@ class TestSynthesize:
     def test_min_duration_enforced(self):
         with pytest.raises(ValueError):
             SynthUtteranceSpec(f0_contour=((0, 100.0),), duration_ms=100)
+
+
+def _lfilter_all_pole(a, x):
+    return lfilter([1.0], a, x)
+
+
+@st.composite
+def all_pole_cases(draw):
+    """Every denominator corpus filters with: the glottal tilt, the hum
+    rumble, and formant resonators over the ranges corpus draws."""
+    fs = draw(st.sampled_from([8000, 16000, 22050]))
+    kind = draw(st.sampled_from(["tilt", "hum", "formant"]))
+    if kind == "tilt":
+        a = [1.0, -0.95]
+    elif kind == "hum":
+        a = [1.0, -0.98]
+    else:
+        freq = draw(st.floats(300.0, 3100.0))
+        bw = draw(st.floats(80.0, 200.0))
+        a = corpus._resonator_coeffs(freq, bw, fs)
+    n = draw(st.integers(0, 5000))
+    seed = draw(st.integers(0, 2 ** 31))
+    return a, np.random.default_rng(seed).standard_normal(n)
+
+
+class TestAllPole:
+    @settings(max_examples=150, deadline=None)
+    @given(case=all_pole_cases())
+    def test_matches_lfilter(self, case):
+        a, x = case
+        got = corpus._all_pole(a, x)
+        want = lfilter([1.0], a, x)
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want), initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    def test_synthesize_matches_lfilter(self, monkeypatch, fs):
+        spec = SynthUtteranceSpec(f0_contour=((0, 110.0), (600, 260.0)),
+                                  duration_ms=600, rng_seed=4, sample_rate_hz=fs)
+        fast, _ = synthesize_utterance(spec)
+        monkeypatch.setattr(corpus, "_all_pole", _lfilter_all_pole)
+        slow, _ = synthesize_utterance(spec)
+        np.testing.assert_allclose(fast.samples, slow.samples, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_make_noise_matches_lfilter(self, monkeypatch, kind):
+        fast = make_noise(kind, 8000, FS, seed=3)
+        monkeypatch.setattr(corpus, "_all_pole", _lfilter_all_pole)
+        slow = make_noise(kind, 8000, FS, seed=3)
+        np.testing.assert_allclose(fast.samples, slow.samples, rtol=0, atol=1e-12)
 
 
 class TestNoise:

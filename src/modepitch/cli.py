@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .emd import EmdConfig, eemd_decompose, mode_energies, write_imf_wav
 from .estimators import EstimatorConfig
-from .evaluation import mix_seed, run_benchmark, write_report_csv
+from .evaluation import mix_seed, noise_at_rates, run_benchmark, write_report_csv
 from .separation import AnalysisConfig, ProConfig, analyze_utterance, check_keys
 from .vad import VadConfig
 
@@ -262,10 +262,12 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
     if dump_mixes:
         os.makedirs(dump_mixes, exist_ok=True)
         for n_i, (noise_name, noise_buf) in enumerate(noises):
+            at_rate = noise_at_rates(noise_buf, corpus)
             for s_i, snr in enumerate(snr_list):
                 for u_i, item in enumerate(corpus):
                     mixed = mix_at_snr(NoisyMix(
-                        clean=item.audio, noise=noise_buf, snr_db=snr,
+                        clean=item.audio, noise=at_rate[item.audio.sample_rate_hz],
+                        snr_db=snr,
                         seed=mix_seed(seed, n_i, s_i, u_i)))
                     name = f"{item.name}_{noise_name}_{snr:g}dB.wav"
                     save_wav(os.path.join(dump_mixes, name), mixed)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import NoisyMix, SampleBuffer, mix_at_snr
+from .audio import NoisyMix, SampleBuffer, mix_at_snr, resample
 from .corpus import CorpusItem
 from .separation import AnalysisConfig, FrequencyRegion, analyze_utterance, check_keys
 from .track import FramePitchTrack, has_estimate, tracks_aligned
@@ -129,6 +129,14 @@ def mix_seed(base_seed: int, noise_idx: int, snr_idx: int, utt_idx: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
+def noise_at_rates(noise: SampleBuffer, corpus: list[CorpusItem]
+                   ) -> dict[int, SampleBuffer]:
+    """The noise at each sample rate the corpus uses, resampled once per
+    rate, so mixing it into an utterance of that rate needs no resample."""
+    return {rate: resample(noise, rate)
+            for rate in {item.audio.sample_rate_hz for item in corpus}}
+
+
 def _bench_utterance(args):
     """One utterance under one (noise, snr): mix, analyze, score all keys.
 
@@ -170,7 +178,8 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     failed utterance is recorded once per estimator/method key, with its
     reason prefixed by the corpus item name; a cell with no successful
     utterance is left out of the reports. Unknown estimator or method names
-    raise before anything is mixed. Deterministic for a fixed seed:
+    raise before anything is mixed. Each noise is resampled once to each
+    corpus sample rate, not once per mix. Deterministic for a fixed seed:
     mixing seeds derive from (seed, noise, snr, utterance) indices only.
     """
     if not corpus or not noises or not snrs or not estimators or not methods:
@@ -182,9 +191,11 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         for n_i, (noise_name, noise_buf) in enumerate(noises):
+            at_rate = noise_at_rates(noise_buf, corpus)
             for s_i, snr in enumerate(snrs):
                 tasks = [
-                    (item, noise_buf, snr, estimators, methods, cfg,
+                    (item, at_rate[item.audio.sample_rate_hz], snr, estimators,
+                     methods, cfg,
                      mix_seed(seed, n_i, s_i, u_i), gate, gamma)
                     for u_i, item in enumerate(corpus)
                 ]

@@ -10,7 +10,7 @@ shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -316,7 +316,9 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     """Run the requested estimator/method combinations over one utterance.
 
     Every stage writes onto the utterance's frame grid. Each voiced segment
-    is decomposed once; its per-mode F0 rows and every estimator's
+    is decomposed once, sifting no further than the last mode the requested
+    keys read (pro.k_imfs for pro, estimator.hht_num_imfs for hht, both
+    within emd.max_imfs); its per-mode F0 rows and every estimator's
     candidate lists land at the segment's frames. One region pass then
     classifies all voiced frames in order, so a frame without mode evidence
     inherits the previous voiced frame's region, across segments too. The
@@ -331,7 +333,12 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
         raise ValueError("buffer shorter than one analysis frame")
     times = np.arange(n_track) * cfg.frame.hop_ms
     pro = "pro" in methods
+    hht = "hht" in estimators
     hop, vad_len = cfg.frame.hop(fs), cfg.vad.frame_spec(cfg.frame).frame_len(fs)
+    # sifting is sequential, so stopping after the last mode a key reads
+    # leaves every mode that is read, and their trial averages, unchanged
+    emd_cfg = replace(cfg.emd, max_imfs=min(cfg.emd.max_imfs, max(
+        cfg.pro.k_imfs if pro else 1, cfg.estimator.hht_num_imfs if hht else 1)))
 
     voiced = np.zeros(n_track, dtype=bool)
     mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
@@ -343,8 +350,7 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
             continue
         rows = slice(first, first + n_frames)
         voiced[rows] = True
-        decomposition = (eemd_decompose(seg, cfg.emd)
-                         if pro or "hht" in estimators else None)
+        decomposition = eemd_decompose(seg, emd_cfg) if pro or hht else None
         if pro and len(decomposition) >= cfg.pro.k_imfs:
             mode_f0[rows] = imf_pitch_vector(decomposition, cfg.frame, cfg.pro,
                                              cfg.estimator)

@@ -63,6 +63,21 @@ class TestDecompose:
         assert "IMF_1" in result.output
         assert os.path.exists(out)
 
+    def test_max_imfs_bounds_decomposition_only(self, runner, tmp_path):
+        # the pipeline sifts only the modes it reads; decompose still
+        # honours --emd-max-imfs past them
+        vowel = glottal_pulse_train(150.0, duration_s=0.5).samples
+        noise = 0.05 * np.random.default_rng(0).standard_normal(vowel.size)
+        path = tmp_path / "noisy_vowel.wav"
+        save_wav(path, SampleBuffer(vowel + noise, FS))
+        result = runner.invoke(main, [
+            "decompose", str(path), "-o", str(tmp_path / "modes.wav"),
+            "--emd-ensemble-size", "5", "--emd-max-imfs", "6"])
+        assert result.exit_code == 0, result.output
+        n_modes = int(result.output.split(" IMFs")[0])
+        assert 4 < n_modes <= 6
+        assert "IMF_5" in result.output
+
     def test_monotone_ramp_zero_imfs(self, runner, tmp_path):
         path = tmp_path / "ramp.wav"
         save_wav(path, SampleBuffer(np.linspace(-0.5, 0.5, 4000), FS))

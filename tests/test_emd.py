@@ -158,6 +158,29 @@ class TestDecompositionOracle:
             np.testing.assert_allclose(mf.samples, ms.samples, rtol=0, atol=1e-9)
 
 
+def _noisy_vowel(fs):
+    buf = _vowel(fs)
+    noise = 0.1 * np.random.default_rng(3).standard_normal(len(buf))
+    return SampleBuffer(buf.samples + noise, fs)
+
+
+class TestModeCap:
+    # sifting is sequential: capping max_imfs at k must leave the first k
+    # modes of the uncapped decomposition bit for bit
+    @pytest.mark.parametrize("decompose", [emd_decompose, eemd_decompose])
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    def test_capped_modes_equal_uncapped_prefix(self, decompose, fs):
+        buf = _noisy_vowel(fs)
+        cfg = EmdConfig(max_imfs=8, ensemble_size=5, rng_seed=4)
+        full = decompose(buf, cfg)
+        assert len(full) > 4
+        for k in (3, 4):
+            capped = decompose(buf, EmdConfig(max_imfs=k, ensemble_size=5, rng_seed=4))
+            assert len(capped) == k
+            for mc, mf in zip(capped.imfs, full.imfs[:k]):
+                assert np.array_equal(mc.samples, mf.samples)
+
+
 class TestEmd:
     def test_two_tone_separation(self):
         buf, tone200, tone40 = two_tone()

@@ -247,6 +247,35 @@ class TestRunBenchmark:
                              FAST_CFG, seed=7)
         assert a == b
 
+    def test_noise_resampled_once_per_rate(self, monkeypatch):
+        # 16 kHz utterances with 8 kHz noise: each noise is resampled once,
+        # and the reports equal those of resampling inside every mix
+        from modepitch import audio, evaluation
+        corpus = [CorpusItem(f"u{i}", *synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, f0), (300, f0)), duration_ms=300, rng_seed=70 + i,
+            sample_rate_hz=16000))) for i, f0 in enumerate((150.0, 280.0))]
+        noises = [(k, make_noise(k, 2 * FS, FS, seed=i))
+                  for i, k in enumerate(("white", "pink"))]
+        calls = []
+        real_resample = audio.resample
+
+        def counting(buf, target_hz):
+            calls.append(target_hz)
+            return real_resample(buf, target_hz)
+        monkeypatch.setattr(audio, "resample", counting)
+        monkeypatch.setattr(evaluation, "resample", counting)
+        args = (corpus, noises, [0.0, 5.0], ["shr"], ["raw", "pro"], FAST_CFG)
+        reports, failures = run_benchmark(*args, seed=3)
+        assert calls == [16000] * len(noises)
+        assert not failures and len(reports) == 2 * 2 * 2
+
+        calls.clear()
+        monkeypatch.setattr(evaluation, "noise_at_rates",
+                            lambda noise, corpus: {16000: noise})
+        per_mix, _ = run_benchmark(*args, seed=3)
+        assert len(calls) == len(noises) * 2 * len(corpus)
+        assert repr(reports) == repr(per_mix)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark([], [("white", make_noise("white", FS, FS))],

@@ -483,6 +483,40 @@ class TestPipeline:
             assert region_at[i].region == HIGH
             assert region_at[i].selected_imfs is None and np.isnan(region_at[i].mean_f0)
 
+    @pytest.mark.parametrize("estimators,methods,n_read", [
+        (["hht"], ["raw"], EstimatorConfig().hht_num_imfs),
+        (["shr", "hht"], ["raw", "pro"], ProConfig().k_imfs)])
+    def test_mode_cap_equals_uncapped_oracle(self, monkeypatch, estimators, methods,
+                                             n_read):
+        # the pipeline sifts only the modes its keys read; a run that
+        # sifts all emd.max_imfs modes must give the same output
+        clean, _ = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, 140.0), (500, 260.0)), duration_ms=500, rng_seed=5))
+        buf = mix_at_snr(NoisyMix(clean=clean, snr_db=0.0, seed=1,
+                                  noise=make_noise("babble", len(clean), FS, seed=2)))
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0))
+        real_decompose = separation.eemd_decompose
+        caps = []
+
+        def recording(seg, emd_cfg):
+            caps.append(emd_cfg.max_imfs)
+            return real_decompose(seg, emd_cfg)
+        monkeypatch.setattr(separation, "eemd_decompose", recording)
+        capped = analyze_utterance(buf, estimators, methods, cfg)
+        assert caps and set(caps) == {n_read}
+        monkeypatch.setattr(separation, "eemd_decompose",
+                            lambda seg, emd_cfg: real_decompose(seg, cfg.emd))
+        oracle = analyze_utterance(buf, estimators, methods, cfg)
+        assert capped.keys() == oracle.keys()
+        for key, result in capped.items():
+            np.testing.assert_array_equal(result.track.f0_hz, oracle[key].track.f0_hz)
+            np.testing.assert_array_equal(result.track.voiced_mask,
+                                          oracle[key].track.voiced_mask)
+            # repr round-trips floats exactly and prints NaN equal to NaN
+            assert repr(result.regions) == repr(oracle[key].regions)
+            assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
+        assert any(np.isfinite(r.track.f0_hz).any() for r in capped.values())
+
     def test_hop_longer_than_vad_frame_rejected(self):
         with pytest.raises(ValueError, match="vad.frame_ms"):
             AnalysisConfig(frame=FrameSpec(hop_ms=30.0), vad=VadConfig(frame_ms=25.0))

@@ -25,8 +25,8 @@ from .estimators import (
     EstimatorConfig,
     PitchCandidate,
     hht_candidates,
-    hht_select,
     pefac_estimate,
+    pick,
     shr_estimate,
     swipe_estimate,
 )
@@ -42,13 +42,12 @@ from .separation import (
     AnalysisConfig,
     FrequencyRegion,
     ProConfig,
+    analyze_utterance,
     classify_frames,
     classify_region,
     correct_candidate,
     distance_matrix,
     imf_pitch_vector,
-    pro_pipeline,
-    raw_pipeline,
     select_imf_pair,
 )
 from .spectral import analytic_signal, autocorrelation, power_spectrum, to_log_frequency

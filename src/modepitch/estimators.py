@@ -46,13 +46,19 @@ class EstimatorConfig:
             raise ValueError("need 0 < f_min < f_max")
         if self.swipe_f_max <= self.f_min:
             raise ValueError("swipe_f_max must exceed f_min")
+        if self.hht_num_imfs < 1:
+            raise ValueError("hht_num_imfs must be at least 1")
 
 
 @dataclass(frozen=True)
 class PitchCandidate:
     f0_hz: float
     salience: float
-    source: str  # "pefac", "shr", "swipe", or "hht_imf<k>"
+
+
+# one pitch candidate per slot of a (frames x slots) array; NaN marks an
+# empty slot
+CANDIDATE = np.dtype([("f0_hz", np.float64), ("salience", np.float64)])
 
 
 def _frame_spectrum(frame, cfg: EstimatorConfig, spectrum) -> Spectrum:
@@ -178,7 +184,7 @@ def pefac_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = Estimator
     cands, scores = pefac_scores(frame, cfg)
     f0, salience = _refined_peak(scores, cands, cfg.bins_per_octave,
                                  cfg.f_min, cfg.f_max)
-    return PitchCandidate(f0_hz=f0, salience=salience, source="pefac")
+    return PitchCandidate(f0_hz=f0, salience=salience)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +223,7 @@ def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorCo
         f0 /= 2.0
     total = sh_best + ss_best
     salience = max(0.0, (sh_best - ss_best) / total) if total > 0 else 0.0
-    return PitchCandidate(f0_hz=f0, salience=salience, source="shr")
+    return PitchCandidate(f0_hz=f0, salience=salience)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +254,7 @@ def swipe_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = Estimator
     scores = swipe_apvd(spec, cands, cfg.swipe_num_peaks)
     f0, salience = _refined_peak(scores, cands, cfg.swipe_bins_per_octave,
                                  cfg.f_min, cfg.swipe_f_max)
-    return PitchCandidate(f0_hz=f0, salience=salience, source="swipe")
+    return PitchCandidate(f0_hz=f0, salience=salience)
 
 
 # ---------------------------------------------------------------------------
@@ -265,47 +271,40 @@ def _first_acf_peak(r: np.ndarray, tau_min: int, tau_max: int) -> int | None:
     return None
 
 
-def hht_candidates(voiced_segment: SampleBuffer, imfs: ImfSet,
-                   cfg: EstimatorConfig = EstimatorConfig(),
-                   frame: FrameSpec = FrameSpec()) -> list[list[PitchCandidate]]:
-    """Candidates of every analysis frame: at most one from each of the
-    first modes.
+def hht_candidates(imfs: ImfSet, cfg: EstimatorConfig = EstimatorConfig(),
+                   frame: FrameSpec = FrameSpec()) -> np.ndarray:
+    """Candidates of every analysis frame as a (frames x hht_num_imfs)
+    CANDIDATE array: slot k holds the candidate of mode k + 1, if any.
 
     Mode k contributes f0 = fs / tau0 where tau0 is the smallest lag of a
     local ACF maximum of its instantaneous-amplitude envelope, searched in
     [fs/f_max, fs/f_min]. The envelope mean is removed per window before the
     ACF so the lag peak is not dragged by the raw envelope's DC pedestal;
     salience is the normalized peak r(tau0)/r(0). Modes with no peak in
-    range contribute nothing for that interval.
+    range leave their slot empty (NaN) for that interval.
     """
     if len(imfs) < cfg.hht_num_imfs:
         raise ValueError(
             f"need {cfg.hht_num_imfs} modes for candidate extraction, "
             f"got {len(imfs)}")
-    fs = voiced_segment.sample_rate_hz
+    fs = imfs.residual.sample_rate_hz
     tau_min = int(math.ceil(fs / cfg.f_max))
     tau_max = int(math.floor(fs / cfg.f_min))
     flen = frame.frame_len(fs)
     hop = frame.hop(fs)
-    n = imfs.source_len
-    if n < flen:
-        return []
-    envelopes = [envelope(imfs.imfs[k].samples) for k in range(cfg.hht_num_imfs)]
-
-    out: list[list[PitchCandidate]] = []
-    n_frames = (n - flen) // hop + 1
-    for i in range(n_frames):
-        start = i * hop
-        cands: list[PitchCandidate] = []
-        for k, env in enumerate(envelopes):
-            w = env[start:start + flen]
+    max_lag = min(tau_max + 1, flen - 1)
+    out = np.full((frame.num_frames(imfs.source_len, fs), cfg.hht_num_imfs),
+                  np.nan, CANDIDATE)
+    for k in range(cfg.hht_num_imfs):
+        env = envelope(imfs.imfs[k].samples)
+        for i in range(len(out)):
+            w = env[i * hop:i * hop + flen]
             mean = w.mean()
             w = w - mean
             # an unmodulated envelope carries no pitch cue; the depth floor
             # also rejects numerical ripple in the analytic envelope
             if w.std() <= 1e-4 * max(abs(mean), 1e-30):
                 continue
-            max_lag = min(tau_max + 1, flen - 1)
             r = autocorrelation(w, max_lag)
             if r[0] <= 0.0:
                 continue
@@ -313,22 +312,16 @@ def hht_candidates(voiced_segment: SampleBuffer, imfs: ImfSet,
             if tau0 is None or r[tau0] <= 0.0:
                 continue
             tau_ref = _parabolic_refine(r, tau0)
-            f0 = float(np.clip(fs / tau_ref, cfg.f_min, cfg.f_max))
-            cands.append(PitchCandidate(
-                f0_hz=f0,
-                salience=float(r[tau0] / r[0]),
-                source=f"hht_imf{k + 1}",
-            ))
-        out.append(cands)
+            out[i, k] = np.clip(fs / tau_ref, cfg.f_min, cfg.f_max), r[tau0] / r[0]
     return out
 
 
-def hht_select(cands: list[PitchCandidate]) -> PitchCandidate | None:
-    """Best candidate by salience; ties go to the lowest mode index.
-
-    Returns None for an empty list (unvoiced / no estimate).
-    """
-    return max(cands, key=lambda c: c.salience, default=None)
+def pick(cands: np.ndarray) -> np.ndarray:
+    """F0 of the most salient candidate in each row of a CANDIDATE array;
+    ties go to the lowest slot and a row with no candidate gives NaN."""
+    salience = np.where(np.isnan(cands["f0_hz"]), -np.inf, cands["salience"])
+    best = np.argmax(salience, axis=1)[:, None]
+    return np.take_along_axis(cands["f0_hz"], best, axis=1)[:, 0]
 
 
 FRAME_ESTIMATORS = {

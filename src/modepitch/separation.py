@@ -2,10 +2,10 @@
 
 Per frame, F0 is estimated independently on the first decomposition modes;
 the two modes whose estimates vary least against the others are selected,
-and their mean places the frame below or above the 200 Hz boundary. Pitch
-candidates from a conventional estimator are then folded into the band the
-frame belongs to ([50, 200] Hz for low, (200, 400] Hz for high) by octave
-shifts.
+and their mean places the frame below or above the boundary gamma (200 Hz
+by default). Pitch candidates from a conventional estimator are then folded
+into the band the frame belongs to ([gamma/4, gamma] for low, (gamma,
+2 gamma] for high) by octave shifts.
 """
 from __future__ import annotations
 
@@ -18,20 +18,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import FrameSpec, SampleBuffer, frame_signal
 from .emd import EmdConfig, ImfSet, eemd_decompose
 from .estimators import (
+    CANDIDATE,
     FRAME_ESTIMATORS,
     EstimatorConfig,
-    PitchCandidate,
     _candidate_grid,
     hht_candidates,
-    hht_select,
     pefac_scores,
+    pick,
 )
-from .track import NO_ESTIMATE, FramePitchTrack
+from .track import FramePitchTrack
 from .vad import VadConfig, detect_voiced, voiced_segments
 
 LOW = "low"
 HIGH = "high"
-OUT_OF_MODEL_HZ = 50.0  # candidates below this pass through uncorrected
 SMOOTH_FRAMES = 5  # per-mode PEFAC score curves are averaged over this many frames
 
 
@@ -210,40 +209,36 @@ def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
     return np.column_stack(per_mode)
 
 
-def correct_candidate(f_cand: float, region: str) -> float:
+def correct_candidate(f_cand: float, region: str, gamma_hz: float = 200.0) -> float:
     """Fold a pitch candidate into its frame's frequency band.
 
-    Low frames map onto [50, 200] Hz: identity there, halve on (200, 400],
-    quarter above 400. High frames map onto (200, 400]: quadruple on
-    [50, 100], double on (100, 200], identity on (200, 400], halve above
-    400. Candidates below 50 Hz pass through unchanged (out of the model's
-    range; callers flag them in diagnostics).
+    Low frames map onto [gamma/4, gamma]: identity there, halve on
+    (gamma, 2 gamma], quarter above 2 gamma. High frames map onto
+    (gamma, 2 gamma]: quadruple on [gamma/4, gamma/2], double on
+    (gamma/2, gamma], identity on (gamma, 2 gamma], halve above 2 gamma.
+    Candidates below gamma/4 pass through unchanged (out of the model's
+    range; callers flag them in diagnostics). At the default gamma of
+    200 Hz the edges are 50, 100, 200 and 400 Hz.
     """
     if f_cand <= 0:
         raise ValueError("candidate frequency must be positive")
+    if region not in (LOW, HIGH):
+        raise ValueError(f"unknown region {region!r}")
+    if f_cand < 0.25 * gamma_hz:
+        return f_cand
     if region == LOW:
-        if f_cand < 50.0:
+        if f_cand <= gamma_hz:
             return f_cand
-        if f_cand <= 200.0:
-            return f_cand
-        if f_cand <= 400.0:
+        if f_cand <= 2.0 * gamma_hz:
             return 0.5 * f_cand
         return 0.25 * f_cand
-    if region == HIGH:
-        if f_cand < 50.0:
-            return f_cand
-        if f_cand <= 100.0:
-            return 4.0 * f_cand
-        if f_cand <= 200.0:
-            return 2.0 * f_cand
-        if f_cand <= 400.0:
-            return f_cand
-        return 0.5 * f_cand
-    raise ValueError(f"unknown region {region!r}")
-
-
-def is_out_of_model(f_cand: float) -> bool:
-    return f_cand < OUT_OF_MODEL_HZ
+    if f_cand <= 0.5 * gamma_hz:
+        return 4.0 * f_cand
+    if f_cand <= gamma_hz:
+        return 2.0 * f_cand
+    if f_cand <= 2.0 * gamma_hz:
+        return f_cand
+    return 0.5 * f_cand
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +270,7 @@ class FrameDiagnostic:
     selected_imfs: tuple[int, int] | None
     raw_f0s: tuple[float, ...]
     corrected_f0s: tuple[float, ...]
-    out_of_model: bool
+    out_of_model: bool  # some raw candidate lies below gamma/4
 
 
 @dataclass(frozen=True)
@@ -299,15 +294,17 @@ def check_keys(estimators: list[str], methods: list[str]) -> None:
                              f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
 
 
-def _diagnostic(cands: list[PitchCandidate], region: FrequencyRegion,
-                start_ms: float) -> FrameDiagnostic:
-    raw_f0s = tuple(c.f0_hz for c in cands)
+def _diagnostic(f0s: np.ndarray, region: FrequencyRegion, start_ms: float,
+                gamma_hz: float) -> FrameDiagnostic:
+    """Audit record of one frame from its row of candidate F0s, in slot order."""
+    raw_f0s = tuple(f0s[~np.isnan(f0s)].tolist())
     return FrameDiagnostic(
         frame_index=region.frame_index, start_ms=start_ms, region=region.region,
         mean_f0=region.mean_f0, selected_imfs=region.selected_imfs,
         raw_f0s=raw_f0s,
-        corrected_f0s=tuple(correct_candidate(f, region.region) for f in raw_f0s),
-        out_of_model=any(is_out_of_model(f) for f in raw_f0s))
+        corrected_f0s=tuple(correct_candidate(f, region.region, gamma_hz)
+                            for f in raw_f0s),
+        out_of_model=any(f < 0.25 * gamma_hz for f in raw_f0s))
 
 
 def analyze_utterance(buf: SampleBuffer, estimators: list[str],
@@ -319,12 +316,14 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     is decomposed once, sifting no further than the last mode the requested
     keys read (pro.k_imfs for pro, estimator.hht_num_imfs for hht, both
     within emd.max_imfs); its per-mode F0 rows and every estimator's
-    candidate lists land at the segment's frames. One region pass then
-    classifies all voiced frames in order, so a frame without mode evidence
-    inherits the previous voiced frame's region, across segments too. The
-    raw F0 is each frame's most salient candidate and the pro F0 is that
-    pick folded into the frame's region. Folding keeps salience and order,
-    so this equals picking among the folded candidates.
+    candidates land at the segment's frames, one (frames x slots) CANDIDATE
+    array per estimator (one slot per mode for hht, one slot otherwise).
+    One region pass then classifies all voiced frames in order, so a frame
+    without mode evidence inherits the previous voiced frame's region,
+    across segments too. The raw F0 is each frame's most salient candidate
+    and the pro F0 is that pick folded into the frame's region. Folding
+    keeps salience and order, so this equals picking among the folded
+    candidates.
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
@@ -334,6 +333,7 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     times = np.arange(n_track) * cfg.frame.hop_ms
     pro = "pro" in methods
     hht = "hht" in estimators
+    gamma = cfg.pro.gamma_hz
     hop, vad_len = cfg.frame.hop(fs), cfg.vad.frame_spec(cfg.frame).frame_len(fs)
     # sifting is sequential, so stopping after the last mode a key reads
     # leaves every mode that is read, and their trial averages, unchanged
@@ -342,7 +342,8 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
 
     voiced = np.zeros(n_track, dtype=bool)
     mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
-    cands = {est: [[] for _ in range(n_track)] for est in estimators}
+    cands = {est: np.full((n_track, cfg.estimator.hht_num_imfs if est == "hht" else 1),
+                          np.nan, CANDIDATE) for est in estimators}
     for first, last in voiced_segments(detect_voiced(buf, cfg.vad, cfg.frame)):
         seg = SampleBuffer(buf.samples[first * hop:last * hop + vad_len], fs)
         n_frames = cfg.frame.num_frames(len(seg), fs)
@@ -359,31 +360,28 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
                 estimate = FRAME_ESTIMATORS[est]
                 for i, frame in enumerate(frame_signal(seg, cfg.frame), first):
                     try:
-                        cands[est][i] = [estimate(frame, cfg.estimator)]
+                        c = estimate(frame, cfg.estimator)
                     except ValueError:
-                        pass
+                        continue
+                    cands[est][i, 0] = c.f0_hz, c.salience
             elif len(decomposition) >= cfg.estimator.hht_num_imfs:
-                cands[est][rows] = hht_candidates(seg, decomposition, cfg.estimator,
+                cands[est][rows] = hht_candidates(decomposition, cfg.estimator,
                                                   cfg.frame)
 
-    voiced_frames = np.flatnonzero(voiced)
-    regions = tuple(classify_frames(mode_f0, cfg.pro, voiced_frames)) if pro else ()
+    regions = (tuple(classify_frames(mode_f0, cfg.pro, np.flatnonzero(voiced)))
+               if pro else ())
     out: dict[tuple[str, str], MethodResult] = {}
     for est in estimators:
-        raw = np.full(n_track, NO_ESTIMATE)
-        for i in voiced_frames:
-            pick = hht_select(cands[est][i])
-            if pick is not None:
-                raw[i] = pick.f0_hz
+        raw = pick(cands[est])
         f0, diagnostics = {"raw": raw}, ()
         if pro:
             f0["pro"] = raw.copy()
             for r in regions:
                 if not math.isnan(raw[r.frame_index]):
                     f0["pro"][r.frame_index] = correct_candidate(raw[r.frame_index],
-                                                                 r.region)
-            diagnostics = tuple(_diagnostic(cands[est][r.frame_index], r,
-                                            float(times[r.frame_index]))
+                                                                 r.region, gamma)
+            diagnostics = tuple(_diagnostic(cands[est][r.frame_index]["f0_hz"], r,
+                                            float(times[r.frame_index]), gamma)
                                 for r in regions)
         for meth in methods:
             track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=f0[meth],
@@ -393,17 +391,3 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
                 regions=regions if meth == "pro" else (),
                 diagnostics=diagnostics if meth == "pro" else ())
     return out
-
-
-def pro_pipeline(noisy: SampleBuffer, base_estimator: str,
-                 cfg: AnalysisConfig = AnalysisConfig()) -> FramePitchTrack:
-    """Full separate-and-correct pitch track for one noisy utterance."""
-    result = analyze_utterance(noisy, [base_estimator], ["pro"], cfg)
-    return result[(base_estimator, "pro")].track
-
-
-def raw_pipeline(noisy: SampleBuffer, base_estimator: str,
-                 cfg: AnalysisConfig = AnalysisConfig()) -> FramePitchTrack:
-    """Baseline pitch track with no separation-based correction."""
-    result = analyze_utterance(noisy, [base_estimator], ["raw"], cfg)
-    return result[(base_estimator, "raw")].track

@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NO_ESTIMATE = np.nan
-
 
 def has_estimate(f0) -> np.ndarray:
     """Boolean mask of frames carrying a usable estimate."""
@@ -28,9 +26,8 @@ class FramePitchTrack:
         voiced = np.asarray(self.voiced_mask, dtype=bool)
         if not times.size == f0.size == voiced.size:
             raise ValueError("track arrays must have equal length")
-        bad = has_estimate(f0) & (f0 <= 0)
-        if bad.any():
-            raise ValueError("estimated f0 values must be positive")
+        if np.any(f0 <= 0):
+            raise ValueError("f0 values must be positive or NaN (no estimate)")
         object.__setattr__(self, "frame_times_ms", times)
         object.__setattr__(self, "f0_hz", f0)
         object.__setattr__(self, "voiced_mask", voiced)

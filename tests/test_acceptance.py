@@ -24,12 +24,7 @@ from modepitch.corpus import (
     load_manifest,
 )
 from modepitch.emd import EmdConfig, eemd_decompose, emd_decompose
-from modepitch.estimators import (
-    FRAME_ESTIMATORS,
-    EstimatorConfig,
-    hht_candidates,
-    hht_select,
-)
+from modepitch.estimators import FRAME_ESTIMATORS, EstimatorConfig, hht_candidates, pick
 from modepitch.evaluation import (
     gross_error,
     mean_absolute_error,
@@ -272,9 +267,7 @@ def test_c7_estimator_sanity():
             results.append(f"{name}@{f0_true:.0f}:{100 * frac:.0f}%")
             ok &= frac >= 0.95
         imfs = eemd_decompose(buf, EmdConfig(ensemble_size=10, rng_seed=0))
-        per_frame = hht_candidates(buf, imfs, cfg)
-        picks = np.array([pick.f0_hz if (pick := hht_select(fc))
-                          else np.nan for fc in per_frame])
+        picks = pick(hht_candidates(imfs, cfg))
         frac = float(np.mean(np.abs(picks - f0_true) / f0_true <= 0.20))
         results.append(f"hht@{f0_true:.0f}:{100 * frac:.0f}%")
         ok &= frac >= 0.95

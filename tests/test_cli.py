@@ -148,6 +148,16 @@ class TestTrack:
         assert config["pro"]["gamma_hz"] == 220.0   # flag beats file
         assert config["emd"]["ensemble_size"] == 3  # file beats default
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_no_hht_mode_is_bad_configuration(self, runner, vowel_wav, tmp_path, value):
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, [
+            "track", vowel_wav, "--estimator", "hht", "-o", str(out),
+            "--estimator-hht-num-imfs", value])
+        assert result.exit_code == 1
+        assert "bad configuration: hht_num_imfs must be at least 1" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--frame-window", "rectangular"),
                                             ("--vad-hop-ms", "20")])
     def test_removed_flag_usage_error(self, runner, vowel_wav, tmp_path, flag, value):

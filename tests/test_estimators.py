@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FS, glottal_pulse_train, tone
 from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, frame_signal, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
 from modepitch.estimators import (
+    CANDIDATE,
     FRAME_ESTIMATORS,
     EstimatorConfig,
     PitchCandidate,
     hht_candidates,
     harmonic_summation_scores,
-    hht_select,
     pefac_estimate,
+    pick,
     shr_estimate,
     subharmonic_ratio_curves,
     swipe_apvd,
@@ -36,6 +39,30 @@ def harmonic_comb(f0, amps, duration_s=0.5, fs=FS):
 
 def first_frame(buf):
     return frame_signal(buf, FrameSpec())[0]
+
+
+def candidate_rows(rows):
+    """CANDIDATE array from rows of (f0, salience) pairs, None for an empty
+    slot; every row has as many slots as the longest."""
+    width = max(len(r) for r in rows)
+    out = np.full((len(rows), width), np.nan, CANDIDATE)
+    for i, row in enumerate(rows):
+        for k, c in enumerate(row):
+            if c is not None:
+                out[i, k] = c
+    return out
+
+
+def select_loop(cands):
+    """Per-row oracle for pick: the filled slots as PitchCandidates, then
+    the most salient by max(), which keeps the first of equal keys."""
+    picks = []
+    for row in cands:
+        filled = [PitchCandidate(float(c["f0_hz"]), float(c["salience"]))
+                  for c in row if not np.isnan(c["f0_hz"])]
+        best = max(filled, key=lambda c: c.salience, default=None)
+        picks.append(np.nan if best is None else best.f0_hz)
+    return np.array(picks)
 
 
 def brute_force_harmonic_summation(logspec, cand_hz, num_harmonics):
@@ -227,70 +254,87 @@ class TestHhtCandidates:
         am = np.cos(2 * np.pi * 1000 * t) * (1 + 0.5 * np.cos(2 * np.pi * 125 * t))
         filler1 = 0.001 * np.cos(2 * np.pi * 300 * t)
         filler2 = 0.001 * np.cos(2 * np.pi * 80 * t)
-        imfs = self._imfset([am, filler1, filler2])
-        buf = SampleBuffer(am + filler1 + filler2, FS)
-        frames = hht_candidates(buf, imfs, CFG)
-        mode1 = [c for fc in frames for c in fc if c.source == "hht_imf1"]
-        assert mode1, "expected candidates from the AM mode"
-        f0s = np.array([c.f0_hz for c in mode1])
+        cands = hht_candidates(self._imfset([am, filler1, filler2]), CFG)
+        mode1 = cands["f0_hz"][:, 0]
+        mode1 = mode1[~np.isnan(mode1)]
+        assert mode1.size, "expected candidates from the AM mode"
         # envelope period 8 ms -> 125 Hz
-        assert np.median(f0s) == pytest.approx(125.0, abs=2.0)
+        assert np.median(mode1) == pytest.approx(125.0, abs=2.0)
 
     def test_flat_envelope_yields_no_candidate(self):
         t = np.arange(FS) / FS
         flat = np.cos(2 * np.pi * 1000 * t)
-        imfs = self._imfset([flat, flat * 0.5, flat * 0.25])
-        buf = SampleBuffer(flat, FS)
-        frames = hht_candidates(buf, imfs, CFG)
-        for fc in frames:
-            assert fc == []
+        cands = hht_candidates(self._imfset([flat, flat * 0.5, flat * 0.25]), CFG)
+        assert len(cands) == FrameSpec().num_frames(FS, FS)
+        assert np.isnan(cands["f0_hz"]).all() and np.isnan(cands["salience"]).all()
 
     def test_candidates_per_interval_capped(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 110.0), (500, 110.0)), duration_ms=500, rng_seed=2))
         imfs = eemd_decompose(buf, EmdConfig(ensemble_size=10, rng_seed=0))
-        frames = hht_candidates(buf, imfs, CFG)
+        cands = hht_candidates(imfs, CFG)
         hop_count = FrameSpec().num_frames(len(buf), FS)
-        assert len(frames) == hop_count
-        for fc in frames:
-            assert len(fc) <= CFG.hht_num_imfs
+        assert cands.dtype == CANDIDATE
+        assert cands.shape == (hop_count, CFG.hht_num_imfs)
+        # a slot is empty in both fields or filled in both
+        np.testing.assert_array_equal(np.isnan(cands["f0_hz"]),
+                                      np.isnan(cands["salience"]))
 
     def test_synthetic_voiced_has_candidate_near_truth(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 110.0), (500, 110.0)), duration_ms=500, rng_seed=2))
         imfs = eemd_decompose(buf, EmdConfig(ensemble_size=10, rng_seed=0))
-        frames = hht_candidates(buf, imfs, CFG)
-        hits = 0
-        for fc in frames:
-            if any(abs(c.f0_hz - 110.0) / 110.0 <= 0.20 for c in fc):
-                hits += 1
-        assert hits >= 0.8 * len(frames)
+        cands = hht_candidates(imfs, CFG)
+        hits = np.any(np.abs(cands["f0_hz"] - 110.0) / 110.0 <= 0.20, axis=1)
+        assert hits.sum() >= 0.8 * len(cands)
 
     def test_too_few_modes_rejected(self):
         t = np.arange(FS) / FS
         imfs = self._imfset([np.cos(2 * np.pi * 500 * t)] * 2)
         with pytest.raises(ValueError, match="modes"):
-            hht_candidates(SampleBuffer(np.ones(FS), FS), imfs, CFG)
+            hht_candidates(imfs, CFG)
+
+    def test_rate_read_from_the_modes(self):
+        # the same AM mode at 16 kHz: lags scale with the rate, F0 does not
+        t = np.arange(2 * FS) / (2 * FS)
+        am = np.cos(2 * np.pi * 1000 * t) * (1 + 0.5 * np.cos(2 * np.pi * 125 * t))
+        quiet = 0.001 * np.cos(2 * np.pi * 300 * t)
+        cands = hht_candidates(self._imfset([am, quiet, quiet], fs=2 * FS), CFG)
+        assert len(cands) == FrameSpec().num_frames(2 * FS, 2 * FS)
+        assert np.nanmedian(cands["f0_hz"][:, 0]) == pytest.approx(125.0, abs=2.0)
 
 
 class TestHhtSelect:
+    """pick: the most salient slot of each candidate row."""
+
     def test_single_candidate_passthrough(self):
-        cand = PitchCandidate(110.0, 0.8, "hht_imf1")
-        assert hht_select([cand]) is cand
+        assert pick(candidate_rows([[(110.0, 0.8)]]))[0] == 110.0
 
     def test_argmax_salience(self):
-        cands = [PitchCandidate(100.0, 0.9, "hht_imf1"),
-                 PitchCandidate(200.0, 0.5, "hht_imf2"),
-                 PitchCandidate(300.0, 0.5, "hht_imf3")]
-        assert hht_select(cands).f0_hz == 100.0
+        cands = candidate_rows([[(100.0, 0.9), (200.0, 0.5), (300.0, 0.5)]])
+        assert pick(cands)[0] == 100.0
 
     def test_tie_goes_to_lowest_mode(self):
-        cands = [PitchCandidate(100.0, 0.7, "hht_imf1"),
-                 PitchCandidate(200.0, 0.7, "hht_imf2")]
-        assert hht_select(cands).source == "hht_imf1"
+        cands = candidate_rows([[(100.0, 0.7), (200.0, 0.7)],
+                                [None, (200.0, 0.7), (300.0, 0.7)]])
+        np.testing.assert_array_equal(pick(cands), [100.0, 200.0])
 
     def test_empty_gives_none(self):
-        assert hht_select([]) is None
+        # a row with no candidate gives no estimate, as does a frameless array
+        cands = candidate_rows([[None, None, None], [None, (150.0, 0.1), None]])
+        np.testing.assert_array_equal(pick(cands), [np.nan, 150.0])
+        assert pick(np.full((0, 3), np.nan, CANDIDATE)).shape == (0,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(
+               st.none(),
+               st.tuples(st.floats(min_value=1.0, max_value=1600.0),
+                         st.one_of(st.sampled_from([0.25, 0.5, 0.75]),  # ties
+                                   st.floats(min_value=0.0, max_value=1.0)))),
+               min_size=1, max_size=4), min_size=1, max_size=8))
+    def test_matches_max_oracle(self, rows):
+        cands = candidate_rows(rows)
+        np.testing.assert_array_equal(pick(cands), select_loop(cands))
 
 
 class TestInvariants:
@@ -314,9 +358,9 @@ class TestInvariants:
             imfs = ImfSet(imfs=[SampleBuffer(m * c, FS) for m in modes],
                           residual=SampleBuffer(np.zeros(FS) + 1e-12, FS),
                           source_len=FS)
-            frames = hht_candidates(SampleBuffer(am * c, FS), imfs, CFG)
-            results.append([pick.f0_hz for fc in frames
-                            if (pick := hht_select(fc)) is not None])
+            picks = pick(hht_candidates(imfs, CFG))
+            results.append(picks[~np.isnan(picks)])
+        assert results[0].size
         np.testing.assert_allclose(results[0], results[1], rtol=1e-9)
 
     @pytest.mark.parametrize("name", ["pefac", "shr", "swipe"])
@@ -332,3 +376,14 @@ class TestInvariants:
         assert "yin" not in FRAME_ESTIMATORS
         with pytest.raises(ValueError, match="unknown estimator 'yin'"):
             check_keys(["shr", "yin"], ["raw"])
+
+
+class TestEstimatorConfig:
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_hht_num_imfs_below_one_rejected(self, n):
+        # with no mode to read, hht would report no pitch on voiced frames
+        with pytest.raises(ValueError, match="hht_num_imfs"):
+            EstimatorConfig(hht_num_imfs=n)
+
+    def test_one_hht_mode_accepted(self):
+        assert EstimatorConfig(hht_num_imfs=1).hht_num_imfs == 1

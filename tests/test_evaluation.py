@@ -53,6 +53,18 @@ def naive_mae(est, ref):
     return sum(values) / len(values)
 
 
+class TestFramePitchTrack:
+    @pytest.mark.parametrize("f0s", [[100.0, -50.0, 0.0], [0.0], [-np.inf, 100.0]])
+    def test_non_positive_f0_rejected(self, f0s):
+        # NaN is the only no-estimate marker; zero or a negative F0 is an error
+        with pytest.raises(ValueError, match="positive"):
+            track(f0s, voiced=[True] * len(f0s))
+
+    def test_nan_marks_no_estimate(self):
+        t = track([100.0, np.nan, 250.0], voiced=[True, True, False])
+        np.testing.assert_array_equal(t.estimated_mask(), [True, False, True])
+
+
 class TestGrossError:
     def test_perfect_track_zero(self):
         ref = track([100.0] * 10)

@@ -10,7 +10,8 @@ from modepitch import separation
 from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
-from modepitch.estimators import EstimatorConfig, PitchCandidate, hht_select
+from modepitch.estimators import CANDIDATE, EstimatorConfig, pick
+from modepitch.evaluation import gross_error
 from modepitch.separation import (
     HIGH,
     LOW,
@@ -25,7 +26,6 @@ from modepitch.separation import (
     correct_candidate,
     distance_matrix,
     imf_pitch_vector,
-    pro_pipeline,
     select_imf_pair,
 )
 from modepitch.vad import VadConfig, voiced_segments
@@ -236,6 +236,29 @@ class TestCorrectCandidate:
         with pytest.raises(ValueError):
             correct_candidate(0.0, LOW)
 
+    @pytest.mark.parametrize("f_cand,region,expected", [
+        (170.0, HIGH, 170.0),   # identity on (150, 300]
+        (170.0, LOW, 85.0),     # halve into [37.5, 150]
+        (60.0, HIGH, 240.0),    # quadruple on [37.5, 75]
+        (100.0, HIGH, 200.0),   # double on (75, 150]
+        (320.0, HIGH, 160.0),   # halve above 300
+        (320.0, LOW, 80.0),     # quarter above 300
+        (150.0, LOW, 150.0),    # gamma itself is low
+        (37.0, HIGH, 37.0),     # below gamma/4: out of model
+    ])
+    def test_edges_follow_gamma(self, f_cand, region, expected):
+        assert correct_candidate(f_cand, region, 150.0) == pytest.approx(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(min_value=50.0, max_value=400.0, exclude_min=True,
+                           exclude_max=True),
+           ratio=st.floats(min_value=0.25, max_value=4.0, exclude_min=True))
+    def test_folds_into_the_gamma_bands(self, gamma, ratio):
+        # above gamma/4 and up to 4 gamma, one fold lands in the frame's band
+        f = gamma * ratio
+        assert 0.25 * gamma <= correct_candidate(f, LOW, gamma) <= gamma
+        assert gamma <= correct_candidate(f, HIGH, gamma) <= 2.0 * gamma
+
     def test_matches_transcription_oracle(self):
         def oracle_low(f):
             if 50 <= f <= 200:
@@ -288,16 +311,16 @@ class TestPickThenFold:
                max_size=6),
            region=st.sampled_from([LOW, HIGH]))
     def test_pick_then_fold_equals_fold_then_pick(self, cands, region):
-        raw = [PitchCandidate(f, sal, f"hht_imf{k + 1}")
-               for k, (f, sal) in enumerate(cands)]
-        folded = [PitchCandidate(correct_candidate(c.f0_hz, region), c.salience,
-                                 c.source) for c in raw]
-        oracle = hht_select(folded)
-        pick = hht_select(raw)
-        if pick is None:
-            assert oracle is None
+        raw = np.full((1, max(len(cands), 1)), np.nan, CANDIDATE)
+        raw[0, :len(cands)] = cands
+        folded = raw.copy()
+        folded["f0_hz"][0, :len(cands)] = [correct_candidate(f, region)
+                                           for f, _ in cands]
+        (oracle,), (picked,) = pick(folded), pick(raw)
+        if np.isnan(picked):
+            assert np.isnan(oracle)
         else:
-            assert correct_candidate(pick.f0_hz, region) == oracle.f0_hz
+            assert correct_candidate(picked, region) == oracle
 
 
 class TestSmoothedArgmaxTrack:
@@ -375,7 +398,7 @@ class TestPipeline:
         buf, truth = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 120.0), (700, 120.0)), duration_ms=700, rng_seed=9))
         cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=10, rng_seed=0))
-        track = pro_pipeline(buf, "hht", cfg)
+        track = analyze_utterance(buf, ["hht"], ["pro"], cfg)[("hht", "pro")].track
         voiced = truth.voiced_mask
         est = track.f0_hz[:len(voiced)]
         good = np.abs(est - 120.0) / 120.0 <= 0.20
@@ -384,9 +407,10 @@ class TestPipeline:
     def test_silent_input_empty_voiced_track(self):
         silence = SampleBuffer(np.zeros(FS) + 0.0, FS)
         cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0))
-        track = pro_pipeline(silence, "hht", cfg)
-        assert not track.voiced_mask.any()
-        assert not track.estimated_mask().any()
+        for key, result in analyze_utterance(silence, ["hht"], ["raw", "pro"],
+                                             cfg).items():
+            assert not result.track.voiced_mask.any(), key
+            assert not result.track.estimated_mask().any(), key
 
     def test_dc_input_has_no_pitch(self):
         buf = SampleBuffer(np.full(FS, 0.3), FS)
@@ -450,6 +474,21 @@ class TestPipeline:
                     assert pro.track.f0_hz[i] == correct_candidate(f, region_at[i])
                     moved += pro.track.f0_hz[i] != f
         assert moved > 0
+
+    def test_pro_folds_on_gamma(self):
+        # a clean 170 Hz vowel sits in the high band (150, 300] of
+        # gamma = 150 Hz, so folding leaves it alone; folding on the 200 Hz
+        # edges instead would double every pick
+        buf, truth = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, 170.0), (600, 170.0)), duration_ms=600, rng_seed=4))
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0),
+                             pro=ProConfig(gamma_hz=150.0))
+        out = analyze_utterance(buf, ["shr"], ["raw", "pro"], cfg)
+        raw, pro = out[("shr", "raw")], out[("shr", "pro")]
+        assert pro.regions and all(r.region == HIGH for r in pro.regions)
+        np.testing.assert_array_equal(pro.track.f0_hz, raw.track.f0_hz)
+        assert gross_error(pro.track, truth) <= 5.0
+        assert all(d.corrected_f0s == d.raw_f0s for d in pro.diagnostics)
 
     def test_frames_without_mode_evidence_inherit_across_segments(self, monkeypatch):
         # a high vowel, a pause, then a low vowel whose decomposition keeps

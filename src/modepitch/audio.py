@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 INT16_FULL_SCALE = 32768.0
 
@@ -54,16 +55,33 @@ class FrameSpec:
             raise ValueError("hop_ms must not exceed frame_len_ms")
 
     def frame_len(self, sample_rate_hz: int) -> int:
-        return int(round(self.frame_len_ms * sample_rate_hz / 1000.0))
+        return _whole_samples("frame_len_ms", self.frame_len_ms, sample_rate_hz)
 
     def hop(self, sample_rate_hz: int) -> int:
-        return int(round(self.hop_ms * sample_rate_hz / 1000.0))
+        return _whole_samples("hop_ms", self.hop_ms, sample_rate_hz)
 
     def num_frames(self, n_samples: int, sample_rate_hz: int) -> int:
         flen = self.frame_len(sample_rate_hz)
         if n_samples < flen:
             return 0
         return (n_samples - flen) // self.hop(sample_rate_hz) + 1
+
+    def frames(self, samples: np.ndarray, sample_rate_hz: int) -> np.ndarray:
+        """Read-only (frames x frame_len) view of a 1-D signal: row i is
+        samples[i * hop:i * hop + frame_len], and a trailing partial frame
+        is dropped."""
+        flen = self.frame_len(sample_rate_hz)
+        if len(samples) < flen:
+            raise ValueError(f"buffer of {len(samples)} samples is shorter than one "
+                             f"{self.frame_len_ms} ms frame ({flen} samples)")
+        return sliding_window_view(samples, flen)[::self.hop(sample_rate_hz)]
+
+
+def _whole_samples(name: str, ms: float, sample_rate_hz: int) -> int:
+    n = int(round(ms * sample_rate_hz / 1000.0))
+    if n == 0:
+        raise ValueError(f"{name}={ms} rounds to 0 samples at {sample_rate_hz} Hz")
+    return n
 
 
 @dataclass(frozen=True)
@@ -196,24 +214,9 @@ def measured_snr_db(mixed: SampleBuffer, clean: SampleBuffer) -> float:
 
 
 def frame_signal(buf: SampleBuffer, spec: FrameSpec) -> list[Frame]:
-    """Slice a buffer into overlapping frames; the last partial frame is dropped.
-
-    Frames carry raw (unwindowed) samples; the estimators apply the window
-    named in their EstimatorConfig.
-    """
-    flen = spec.frame_len(buf.sample_rate_hz)
-    hop = spec.hop(buf.sample_rate_hz)
-    if len(buf) < flen:
-        raise ValueError(
-            f"buffer of {len(buf)} samples is shorter than one "
-            f"{spec.frame_len_ms} ms frame ({flen} samples)")
-    n_frames = (len(buf) - flen) // hop + 1
-    frames = []
-    for i in range(n_frames):
-        start = i * hop
-        frames.append(Frame(
-            samples=buf.samples[start:start + flen],
-            sample_rate_hz=buf.sample_rate_hz,
-            start_ms=1000.0 * start / buf.sample_rate_hz,
-        ))
-    return frames
+    """One Frame per row of spec.frames: overlapping raw (unwindowed) slices,
+    the last partial frame dropped. The estimators apply the window named
+    in their EstimatorConfig."""
+    fs, hop = buf.sample_rate_hz, spec.hop(buf.sample_rate_hz)
+    return [Frame(samples=row, sample_rate_hz=fs, start_ms=1000.0 * (i * hop) / fs)
+            for i, row in enumerate(spec.frames(buf.samples, fs))]

@@ -49,6 +49,12 @@ class EstimatorConfig:
         if self.hht_num_imfs < 1:
             raise ValueError("hht_num_imfs must be at least 1")
 
+    def check_frame(self, duration_s: float) -> None:
+        """Reject a frame that spans fewer than two pitch periods at f_min."""
+        if duration_s < 2.0 / self.f_min:
+            raise ValueError(f"frame of {1000 * duration_s:.1f} ms is shorter than "
+                             f"two pitch periods at f_min={self.f_min} Hz")
+
 
 @dataclass(frozen=True)
 class PitchCandidate:
@@ -66,10 +72,7 @@ def _frame_spectrum(frame, cfg: EstimatorConfig, spectrum) -> Spectrum:
     with `spectrum` (power_spectrum or magnitude_spectrum)."""
     x = np.asarray(frame.samples, dtype=np.float64)
     fs = frame.sample_rate_hz
-    if x.size / fs < 2.0 / cfg.f_min:
-        raise ValueError(
-            f"frame of {1000 * x.size / fs:.1f} ms is shorter than two pitch "
-            f"periods at f_min={cfg.f_min} Hz")
+    cfg.check_frame(x.size / fs)
     if not np.any(x):
         raise ValueError("degenerate frame (all zeros)")
     return spectrum(x, fs, next_pow2(4 * x.size), window=cfg.window)
@@ -281,7 +284,8 @@ def hht_candidates(imfs: ImfSet, cfg: EstimatorConfig = EstimatorConfig(),
     [fs/f_max, fs/f_min]. The envelope mean is removed per window before the
     ACF so the lag peak is not dragged by the raw envelope's DC pedestal;
     salience is the normalized peak r(tau0)/r(0). Modes with no peak in
-    range leave their slot empty (NaN) for that interval.
+    range leave their slot empty (NaN) for that interval. Modes shorter
+    than one frame raise ValueError.
     """
     if len(imfs) < cfg.hht_num_imfs:
         raise ValueError(
@@ -290,15 +294,11 @@ def hht_candidates(imfs: ImfSet, cfg: EstimatorConfig = EstimatorConfig(),
     fs = imfs.residual.sample_rate_hz
     tau_min = int(math.ceil(fs / cfg.f_max))
     tau_max = int(math.floor(fs / cfg.f_min))
-    flen = frame.frame_len(fs)
-    hop = frame.hop(fs)
-    max_lag = min(tau_max + 1, flen - 1)
+    max_lag = min(tau_max + 1, frame.frame_len(fs) - 1)
     out = np.full((frame.num_frames(imfs.source_len, fs), cfg.hht_num_imfs),
                   np.nan, CANDIDATE)
     for k in range(cfg.hht_num_imfs):
-        env = envelope(imfs.imfs[k].samples)
-        for i in range(len(out)):
-            w = env[i * hop:i * hop + flen]
+        for i, w in enumerate(frame.frames(envelope(imfs.imfs[k].samples), fs)):
             mean = w.mean()
             w = w - mean
             # an unmodulated envelope carries no pitch cue; the depth floor

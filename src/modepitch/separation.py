@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import FrameSpec, SampleBuffer, frame_signal
+from .audio import Frame, FrameSpec, SampleBuffer, frame_signal
 from .emd import EmdConfig, ImfSet, eemd_decompose
 from .estimators import (
     CANDIDATE,
@@ -257,6 +257,8 @@ class AnalysisConfig:
         # the VAD frames sit on the analysis hop and must not leave gaps
         if self.frame.hop_ms > self.vad.frame_ms:
             raise ValueError("frame.hop_ms must not exceed vad.frame_ms")
+        # the comb estimators and the per-mode F0 could score no frame
+        self.estimator.check_frame(self.frame.frame_len_ms / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -312,24 +314,24 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
                       ) -> dict[tuple[str, str], MethodResult]:
     """Run the requested estimator/method combinations over one utterance.
 
-    Every stage writes onto the utterance's frame grid. Each voiced segment
-    is decomposed once, sifting no further than the last mode the requested
-    keys read (pro.k_imfs for pro, estimator.hht_num_imfs for hht, both
-    within emd.max_imfs); its per-mode F0 rows and every estimator's
-    candidates land at the segment's frames, one (frames x slots) CANDIDATE
-    array per estimator (one slot per mode for hht, one slot otherwise).
-    One region pass then classifies all voiced frames in order, so a frame
-    without mode evidence inherits the previous voiced frame's region,
-    across segments too. The raw F0 is each frame's most salient candidate
-    and the pro F0 is that pick folded into the frame's region. Folding
-    keeps salience and order, so this equals picking among the folded
-    candidates.
+    Every stage writes onto the utterance's frame grid, and the utterance
+    is framed once. Each voiced segment is decomposed once, sifting no
+    further than the last mode the requested keys read (pro.k_imfs for pro,
+    estimator.hht_num_imfs for hht, both within emd.max_imfs); its per-mode
+    F0 rows and hht candidates land at the segment's frames. pefac, shr and
+    swipe then score the voiced rows of the utterance framing. Each
+    estimator keeps one (frames x slots) CANDIDATE array (one slot per mode
+    for hht, one slot otherwise). One region pass then classifies all
+    voiced frames in order, so a frame without mode evidence inherits the
+    previous voiced frame's region, across segments too. The raw F0 is each
+    frame's most salient candidate and the pro F0 is that pick folded into
+    the frame's region. Folding keeps salience and order, so this equals
+    picking among the folded candidates.
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
-    n_track = cfg.frame.num_frames(len(buf), fs)
-    if n_track == 0:
-        raise ValueError("buffer shorter than one analysis frame")
+    frames = cfg.frame.frames(buf.samples, fs)
+    n_track = len(frames)
     times = np.arange(n_track) * cfg.frame.hop_ms
     pro = "pro" in methods
     hht = "hht" in estimators
@@ -345,28 +347,28 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     cands = {est: np.full((n_track, cfg.estimator.hht_num_imfs if est == "hht" else 1),
                           np.nan, CANDIDATE) for est in estimators}
     for first, last in voiced_segments(detect_voiced(buf, cfg.vad, cfg.frame)):
-        seg = SampleBuffer(buf.samples[first * hop:last * hop + vad_len], fs)
+        seg = buf.samples[first * hop:last * hop + vad_len]
         n_frames = cfg.frame.num_frames(len(seg), fs)
-        if n_frames == 0:
-            continue
         rows = slice(first, first + n_frames)
         voiced[rows] = True
-        decomposition = eemd_decompose(seg, emd_cfg) if pro or hht else None
+        if n_frames == 0 or not (pro or hht):
+            continue
+        decomposition = eemd_decompose(SampleBuffer(seg, fs), emd_cfg)
         if pro and len(decomposition) >= cfg.pro.k_imfs:
             mode_f0[rows] = imf_pitch_vector(decomposition, cfg.frame, cfg.pro,
                                              cfg.estimator)
-        for est in estimators:
-            if est != "hht":
-                estimate = FRAME_ESTIMATORS[est]
-                for i, frame in enumerate(frame_signal(seg, cfg.frame), first):
-                    try:
-                        c = estimate(frame, cfg.estimator)
-                    except ValueError:
-                        continue
-                    cands[est][i, 0] = c.f0_hz, c.salience
-            elif len(decomposition) >= cfg.estimator.hht_num_imfs:
-                cands[est][rows] = hht_candidates(decomposition, cfg.estimator,
-                                                  cfg.frame)
+        if hht and len(decomposition) >= cfg.estimator.hht_num_imfs:
+            cands["hht"][rows] = hht_candidates(decomposition, cfg.estimator, cfg.frame)
+    # a segment's frame i is the utterance's frame first + i, so the comb
+    # estimators score the voiced rows of the one utterance framing
+    for est in [e for e in estimators if e != "hht"]:
+        for i in np.flatnonzero(voiced):
+            try:
+                c = FRAME_ESTIMATORS[est](Frame(frames[i], fs, float(times[i])),
+                                          cfg.estimator)
+            except ValueError:
+                continue
+            cands[est][i, 0] = c.f0_hz, c.salience
 
     regions = (tuple(classify_frames(mode_f0, cfg.pro, np.flatnonzero(voiced)))
                if pro else ())

@@ -14,13 +14,10 @@ class Spectrum:
 
     bins: np.ndarray
     bin_hz: float
-    kind: str  # "magnitude" or "power"
 
     def __post_init__(self):
         if self.bin_hz <= 0:
             raise ValueError("bin_hz must be positive")
-        if self.kind not in ("magnitude", "power"):
-            raise ValueError(f"unknown spectrum kind {self.kind!r}")
 
     @property
     def max_hz(self) -> float:
@@ -85,14 +82,14 @@ def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
     power[1:] *= 2.0
     if nfft % 2 == 0:
         power[-1] *= 0.5
-    return Spectrum(bins=power, bin_hz=sample_rate_hz / nfft, kind="power")
+    return Spectrum(bins=power, bin_hz=sample_rate_hz / nfft)
 
 
 def magnitude_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
                        window: str = "hann") -> Spectrum:
     """One-sided magnitude spectrum |X(f)| of the windowed frame."""
     mags = np.abs(_windowed_rfft(samples, nfft, window))
-    return Spectrum(bins=mags, bin_hz=sample_rate_hz / nfft, kind="magnitude")
+    return Spectrum(bins=mags, bin_hz=sample_rate_hz / nfft)
 
 
 def analytic_signal(x: np.ndarray) -> np.ndarray:

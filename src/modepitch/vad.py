@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import FrameSpec, SampleBuffer
 
@@ -49,13 +48,8 @@ def _majority_hold(mask: np.ndarray, hangover: int) -> np.ndarray:
 def _frame_features(buf: SampleBuffer, spec: FrameSpec
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean-square energy, zero-crossing rate and nonzero spread of every
-    frame on frame_signal's grid, reduced over the rows of one strided view
-    of the samples. A zero sample counts as negative for zero crossings."""
-    flen, hop = spec.frame_len(buf.sample_rate_hz), spec.hop(buf.sample_rate_hz)
-    if len(buf) < flen:
-        raise ValueError(f"buffer of {len(buf)} samples is shorter than one "
-                         f"{spec.frame_len_ms} ms frame ({flen} samples)")
-    frames = sliding_window_view(buf.samples, flen)[::hop]
+    row of spec.frames. A zero sample counts as negative for zero crossings."""
+    frames = spec.frames(buf.samples, buf.sample_rate_hz)
     signs = frames > 0
     zcrs = (signs[:, 1:] != signs[:, :-1]).mean(axis=1)
     return np.mean(frames ** 2, axis=1), zcrs, np.ptp(frames, axis=1) > 0

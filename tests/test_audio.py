@@ -224,6 +224,42 @@ class TestFrameSignal:
             FrameSpec(frame_len_ms=10, hop_ms=20)
 
 
+class TestFrameSpecFrames:
+    @settings(max_examples=150, deadline=None)
+    @given(rate=st.sampled_from([8000, 11025, 16000, 22050]),
+           frame_len_ms=st.floats(1.0, 100.0), hop_frac=st.floats(0.0, 1.0),
+           n=st.integers(0, 3000))
+    def test_rows_are_hop_slices(self, rate, frame_len_ms, hop_frac, n):
+        spec = FrameSpec(frame_len_ms=frame_len_ms,
+                         hop_ms=1.0 + hop_frac * (frame_len_ms - 1.0))
+        flen, hop = spec.frame_len(rate), spec.hop(rate)
+        x = np.arange(n, dtype=np.float64)
+        if n < flen:
+            with pytest.raises(ValueError, match="shorter than one"):
+                spec.frames(x, rate)
+            return
+        rows = spec.frames(x, rate)
+        assert rows.shape == (spec.num_frames(n, rate), flen)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(row, x[i * hop:i * hop + flen])
+        # every whole frame is a row: the next one would run past the end
+        assert len(rows) * hop + flen > n
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(hop_ms=0.05), "hop_ms"),
+        (dict(frame_len_ms=0.05, hop_ms=0.05), "frame_len_ms")])
+    def test_grid_rounding_to_zero_samples_rejected(self, kwargs, name):
+        spec = FrameSpec(**kwargs)
+        with pytest.raises(ValueError,
+                           match=f"{name}=0.05 rounds to 0 samples at 8000 Hz"):
+            spec.num_frames(8000, 8000)
+        with pytest.raises(ValueError, match="rounds to 0 samples"):
+            frame_signal(SampleBuffer(np.ones(8000), 8000), spec)
+
+
 def _run_python(code: str) -> None:
     """Run code in a fresh interpreter that imports this modepitch."""
     src = str(Path(modepitch.__file__).resolve().parents[1])

@@ -158,6 +158,18 @@ class TestTrack:
         assert "bad configuration: hht_num_imfs must be at least 1" in result.output
         assert not out.exists()
 
+    def test_frame_too_short_for_f_min_is_bad_configuration(self, runner, vowel_wav,
+                                                           tmp_path):
+        # 30 ms holds 1.5 periods of the 50 Hz floor: no frame could be scored
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, [
+            "track", vowel_wav, "--estimator", "swipe", "--pro", "-o", str(out),
+            "--frame-frame-len-ms", "30"])
+        assert result.exit_code == 1
+        assert ("bad configuration: frame of 30.0 ms is shorter than two pitch "
+                "periods at f_min=50.0 Hz") in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--frame-window", "rectangular"),
                                             ("--vad-hop-ms", "20")])
     def test_removed_flag_usage_error(self, runner, vowel_wav, tmp_path, flag, value):

@@ -215,7 +215,7 @@ class TestSwipe:
     def test_micro_instance_matches_brute_force(self, rng):
         # 64-bin synthetic spectrum scored against a direct transcription
         bins = rng.uniform(0, 1, 64)
-        spec = Spectrum(bins=bins, bin_hz=25.0, kind="magnitude")
+        spec = Spectrum(bins=bins, bin_hz=25.0)
         # at 1200 Hz even the first upper valley (1800 Hz) leaves the
         # 1575 Hz spectrum, so no peak counts and the score is -inf
         cands = np.array([55.0, 80.0, 120.0, 133.7, 250.0, 1200.0])

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import FS, glottal_pulse_train
 from modepitch import separation
-from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
+from modepitch.audio import Frame, FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
-from modepitch.estimators import CANDIDATE, EstimatorConfig, pick
+from modepitch.estimators import CANDIDATE, FRAME_ESTIMATORS, EstimatorConfig, pick
 from modepitch.evaluation import gross_error
 from modepitch.separation import (
     HIGH,
@@ -28,7 +28,7 @@ from modepitch.separation import (
     imf_pitch_vector,
     select_imf_pair,
 )
-from modepitch.vad import VadConfig, voiced_segments
+from modepitch.vad import VadConfig, detect_voiced, voiced_segments
 
 
 def vector(entries):
@@ -49,6 +49,26 @@ def smoothed_argmax_loop(cands, scores, valid, window):
         curve = scores[lo:hi][mask].mean(axis=0)
         estimates[i] = cands[int(np.argmax(curve))]
     return estimates
+
+
+def per_segment_comb_loop(buf, est, cfg):
+    """Raw track of a comb estimator scored the way analyze_utterance once
+    did: each voiced segment cut out and re-framed by hand, frame i of the
+    segment written to row first + i."""
+    fs = buf.sample_rate_hz
+    flen, hop = cfg.frame.frame_len(fs), cfg.frame.hop(fs)
+    vad_len = cfg.vad.frame_spec(cfg.frame).frame_len(fs)
+    cands = np.full((cfg.frame.num_frames(len(buf), fs), 1), np.nan, CANDIDATE)
+    for first, last in voiced_segments(detect_voiced(buf, cfg.vad, cfg.frame)):
+        seg = buf.samples[first * hop:last * hop + vad_len]
+        for i in range(cfg.frame.num_frames(len(seg), fs)):
+            frame = Frame(seg[i * hop:i * hop + flen], fs, 1000.0 * i * hop / fs)
+            try:
+                c = FRAME_ESTIMATORS[est](frame, cfg.estimator)
+            except ValueError:
+                continue
+            cands[first + i, 0] = c.f0_hz, c.salience
+    return pick(cands)
 
 
 def brute_force_pair(d):
@@ -555,6 +575,39 @@ class TestPipeline:
             assert repr(result.regions) == repr(oracle[key].regions)
             assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
         assert any(np.isfinite(r.track.f0_hz).any() for r in capped.values())
+
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    def test_comb_tracks_equal_per_segment_loop(self, fs):
+        # two voiced bursts around a pause, so two segments start mid-utterance
+        gen = np.random.default_rng(fs)
+        bursts = [glottal_pulse_train(f0, duration_s=0.3, fs=fs).samples
+                  for f0 in (140.0, 260.0)]
+        x = np.concatenate([np.zeros(fs // 10), bursts[0], np.zeros(fs // 5),
+                            bursts[1], np.zeros(fs // 10)])
+        buf = SampleBuffer(x + 0.005 * gen.standard_normal(x.size), fs)
+        cfg = AnalysisConfig()
+        out = analyze_utterance(buf, ["pefac", "shr", "swipe"], ["raw"], cfg)
+        assert len(voiced_segments(out[("shr", "raw")].track.voiced_mask)) == 2
+        for est in ("pefac", "shr", "swipe"):
+            f0 = out[(est, "raw")].track.f0_hz
+            assert np.isfinite(f0).sum() >= 40, est
+            np.testing.assert_array_equal(f0, per_segment_comb_loop(buf, est, cfg))
+
+    def test_frames_too_short_for_f_min_rejected(self):
+        # 30 ms holds 1.5 periods at 50 Hz: every comb frame and every
+        # per-mode F0 would fail, leaving an empty track and default regions
+        with pytest.raises(ValueError, match="shorter than two pitch periods"):
+            AnalysisConfig(frame=FrameSpec(frame_len_ms=30.0))
+        with pytest.raises(ValueError, match="f_min=100.0"):
+            AnalysisConfig(estimator=EstimatorConfig(f_min=100.0),
+                           frame=FrameSpec(frame_len_ms=19.0))
+        AnalysisConfig(frame=FrameSpec(frame_len_ms=40.0))  # exactly two periods
+
+    def test_hop_rounding_to_zero_samples_rejected(self):
+        buf = glottal_pulse_train(150.0, duration_s=0.3)
+        cfg = AnalysisConfig(frame=FrameSpec(hop_ms=0.05))
+        with pytest.raises(ValueError, match="hop_ms=0.05 rounds to 0 samples"):
+            analyze_utterance(buf, ["shr"], ["raw"], cfg)
 
     def test_hop_longer_than_vad_frame_rejected(self):
         with pytest.raises(ValueError, match="vad.frame_ms"):

@@ -133,7 +133,7 @@ class TestAutocorrelation:
 
 class TestLogFrequency:
     def test_flat_spectrum_stays_flat(self):
-        spec = Spectrum(bins=np.ones(2049), bin_hz=FS / 4096, kind="power")
+        spec = Spectrum(bins=np.ones(2049), bin_hz=FS / 4096)
         log_spec = to_log_frequency(spec, 50, 3000, 48)
         np.testing.assert_allclose(log_spec.values, 1.0)
 
@@ -168,7 +168,7 @@ class TestLogFrequency:
         np.testing.assert_allclose(found, expected, atol=0.5 / 96 + 1e-9)
 
     def test_bounds_outside_support_rejected(self):
-        spec = Spectrum(bins=np.ones(100), bin_hz=10.0, kind="power")
+        spec = Spectrum(bins=np.ones(100), bin_hz=10.0)
         with pytest.raises(ValueError):
             to_log_frequency(spec, 50, 5000, 48)
 

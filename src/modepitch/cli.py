@@ -114,6 +114,16 @@ def _setup(kwargs: dict) -> tuple[AnalysisConfig, int]:
     return cfg, seed
 
 
+def _analyze(buf, estimators, methods, cfg: AnalysisConfig) -> dict:
+    """``analyze_utterance``, reporting errors that depend on the input (too
+    short for one frame, a hop that rounds to 0 samples at its rate) as CLI
+    errors rather than tracebacks."""
+    try:
+        return analyze_utterance(buf, estimators, methods, cfg)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
 def _default_out(name: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), name)
 
@@ -159,7 +169,7 @@ def track(audio, estimator, use_pro, output, **kwargs):
     cfg, _ = _setup(kwargs)
     buf = load_wav(audio)
     method = "pro" if use_pro else "raw"
-    result = analyze_utterance(buf, [estimator], [method], cfg)[(estimator, method)]
+    result = _analyze(buf, [estimator], [method], cfg)[(estimator, method)]
     if output is None:
         stem = os.path.splitext(os.path.basename(audio))[0]
         output = _default_out(f"{stem}_{estimator}_{method}.csv")
@@ -200,7 +210,7 @@ def separate(audio, output, **kwargs):
     cfg, _ = _setup(kwargs)
     buf = load_wav(audio)
     # regions come from the modes alone; the estimator only names the result key
-    result = analyze_utterance(buf, ["pefac"], ["pro"], cfg)
+    result = _analyze(buf, ["pefac"], ["pro"], cfg)
     regions = result[("pefac", "pro")].regions
     if output is None:
         stem = os.path.splitext(os.path.basename(audio))[0]

@@ -37,13 +37,21 @@ class SynthUtteranceSpec:
         for _, hz in self.f0_contour:
             if not 50.0 <= hz <= 400.0:
                 raise ValueError("contour F0 values must lie in [50, 400] Hz")
+        times = [float(t) for t, _ in self.f0_contour]
+        if not all(b > a for a, b in zip(times, times[1:])):
+            raise ValueError(f"contour knot times must strictly increase, got {times}")
+        if not 0.0 <= self.jitter_pct <= 30.0:
+            raise ValueError(f"jitter_pct must lie in [0, 30], got {self.jitter_pct}")
         if len(self.formant_set) != 3:
             raise ValueError("formant_set must name three resonances")
 
+    def knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The contour as the (times_ms, f0_hz) arrays ``np.interp`` reads."""
+        return (np.array([t for t, _ in self.f0_contour]),
+                np.array([f for _, f in self.f0_contour]))
+
     def contour_at(self, times_ms) -> np.ndarray:
-        knots_t = np.array([t for t, _ in self.f0_contour])
-        knots_f = np.array([f for _, f in self.f0_contour])
-        return np.interp(np.asarray(times_ms, dtype=np.float64), knots_t, knots_f)
+        return np.interp(np.asarray(times_ms, dtype=np.float64), *self.knots())
 
 
 def _all_pole(a, x) -> np.ndarray:
@@ -71,6 +79,13 @@ def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec(
     """Glottal-pulse train following the contour, shaped by three formant
     resonators, with per-period jitter.
 
+    The spec accepts one or more knots with strictly increasing times and
+    F0 in [50, 400] Hz, and ``jitter_pct`` in [0, 30]. The pulse at sample
+    t is followed by the next one ``fs / F0`` samples later, F0 read off the
+    contour at t, and that i-th period is scaled by
+    ``1 + z_i * jitter_pct / 100``, where z_i is the i-th draw of
+    ``default_rng(rng_seed).standard_normal`` clipped to [-3, 3].
+
     The ground-truth track is sampled at the analysis grid (10 ms hop),
     each frame's value taken at the frame center; frames only exist where a
     full analysis window fits, matching what any frame-based estimator can
@@ -78,18 +93,22 @@ def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec(
     """
     fs = spec.sample_rate_hz
     n = int(round(spec.duration_ms * fs / 1000.0))
-    rng = np.random.default_rng(spec.rng_seed)
+    knots_t, knots_f = spec.knots()
 
+    # the shortest possible period bounds the pulse count, so every period's
+    # jitter is drawn up front; only the t += period recurrence is a loop
+    min_period = fs / knots_f.max() * (1.0 - 3.0 * spec.jitter_pct / 100.0)
+    wobble = np.clip(np.random.default_rng(spec.rng_seed).standard_normal(
+        int(n / min_period) + 2), -3.0, 3.0)
+    scales = (1.0 + wobble * spec.jitter_pct / 100.0).tolist()
     pulses = np.zeros(n)
     t = 0.0
+    i = 0
     while t < n:
         pulses[int(t)] += 1.0
-        f0 = float(spec.contour_at(1000.0 * t / fs))
-        period = fs / f0
-        if spec.jitter_pct > 0:
-            wobble = np.clip(rng.standard_normal(), -3.0, 3.0)
-            period *= 1.0 + wobble * spec.jitter_pct / 100.0
-        t += period
+        f0 = float(np.interp(1000.0 * t / fs, knots_t, knots_f))
+        t += fs / f0 * scales[i]
+        i += 1
 
     # -6 dB/oct glottal tilt, then the formant cascade
     x = _all_pole([1.0, -0.95], pulses)
@@ -102,7 +121,7 @@ def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec(
 
     n_frames = frame.num_frames(n, fs)
     times = np.arange(n_frames) * frame.hop_ms
-    truth_f0 = spec.contour_at(times + frame.frame_len_ms / 2.0)
+    truth_f0 = np.interp(times + frame.frame_len_ms / 2.0, knots_t, knots_f)
     truth = FramePitchTrack(frame_times_ms=times, f0_hz=truth_f0,
                             voiced_mask=np.ones(n_frames, dtype=bool))
     return buf, truth

@@ -34,6 +34,22 @@ def vowel_wav(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def short_wav(tmp_path):
+    # 50 ms at 8 kHz: shorter than one 90 ms analysis frame
+    path = tmp_path / "short.wav"
+    save_wav(path, glottal_pulse_train(120.0, duration_s=0.05))
+    return str(path)
+
+
+def assert_click_error(result, message):
+    """A click error: exit 1, "Error: <message>" printed, no traceback."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {message}" in result.output
+    assert "Traceback" not in result.output
+
+
 class TestHelpDocSync:
     def test_every_config_knob_in_help(self, runner):
         # every dataclass config field must be reachable as a CLI flag
@@ -170,6 +186,23 @@ class TestTrack:
                 "periods at f_min=50.0 Hz") in result.output
         assert not out.exists()
 
+    def test_input_shorter_than_one_frame_is_click_error(self, runner, short_wav,
+                                                          tmp_path):
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, ["track", short_wav, "--estimator", "swipe",
+                                      "-o", str(out)])
+        assert_click_error(result, "buffer of 400 samples is shorter than one "
+                                   "90.0 ms frame (720 samples)")
+        assert not out.exists()
+
+    def test_hop_rounding_to_zero_samples_is_click_error(self, runner, vowel_wav,
+                                                         tmp_path):
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, ["track", vowel_wav, "--estimator", "swipe",
+                                      "-o", str(out), "--frame-hop-ms", "0.05"])
+        assert_click_error(result, "hop_ms=0.05 rounds to 0 samples at 8000 Hz")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--frame-window", "rectangular"),
                                             ("--vad-hop-ms", "20")])
     def test_removed_flag_usage_error(self, runner, vowel_wav, tmp_path, flag, value):
@@ -217,6 +250,15 @@ class TestSeparate:
         assert regions and set(regions) <= {"low", "high"}
         # a 120 Hz vowel should be overwhelmingly low-frequency
         assert regions.count("low") / len(regions) >= 0.8
+
+    def test_input_shorter_than_one_frame_is_click_error(self, runner, short_wav,
+                                                          tmp_path):
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, ["separate", short_wav, "-o", str(out),
+                                      "--emd-ensemble-size", "2"])
+        assert_click_error(result, "buffer of 400 samples is shorter than one "
+                                   "90.0 ms frame (720 samples)")
+        assert not out.exists()
 
     def test_removed_inner_estimator_flag_usage_error(self, runner, vowel_wav, tmp_path):
         result = runner.invoke(main, [

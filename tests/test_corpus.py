@@ -75,6 +75,106 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             SynthUtteranceSpec(f0_contour=((0, 100.0),), duration_ms=100)
 
+    @pytest.mark.parametrize("jitter", [-5.0, -1e-9, 30.000001, 200.0])
+    def test_jitter_outside_0_30_rejected(self, jitter):
+        with pytest.raises(ValueError, match=r"jitter_pct must lie in \[0, 30\]"):
+            SynthUtteranceSpec(f0_contour=((0, 100.0),), jitter_pct=jitter)
+
+    @pytest.mark.parametrize("contour", [((600, 300.0), (0, 100.0)),
+                                         ((0, 100.0), (300, 150.0), (300, 200.0)),
+                                         ((0, 100.0), (float("nan"), 150.0))])
+    def test_knot_times_must_strictly_increase(self, contour):
+        with pytest.raises(ValueError, match="knot times must strictly increase"):
+            SynthUtteranceSpec(f0_contour=contour)
+
+
+def per_pulse_synthesis(spec, frame=FrameSpec()):
+    """The pulse loop as first written, one numpy call per step of each
+    pulse: the oracle the batched jitter draw must match bit for bit."""
+    fs = spec.sample_rate_hz
+    n = int(round(spec.duration_ms * fs / 1000.0))
+    rng = np.random.default_rng(spec.rng_seed)
+
+    pulses = np.zeros(n)
+    t = 0.0
+    while t < n:
+        pulses[int(t)] += 1.0
+        f0 = float(spec.contour_at(1000.0 * t / fs))
+        period = fs / f0
+        if spec.jitter_pct > 0:
+            wobble = np.clip(rng.standard_normal(), -3.0, 3.0)
+            period *= 1.0 + wobble * spec.jitter_pct / 100.0
+        t += period
+
+    # -6 dB/oct glottal tilt, then the formant cascade
+    x = corpus._all_pole([1.0, -0.95], pulses)
+    for freq, bw in spec.formant_set:
+        x = corpus._all_pole(corpus._resonator_coeffs(freq, bw, fs), x)
+    peak = np.max(np.abs(x))
+    if peak > 0:
+        x = 0.5 * x / peak
+    buf = corpus.SampleBuffer(x, fs)
+
+    n_frames = frame.num_frames(n, fs)
+    times = np.arange(n_frames) * frame.hop_ms
+    truth_f0 = spec.contour_at(times + frame.frame_len_ms / 2.0)
+    truth = FramePitchTrack(frame_times_ms=times, f0_hz=truth_f0,
+                            voiced_mask=np.ones(n_frames, dtype=bool))
+    return buf, truth
+
+
+@st.composite
+def synth_specs(draw):
+    duration = draw(st.floats(200.0, 3000.0))
+    times = sorted(draw(st.lists(st.floats(0.0, duration), min_size=1, max_size=5,
+                                 unique=True)))
+    return SynthUtteranceSpec(
+        f0_contour=tuple((t, draw(st.floats(50.0, 400.0))) for t in times),
+        duration_ms=duration,
+        jitter_pct=draw(st.sampled_from([0.0, 0.5, 1.0, 30.0])),
+        rng_seed=draw(st.integers(0, 2 ** 31)),
+        sample_rate_hz=draw(st.sampled_from([8000, 11025, 16000, 22050])),
+    )
+
+
+def assert_same_synthesis(got, want):
+    (got_buf, got_truth), (want_buf, want_truth) = got, want
+    assert got_buf.sample_rate_hz == want_buf.sample_rate_hz
+    assert np.array_equal(got_buf.samples, want_buf.samples)
+    assert np.array_equal(got_truth.frame_times_ms, want_truth.frame_times_ms)
+    assert np.array_equal(got_truth.f0_hz, want_truth.f0_hz)
+    assert np.array_equal(got_truth.voiced_mask, want_truth.voiced_mask)
+
+
+class TestPulseLoopOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(spec=synth_specs())
+    def test_synthesize_equals_per_pulse_loop(self, spec):
+        assert_same_synthesis(synthesize_utterance(spec), per_pulse_synthesis(spec))
+
+    @pytest.mark.parametrize("jitter", [0.0, 30.0])
+    def test_synthesize_equals_per_pulse_loop_at_jitter_bounds(self, jitter):
+        # 400 Hz at 8 kHz with 30% jitter: periods down to 2 samples, the
+        # most pulses the up-front draw must cover
+        spec = SynthUtteranceSpec(f0_contour=((0, 400.0),), duration_ms=3000,
+                                  jitter_pct=jitter, rng_seed=2)
+        assert_same_synthesis(synthesize_utterance(spec), per_pulse_synthesis(spec))
+
+    def test_synthesize_equals_per_pulse_loop_on_20_ms_hop(self):
+        spec = SynthUtteranceSpec(f0_contour=((0, 110.0), (300, 380.0), (600, 90.0)),
+                                  jitter_pct=1.0, rng_seed=11, sample_rate_hz=16000)
+        frame = FrameSpec(hop_ms=20.0)
+        assert_same_synthesis(synthesize_utterance(spec, frame),
+                              per_pulse_synthesis(spec, frame))
+
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_make_noise_equals_per_pulse_loop(self, monkeypatch, fs, kind):
+        fast = make_noise(kind, 3 * fs, fs, seed=5)
+        monkeypatch.setattr(corpus, "synthesize_utterance", per_pulse_synthesis)
+        slow = make_noise(kind, 3 * fs, fs, seed=5)
+        assert np.array_equal(fast.samples, slow.samples)
+
 
 def _lfilter_all_pole(a, x):
     return lfilter([1.0], a, x)

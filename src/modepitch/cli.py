@@ -7,6 +7,7 @@ resolved configuration before running.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -39,16 +40,13 @@ CONFIG_SECTIONS = {
     "vad": VadConfig,
 }
 
-_CLICK_TYPES = {int: click.INT, float: click.FLOAT, str: click.STRING}
-
-
 def config_options(fn):
     """Attach one flag per config dataclass field, prefixed by section."""
     for section, cls in reversed(list(CONFIG_SECTIONS.items())):
         for field in reversed(dataclasses.fields(cls)):
             flag = f"--{section}-{field.name.replace('_', '-')}"
             fn = click.option(
-                flag, default=None, type=_CLICK_TYPES[type(field.default)],
+                flag, default=None, type=type(field.default),
                 help=f"{section}.{field.name} (default {field.default!r})",
             )(fn)
     fn = click.option("--config", "config_file", default=None,
@@ -91,18 +89,10 @@ def resolve_config(config_file: str | None, seed: int, flags: dict) -> AnalysisC
         raise click.ClickException(f"bad configuration: {exc}")
 
 
-def _collect_flags(kwargs: dict) -> dict:
-    flags = {}
-    for section, cls in CONFIG_SECTIONS.items():
-        for field in dataclasses.fields(cls):
-            key = f"{section}_{field.name}"
-            if key in kwargs:
-                flags[key] = kwargs.pop(key)
-    return flags
-
-
 def _setup(kwargs: dict) -> tuple[AnalysisConfig, int]:
-    flags = _collect_flags(kwargs)
+    # config flags are named <section>_<field>
+    flags = {key: kwargs.pop(key) for key in list(kwargs)
+             if key.partition("_")[0] in CONFIG_SECTIONS}
     config_file = kwargs.pop("config_file")
     seed = kwargs.pop("seed")
     print_config = kwargs.pop("print_config")
@@ -114,12 +104,12 @@ def _setup(kwargs: dict) -> tuple[AnalysisConfig, int]:
     return cfg, seed
 
 
-def _analyze(buf, estimators, methods, cfg: AnalysisConfig) -> dict:
-    """``analyze_utterance``, reporting errors that depend on the input (too
-    short for one frame, a hop that rounds to 0 samples at its rate) as CLI
-    errors rather than tracebacks."""
+@contextlib.contextmanager
+def _input_errors():
+    """Report a ValueError raised on what the user supplied (too short an
+    input, a bad synth option) as an ``Error:`` line, not a traceback."""
     try:
-        return analyze_utterance(buf, estimators, methods, cfg)
+        yield
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
@@ -169,7 +159,8 @@ def track(audio, estimator, use_pro, output, **kwargs):
     cfg, _ = _setup(kwargs)
     buf = load_wav(audio)
     method = "pro" if use_pro else "raw"
-    result = _analyze(buf, [estimator], [method], cfg)[(estimator, method)]
+    with _input_errors():
+        result = analyze_utterance(buf, [estimator], [method], cfg)[(estimator, method)]
     if output is None:
         stem = os.path.splitext(os.path.basename(audio))[0]
         output = _default_out(f"{stem}_{estimator}_{method}.csv")
@@ -210,7 +201,8 @@ def separate(audio, output, **kwargs):
     cfg, _ = _setup(kwargs)
     buf = load_wav(audio)
     # regions come from the modes alone; the estimator only names the result key
-    result = _analyze(buf, ["pefac"], ["pro"], cfg)
+    with _input_errors():
+        result = analyze_utterance(buf, ["pefac"], ["pro"], cfg)
     regions = result[("pefac", "pro")].regions
     if output is None:
         stem = os.path.splitext(os.path.basename(audio))[0]
@@ -255,10 +247,8 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
     cfg, seed = _setup(kwargs)
     est_list = [e.strip() for e in estimators.split(",") if e.strip()]
     meth_list = [m.strip() for m in methods.split(",") if m.strip()]
-    try:
+    with _input_errors():
         check_keys(est_list, meth_list)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
     corpus = load_manifest(manifest)
     noise_files = sorted(f for f in os.listdir(noise_dir) if f.endswith(".wav"))
     if not noise_files:
@@ -309,10 +299,11 @@ def synth(out_dir, count, duration_ms, sample_rate, low_fraction, noises, seed):
     """Generate a synthetic corpus (WAVs + reference F0 + manifest)."""
     if out_dir is None:
         out_dir = _default_out("corpus")
-    manifest = generate_corpus(out_dir, count=count, seed=seed,
-                               duration_ms=duration_ms,
-                               sample_rate_hz=sample_rate,
-                               low_fraction=low_fraction)
+    with _input_errors():
+        manifest = generate_corpus(out_dir, count=count, seed=seed,
+                                   duration_ms=duration_ms,
+                                   sample_rate_hz=sample_rate,
+                                   low_fraction=low_fraction)
     click.echo(f"manifest written to {manifest}")
     if noises:
         noise_dir = os.path.join(out_dir, "noises")

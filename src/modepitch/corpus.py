@@ -40,6 +40,8 @@ class SynthUtteranceSpec:
         times = [float(t) for t, _ in self.f0_contour]
         if not all(b > a for a, b in zip(times, times[1:])):
             raise ValueError(f"contour knot times must strictly increase, got {times}")
+        if self.sample_rate_hz < 1:
+            raise ValueError(f"sample_rate_hz must be at least 1, got {self.sample_rate_hz}")
         if not 0.0 <= self.jitter_pct <= 30.0:
             raise ValueError(f"jitter_pct must lie in [0, 30], got {self.jitter_pct}")
         if len(self.formant_set) != 3:
@@ -137,6 +139,10 @@ NOISE_KINDS = ("white", "pink", "babble", "hum", "bursts", "shaped")
 def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
                ) -> SampleBuffer:
     """Deterministic synthetic noise of the named kind, unit RMS."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if sample_rate_hz < 1:
+        raise ValueError(f"sample_rate_hz must be at least 1, got {sample_rate_hz}")
     rng = np.random.default_rng(seed)
     fs = sample_rate_hz
     if kind == "white":
@@ -274,6 +280,10 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
     Half the contours (by low_fraction) stay at or below 200 Hz, the rest
     above, so separation experiments see both regions.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if not 0.0 <= low_fraction <= 1.0:
+        raise ValueError(f"low_fraction must lie in [0, 1], got {low_fraction}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     entries = []

@@ -7,6 +7,7 @@ suppresses mode mixing at the cost of a small reconstruction residue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -16,18 +17,19 @@ from .audio import SampleBuffer, save_wav_multichannel
 
 @dataclass(frozen=True)
 class EmdConfig:
+    """The sift stop rule is fixed. Its constants are class attributes, not
+    module constants: perfbench and tests read them as cfg.<name>."""
+
     max_imfs: int = 8
-    sift_stop_sd: float = 0.2          # Cauchy-type sum((h_prev-h_new)^2)/sum(h_prev^2)
-    max_sift_iters: int = 50
     ensemble_size: int = 100
     wgn_std_ratio: float = 0.2         # noise std as a fraction of signal std
     rng_seed: int = 0
+    sift_stop_sd: ClassVar[float] = 0.2  # Cauchy-type sum((h_prev-h_new)^2)/sum(h_prev^2)
+    max_sift_iters: ClassVar[int] = 50
 
     def __post_init__(self):
-        if self.max_imfs <= 0 or self.max_sift_iters <= 0 or self.ensemble_size <= 0:
+        if self.max_imfs <= 0 or self.ensemble_size <= 0:
             raise ValueError("integer EmdConfig fields must be strictly positive")
-        if self.sift_stop_sd <= 0:
-            raise ValueError("sift_stop_sd must be strictly positive")
         if self.wgn_std_ratio < 0:
             raise ValueError("wgn_std_ratio must be non-negative")
 

@@ -8,7 +8,8 @@ front end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,24 +29,24 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """Search floor and HHT mode count. The published constants are class
+    attributes, not module constants: perfbench and tests read cfg.<name>."""
+
     f_min: float = 50.0
-    f_max: float = 400.0               # search ceiling for pefac/shr/hht
-    swipe_f_max: float = 500.0         # swipe searches [f_min, 500] Hz
-    shr_threshold: float = 0.4
-    shr_max_harmonics: int = 8
-    swipe_bins_per_octave: int = 48
-    swipe_num_peaks: int = 5
-    pefac_num_harmonics: int = 10
-    pefac_compression: float = 0.5
-    bins_per_octave: int = 48
     hht_num_imfs: int = 3
-    window: str = "hann"
+    f_max: ClassVar[float] = 400.0     # search ceiling for pefac/shr/hht
+    swipe_f_max: ClassVar[float] = 500.0  # swipe searches [f_min, 500] Hz
+    shr_threshold: ClassVar[float] = 0.4
+    shr_max_harmonics: ClassVar[int] = 8
+    swipe_bins_per_octave: ClassVar[int] = 48
+    swipe_num_peaks: ClassVar[int] = 5
+    pefac_num_harmonics: ClassVar[int] = 10
+    pefac_compression: ClassVar[float] = 0.5
+    bins_per_octave: ClassVar[int] = 48
 
     def __post_init__(self):
         if not 0 < self.f_min < self.f_max:
-            raise ValueError("need 0 < f_min < f_max")
-        if self.swipe_f_max <= self.f_min:
-            raise ValueError("swipe_f_max must exceed f_min")
+            raise ValueError(f"f_min must lie in (0, {self.f_max}) Hz, got {self.f_min}")
         if self.hht_num_imfs < 1:
             raise ValueError("hht_num_imfs must be at least 1")
 
@@ -68,14 +69,14 @@ CANDIDATE = np.dtype([("f0_hz", np.float64), ("salience", np.float64)])
 
 
 def _frame_spectrum(frame, cfg: EstimatorConfig, spectrum) -> Spectrum:
-    """Validate the frame, zero-pad it to next_pow2(4n) and take its spectrum
-    with `spectrum` (power_spectrum or magnitude_spectrum)."""
+    """Validate the frame, zero-pad it to next_pow2(4n) and take its Hann-windowed
+    spectrum with `spectrum` (power_spectrum or magnitude_spectrum)."""
     x = np.asarray(frame.samples, dtype=np.float64)
     fs = frame.sample_rate_hz
     cfg.check_frame(x.size / fs)
     if not np.any(x):
         raise ValueError("degenerate frame (all zeros)")
-    return spectrum(x, fs, next_pow2(4 * x.size), window=cfg.window)
+    return spectrum(x, fs, next_pow2(4 * x.size))
 
 
 def _log_spectrum(spec: Spectrum, cfg: EstimatorConfig,
@@ -173,9 +174,7 @@ def pefac_scores(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorCo
     """
     logspec = _log_spectrum(_frame_spectrum(frame, cfg, power_spectrum), cfg,
                             cfg.pefac_num_harmonics)
-    compressed = LogSpectrum(values=logspec.values ** cfg.pefac_compression,
-                             log2_f_start=logspec.log2_f_start,
-                             step_log2=logspec.step_log2)
+    compressed = replace(logspec, values=logspec.values ** cfg.pefac_compression)
     cands = _candidate_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
     return cands, harmonic_summation_scores(compressed, cands,
                                             cfg.pefac_num_harmonics)

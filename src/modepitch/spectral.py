@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_BINS_PER_OCTAVE = 48
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -136,7 +134,7 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def to_log_frequency(s: Spectrum, f_lo: float, f_hi: float,
-                     bins_per_octave: int = DEFAULT_BINS_PER_OCTAVE) -> LogSpectrum:
+                     bins_per_octave: int) -> LogSpectrum:
     """Resample a linear-frequency spectrum onto a base-2 log grid by
     linear interpolation."""
     if not 0 < f_lo < f_hi:

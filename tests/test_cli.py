@@ -10,6 +10,9 @@ from conftest import FS, glottal_pulse_train
 from modepitch.audio import SampleBuffer, save_wav
 from modepitch.cli import CONFIG_SECTIONS, DEFAULT_SNRS, main
 from modepitch.corpus import generate_corpus, write_noise_set
+from modepitch.emd import EmdConfig
+from modepitch.estimators import EstimatorConfig
+from modepitch.vad import VadConfig
 
 
 @pytest.fixture
@@ -60,6 +63,29 @@ class TestHelpDocSync:
                 for field in dataclasses.fields(cls):
                     flag = f"--{section}-{field.name.replace('_', '-')}"
                     assert flag in result.output, f"{flag} missing from {command}"
+
+    def test_settable_fields_and_fixed_constants(self):
+        # twelve settable knobs; every other estimator, sift and VAD value is a
+        # class constant holding its published default, readable as cfg.<name>
+        assert {section: [f.name for f in dataclasses.fields(cls)]
+                for section, cls in CONFIG_SECTIONS.items()} == {
+            "frame": ["frame_len_ms", "hop_ms"],
+            "emd": ["max_imfs", "ensemble_size", "wgn_std_ratio", "rng_seed"],
+            "estimator": ["f_min", "hht_num_imfs"],
+            "pro": ["gamma_hz", "k_imfs"],
+            "vad": ["frame_ms", "hangover_frames"]}
+        constants = {
+            EmdConfig: {"sift_stop_sd": 0.2, "max_sift_iters": 50},
+            EstimatorConfig: {
+                "f_max": 400.0, "swipe_f_max": 500.0, "shr_threshold": 0.4,
+                "shr_max_harmonics": 8, "swipe_bins_per_octave": 48,
+                "swipe_num_peaks": 5, "pefac_num_harmonics": 10,
+                "pefac_compression": 0.5, "bins_per_octave": 48},
+            VadConfig: {"zcr_max": 0.48, "energy_min_ratio": 0.1}}
+        for cls, values in constants.items():
+            for name, value in values.items():
+                assert getattr(cls, name) == getattr(cls(), name) == value
+        assert not hasattr(EstimatorConfig, "window")
 
     def test_default_snr_grid(self, runner):
         assert DEFAULT_SNRS == (-15.0, -10.0, -5.0, 0.0, 5.0)
@@ -203,8 +229,17 @@ class TestTrack:
         assert_click_error(result, "hop_ms=0.05 rounds to 0 samples at 8000 Hz")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--frame-window", "rectangular"),
-                                            ("--vad-hop-ms", "20")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--frame-window", "rectangular"), ("--vad-hop-ms", "20"),
+        ("--emd-sift-stop-sd", "0.2"), ("--emd-max-sift-iters", "50"),
+        ("--estimator-f-max", "400"), ("--estimator-swipe-f-max", "500"),
+        ("--estimator-shr-threshold", "0.4"), ("--estimator-shr-max-harmonics", "8"),
+        ("--estimator-swipe-bins-per-octave", "48"),
+        ("--estimator-swipe-num-peaks", "5"),
+        ("--estimator-pefac-num-harmonics", "10"),
+        ("--estimator-pefac-compression", "0.5"),
+        ("--estimator-bins-per-octave", "48"), ("--estimator-window", "hann"),
+        ("--vad-zcr-max", "0.48"), ("--vad-energy-min-ratio", "0.1")])
     def test_removed_flag_usage_error(self, runner, vowel_wav, tmp_path, flag, value):
         result = runner.invoke(main, [
             "track", vowel_wav, "--estimator", "shr", "-o", str(tmp_path / "t.csv"),
@@ -212,8 +247,17 @@ class TestTrack:
         assert result.exit_code == 2
         assert flag in result.output
 
-    @pytest.mark.parametrize("section,name,value", [("frame", "window", "rectangular"),
-                                                    ("vad", "hop_ms", 20.0)])
+    @pytest.mark.parametrize("section,name,value", [
+        ("frame", "window", "rectangular"), ("vad", "hop_ms", 20.0),
+        ("emd", "sift_stop_sd", 0.2), ("emd", "max_sift_iters", 50),
+        ("estimator", "f_max", 400.0), ("estimator", "swipe_f_max", 500.0),
+        ("estimator", "shr_threshold", 0.4), ("estimator", "shr_max_harmonics", 8),
+        ("estimator", "swipe_bins_per_octave", 48),
+        ("estimator", "swipe_num_peaks", 5),
+        ("estimator", "pefac_num_harmonics", 10),
+        ("estimator", "pefac_compression", 0.5),
+        ("estimator", "bins_per_octave", 48), ("estimator", "window", "hann"),
+        ("vad", "zcr_max", 0.48), ("vad", "energy_min_ratio", 0.1)])
     def test_config_file_naming_removed_field_rejected(self, runner, vowel_wav,
                                                        tmp_path, section, name, value):
         cfg_path = tmp_path / "cfg.json"
@@ -288,6 +332,20 @@ class TestSynthAndBench:
         assert os.path.exists(os.path.join(out_dir, "manifest.txt"))
         noise_dir = os.path.join(out_dir, "noises")
         assert len([f for f in os.listdir(noise_dir) if f.endswith(".wav")]) == 6
+
+    @pytest.mark.parametrize("args,message", [
+        (["--duration-ms", "100"], "duration_ms must be at least 200 ms"),
+        (["--sample-rate", "0"], "sample_rate_hz must be at least 1, got 0"),
+        (["--sample-rate", "-8000"], "sample_rate_hz must be at least 1, got -8000"),
+        (["--count", "0"], "count must be at least 1, got 0"),
+        (["--count", "-2"], "count must be at least 1, got -2"),
+        (["--low-fraction", "2"], "low_fraction must lie in [0, 1], got 2.0"),
+        (["--low-fraction", "-1"], "low_fraction must lie in [0, 1], got -1.0")])
+    def test_bad_synth_option_is_click_error(self, runner, tmp_path, args, message):
+        out_dir = tmp_path / "corpus"
+        result = runner.invoke(main, ["synth", "--out-dir", str(out_dir), *args])
+        assert_click_error(result, message)
+        assert not (out_dir / "manifest.txt").exists()
 
     def test_bench_runs_and_is_deterministic(self, runner, tmp_path):
         corpus_dir = tmp_path / "corpus"

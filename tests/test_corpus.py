@@ -235,6 +235,20 @@ class TestNoise:
         assert np.array_equal(a.samples, b.samples)
         assert np.sqrt(np.mean(a.samples ** 2)) == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_sample_count_and_rate_bounds(self, kind):
+        # rejected before any work, so no empty-slice warning or FFT error
+        with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+            make_noise(kind, 0, FS)
+        with pytest.raises(ValueError, match="n_samples must be at least 1, got -5"):
+            make_noise(kind, -5, FS)
+        with pytest.raises(ValueError, match="sample_rate_hz must be at least 1, got 0"):
+            make_noise(kind, 8000, 0)
+        with pytest.raises(ValueError, match="sample_rate_hz must be at least 1, got -1"):
+            make_noise(kind, 8000, -1)
+        assert np.abs(make_noise(kind, 1, FS).samples).tolist() == [1.0]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown noise"):
             make_noise("ocean", 1000, FS)

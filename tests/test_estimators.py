@@ -385,5 +385,10 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="hht_num_imfs"):
             EstimatorConfig(hht_num_imfs=n)
 
+    @pytest.mark.parametrize("f_min", [0.0, -5.0, 400.0, 450.0])
+    def test_f_min_outside_search_range_rejected(self, f_min):
+        with pytest.raises(ValueError, match=r"f_min must lie in \(0, 400.0\) Hz"):
+            EstimatorConfig(f_min=f_min)
+
     def test_one_hht_mode_accepted(self):
         assert EstimatorConfig(hht_num_imfs=1).hht_num_imfs == 1

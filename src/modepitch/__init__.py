@@ -5,7 +5,6 @@ from .audio import (
     FrameSpec,
     NoisyMix,
     SampleBuffer,
-    frame_signal,
     load_wav,
     measured_snr_db,
     mix_at_snr,

@@ -212,10 +212,3 @@ def measured_snr_db(mixed: SampleBuffer, clean: SampleBuffer) -> float:
         return math.inf
     return 10.0 * math.log10(p_clean / p_noise)
 
-
-def frame_signal(buf: SampleBuffer, spec: FrameSpec) -> list[Frame]:
-    """One Frame per row of spec.frames: overlapping raw (unwindowed) slices,
-    the last partial frame dropped. The estimators apply a Hann window."""
-    fs, hop = buf.sample_rate_hz, spec.hop(buf.sample_rate_hz)
-    return [Frame(samples=row, sample_rate_hz=fs, start_ms=1000.0 * (i * hop) / fs)
-            for i, row in enumerate(spec.frames(buf.samples, fs))]

@@ -16,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from .audio import FrameSpec, NoisyMix, load_wav, mix_at_snr, save_wav
+from .audio import FrameSpec, load_wav, mix_at_snr, save_wav
 from .corpus import (
     NOISE_KINDS,
     generate_corpus,
@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .emd import EmdConfig, eemd_decompose, mode_energies, write_imf_wav
 from .estimators import EstimatorConfig
-from .evaluation import mix_seed, noise_at_rates, run_benchmark, write_report_csv
+from .evaluation import mix_cells, run_benchmark, write_report_csv
 from .separation import AnalysisConfig, ProConfig, analyze_utterance, check_keys
 from .vad import VadConfig
 
@@ -261,16 +261,10 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
         seed=seed, gate=gate, jobs=jobs)
     if dump_mixes:
         os.makedirs(dump_mixes, exist_ok=True)
-        for n_i, (noise_name, noise_buf) in enumerate(noises):
-            at_rate = noise_at_rates(noise_buf, corpus)
-            for s_i, snr in enumerate(snr_list):
-                for u_i, item in enumerate(corpus):
-                    mixed = mix_at_snr(NoisyMix(
-                        clean=item.audio, noise=at_rate[item.audio.sample_rate_hz],
-                        snr_db=snr,
-                        seed=mix_seed(seed, n_i, s_i, u_i)))
-                    name = f"{item.name}_{noise_name}_{snr:g}dB.wav"
-                    save_wav(os.path.join(dump_mixes, name), mixed)
+        for noise_name, snr, mixes in mix_cells(corpus, noises, snr_list, seed):
+            for item, mix in zip(corpus, mixes):
+                name = f"{item.name}_{noise_name}_{snr:g}dB.wav"
+                save_wav(os.path.join(dump_mixes, name), mix_at_snr(mix))
         click.echo(f"mixed signals written to {dump_mixes}")
     if output is None:
         output = _default_out("bench_report.csv")

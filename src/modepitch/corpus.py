@@ -134,6 +134,9 @@ def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec(
 # ---------------------------------------------------------------------------
 
 NOISE_KINDS = ("white", "pink", "babble", "hum", "bursts", "shaped")
+# the lowest rate every kind supports: babble's voices are synthesized on the
+# 10 ms analysis hop, which rounds to 0 samples at 50 Hz and below
+MIN_NOISE_RATE_HZ = 51
 
 
 def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
@@ -141,8 +144,9 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
     """Deterministic synthetic noise of the named kind, unit RMS."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if sample_rate_hz < 1:
-        raise ValueError(f"sample_rate_hz must be at least 1, got {sample_rate_hz}")
+    if sample_rate_hz < MIN_NOISE_RATE_HZ:
+        raise ValueError(f"noise sample_rate_hz must be at least {MIN_NOISE_RATE_HZ} Hz, "
+                         f"got {sample_rate_hz}")
     rng = np.random.default_rng(seed)
     fs = sample_rate_hz
     if kind == "white":
@@ -284,20 +288,17 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0.0 <= low_fraction <= 1.0:
         raise ValueError(f"low_fraction must lie in [0, 1], got {low_fraction}")
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    entries = []
+    specs = []
     n_low = int(round(count * low_fraction))
     for i in range(count):
-        low = i < n_low
-        if low:
+        if i < n_low:
             base = float(rng.uniform(90, 170))
-            span = float(rng.uniform(0.85, 1.15))
             lo_bound, hi_bound = 55.0, 195.0
         else:
             base = float(rng.uniform(230, 340))
-            span = float(rng.uniform(0.85, 1.15))
             lo_bound, hi_bound = 210.0, 395.0
+        span = float(rng.uniform(0.85, 1.15))
         knots = tuple(
             (t, float(np.clip(base * span ** k, lo_bound, hi_bound)))
             for k, t in enumerate(np.linspace(0, duration_ms, 4))
@@ -306,18 +307,20 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
             (float(rng.uniform(lo, hi)), float(rng.uniform(80, 180)))
             for lo, hi in ((450, 900), (1000, 1900), (2100, 3100))
         )
-        spec = SynthUtteranceSpec(
+        specs.append(SynthUtteranceSpec(
             f0_contour=knots, duration_ms=duration_ms, formant_set=formants,
             jitter_pct=0.5, rng_seed=int(rng.integers(0, 2 ** 31)),
             sample_rate_hz=sample_rate_hz,
-        )
+        ))
+    frame.hop(sample_rate_hz)  # rejects a rate the reference grid cannot sample
+    os.makedirs(out_dir, exist_ok=True)  # only once every option has passed
+    entries = []
+    for i, spec in enumerate(specs):
         audio, truth = synthesize_utterance(spec, frame)
-        tag = "low" if low else "high"
-        wav_name = f"utt_{i:03d}_{tag}.wav"
-        ref_name = f"utt_{i:03d}_{tag}.f0"
-        save_wav(os.path.join(out_dir, wav_name), audio)
-        write_reference(os.path.join(out_dir, ref_name), truth)
-        entries.append((wav_name, ref_name))
+        stem = f"utt_{i:03d}_{'low' if i < n_low else 'high'}"
+        save_wav(os.path.join(out_dir, f"{stem}.wav"), audio)
+        write_reference(os.path.join(out_dir, f"{stem}.f0"), truth)
+        entries.append((f"{stem}.wav", f"{stem}.f0"))
     manifest_path = os.path.join(out_dir, "manifest.txt")
     write_manifest(manifest_path, entries)
     return manifest_path

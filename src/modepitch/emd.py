@@ -36,26 +36,31 @@ class EmdConfig:
 
 @dataclass(frozen=True)
 class ImfSet:
-    """Ordered oscillatory modes (fastest first) plus the leftover trend."""
+    """Ordered oscillatory modes (fastest first) as the rows of one
+    (modes x samples) array, plus the leftover trend. Both are copied
+    read-only, so sets are safe to share between concurrent workers."""
 
-    imfs: list[SampleBuffer]
-    residual: SampleBuffer
-    source_len: int
+    modes: np.ndarray
+    residual: np.ndarray
+    sample_rate_hz: int
 
     def __post_init__(self):
-        for imf in self.imfs:
-            if len(imf) != self.source_len:
-                raise ValueError("every mode must match source_len")
-        if len(self.residual) != self.source_len:
-            raise ValueError("residual must match source_len")
+        modes = np.array(self.modes, dtype=np.float64)
+        residual = np.array(self.residual, dtype=np.float64)
+        if residual.ndim != 1 or modes.ndim != 2 or modes.shape[1] != residual.size:
+            raise ValueError("modes must be 2-D with rows as long as the 1-D residual")
+        modes.setflags(write=False)
+        residual.setflags(write=False)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "residual", residual)
 
     def __len__(self) -> int:
-        return len(self.imfs)
+        return len(self.modes)
 
     def reconstruct(self) -> np.ndarray:
-        total = self.residual.samples.copy()
-        for imf in self.imfs:
-            total += imf.samples
+        total = self.residual.copy()
+        for mode in self.modes:
+            total += mode
         return total
 
 
@@ -177,12 +182,8 @@ def emd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     residual.
     """
     modes, remainder = _emd_raw(x.samples.astype(np.float64), cfg)
-    rate = x.sample_rate_hz
-    return ImfSet(
-        imfs=[SampleBuffer(m, rate) for m in modes],
-        residual=SampleBuffer(remainder, rate),
-        source_len=len(x),
-    )
+    return ImfSet(np.reshape(modes, (len(modes), remainder.size)), remainder,
+                  x.sample_rate_hz)
 
 
 def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
@@ -217,19 +218,15 @@ def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
         residual_sum += remainder
         max_modes = max(max_modes, len(modes))
 
-    rate = x.sample_rate_hz
     scale = 1.0 / cfg.ensemble_size
-    imfs = [SampleBuffer(mode_sums[k] * scale, rate) for k in range(max_modes)]
-    residual = SampleBuffer(residual_sum * scale, rate)
-    return ImfSet(imfs=imfs, residual=residual, source_len=n)
+    return ImfSet(mode_sums[:max_modes] * scale, residual_sum * scale, x.sample_rate_hz)
 
 
 def write_imf_wav(path, imfset: ImfSet) -> None:
     """Debug dump: one 32-bit float channel per mode, residual last."""
-    channels = [m.samples for m in imfset.imfs] + [imfset.residual.samples]
-    save_wav_multichannel(path, channels, imfset.residual.sample_rate_hz)
+    save_wav_multichannel(path, [*imfset.modes, imfset.residual], imfset.sample_rate_hz)
 
 
 def mode_energies(imfset: ImfSet) -> list[float]:
     """Mean-square energy per mode, residual excluded."""
-    return [float(np.mean(m.samples ** 2)) for m in imfset.imfs]
+    return [float(np.mean(mode ** 2)) for mode in imfset.modes]

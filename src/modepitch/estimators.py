@@ -144,7 +144,8 @@ def _log_reader(logspec: LogSpectrum):
 # ---------------------------------------------------------------------------
 
 def harmonic_summation_scores(logspec: LogSpectrum, cand_hz: np.ndarray,
-                              num_harmonics: int = 10) -> np.ndarray:
+                              num_harmonics: int = EstimatorConfig.pefac_num_harmonics
+                              ) -> np.ndarray:
     """Comb-filter response at each candidate F0.
 
     The filter places impulses of weight w_h = 1/sqrt(h) at log2(h) for
@@ -194,7 +195,7 @@ def pefac_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = Estimator
 # ---------------------------------------------------------------------------
 
 def subharmonic_ratio_curves(logspec: LogSpectrum, cand_hz: np.ndarray,
-                             max_harmonics: int = 8
+                             max_harmonics: int = EstimatorConfig.shr_max_harmonics
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Harmonic sum SH(F0) and subharmonic sum SS(F0) per candidate.
 
@@ -232,7 +233,8 @@ def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorCo
 # SWIPE: average peak-to-valley distance of a harmonic comb
 # ---------------------------------------------------------------------------
 
-def swipe_apvd(spec: Spectrum, cand_hz: np.ndarray, num_peaks: int = 5) -> np.ndarray:
+def swipe_apvd(spec: Spectrum, cand_hz: np.ndarray,
+               num_peaks: int = EstimatorConfig.swipe_num_peaks) -> np.ndarray:
     """Average peak-to-valley distance D(f) per candidate.
 
     d_n(f) = |X(nf)| - ([|X((n-1/2)f)| + |X((n+1/2)f)|]) / 2, averaged over
@@ -290,14 +292,14 @@ def hht_candidates(imfs: ImfSet, cfg: EstimatorConfig = EstimatorConfig(),
         raise ValueError(
             f"need {cfg.hht_num_imfs} modes for candidate extraction, "
             f"got {len(imfs)}")
-    fs = imfs.residual.sample_rate_hz
+    fs = imfs.sample_rate_hz
     tau_min = int(math.ceil(fs / cfg.f_max))
     tau_max = int(math.floor(fs / cfg.f_min))
     max_lag = min(tau_max + 1, frame.frame_len(fs) - 1)
-    out = np.full((frame.num_frames(imfs.source_len, fs), cfg.hht_num_imfs),
+    out = np.full((frame.num_frames(imfs.residual.size, fs), cfg.hht_num_imfs),
                   np.nan, CANDIDATE)
     for k in range(cfg.hht_num_imfs):
-        for i, w in enumerate(frame.frames(envelope(imfs.imfs[k].samples), fs)):
+        for i, w in enumerate(frame.frames(envelope(imfs.modes[k]), fs)):
             mean = w.mean()
             w = w - mean
             # an unmodulated envelope carries no pitch cue; the depth floor

@@ -9,7 +9,13 @@ import numpy as np
 
 from .audio import NoisyMix, SampleBuffer, mix_at_snr, resample
 from .corpus import CorpusItem
-from .separation import AnalysisConfig, FrequencyRegion, analyze_utterance, check_keys
+from .separation import (
+    AnalysisConfig,
+    FrequencyRegion,
+    ProConfig,
+    analyze_utterance,
+    check_keys,
+)
 from .track import FramePitchTrack, has_estimate, tracks_aligned
 
 GE_DEVIATION_THRESHOLD = 0.20
@@ -99,7 +105,7 @@ def mean_absolute_error(est: FramePitchTrack, ref: FramePitchTrack) -> float:
 
 
 def separation_error(pred_regions: list[FrequencyRegion], ref: FramePitchTrack,
-                     gamma_hz: float = 200.0) -> float:
+                     gamma_hz: float = ProConfig.gamma_hz) -> float:
     """Percent of voiced frames whose predicted region disagrees with the
     region implied by the reference F0 (reference at gamma counts as low)."""
     scored = 0
@@ -123,8 +129,7 @@ def separation_error(pred_regions: list[FrequencyRegion], ref: FramePitchTrack,
 # ---------------------------------------------------------------------------
 
 def mix_seed(base_seed: int, noise_idx: int, snr_idx: int, utt_idx: int) -> int:
-    """Deterministic per-utterance mixing seed; also used by the CLI when
-    materializing the mixed signals it benchmarks."""
+    """Deterministic per-utterance mixing seed."""
     seq = np.random.SeedSequence((base_seed, noise_idx, snr_idx, utt_idx))
     return int(seq.generate_state(1)[0])
 
@@ -137,16 +142,29 @@ def noise_at_rates(noise: SampleBuffer, corpus: list[CorpusItem]
             for rate in {item.audio.sample_rate_hz for item in corpus}}
 
 
+def mix_cells(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer]],
+              snrs: list[float], seed: int = 0):
+    """(noise name, snr, one NoisyMix per corpus item) per cell, noise-major.
+    Each noise is resampled once per corpus rate, not once per mix, and the
+    mixing seeds derive from (seed, noise, snr, utterance) indices only."""
+    for n_i, (noise_name, noise_buf) in enumerate(noises):
+        at_rate = noise_at_rates(noise_buf, corpus)
+        for s_i, snr in enumerate(snrs):
+            yield noise_name, snr, [
+                NoisyMix(clean=item.audio, noise=at_rate[item.audio.sample_rate_hz],
+                         snr_db=snr, seed=mix_seed(seed, n_i, s_i, u_i))
+                for u_i, item in enumerate(corpus)]
+
+
 def _bench_utterance(args):
     """One utterance under one (noise, snr): mix, analyze, score all keys.
 
     Module-level so a process pool can pickle it. Returns
     {key: (ge, mae, sep, frames)}, or an error string if any step raised.
     """
-    (item, noise, snr_db, estimators, methods, cfg, seed, gate, gamma) = args
+    (item, mix, estimators, methods, cfg, gate) = args
     try:
-        mixed = mix_at_snr(NoisyMix(clean=item.audio, noise=noise,
-                                    snr_db=snr_db, seed=seed))
+        mixed = mix_at_snr(mix)
         analysis = analyze_utterance(mixed, estimators, methods, cfg)
         scores = {}
         for key, result in analysis.items():
@@ -155,7 +173,7 @@ def _bench_utterance(args):
                 if (result.track.estimated_mask() & item.truth.voiced_mask).any() \
                 else math.nan
             if key[1] == "pro" and result.regions:
-                sep = separation_error(result.regions, item.truth, gamma)
+                sep = separation_error(result.regions, item.truth, cfg.pro.gamma_hz)
             else:
                 sep = math.nan
             frames = int(item.truth.voiced_mask.sum())
@@ -178,54 +196,44 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     failed utterance is recorded once per estimator/method key, with its
     reason prefixed by the corpus item name; a cell with no successful
     utterance is left out of the reports. Unknown estimator or method names
-    raise before anything is mixed. Each noise is resampled once to each
-    corpus sample rate, not once per mix. Deterministic for a fixed seed:
-    mixing seeds derive from (seed, noise, snr, utterance) indices only.
+    raise before anything is mixed. The mixes are those of `mix_cells`, so
+    the result is deterministic for a fixed seed.
     """
     if not corpus or not noises or not snrs or not estimators or not methods:
         raise ValueError("benchmark grids must be non-empty")
     check_keys(estimators, methods)
-    gamma = cfg.pro.gamma_hz
     reports: list[EvalReport] = []
     failures: list[BenchFailure] = []
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        for n_i, (noise_name, noise_buf) in enumerate(noises):
-            at_rate = noise_at_rates(noise_buf, corpus)
-            for s_i, snr in enumerate(snrs):
-                tasks = [
-                    (item, at_rate[item.audio.sample_rate_hz], snr, estimators,
-                     methods, cfg,
-                     mix_seed(seed, n_i, s_i, u_i), gate, gamma)
-                    for u_i, item in enumerate(corpus)
-                ]
-                if pool is not None:
-                    outcomes = list(pool.map(_bench_utterance, tasks))
-                else:
-                    outcomes = [_bench_utterance(t) for t in tasks]
-                utt_errors = [f"{item.name}: {o}" for item, o in zip(corpus, outcomes)
-                              if isinstance(o, str)]
-                per_utt = [o for o in outcomes if not isinstance(o, str)]
-                for est in estimators:
-                    for meth in methods:
-                        failures += [BenchFailure(noise_name, snr, est, meth, reason)
-                                     for reason in utt_errors]
-                        cell = [u[(est, meth)] for u in per_utt]
-                        if not cell:
-                            continue
-                        ges = [c[0] for c in cell]
-                        maes = [c[1] for c in cell if not math.isnan(c[1])]
-                        seps = [c[2] for c in cell if not math.isnan(c[2])]
-                        frames = sum(c[3] for c in cell)
-                        reports.append(EvalReport(
-                            noise=noise_name, snr_db=snr, estimator=est,
-                            method=meth,
-                            ge_percent=float(np.mean(ges)),
-                            mae_hz=float(np.mean(maes)) if maes else math.nan,
-                            sep_error_percent=float(np.mean(seps)) if seps
-                            else math.nan,
-                            frames_scored=frames,
-                        ))
+        for noise_name, snr, mixes in mix_cells(corpus, noises, snrs, seed):
+            tasks = [(item, mix, estimators, methods, cfg, gate)
+                     for item, mix in zip(corpus, mixes)]
+            if pool is not None:
+                outcomes = list(pool.map(_bench_utterance, tasks))
+            else:
+                outcomes = [_bench_utterance(t) for t in tasks]
+            utt_errors = [f"{item.name}: {o}" for item, o in zip(corpus, outcomes)
+                          if isinstance(o, str)]
+            per_utt = [o for o in outcomes if not isinstance(o, str)]
+            for est in estimators:
+                for meth in methods:
+                    failures += [BenchFailure(noise_name, snr, est, meth, reason)
+                                 for reason in utt_errors]
+                    cell = [u[(est, meth)] for u in per_utt]
+                    if not cell:
+                        continue
+                    ges = [c[0] for c in cell]
+                    maes = [c[1] for c in cell if not math.isnan(c[1])]
+                    seps = [c[2] for c in cell if not math.isnan(c[2])]
+                    frames = sum(c[3] for c in cell)
+                    reports.append(EvalReport(
+                        noise=noise_name, snr_db=snr, estimator=est, method=meth,
+                        ge_percent=float(np.mean(ges)),
+                        mae_hz=float(np.mean(maes)) if maes else math.nan,
+                        sep_error_percent=float(np.mean(seps)) if seps else math.nan,
+                        frames_scored=frames,
+                    ))
     finally:
         if pool is not None:
             pool.shutdown()

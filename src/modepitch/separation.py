@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import Frame, FrameSpec, SampleBuffer, frame_signal
+from .audio import Frame, FrameSpec, SampleBuffer
 from .emd import EmdConfig, ImfSet, eemd_decompose
 from .estimators import (
     CANDIDATE,
@@ -193,15 +193,16 @@ def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
         raise ValueError(
             f"separation needs {cfg.k_imfs} modes, decomposition produced "
             f"{len(imfs)}")
+    fs = imfs.sample_rate_hz
     cands = _candidate_grid(est_cfg.f_min, est_cfg.f_max, est_cfg.bins_per_octave)
     per_mode = []
-    for mode in imfs.imfs[:cfg.k_imfs]:
-        frames = frame_signal(mode, spec)
+    for mode in imfs.modes[:cfg.k_imfs]:
+        frames = spec.frames(mode, fs)
         scores = np.full((len(frames), cands.size), -np.inf)
         valid = np.zeros(len(frames), dtype=bool)
-        for i, frame in enumerate(frames):
+        for i, row in enumerate(frames):
             try:
-                scores[i] = pefac_scores(frame, est_cfg)[1]
+                scores[i] = pefac_scores(Frame(row, fs, i * spec.hop_ms), est_cfg)[1]
                 valid[i] = True
             except ValueError:
                 pass
@@ -209,7 +210,8 @@ def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
     return np.column_stack(per_mode)
 
 
-def correct_candidate(f_cand: float, region: str, gamma_hz: float = 200.0) -> float:
+def correct_candidate(f_cand: float, region: str,
+                      gamma_hz: float = ProConfig.gamma_hz) -> float:
     """Fold a pitch candidate into its frame's frequency band.
 
     Low frames map onto [gamma/4, gamma]: identity there, halve on

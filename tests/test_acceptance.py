@@ -39,7 +39,7 @@ from modepitch.separation import (
     distance_matrix,
     select_imf_pair,
 )
-from modepitch.audio import FrameSpec, frame_signal
+from modepitch.audio import FrameSpec
 from modepitch.track import FramePitchTrack
 
 
@@ -259,7 +259,7 @@ def test_c7_estimator_sanity():
         spec = SynthUtteranceSpec(f0_contour=((0, f0_true), (600, f0_true)),
                                   duration_ms=600.0, jitter_pct=0.0, rng_seed=4)
         buf, _ = synthesize_utterance(spec)
-        frames = frame_signal(buf, FrameSpec())
+        frames = [SampleBuffer(row, FS) for row in FrameSpec().frames(buf.samples, FS)]
         for name in ("pefac", "shr", "swipe"):
             est = np.array([FRAME_ESTIMATORS[name](fr, cfg).f0_hz
                             for fr in frames])

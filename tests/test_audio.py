@@ -15,7 +15,6 @@ from modepitch.audio import (
     FrameSpec,
     NoisyMix,
     SampleBuffer,
-    frame_signal,
     load_wav,
     measured_snr_db,
     mix_at_snr,
@@ -184,40 +183,14 @@ class TestResample:
 
 class TestFrameSignal:
     def test_92_frames_for_one_second(self):
-        buf = SampleBuffer(np.ones(FS), FS)  # 1000 ms
-        frames = frame_signal(buf, FrameSpec(frame_len_ms=90, hop_ms=10))
+        frames = FrameSpec(frame_len_ms=90, hop_ms=10).frames(np.ones(FS), FS)  # 1000 ms
         assert len(frames) == 92  # floor((1000-90)/10)+1
 
     def test_exact_single_frame(self):
-        n = int(0.090 * FS)
-        frames = frame_signal(SampleBuffer(np.ones(n), FS),
-                              FrameSpec(frame_len_ms=90, hop_ms=10))
-        assert len(frames) == 1
-        assert frames[0].start_ms == 0.0
-
-    def test_too_short_rejected(self):
-        n = int(0.050 * FS)
-        with pytest.raises(ValueError, match="shorter"):
-            frame_signal(SampleBuffer(np.ones(n), FS),
-                         FrameSpec(frame_len_ms=90, hop_ms=10))
-
-    def test_start_times_follow_hop(self):
-        buf = SampleBuffer(np.arange(FS, dtype=float) / FS, FS)
-        frames = frame_signal(buf, FrameSpec(frame_len_ms=90, hop_ms=10))
-        starts = [f.start_ms for f in frames]
-        np.testing.assert_allclose(np.diff(starts), 10.0)
-        # frames are raw slices of the buffer
-        np.testing.assert_array_equal(frames[3].samples,
-                                      buf.samples[3 * 160:3 * 160 + 1440])
-
-    @settings(max_examples=80, deadline=None)
-    @given(n_ms=st.integers(min_value=90, max_value=3000))
-    def test_frame_count_formula(self, n_ms):
-        n = int(n_ms * FS / 1000)
-        spec = FrameSpec(frame_len_ms=90, hop_ms=10)
-        frames = frame_signal(SampleBuffer(np.zeros(n) + 0.1, FS), spec)
-        flen, hop = spec.frame_len(FS), spec.hop(FS)
-        assert len(frames) == (n - flen) // hop + 1
+        x = np.arange(int(0.090 * FS), dtype=np.float64)
+        frames = FrameSpec(frame_len_ms=90, hop_ms=10).frames(x, FS)
+        assert frames.shape == (1, x.size)
+        np.testing.assert_array_equal(frames[0], x)
 
     def test_hop_longer_than_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -257,7 +230,7 @@ class TestFrameSpecFrames:
                            match=f"{name}=0.05 rounds to 0 samples at 8000 Hz"):
             spec.num_frames(8000, 8000)
         with pytest.raises(ValueError, match="rounds to 0 samples"):
-            frame_signal(SampleBuffer(np.ones(8000), 8000), spec)
+            spec.frames(np.ones(8000), 8000)
 
 
 def _run_python(code: str) -> None:

@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import FS, glottal_pulse_train
-from modepitch.audio import SampleBuffer, save_wav
+from modepitch import evaluation
+from modepitch.audio import SampleBuffer, load_wav, save_wav
 from modepitch.cli import CONFIG_SECTIONS, DEFAULT_SNRS, main
 from modepitch.corpus import generate_corpus, write_noise_set
 from modepitch.emd import EmdConfig
@@ -340,12 +341,14 @@ class TestSynthAndBench:
         (["--count", "0"], "count must be at least 1, got 0"),
         (["--count", "-2"], "count must be at least 1, got -2"),
         (["--low-fraction", "2"], "low_fraction must lie in [0, 1], got 2.0"),
-        (["--low-fraction", "-1"], "low_fraction must lie in [0, 1], got -1.0")])
+        (["--low-fraction", "-1"], "low_fraction must lie in [0, 1], got -1.0"),
+        (["--sample-rate", "50"], "hop_ms=10.0 rounds to 0 samples at 50 Hz")])
     def test_bad_synth_option_is_click_error(self, runner, tmp_path, args, message):
+        # every option is checked before the corpus directory is made
         out_dir = tmp_path / "corpus"
         result = runner.invoke(main, ["synth", "--out-dir", str(out_dir), *args])
         assert_click_error(result, message)
-        assert not (out_dir / "manifest.txt").exists()
+        assert not out_dir.exists()
 
     def test_bench_runs_and_is_deterministic(self, runner, tmp_path):
         corpus_dir = tmp_path / "corpus"
@@ -381,19 +384,34 @@ class TestSynthAndBench:
         assert result.output.count("unknown estimator 'yin'") == 1
         assert not (tmp_path / "r.csv").exists()
 
-    def test_dump_mixes_materializes_wavs(self, runner, tmp_path):
-        manifest = generate_corpus(tmp_path / "c", count=1, seed=0,
+    def test_dump_mixes_materializes_wavs(self, runner, tmp_path, monkeypatch):
+        # each WAV holds the mix run_benchmark scored for its (noise, SNR,
+        # utterance): analyses run noise-major, then SNR, then utterance
+        manifest = generate_corpus(tmp_path / "c", count=2, seed=0,
                                    duration_ms=300.0)
         noise_dir = tmp_path / "n"
-        write_noise_set(noise_dir, kinds=("white",), duration_ms=800.0, seed=0)
+        write_noise_set(noise_dir, kinds=("pink", "white"), duration_ms=800.0, seed=0)
+        scored = []
+
+        def analyze(mixed, *args):
+            scored.append(mixed.samples)
+            return real_analyze(mixed, *args)
+        real_analyze = evaluation.analyze_utterance
+        monkeypatch.setattr(evaluation, "analyze_utterance", analyze)
         mixes = tmp_path / "mixes"
         result = runner.invoke(main, [
             "bench", "--manifest", manifest, "--noise-dir", str(noise_dir),
             "--snrs", "0,5", "--estimators", "shr", "--methods", "raw",
-            "--jobs", "1", "--dump-mixes", str(mixes),
+            "--jobs", "1", "--dump-mixes", str(mixes), "--seed", "4",
             "-o", str(tmp_path / "r.csv"), "--emd-ensemble-size", "2"])
         assert result.exit_code == 0, result.output
-        assert len(list(mixes.glob("*.wav"))) == 2
+        names = [f"utt_{u:03d}_{tag}_{noise}_{snr}dB.wav" for noise in ("pink", "white")
+                 for snr in (0, 5) for u, tag in enumerate(("low", "high"))]
+        assert sorted(p.name for p in mixes.glob("*.wav")) == sorted(names)
+        assert len(scored) == len(names)
+        for name, samples in zip(names, scored):
+            pcm = np.round(np.clip(samples, -1.0, 1.0) * 32767.0) / 32768.0
+            np.testing.assert_array_equal(load_wav(mixes / name).samples, pcm)
 
     def test_empty_manifest_fails_before_work(self, runner, tmp_path):
         manifest = tmp_path / "manifest.txt"

@@ -243,11 +243,16 @@ class TestNoise:
             make_noise(kind, 0, FS)
         with pytest.raises(ValueError, match="n_samples must be at least 1, got -5"):
             make_noise(kind, -5, FS)
-        with pytest.raises(ValueError, match="sample_rate_hz must be at least 1, got 0"):
-            make_noise(kind, 8000, 0)
-        with pytest.raises(ValueError, match="sample_rate_hz must be at least 1, got -1"):
-            make_noise(kind, 8000, -1)
+        # one floor for every kind: below it babble's 10 ms hop rounds to 0
+        # samples, and below 20 Hz bursts has no room for a burst width
+        assert corpus.MIN_NOISE_RATE_HZ == 51
+        for fs in (50, 19, 3, 0, -1):
+            with pytest.raises(ValueError, match="noise sample_rate_hz must be at "
+                                                 f"least 51 Hz, got {fs}$"):
+                make_noise(kind, 8000, fs)
         assert np.abs(make_noise(kind, 1, FS).samples).tolist() == [1.0]
+        for n in (1, 7, 3 * 51):  # the floor itself is accepted
+            assert len(make_noise(kind, n, 51, seed=2)) == n
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown noise"):

@@ -154,8 +154,8 @@ class TestDecompositionOracle:
         monkeypatch.setattr(emd, "_sift_one_imf", _sift_one_imf_oracle)
         slow = decompose(buf, cfg)
         assert len(fast) == len(slow) >= 3
-        for mf, ms in zip(fast.imfs + [fast.residual], slow.imfs + [slow.residual]):
-            np.testing.assert_allclose(mf.samples, ms.samples, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fast.modes, slow.modes, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fast.residual, slow.residual, rtol=0, atol=1e-9)
 
 
 def _noisy_vowel(fs):
@@ -177,8 +177,7 @@ class TestModeCap:
         for k in (3, 4):
             capped = decompose(buf, EmdConfig(max_imfs=k, ensemble_size=5, rng_seed=4))
             assert len(capped) == k
-            for mc, mf in zip(capped.imfs, full.imfs[:k]):
-                assert np.array_equal(mc.samples, mf.samples)
+            assert np.array_equal(capped.modes, full.modes[:k])
 
 
 class TestEmd:
@@ -186,14 +185,14 @@ class TestEmd:
         buf, tone200, tone40 = two_tone()
         imfs = emd_decompose(buf, EmdConfig())
         assert len(imfs) >= 2
-        assert normalized_corr(imfs.imfs[0].samples, tone200) >= 0.95
-        assert normalized_corr(imfs.imfs[1].samples, tone40) >= 0.95
+        assert normalized_corr(imfs.modes[0], tone200) >= 0.95
+        assert normalized_corr(imfs.modes[1], tone40) >= 0.95
 
     def test_monotone_ramp_yields_no_imfs(self):
         buf = SampleBuffer(np.linspace(-1, 1, 2000), FS)
         imfs = emd_decompose(buf, EmdConfig())
-        assert len(imfs) == 0
-        np.testing.assert_array_equal(imfs.residual.samples, buf.samples)
+        assert len(imfs) == 0 and imfs.modes.shape == (0, len(buf))
+        np.testing.assert_array_equal(imfs.residual, buf.samples)
 
     def test_exact_reconstruction(self, rng):
         for _ in range(5):
@@ -206,7 +205,7 @@ class TestEmd:
     def test_mode_zero_crossing_rates_decrease(self):
         buf, _, _ = two_tone()
         imfs = emd_decompose(buf, EmdConfig())
-        rates = [zero_crossings(m.samples) for m in imfs.imfs]
+        rates = [zero_crossings(m) for m in imfs.modes]
         # non-strict decrease with at most one inversion (sifting is heuristic)
         inversions = sum(1 for a, b in zip(rates, rates[1:]) if b > a)
         assert inversions <= 1
@@ -214,8 +213,7 @@ class TestEmd:
     def test_imf_admissibility(self):
         buf, _, _ = two_tone()
         imfs = emd_decompose(buf, EmdConfig())
-        for mode in imfs.imfs[:2]:
-            x = mode.samples
+        for x in imfs.modes[:2]:
             maxima, minima = _local_extrema(x)
             n_ext = len(maxima) + len(minima)
             assert abs(n_ext - zero_crossings(x)) <= 1
@@ -230,8 +228,7 @@ class TestEmd:
         a = emd_decompose(SampleBuffer(x, FS), EmdConfig())
         b = emd_decompose(SampleBuffer(x, FS), EmdConfig())
         assert len(a) == len(b)
-        for ma, mb in zip(a.imfs, b.imfs):
-            assert np.array_equal(ma.samples, mb.samples)
+        assert np.array_equal(a.modes, b.modes)
 
 
 class TestEemd:
@@ -246,10 +243,8 @@ class TestEemd:
         plain = emd_decompose(buf, EmdConfig())
         degenerate = eemd_decompose(buf, EmdConfig(ensemble_size=ensemble_size,
                                                    wgn_std_ratio=wgn_std_ratio))
-        assert len(plain) == len(degenerate)
-        for mp, md in zip(plain.imfs, degenerate.imfs):
-            assert np.array_equal(mp.samples, md.samples)
-        assert np.array_equal(plain.residual.samples, degenerate.residual.samples)
+        assert np.array_equal(plain.modes, degenerate.modes)
+        assert np.array_equal(plain.residual, degenerate.residual)
 
     def test_two_tone_modes_recovered(self):
         # injected noise occupies the fastest mode slots, so locate each
@@ -257,8 +252,8 @@ class TestEemd:
         buf, tone200, tone40 = two_tone()
         cfg = EmdConfig(ensemble_size=20, wgn_std_ratio=0.2, rng_seed=0)
         ens = eemd_decompose(buf, cfg)
-        best200 = max(normalized_corr(m.samples, tone200) for m in ens.imfs)
-        best40 = max(normalized_corr(m.samples, tone40) for m in ens.imfs)
+        best200 = max(normalized_corr(m, tone200) for m in ens.modes)
+        best40 = max(normalized_corr(m, tone40) for m in ens.modes)
         assert best200 >= 0.95
         assert best40 >= 0.95
 
@@ -273,15 +268,14 @@ class TestEemd:
         buf = SampleBuffer(fast + slow_ref, FS)
 
         plain = emd_decompose(buf, EmdConfig())
-        plain_leak = normalized_corr(plain.imfs[0].samples, slow_ref)
+        plain_leak = normalized_corr(plain.modes[0], slow_ref)
         leaks = []
         for seed in range(20):
             out = eemd_decompose(buf, EmdConfig(ensemble_size=8,
                                                 wgn_std_ratio=0.2,
                                                 rng_seed=seed))
-            k = int(np.argmax([normalized_corr(m.samples, fast)
-                               for m in out.imfs]))
-            leaks.append(normalized_corr(out.imfs[k].samples, slow_ref))
+            k = int(np.argmax([normalized_corr(m, fast) for m in out.modes]))
+            leaks.append(normalized_corr(out.modes[k], slow_ref))
         assert np.mean(leaks) < plain_leak
 
     def test_reconstruction_noise_floor(self, rng):
@@ -298,8 +292,7 @@ class TestEemd:
         cfg = EmdConfig(ensemble_size=5, rng_seed=11)
         a = eemd_decompose(SampleBuffer(x, FS), cfg)
         b = eemd_decompose(SampleBuffer(x, FS), cfg)
-        for ma, mb in zip(a.imfs, b.imfs):
-            assert np.array_equal(ma.samples, mb.samples)
+        assert np.array_equal(a.modes, b.modes)
 
     def test_averaging_linearity(self, rng):
         # the ensemble average equals the arithmetic mean of per-trial modes
@@ -316,16 +309,25 @@ class TestEemd:
             for k, m in enumerate(modes):
                 acc[k] += m
         acc /= cfg.ensemble_size
-        for k, mode in enumerate(out.imfs):
-            np.testing.assert_allclose(mode.samples, acc[k], atol=1e-12)
+        np.testing.assert_allclose(out.modes, acc[:len(out)], atol=1e-12)
 
 
 class TestImfSet:
     def test_length_mismatch_rejected(self):
-        good = SampleBuffer(np.ones(100), FS)
-        bad = SampleBuffer(np.ones(50), FS)
-        with pytest.raises(ValueError):
-            ImfSet(imfs=[bad], residual=good, source_len=100)
+        for modes, residual in [(np.ones((2, 50)), np.ones(100)),  # short rows
+                                (np.ones(100), np.ones(100)),      # not a matrix
+                                (np.ones((2, 100)), np.ones((1, 100)))]:
+            with pytest.raises(ValueError, match="rows as long as the 1-D residual"):
+                ImfSet(modes, residual, FS)
+
+    def test_arrays_copied_read_only(self):
+        modes = np.ones((2, 100))
+        imfs = ImfSet(modes, np.zeros(100), FS)
+        modes[0, 0] = 5.0
+        assert imfs.modes[0, 0] == 1.0 and len(imfs) == 2
+        for array in (imfs.modes, imfs.residual):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
     def test_wav_dump(self, tmp_path, rng):
         buf = SampleBuffer(rng.standard_normal(2000), FS)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS, glottal_pulse_train, tone
-from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, frame_signal, mix_at_snr
+from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
 from modepitch.estimators import (
@@ -37,8 +37,13 @@ def harmonic_comb(f0, amps, duration_s=0.5, fs=FS):
     return SampleBuffer(0.5 * x / np.max(np.abs(x)), fs)
 
 
+def frames_of(buf):
+    fs = buf.sample_rate_hz
+    return [SampleBuffer(row, fs) for row in FrameSpec().frames(buf.samples, fs)]
+
+
 def first_frame(buf):
-    return frame_signal(buf, FrameSpec())[0]
+    return frames_of(buf)[0]
 
 
 def candidate_rows(rows):
@@ -114,14 +119,14 @@ def random_candidates(rng, top_hz):
 class TestPefac:
     def test_clean_pulse_train_within_3_hz(self):
         buf = glottal_pulse_train(120.0, duration_s=1.0)
-        for frame in frame_signal(buf, FrameSpec())[:20]:
+        for frame in frames_of(buf)[:20]:
             assert pefac_estimate(frame, CFG).f0_hz == pytest.approx(120.0, abs=3.0)
 
     def test_pulse_train_at_0db_white(self):
         buf = glottal_pulse_train(120.0, duration_s=1.2)
         noise = make_noise("white", len(buf), FS, seed=7)
         noisy = mix_at_snr(NoisyMix(buf, noise, 0.0, seed=1))
-        frames = frame_signal(noisy, FrameSpec())
+        frames = frames_of(noisy)
         assert len(frames) >= 100
         est = np.array([pefac_estimate(f, CFG).f0_hz for f in frames])
         within = np.abs(est - 120.0) / 120.0 <= 0.20
@@ -142,8 +147,9 @@ class TestPefac:
             logspec = random_log_spectrum(rng)
             top_hz = 2.0 ** logspec.grid_log2()[-1]
             cands = random_candidates(rng, top_hz)
-            fast = harmonic_summation_scores(logspec, cands, num_harmonics=10)
-            slow = brute_force_harmonic_summation(logspec, cands, 10)
+            # the comb's default harmonic count is the PEFAC constant
+            fast = harmonic_summation_scores(logspec, cands)
+            slow = brute_force_harmonic_summation(logspec, cands, CFG.pefac_num_harmonics)
             assert np.isinf(slow).any() and np.isfinite(slow).any()
             assert (cands > top_hz / 10.5).any()  # truncated combs
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
@@ -175,8 +181,9 @@ class TestShr:
             logspec = random_log_spectrum(rng)
             top_hz = 2.0 ** logspec.grid_log2()[-1]
             cands = random_candidates(rng, top_hz)
-            sh, ss = subharmonic_ratio_curves(logspec, cands, max_harmonics=8)
-            slow_sh, slow_ss = brute_force_subharmonic_curves(logspec, cands, 8)
+            sh, ss = subharmonic_ratio_curves(logspec, cands)  # default: the SHR constant
+            slow_sh, slow_ss = brute_force_subharmonic_curves(logspec, cands,
+                                                              CFG.shr_max_harmonics)
             assert (cands > top_hz / 8).any() and (cands > top_hz).any()
             np.testing.assert_allclose(sh, slow_sh, rtol=0, atol=1e-12)
             np.testing.assert_allclose(ss, slow_ss, rtol=0, atol=1e-12)
@@ -219,10 +226,10 @@ class TestSwipe:
         # at 1200 Hz even the first upper valley (1800 Hz) leaves the
         # 1575 Hz spectrum, so no peak counts and the score is -inf
         cands = np.array([55.0, 80.0, 120.0, 133.7, 250.0, 1200.0])
-        fast = swipe_apvd(spec, cands, num_peaks=5)
+        fast = swipe_apvd(spec, cands)  # default peak count: the SWIPE constant
         freqs = np.arange(64) * 25.0
         for i, f in enumerate(cands):
-            p = min(5, int(freqs[-1] / f - 0.5))
+            p = min(CFG.swipe_num_peaks, int(freqs[-1] / f - 0.5))
             if p < 1:
                 assert fast[i] == -np.inf
                 continue
@@ -244,10 +251,7 @@ class TestSwipe:
 
 class TestHhtCandidates:
     def _imfset(self, modes, fs=FS):
-        n = len(modes[0])
-        return ImfSet(imfs=[SampleBuffer(m, fs) for m in modes],
-                      residual=SampleBuffer(np.zeros(n) + 1e-12, fs),
-                      source_len=n)
+        return ImfSet(modes, np.zeros(len(modes[0])) + 1e-12, fs)
 
     def test_am_tone_candidate_at_125(self):
         t = np.arange(FS) / FS
@@ -355,9 +359,7 @@ class TestInvariants:
                  0.001 * np.cos(2 * np.pi * 80 * t)]
         results = []
         for c in (1.0, 7.5):
-            imfs = ImfSet(imfs=[SampleBuffer(m * c, FS) for m in modes],
-                          residual=SampleBuffer(np.zeros(FS) + 1e-12, FS),
-                          source_len=FS)
+            imfs = ImfSet(np.multiply(modes, c), np.zeros(FS) + 1e-12, FS)
             picks = pick(hht_candidates(imfs, CFG))
             results.append(picks[~np.isnan(picks)])
         assert results[0].size

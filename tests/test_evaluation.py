@@ -201,9 +201,11 @@ class TestSeparationError:
         assert separation_error(preds, ref) == pytest.approx(20.0)
 
     def test_boundary_200_is_low(self):
+        # the default boundary is ProConfig's gamma: 200 Hz is low, above is high
         ref = track([200.0])
         assert separation_error(self._regions([LOW]), ref) == 0.0
         assert separation_error(self._regions([HIGH]), ref) == 100.0
+        assert separation_error(self._regions([HIGH]), track([200.5])) == 0.0
 
     def test_unvoiced_frames_not_scored(self):
         ref = track([100.0, np.nan, 100.0], voiced=[True, False, True])

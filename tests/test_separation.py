@@ -382,9 +382,7 @@ class TestImfPitchVector:
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 150.0), (500, 150.0)), duration_ms=500,
             jitter_pct=0.0, rng_seed=1))
-        copies = [SampleBuffer(buf.samples, FS) for _ in range(4)]
-        imfs = ImfSet(imfs=copies, residual=SampleBuffer(np.full(len(buf), 1e-12), FS),
-                      source_len=len(buf))
+        imfs = ImfSet(np.tile(buf.samples, (4, 1)), np.full(len(buf), 1e-12), FS)
         mode_f0 = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
         spread = np.nanmax(mode_f0, axis=1) - np.nanmin(mode_f0, axis=1)
         assert (spread <= 3.0).all()
@@ -394,10 +392,8 @@ class TestImfPitchVector:
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 150.0), (500, 150.0)), duration_ms=500,
             jitter_pct=0.0, rng_seed=1))
-        modes = [SampleBuffer(buf.samples, FS) for _ in range(3)]
-        modes.append(SampleBuffer(np.zeros(len(buf)), FS))
-        imfs = ImfSet(imfs=modes, residual=SampleBuffer(np.full(len(buf), 1e-12), FS),
-                      source_len=len(buf))
+        modes = [buf.samples] * 3 + [np.zeros(len(buf))]
+        imfs = ImfSet(modes, np.full(len(buf), 1e-12), FS)
         mode_f0 = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
         assert mode_f0.shape == (FrameSpec().num_frames(len(buf), FS), 4)
         assert np.isfinite(mode_f0[:, :3]).all() and np.isnan(mode_f0[:, 3]).all()
@@ -405,9 +401,7 @@ class TestImfPitchVector:
     def test_too_few_modes_rejected(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 150.0), (500, 150.0)), duration_ms=500, rng_seed=1))
-        copies = [SampleBuffer(buf.samples, FS) for _ in range(3)]
-        imfs = ImfSet(imfs=copies, residual=SampleBuffer(np.full(len(buf), 1e-12), FS),
-                      source_len=len(buf))
+        imfs = ImfSet(np.tile(buf.samples, (3, 1)), np.full(len(buf), 1e-12), FS)
         with pytest.raises(ValueError, match="4 modes"):
             imf_pitch_vector(imfs, FrameSpec(), ProConfig(k_imfs=4),
                              EstimatorConfig())
@@ -525,10 +519,8 @@ class TestPipeline:
             calls.append(len(imfs))
             if len(calls) == 1:
                 return imfs
-            kept = imfs.imfs[:ProConfig().k_imfs - 1]
-            residual = imfs.reconstruct() - sum(m.samples for m in kept)
-            return ImfSet(imfs=kept, residual=SampleBuffer(residual, FS),
-                          source_len=imfs.source_len)
+            kept = imfs.modes[:ProConfig().k_imfs - 1]
+            return ImfSet(kept, imfs.reconstruct() - kept.sum(axis=0), FS)
         monkeypatch.setattr(separation, "eemd_decompose", decompose)
         cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0))
         result = analyze_utterance(buf, ["shr"], ["pro"], cfg)[("shr", "pro")]
@@ -638,6 +630,49 @@ class TestPipeline:
         for estimators in (["yin"], ["shr", "yin"]):
             with pytest.raises(ValueError, match="unknown estimator 'yin'"):
                 analyze_utterance(buf, estimators, ["raw"], AnalysisConfig())
+
+
+ALL_KEYS = (["pefac", "shr", "swipe", "hht"], ["raw", "pro"])
+
+
+class TestAnalyzeProperties:
+    """Invariants of analyze_utterance over rates, lengths and levels a
+    caller can supply: gain, DC offset and clipping (a clip level under the
+    offset can make the input constant)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(fs=st.sampled_from([8000, 11025, 16000, 22050]),
+           duration_ms=st.integers(90, 600), f0=st.floats(60.0, 380.0),
+           gain=st.floats(1e-3, 4.0), dc=st.floats(-0.5, 0.5),
+           clip=st.floats(0.05, 1.0), seed=st.integers(0, 2 ** 16))
+    def test_tracks_on_the_grid_and_voicing(self, fs, duration_ms, f0, gain, dc,
+                                            clip, seed):
+        voice = glottal_pulse_train(f0, duration_s=duration_ms / 1000.0, fs=fs).samples
+        noise = 0.01 * np.random.default_rng(seed).standard_normal(voice.size)
+        x = np.clip(gain * (voice + noise) + dc, -clip, clip)
+        spec = FrameSpec()
+        cfg = AnalysisConfig(frame=spec, emd=EmdConfig(ensemble_size=2, rng_seed=seed))
+        if x.size < spec.frame_len(fs):
+            with pytest.raises(ValueError, match="shorter than one"):
+                analyze_utterance(SampleBuffer(x, fs), *ALL_KEYS, cfg)
+            return
+        out = analyze_utterance(SampleBuffer(x, fs), *ALL_KEYS, cfg)
+        n_frames = spec.num_frames(x.size, fs)
+        for result in out.values():
+            track = result.track
+            np.testing.assert_array_equal(track.frame_times_ms,
+                                          spec.hop_ms * np.arange(n_frames))
+            assert track.f0_hz.shape == track.voiced_mask.shape == (n_frames,)
+            assert not (np.isfinite(track.f0_hz) & ~track.voiced_mask).any()
+            assert np.ptp(x) > 0 or not track.voiced_mask.any()
+        for est in ALL_KEYS[0]:
+            np.testing.assert_array_equal(np.isfinite(out[(est, "pro")].track.f0_hz),
+                                          np.isfinite(out[(est, "raw")].track.f0_hz))
+        constant = SampleBuffer(np.full(x.size, x[0]), fs)
+        for result in analyze_utterance(constant, *ALL_KEYS, cfg).values():
+            assert not result.track.voiced_mask.any()
+        with pytest.raises(ValueError, match="shorter than one"):
+            analyze_utterance(SampleBuffer(x[:spec.frame_len(fs) - 1], fs), *ALL_KEYS, cfg)
 
 
 class TestFrequencyRegionType:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS, tone
-from modepitch.audio import FrameSpec, SampleBuffer, frame_signal
+from modepitch.audio import FrameSpec, SampleBuffer
 from modepitch.vad import (
     VadConfig,
     _frame_features,
@@ -52,12 +52,12 @@ def zcr_loop(x):
 
 
 def detect_voiced_loop(buf, cfg):
-    """Oracle for detect_voiced over a list of Frame objects; returns the
-    mask and the per-frame energies, zero-crossing rates and spread flags."""
-    frames = frame_signal(buf, cfg.frame_spec())
-    energies = np.array([float(np.mean(f.samples ** 2)) for f in frames])
-    zcrs = np.array([zcr_loop(f.samples) for f in frames])
-    moving = np.array([np.ptp(f.samples) > 0 for f in frames])
+    """Oracle for detect_voiced, one frame row at a time; returns the mask
+    and the per-frame energies, zero-crossing rates and spread flags."""
+    frames = cfg.frame_spec().frames(buf.samples, buf.sample_rate_hz)
+    energies = np.array([float(np.mean(f ** 2)) for f in frames])
+    zcrs = np.array([zcr_loop(f) for f in frames])
+    moving = np.array([np.ptp(f) > 0 for f in frames])
     mean_energy = float(energies.mean())
     if mean_energy == 0.0:
         mask = np.zeros(len(frames), dtype=bool)
@@ -110,7 +110,7 @@ class TestDetectVoiced:
             buf = SampleBuffer(rng.standard_normal(n), FS)
             cfg = VadConfig()
             mask = detect_voiced(buf, cfg)
-            assert len(mask) == len(frame_signal(buf, cfg.frame_spec()))
+            assert len(mask) == len(cfg.frame_spec().frames(buf.samples, FS))
 
     @pytest.mark.parametrize("hop_ms", [5.0, 10.0, 20.0, 25.0])
     def test_frames_follow_analysis_hop(self, hop_ms, rng):
@@ -153,8 +153,7 @@ class TestDetectVoiced:
         seg = tone(150.0, 0.4).samples
         buf = SampleBuffer(np.concatenate([seg, np.full(int(0.1 * FS), 0.3), seg]), FS)
         mask = detect_voiced(buf, cfg)
-        flat = np.array([np.ptp(f.samples) == 0
-                         for f in frame_signal(buf, cfg.frame_spec())])
+        flat = np.ptp(cfg.frame_spec().frames(buf.samples, FS), axis=1) == 0
         assert flat.sum() >= 5
         assert not mask[flat].any()
         assert mask[~flat].mean() > 0.9

@@ -41,7 +41,9 @@ def main():
     for diag in out[("hht", "pro")].diagnostics:
         raw = " ".join(f"{f:6.1f}" for f in diag.raw_f0s) or "-"
         cor = " ".join(f"{f:6.1f}" for f in diag.corrected_f0s) or "-"
-        print(f"{diag.start_ms:6.0f} {diag.region:>6}  {raw:<28} {cor}")
+        region = diag.region
+        print(f"{region.frame_index * cfg.frame.hop_ms:6.0f} {region.region:>6}  "
+              f"{raw:<28} {cor}")
 
     raw_ge = gross_error(out[("hht", "raw")].track, truth)
     pro_ge = gross_error(out[("hht", "pro")].track, truth)

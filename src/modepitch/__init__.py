@@ -22,7 +22,6 @@ from .corpus import (
 from .emd import EmdConfig, ImfSet, eemd_decompose, emd_decompose
 from .estimators import (
     EstimatorConfig,
-    PitchCandidate,
     hht_candidates,
     pefac_estimate,
     pick,

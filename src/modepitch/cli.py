@@ -174,7 +174,7 @@ def track(audio, estimator, use_pro, output, **kwargs):
         else:
             fh.write("time_ms,voiced,f0_hz,region,mean_f0,selected_imfs,"
                      "raw_candidates,corrected_candidates,out_of_model\n")
-            diag_by_frame = {d.frame_index: d for d in result.diagnostics}
+            diag_by_frame = {d.region.frame_index: d for d in result.diagnostics}
             for i, (t, v, f0) in enumerate(zip(result.track.frame_times_ms,
                                                result.track.voiced_mask,
                                                result.track.f0_hz)):
@@ -183,11 +183,12 @@ def track(audio, estimator, use_pro, output, **kwargs):
                 if d is None:
                     fh.write(f"{t:g},{int(v)},{f0s},,,,,,\n")
                     continue
-                mean = f"{d.mean_f0:.4f}" if np.isfinite(d.mean_f0) else ""
-                pair = "+".join(map(str, d.selected_imfs)) if d.selected_imfs else ""
+                r = d.region
+                mean = f"{r.mean_f0:.4f}" if np.isfinite(r.mean_f0) else ""
+                pair = "+".join(map(str, r.selected_imfs)) if r.selected_imfs else ""
                 raw = "+".join(f"{x:.2f}" for x in d.raw_f0s)
                 cor = "+".join(f"{x:.2f}" for x in d.corrected_f0s)
-                fh.write(f"{t:g},{int(v)},{f0s},{d.region},{mean},{pair},"
+                fh.write(f"{t:g},{int(v)},{f0s},{r.region},{mean},{pair},"
                          f"{raw},{cor},{int(d.out_of_model)}\n")
     click.echo(f"track written to {output}")
 

@@ -16,6 +16,8 @@ from .audio import FrameSpec, SampleBuffer, load_wav, save_wav
 from .track import FramePitchTrack
 
 DEFAULT_FORMANTS = ((500.0, 80.0), (1500.0, 120.0), (2500.0, 160.0))
+# the lowest corpus rate: its Nyquist frequency is the 400 Hz contour ceiling
+MIN_CORPUS_RATE_HZ = 800
 
 
 @dataclass(frozen=True)
@@ -313,6 +315,9 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
             sample_rate_hz=sample_rate_hz,
         ))
     frame.hop(sample_rate_hz)  # rejects a rate the reference grid cannot sample
+    if sample_rate_hz < MIN_CORPUS_RATE_HZ:
+        raise ValueError(f"corpus sample_rate_hz must be at least {MIN_CORPUS_RATE_HZ} Hz, "
+                         f"twice the 400 Hz contour ceiling, got {sample_rate_hz}")
     os.makedirs(out_dir, exist_ok=True)  # only once every option has passed
     entries = []
     for i, spec in enumerate(specs):
@@ -328,12 +333,15 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
 
 def write_noise_set(out_dir, kinds=NOISE_KINDS, duration_ms: float = 3000.0,
                     sample_rate_hz: int = 8000, seed: int = 0) -> dict[str, str]:
-    """Materialize one WAV per noise kind; returns kind -> path."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Materialize one WAV per noise kind; returns kind -> path. Every noise
+    is made before out_dir is created, so a rejected option leaves no
+    directory."""
     n = int(round(duration_ms * sample_rate_hz / 1000.0))
+    bufs = [make_noise(kind, n, sample_rate_hz, seed=seed + k)
+            for k, kind in enumerate(kinds)]
+    os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    for k, kind in enumerate(kinds):
-        buf = make_noise(kind, n, sample_rate_hz, seed=seed + k)
+    for kind, buf in zip(kinds, bufs):
         path = os.path.join(out_dir, f"{kind}.wav")
         # unit-RMS noise exceeds 16-bit full scale; store at 0.2 RMS
         save_wav(path, SampleBuffer(buf.samples * 0.2, sample_rate_hz))

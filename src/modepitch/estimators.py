@@ -20,6 +20,7 @@ from .spectral import (
     Spectrum,
     autocorrelation,
     envelope,
+    log_grid,
     magnitude_spectrum,
     next_pow2,
     power_spectrum,
@@ -57,14 +58,8 @@ class EstimatorConfig:
                              f"two pitch periods at f_min={self.f_min} Hz")
 
 
-@dataclass(frozen=True)
-class PitchCandidate:
-    f0_hz: float
-    salience: float
-
-
 # one pitch candidate per slot of a (frames x slots) array; NaN marks an
-# empty slot
+# empty slot. The frame estimators return one as an (f0_hz, salience) pair.
 CANDIDATE = np.dtype([("f0_hz", np.float64), ("salience", np.float64)])
 
 
@@ -85,12 +80,6 @@ def _log_spectrum(spec: Spectrum, cfg: EstimatorConfig,
     num_harmonics can reach from f_max, capped at Nyquist."""
     f_hi = min(spec.max_hz, cfg.f_max * (num_harmonics + 0.5))
     return to_log_frequency(spec, cfg.f_min / 2.0, f_hi, cfg.bins_per_octave)
-
-
-def _candidate_grid(f_min: float, f_max: float, bins_per_octave: int) -> np.ndarray:
-    step = 1.0 / bins_per_octave
-    n = int(np.floor((np.log2(f_max) - np.log2(f_min)) / step)) + 1
-    return 2.0 ** (np.log2(f_min) + step * np.arange(n))
 
 
 def _parabolic_refine(y: np.ndarray, i: int) -> float:
@@ -176,18 +165,16 @@ def pefac_scores(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorCo
     logspec = _log_spectrum(_frame_spectrum(frame, cfg, power_spectrum), cfg,
                             cfg.pefac_num_harmonics)
     compressed = replace(logspec, values=logspec.values ** cfg.pefac_compression)
-    cands = _candidate_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
+    cands = log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
     return cands, harmonic_summation_scores(compressed, cands,
                                             cfg.pefac_num_harmonics)
 
 
 def pefac_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
-                   ) -> PitchCandidate:
-    """Pick the F0 maximizing the harmonic-summation response."""
+                   ) -> tuple[float, float]:
+    """(f0_hz, salience) of the harmonic-summation response's maximum."""
     cands, scores = pefac_scores(frame, cfg)
-    f0, salience = _refined_peak(scores, cands, cfg.bins_per_octave,
-                                 cfg.f_min, cfg.f_max)
-    return PitchCandidate(f0_hz=f0, salience=salience)
+    return _refined_peak(scores, cands, cfg.bins_per_octave, cfg.f_min, cfg.f_max)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +197,12 @@ def subharmonic_ratio_curves(logspec: LogSpectrum, cand_hz: np.ndarray,
 
 
 def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
-                 ) -> PitchCandidate:
-    """Harmonic-sum peak, demoted one octave when the subharmonic-to-harmonic
-    ratio exceeds the threshold."""
+                 ) -> tuple[float, float]:
+    """(f0_hz, salience) of the harmonic-sum peak, demoted one octave when
+    the subharmonic-to-harmonic ratio exceeds the threshold."""
     logspec = _log_spectrum(_frame_spectrum(frame, cfg, magnitude_spectrum), cfg,
                             cfg.shr_max_harmonics)
-    cands = _candidate_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
+    cands = log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
     sh, ss = subharmonic_ratio_curves(logspec, cands, cfg.shr_max_harmonics)
     best = int(np.argmax(sh))
     sh_best = float(sh[best])
@@ -225,8 +212,7 @@ def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorCo
     if shr > cfg.shr_threshold and f0 / 2.0 >= cfg.f_min:
         f0 /= 2.0
     total = sh_best + ss_best
-    salience = max(0.0, (sh_best - ss_best) / total) if total > 0 else 0.0
-    return PitchCandidate(f0_hz=f0, salience=salience)
+    return f0, max(0.0, (sh_best - ss_best) / total) if total > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +237,14 @@ def swipe_apvd(spec: Spectrum, cand_hz: np.ndarray,
 
 
 def swipe_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
-                   ) -> PitchCandidate:
-    """F0 whose harmonic comb best matches the magnitude spectrum."""
+                   ) -> tuple[float, float]:
+    """(f0_hz, salience) of the harmonic comb that best matches the
+    magnitude spectrum."""
     spec = _frame_spectrum(frame, cfg, magnitude_spectrum)
-    cands = _candidate_grid(cfg.f_min, cfg.swipe_f_max, cfg.swipe_bins_per_octave)
+    cands = log_grid(cfg.f_min, cfg.swipe_f_max, cfg.swipe_bins_per_octave)
     scores = swipe_apvd(spec, cands, cfg.swipe_num_peaks)
-    f0, salience = _refined_peak(scores, cands, cfg.swipe_bins_per_octave,
-                                 cfg.f_min, cfg.swipe_f_max)
-    return PitchCandidate(f0_hz=f0, salience=salience)
+    return _refined_peak(scores, cands, cfg.swipe_bins_per_octave,
+                         cfg.f_min, cfg.swipe_f_max)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ from .estimators import (
     CANDIDATE,
     FRAME_ESTIMATORS,
     EstimatorConfig,
-    _candidate_grid,
     hht_candidates,
     pefac_scores,
     pick,
 )
+from .spectral import log_grid
 from .track import FramePitchTrack
 from .vad import VadConfig, detect_voiced, voiced_segments
 
@@ -194,7 +194,7 @@ def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
             f"separation needs {cfg.k_imfs} modes, decomposition produced "
             f"{len(imfs)}")
     fs = imfs.sample_rate_hz
-    cands = _candidate_grid(est_cfg.f_min, est_cfg.f_max, est_cfg.bins_per_octave)
+    cands = log_grid(est_cfg.f_min, est_cfg.f_max, est_cfg.bins_per_octave)
     per_mode = []
     for mode in imfs.modes[:cfg.k_imfs]:
         frames = spec.frames(mode, fs)
@@ -265,13 +265,10 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class FrameDiagnostic:
-    """Per-frame audit record for the separate-and-correct path."""
+    """Per-frame audit record for the separate-and-correct path: the frame's
+    region decision and its candidates before and after folding."""
 
-    frame_index: int
-    start_ms: float
-    region: str | None
-    mean_f0: float
-    selected_imfs: tuple[int, int] | None
+    region: FrequencyRegion
     raw_f0s: tuple[float, ...]
     corrected_f0s: tuple[float, ...]
     out_of_model: bool  # some raw candidate lies below gamma/4
@@ -298,14 +295,12 @@ def check_keys(estimators: list[str], methods: list[str]) -> None:
                              f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
 
 
-def _diagnostic(f0s: np.ndarray, region: FrequencyRegion, start_ms: float,
+def _diagnostic(f0s: np.ndarray, region: FrequencyRegion,
                 gamma_hz: float) -> FrameDiagnostic:
     """Audit record of one frame from its row of candidate F0s, in slot order."""
     raw_f0s = tuple(f0s[~np.isnan(f0s)].tolist())
     return FrameDiagnostic(
-        frame_index=region.frame_index, start_ms=start_ms, region=region.region,
-        mean_f0=region.mean_f0, selected_imfs=region.selected_imfs,
-        raw_f0s=raw_f0s,
+        region=region, raw_f0s=raw_f0s,
         corrected_f0s=tuple(correct_candidate(f, region.region, gamma_hz)
                             for f in raw_f0s),
         out_of_model=any(f < 0.25 * gamma_hz for f in raw_f0s))
@@ -321,7 +316,8 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     further than the last mode the requested keys read (pro.k_imfs for pro,
     estimator.hht_num_imfs for hht, both within emd.max_imfs); its per-mode
     F0 rows and hht candidates land at the segment's frames. pefac, shr and
-    swipe then score the voiced rows of the utterance framing. Each
+    swipe then score the voiced rows of the utterance framing, and each
+    (f0_hz, salience) pair they return fills the frame's one slot. Each
     estimator keeps one (frames x slots) CANDIDATE array (one slot per mode
     for hht, one slot otherwise). One region pass then classifies all
     voiced frames in order, so a frame without mode evidence inherits the
@@ -366,11 +362,10 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     for est in [e for e in estimators if e != "hht"]:
         for i in np.flatnonzero(voiced):
             try:
-                c = FRAME_ESTIMATORS[est](Frame(frames[i], fs, float(times[i])),
-                                          cfg.estimator)
+                cands[est][i, 0] = FRAME_ESTIMATORS[est](
+                    Frame(frames[i], fs, float(times[i])), cfg.estimator)
             except ValueError:
-                continue
-            cands[est][i, 0] = c.f0_hz, c.salience
+                pass
 
     regions = (tuple(classify_frames(mode_f0, cfg.pro, np.flatnonzero(voiced)))
                if pro else ())
@@ -384,8 +379,7 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
                 if not math.isnan(raw[r.frame_index]):
                     f0["pro"][r.frame_index] = correct_candidate(raw[r.frame_index],
                                                                  r.region, gamma)
-            diagnostics = tuple(_diagnostic(cands[est][r.frame_index]["f0_hz"], r,
-                                            float(times[r.frame_index]), gamma)
+            diagnostics = tuple(_diagnostic(cands[est][r.frame_index]["f0_hz"], r, gamma)
                                 for r in regions)
         for meth in methods:
             track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=f0[meth],

@@ -46,16 +46,8 @@ class LogSpectrum:
         return np.interp(pos, np.arange(len(self.values)), self.values)
 
 
-def _window(name: str, n: int) -> np.ndarray:
-    if name == "rectangular":
-        return np.ones(n)
-    if name == "hann":
-        return np.hanning(n)
-    raise ValueError(f"unknown window {name!r}")
-
-
-def _windowed_rfft(samples: np.ndarray, nfft: int, window: str) -> np.ndarray:
-    """rfft of the windowed frame zero-padded to nfft, a power of two >= n."""
+def _windowed_rfft(samples: np.ndarray, nfft: int) -> np.ndarray:
+    """rfft of the Hann-windowed frame zero-padded to nfft, a power of two >= n."""
     x = np.asarray(samples, dtype=np.float64)
     n = x.size
     if n == 0:
@@ -64,17 +56,16 @@ def _windowed_rfft(samples: np.ndarray, nfft: int, window: str) -> np.ndarray:
         raise ValueError(f"nfft={nfft} smaller than frame length {n}")
     if nfft & (nfft - 1):
         raise ValueError(f"nfft={nfft} is not a power of two")
-    return np.fft.rfft(x * _window(window, n), nfft)
+    return np.fft.rfft(x * np.hanning(n), nfft)
 
 
-def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
-                   window: str = "hann") -> Spectrum:
-    """One-sided power spectrum of the windowed, zero-padded frame.
+def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int) -> Spectrum:
+    """One-sided power spectrum of the Hann-windowed, zero-padded frame.
 
     Scaled so the bins sum to the mean-square power of the windowed frame
     (Parseval), with interior bins doubled to fold in negative frequencies.
     """
-    spec = _windowed_rfft(samples, nfft, window)
+    spec = _windowed_rfft(samples, nfft)
     n = np.size(samples)
     power = (spec.real ** 2 + spec.imag ** 2) / (nfft * n)
     power[1:] *= 2.0
@@ -83,10 +74,9 @@ def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
     return Spectrum(bins=power, bin_hz=sample_rate_hz / nfft)
 
 
-def magnitude_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int,
-                       window: str = "hann") -> Spectrum:
-    """One-sided magnitude spectrum |X(f)| of the windowed frame."""
-    mags = np.abs(_windowed_rfft(samples, nfft, window))
+def magnitude_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int) -> Spectrum:
+    """One-sided magnitude spectrum |X(f)| of the Hann-windowed frame."""
+    mags = np.abs(_windowed_rfft(samples, nfft))
     return Spectrum(bins=mags, bin_hz=sample_rate_hz / nfft)
 
 
@@ -133,22 +123,27 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
     return acf[:max_lag + 1]
 
 
-def to_log_frequency(s: Spectrum, f_lo: float, f_hi: float,
-                     bins_per_octave: int) -> LogSpectrum:
-    """Resample a linear-frequency spectrum onto a base-2 log grid by
-    linear interpolation."""
+def log_grid(f_lo: float, f_hi: float, bins_per_octave: int) -> np.ndarray:
+    """Frequencies f_lo * 2**(k / bins_per_octave), k = 0, 1, ..., up to f_hi."""
     if not 0 < f_lo < f_hi:
         raise ValueError("need 0 < f_lo < f_hi")
-    if f_hi > s.max_hz * (1 + 1e-12):
-        raise ValueError(f"f_hi={f_hi} beyond spectrum support {s.max_hz:.1f} Hz")
     if bins_per_octave <= 0:
         raise ValueError("bins_per_octave must be positive")
     step = 1.0 / bins_per_octave
     start = np.log2(f_lo)
     n_points = int(np.floor((np.log2(f_hi) - start) / step)) + 1
-    grid_hz = 2.0 ** (start + step * np.arange(n_points))
-    values = np.interp(grid_hz, s.frequencies(), s.bins)
-    return LogSpectrum(values=values, log2_f_start=start, step_log2=step)
+    return 2.0 ** (start + step * np.arange(n_points))
+
+
+def to_log_frequency(s: Spectrum, f_lo: float, f_hi: float,
+                     bins_per_octave: int) -> LogSpectrum:
+    """Resample a linear-frequency spectrum onto log_grid(f_lo, f_hi,
+    bins_per_octave) by linear interpolation."""
+    if f_hi > s.max_hz * (1 + 1e-12):
+        raise ValueError(f"f_hi={f_hi} beyond spectrum support {s.max_hz:.1f} Hz")
+    values = np.interp(log_grid(f_lo, f_hi, bins_per_octave), s.frequencies(), s.bins)
+    return LogSpectrum(values=values, log2_f_start=np.log2(f_lo),
+                       step_log2=1.0 / bins_per_octave)
 
 
 def next_pow2(n: int) -> int:

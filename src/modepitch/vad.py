@@ -61,8 +61,14 @@ def detect_voiced(buf: SampleBuffer, cfg: VadConfig = VadConfig(),
     AND energy above a fraction of the utterance mean, then
     hangover-smoothed. A frame whose samples are all equal (DC, or silence)
     has no periodic content and is always unvoiced, whatever its
-    neighbours."""
-    energies, zcrs, moving = _frame_features(buf, cfg.frame_spec(frame))
+    neighbours. A rate at which a VAD frame holds fewer than 2 samples, so
+    that no zero crossing can be counted, raises ValueError."""
+    spec = cfg.frame_spec(frame)
+    if spec.frame_len(buf.sample_rate_hz) < 2:
+        raise ValueError(f"a {cfg.frame_ms} ms VAD frame holds 1 sample at "
+                         f"{buf.sample_rate_hz} Hz; the zero-crossing rate needs "
+                         f"at least 2")
+    energies, zcrs, moving = _frame_features(buf, spec)
     mean_energy = float(energies.mean())
     if mean_energy == 0.0:
         return np.zeros(len(energies), dtype=bool)

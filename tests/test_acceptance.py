@@ -261,7 +261,7 @@ def test_c7_estimator_sanity():
         buf, _ = synthesize_utterance(spec)
         frames = [SampleBuffer(row, FS) for row in FrameSpec().frames(buf.samples, FS)]
         for name in ("pefac", "shr", "swipe"):
-            est = np.array([FRAME_ESTIMATORS[name](fr, cfg).f0_hz
+            est = np.array([FRAME_ESTIMATORS[name](fr, cfg)[0]
                             for fr in frames])
             frac = float(np.mean(np.abs(est - f0_true) / f0_true <= 0.20))
             results.append(f"{name}@{f0_true:.0f}:{100 * frac:.0f}%")

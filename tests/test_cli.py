@@ -230,6 +230,20 @@ class TestTrack:
         assert_click_error(result, "hop_ms=0.05 rounds to 0 samples at 8000 Hz")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["track", "--estimator", "shr"], ["separate"]])
+    def test_vad_frame_under_two_samples_is_click_error(self, runner, tmp_path,
+                                                        command):
+        wav = tmp_path / "rate51.wav"
+        save_wav(wav, SampleBuffer(np.sin(np.arange(51.0)), 51))
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [command[0], str(wav), *command[1:],
+                                      "-o", str(out)])
+        assert_click_error(result, "a 25.0 ms VAD frame holds 1 sample at 51 Hz; "
+                                   "the zero-crossing rate needs at least 2")
+        assert result.output.count("Error:") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--frame-window", "rectangular"), ("--vad-hop-ms", "20"),
         ("--emd-sift-stop-sd", "0.2"), ("--emd-max-sift-iters", "50"),
@@ -342,7 +356,9 @@ class TestSynthAndBench:
         (["--count", "-2"], "count must be at least 1, got -2"),
         (["--low-fraction", "2"], "low_fraction must lie in [0, 1], got 2.0"),
         (["--low-fraction", "-1"], "low_fraction must lie in [0, 1], got -1.0"),
-        (["--sample-rate", "50"], "hop_ms=10.0 rounds to 0 samples at 50 Hz")])
+        (["--sample-rate", "50"], "hop_ms=10.0 rounds to 0 samples at 50 Hz"),
+        (["--sample-rate", "400"], "corpus sample_rate_hz must be at least 800 Hz, "
+                                   "twice the 400 Hz contour ceiling, got 400")])
     def test_bad_synth_option_is_click_error(self, runner, tmp_path, args, message):
         # every option is checked before the corpus directory is made
         out_dir = tmp_path / "corpus"

@@ -15,6 +15,7 @@ from modepitch.corpus import (
     make_noise,
     read_reference,
     synthesize_utterance,
+    write_noise_set,
     write_reference,
 )
 from modepitch.spectral import autocorrelation
@@ -293,6 +294,29 @@ class TestManifest:
             assert np.nanmax(item.truth.f0_hz) <= 200.0
         for item in high_items:
             assert np.nanmin(item.truth.f0_hz) > 200.0
+
+    def test_corpus_rate_floor(self, tmp_path):
+        # below twice the 400 Hz contour ceiling a reference could name an
+        # F0 above its audio's Nyquist frequency
+        assert corpus.MIN_CORPUS_RATE_HZ == 800
+        rejected = tmp_path / "rejected"
+        with pytest.raises(ValueError, match="corpus sample_rate_hz must be at least "
+                                             "800 Hz, .* got 799$"):
+            generate_corpus(rejected, count=1, duration_ms=200.0, sample_rate_hz=799)
+        assert not rejected.exists()
+        manifest = generate_corpus(tmp_path / "accepted", count=1, duration_ms=200.0,
+                                   sample_rate_hz=800)
+        assert load_manifest(manifest)[0].audio.sample_rate_hz == 800
+
+    @pytest.mark.parametrize("kinds,rate,message", [
+        (NOISE_KINDS, 50, "noise sample_rate_hz must be at least 51 Hz, got 50$"),
+        (("white", "ocean"), 8000, "unknown noise kind 'ocean'")])
+    def test_rejected_noise_set_leaves_no_directory(self, tmp_path, kinds, rate,
+                                                    message):
+        out_dir = tmp_path / "noises"
+        with pytest.raises(ValueError, match=message):
+            write_noise_set(out_dir, kinds=kinds, sample_rate_hz=rate)
+        assert not out_dir.exists()
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -13,7 +13,6 @@ from modepitch.estimators import (
     CANDIDATE,
     FRAME_ESTIMATORS,
     EstimatorConfig,
-    PitchCandidate,
     hht_candidates,
     harmonic_summation_scores,
     pefac_estimate,
@@ -23,7 +22,8 @@ from modepitch.estimators import (
     swipe_apvd,
     swipe_estimate,
 )
-from modepitch.separation import check_keys
+from modepitch import estimators, separation, spectral
+from modepitch.separation import check_keys, imf_pitch_vector
 from modepitch.spectral import LogSpectrum, Spectrum
 
 CFG = EstimatorConfig()
@@ -59,14 +59,15 @@ def candidate_rows(rows):
 
 
 def select_loop(cands):
-    """Per-row oracle for pick: the filled slots as PitchCandidates, then
-    the most salient by max(), which keeps the first of equal keys."""
+    """Per-row oracle for pick: the filled slots as (f0_hz, salience)
+    pairs, then the most salient by max(), which keeps the first of equal
+    keys."""
     picks = []
     for row in cands:
-        filled = [PitchCandidate(float(c["f0_hz"]), float(c["salience"]))
+        filled = [(float(c["f0_hz"]), float(c["salience"]))
                   for c in row if not np.isnan(c["f0_hz"])]
-        best = max(filled, key=lambda c: c.salience, default=None)
-        picks.append(np.nan if best is None else best.f0_hz)
+        best = max(filled, key=lambda c: c[1], default=None)
+        picks.append(np.nan if best is None else best[0])
     return np.array(picks)
 
 
@@ -120,7 +121,8 @@ class TestPefac:
     def test_clean_pulse_train_within_3_hz(self):
         buf = glottal_pulse_train(120.0, duration_s=1.0)
         for frame in frames_of(buf)[:20]:
-            assert pefac_estimate(frame, CFG).f0_hz == pytest.approx(120.0, abs=3.0)
+            f0, _ = pefac_estimate(frame, CFG)
+            assert f0 == pytest.approx(120.0, abs=3.0)
 
     def test_pulse_train_at_0db_white(self):
         buf = glottal_pulse_train(120.0, duration_s=1.2)
@@ -128,7 +130,7 @@ class TestPefac:
         noisy = mix_at_snr(NoisyMix(buf, noise, 0.0, seed=1))
         frames = frames_of(noisy)
         assert len(frames) >= 100
-        est = np.array([pefac_estimate(f, CFG).f0_hz for f in frames])
+        est = np.array([pefac_estimate(f, CFG)[0] for f in frames])
         within = np.abs(est - 120.0) / 120.0 <= 0.20
         assert within.mean() >= 0.90
 
@@ -158,20 +160,19 @@ class TestPefac:
 class TestShr:
     def test_no_subharmonics_returns_fundamental(self):
         buf = harmonic_comb(200.0, [1.0] * 8)
-        cand = shr_estimate(first_frame(buf), CFG)
+        f0, salience = shr_estimate(first_frame(buf), CFG)
         grid_step = 200.0 * (2 ** (1 / 48.0) - 1)
-        assert cand.f0_hz == pytest.approx(200.0, abs=2 * grid_step)
-        assert cand.salience > 0.5
+        assert f0 == pytest.approx(200.0, abs=2 * grid_step)
+        assert salience > 0.5
 
     def test_shr_low_on_clean_comb(self):
         # invariant: subharmonic-to-harmonic ratio of a pure comb <= 0.05
-        from modepitch.estimators import subharmonic_ratio_curves, _candidate_grid
-        from modepitch.spectral import magnitude_spectrum, next_pow2, to_log_frequency
+        from modepitch.spectral import log_grid, magnitude_spectrum, next_pow2, to_log_frequency
         buf = harmonic_comb(200.0, [1.0] * 8)
         frame = first_frame(buf)
         spec = magnitude_spectrum(frame.samples, FS, next_pow2(4 * len(frame.samples)))
         logspec = to_log_frequency(spec, 25.0, 3400.0, 48)
-        cands = _candidate_grid(50.0, 400.0, 48)
+        cands = log_grid(50.0, 400.0, 48)
         sh, ss = subharmonic_ratio_curves(logspec, cands, 8)
         best = int(np.argmax(sh))
         assert ss[best] / sh[best] <= 0.05
@@ -192,13 +193,13 @@ class TestShr:
         # 200 Hz harmonics at full strength plus 100 Hz odd harmonics at 80%
         amps = [0.8 if k % 2 == 0 else 1.0 for k in range(16)]
         buf = harmonic_comb(100.0, amps)
-        cand = shr_estimate(first_frame(buf), CFG)
-        assert cand.f0_hz == pytest.approx(100.0, rel=0.03)
+        f0, _ = shr_estimate(first_frame(buf), CFG)
+        assert f0 == pytest.approx(100.0, rel=0.03)
 
     def test_flat_spectrum_low_salience(self, rng):
         buf = SampleBuffer(0.3 * rng.standard_normal(FS), FS)
-        cand = shr_estimate(first_frame(buf), CFG)
-        assert cand.salience <= 0.3
+        _, salience = shr_estimate(first_frame(buf), CFG)
+        assert salience <= 0.3
 
 
 class TestSwipe:
@@ -206,9 +207,9 @@ class TestSwipe:
         t = np.arange(FS) / FS
         saw = 0.5 * (2.0 * ((150.0 * t) % 1.0) - 1.0)
         buf = SampleBuffer(saw, FS)
-        cand = swipe_estimate(first_frame(buf), CFG)
+        f0, _ = swipe_estimate(first_frame(buf), CFG)
         grid_step = 150.0 * (2 ** (1 / 48.0) - 1)
-        assert cand.f0_hz == pytest.approx(150.0, abs=2 * grid_step)
+        assert f0 == pytest.approx(150.0, abs=2 * grid_step)
 
     def test_pure_tone_positive_first_distance(self):
         # valleys at 0.5 f0 and 1.5 f0 hold no energy, so d_1(f0) > 0
@@ -244,9 +245,9 @@ class TestSwipe:
     def test_search_range_includes_480_sawtooth(self):
         t = np.arange(FS) / FS
         saw = 0.5 * (2.0 * ((480.0 * t) % 1.0) - 1.0)
-        cand = swipe_estimate(first_frame(SampleBuffer(saw, FS)), CFG)
-        assert cand.f0_hz == pytest.approx(480.0, rel=0.03)
-        assert 50.0 <= cand.f0_hz <= 500.0
+        f0, _ = swipe_estimate(first_frame(SampleBuffer(saw, FS)), CFG)
+        assert f0 == pytest.approx(480.0, rel=0.03)
+        assert 50.0 <= f0 <= 500.0
 
 
 class TestHhtCandidates:
@@ -347,10 +348,10 @@ class TestInvariants:
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 170.0), (500, 170.0)), duration_ms=500, rng_seed=4))
         frame = first_frame(buf)
-        base = FRAME_ESTIMATORS[name](frame, CFG).f0_hz
+        base, _ = FRAME_ESTIMATORS[name](frame, CFG)
         for c in (0.01, 3.0, 250.0):
             scaled = SampleBuffer(frame.samples * c, FS)
-            assert FRAME_ESTIMATORS[name](scaled, CFG).f0_hz == pytest.approx(base)
+            assert FRAME_ESTIMATORS[name](scaled, CFG)[0] == pytest.approx(base)
 
     def test_hht_scale_invariance(self):
         t = np.arange(FS) / FS
@@ -370,9 +371,36 @@ class TestInvariants:
         for seed in range(5):
             gen = np.random.default_rng(seed)
             buf = SampleBuffer(0.4 * gen.standard_normal(int(0.3 * FS)), FS)
-            cand = FRAME_ESTIMATORS[name](first_frame(buf), CFG)
+            f0, _ = FRAME_ESTIMATORS[name](first_frame(buf), CFG)
             upper = CFG.swipe_f_max if name == "swipe" else CFG.f_max
-            assert CFG.f_min <= cand.f0_hz <= upper
+            assert CFG.f_min <= f0 <= upper
+
+    def test_every_grid_comes_from_log_grid(self, monkeypatch):
+        # the candidate grids of pefac, shr, swipe and the per-mode F0, and
+        # the log-frequency view pefac and shr read through to_log_frequency
+        calls = []
+        real_log_grid = spectral.log_grid
+
+        def recording(*args):
+            calls.append(args)
+            return real_log_grid(*args)
+        for module in (spectral, estimators, separation):
+            monkeypatch.setattr(module, "log_grid", recording)
+        cand_grid = (CFG.f_min, CFG.f_max, CFG.bins_per_octave)
+        # log views span f_min/2 up to Nyquist (pefac) or 8.5 f_max (shr)
+        expected = {
+            "pefac": [(CFG.f_min / 2, FS / 2, CFG.bins_per_octave), cand_grid],
+            "shr": [(CFG.f_min / 2, 3400.0, CFG.bins_per_octave), cand_grid],
+            "swipe": [(CFG.f_min, CFG.swipe_f_max, CFG.swipe_bins_per_octave)]}
+        frame = first_frame(glottal_pulse_train(150.0, duration_s=0.2))
+        for name, grids in expected.items():
+            calls.clear()
+            FRAME_ESTIMATORS[name](frame, CFG)
+            assert calls == grids, name
+        calls.clear()
+        modes = np.tile(frame.samples, (4, 1))
+        imf_pitch_vector(ImfSet(modes, np.zeros(frame.samples.size), FS))
+        assert calls == [cand_grid] + 4 * expected["pefac"]
 
     def test_unknown_estimator_rejected(self):
         assert "yin" not in FRAME_ESTIMATORS

@@ -261,6 +261,23 @@ class TestRunBenchmark:
                              FAST_CFG, seed=7)
         assert a == b
 
+    def test_two_jobs_match_one_job(self, tmp_path):
+        # workers must change only where a cell runs, never its report
+        corpus = small_corpus(2)
+        noises = [(k, make_noise(k, 2 * FS, FS, seed=i))
+                  for i, k in enumerate(("white", "babble"))]
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=0))
+        blobs = []
+        for jobs in (1, 2):
+            reports, failures = run_benchmark(corpus, noises, [0.0], ["shr", "hht"],
+                                              ["raw", "pro"], cfg, seed=3, jobs=jobs)
+            assert not failures
+            path = tmp_path / f"jobs{jobs}.csv"
+            write_report_csv(path, reports)
+            blobs.append(path.read_bytes())
+        assert len(blobs[0].splitlines()) == 1 + 2 * 1 * 2 * 2
+        assert blobs[0] == blobs[1]
+
     def test_noise_resampled_once_per_rate(self, monkeypatch):
         # 16 kHz utterances with 8 kHz noise: each noise is resampled once,
         # and the reports equal those of resampling inside every mix

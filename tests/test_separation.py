@@ -64,10 +64,10 @@ def per_segment_comb_loop(buf, est, cfg):
         for i in range(cfg.frame.num_frames(len(seg), fs)):
             frame = Frame(seg[i * hop:i * hop + flen], fs, 1000.0 * i * hop / fs)
             try:
-                c = FRAME_ESTIMATORS[est](frame, cfg.estimator)
+                f0, salience = FRAME_ESTIMATORS[est](frame, cfg.estimator)
             except ValueError:
                 continue
-            cands[first + i, 0] = c.f0_hz, c.salience
+            cands[first + i, 0] = f0, salience
     return pick(cands)
 
 
@@ -443,7 +443,7 @@ class TestPipeline:
             f0_contour=((0, 300.0), (600, 300.0)), duration_ms=600, rng_seed=4))
         cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=10, rng_seed=0))
         result = analyze_utterance(buf, ["hht"], ["pro"], cfg)[("hht", "pro")]
-        diags = [d for d in result.diagnostics if d.region == HIGH and d.raw_f0s]
+        diags = [d for d in result.diagnostics if d.region.region == HIGH and d.raw_f0s]
         assert diags, "expected high-region frames with candidates"
         for d in diags:
             for corrected in d.corrected_f0s:

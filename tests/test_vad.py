@@ -137,6 +137,17 @@ class TestDetectVoiced:
         with pytest.raises(ValueError):
             detect_voiced(SampleBuffer(np.ones(10), FS), VadConfig())
 
+    @pytest.mark.filterwarnings("error")
+    def test_frame_under_two_samples_rejected(self, rng):
+        # at 51 Hz a 25 ms frame rounds to 1 sample, which has no sample
+        # transition to count a zero crossing on
+        with pytest.raises(ValueError, match="a 25.0 ms VAD frame holds 1 sample at "
+                                             "51 Hz; the zero-crossing rate needs at least 2"):
+            detect_voiced(SampleBuffer(rng.standard_normal(51), 51), VadConfig())
+        # at 60 Hz the frame rounds up to 2 samples
+        mask = detect_voiced(SampleBuffer(rng.standard_normal(60), 60), VadConfig())
+        assert mask.shape == (VadConfig().frame_spec().num_frames(60, 60),)
+
     def test_all_zero_unvoiced(self):
         mask = detect_voiced(SampleBuffer(np.zeros(FS) + 0.0, FS), VadConfig())
         assert not mask.any()

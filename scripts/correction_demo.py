@@ -14,7 +14,7 @@ from modepitch.audio import NoisyMix, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig
 from modepitch.evaluation import gross_error
-from modepitch.separation import AnalysisConfig, analyze_utterance
+from modepitch.separation import LOW, AnalysisConfig, analyze_utterance, region_of
 
 
 def main():
@@ -47,10 +47,11 @@ def main():
 
     raw_ge = gross_error(out[("hht", "raw")].track, truth)
     pro_ge = gross_error(out[("hht", "pro")].track, truth)
-    below = sum(f <= 200.0 for d in out[("hht", "pro")].diagnostics
+    gamma = cfg.pro.gamma_hz
+    below = sum(region_of(f, gamma) == LOW for d in out[("hht", "pro")].diagnostics
                 for f in d.raw_f0s)
     total = sum(len(d.raw_f0s) for d in out[("hht", "pro")].diagnostics)
-    print(f"\n{below}/{total} raw candidates at or below 200 Hz")
+    print(f"\n{below}/{total} raw candidates at or below {gamma:g} Hz")
     print(f"gross error: raw {raw_ge:.1f}%  ->  corrected {pro_ge:.1f}%")
 
 

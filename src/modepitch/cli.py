@@ -16,29 +16,22 @@ import sys
 import click
 import numpy as np
 
-from .audio import FrameSpec, load_wav, mix_at_snr, save_wav
+from .audio import load_wav, mix_at_snr, save_wav
 from .corpus import (
     NOISE_KINDS,
     generate_corpus,
     load_manifest,
     write_noise_set,
 )
-from .emd import EmdConfig, eemd_decompose, mode_energies, write_imf_wav
-from .estimators import EstimatorConfig
+from .emd import eemd_decompose, mode_energies, write_imf_wav
 from .evaluation import mix_cells, run_benchmark, write_report_csv
-from .separation import AnalysisConfig, ProConfig, analyze_utterance, check_keys
-from .vad import VadConfig
+from .separation import AnalysisConfig, analyze_utterance, check_keys
 
 OUT_DIR_ENV = "MODEPITCH_OUT_DIR"
 DEFAULT_SNRS = (-15.0, -10.0, -5.0, 0.0, 5.0)
 
-CONFIG_SECTIONS = {
-    "frame": FrameSpec,
-    "emd": EmdConfig,
-    "estimator": EstimatorConfig,
-    "pro": ProConfig,
-    "vad": VadConfig,
-}
+CONFIG_SECTIONS = {f.name: type(f.default) for f in dataclasses.fields(AnalysisConfig)}
+
 
 def config_options(fn):
     """Attach one flag per config dataclass field, prefixed by section."""
@@ -98,9 +91,7 @@ def _setup(kwargs: dict) -> tuple[AnalysisConfig, int]:
     print_config = kwargs.pop("print_config")
     cfg = resolve_config(config_file, seed, flags)
     if print_config:
-        click.echo(json.dumps(
-            {section: dataclasses.asdict(getattr(cfg, section))
-             for section in CONFIG_SECTIONS}, indent=2, sort_keys=True))
+        click.echo(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
     return cfg, seed
 
 
@@ -114,8 +105,17 @@ def _input_errors():
         raise click.ClickException(str(exc))
 
 
-def _default_out(name: str) -> str:
+def _default_out(name: str, audio: str | None = None) -> str:
+    """Path of NAME in $MODEPITCH_OUT_DIR (default "."); given an input
+    AUDIO path, NAME is prefixed with its stem and an underscore."""
+    if audio is not None:
+        name = f"{os.path.splitext(os.path.basename(audio))[0]}_{name}"
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), name)
+
+
+def _num(x: float) -> str:
+    """x to four decimals, or empty when it is not finite."""
+    return f"{x:.4f}" if np.isfinite(x) else ""
 
 
 @click.group()
@@ -140,8 +140,7 @@ def decompose(audio, output, **kwargs):
     for k, energy in enumerate(energies, start=1):
         click.echo(f"  IMF_{k}: mean-square energy {energy:.6e}")
     if output is None:
-        stem = os.path.splitext(os.path.basename(audio))[0]
-        output = _default_out(f"{stem}_modes.wav")
+        output = _default_out("modes.wav", audio)
     write_imf_wav(output, imfset)
     click.echo(f"modes written to {output}")
 
@@ -162,34 +161,25 @@ def track(audio, estimator, use_pro, output, **kwargs):
     with _input_errors():
         result = analyze_utterance(buf, [estimator], [method], cfg)[(estimator, method)]
     if output is None:
-        stem = os.path.splitext(os.path.basename(audio))[0]
-        output = _default_out(f"{stem}_{estimator}_{method}.csv")
+        output = _default_out(f"{estimator}_{method}.csv", audio)
+    pro_columns = ["region", "mean_f0", "selected_imfs", "raw_candidates",
+                   "corrected_candidates", "out_of_model"] if use_pro else []
+    diag_at = {d.region.frame_index: d for d in result.diagnostics}
     with open(output, "w") as fh:
-        if method == "raw":
-            fh.write("time_ms,voiced,f0_hz\n")
-            for t, v, f0 in zip(result.track.frame_times_ms,
-                                result.track.voiced_mask, result.track.f0_hz):
-                f0s = f"{f0:.4f}" if np.isfinite(f0) else ""
-                fh.write(f"{t:g},{int(v)},{f0s}\n")
-        else:
-            fh.write("time_ms,voiced,f0_hz,region,mean_f0,selected_imfs,"
-                     "raw_candidates,corrected_candidates,out_of_model\n")
-            diag_by_frame = {d.region.frame_index: d for d in result.diagnostics}
-            for i, (t, v, f0) in enumerate(zip(result.track.frame_times_ms,
-                                               result.track.voiced_mask,
-                                               result.track.f0_hz)):
-                f0s = f"{f0:.4f}" if np.isfinite(f0) else ""
-                d = diag_by_frame.get(i)
-                if d is None:
-                    fh.write(f"{t:g},{int(v)},{f0s},,,,,,\n")
-                    continue
+        fh.write(",".join(["time_ms", "voiced", "f0_hz", *pro_columns]) + "\n")
+        for i, (t, v, f0) in enumerate(zip(result.track.frame_times_ms,
+                                           result.track.voiced_mask,
+                                           result.track.f0_hz)):
+            cells = [f"{t:g}", str(int(v)), _num(f0)] + [""] * len(pro_columns)
+            d = diag_at.get(i)
+            if d is not None:
                 r = d.region
-                mean = f"{r.mean_f0:.4f}" if np.isfinite(r.mean_f0) else ""
-                pair = "+".join(map(str, r.selected_imfs)) if r.selected_imfs else ""
-                raw = "+".join(f"{x:.2f}" for x in d.raw_f0s)
-                cor = "+".join(f"{x:.2f}" for x in d.corrected_f0s)
-                fh.write(f"{t:g},{int(v)},{f0s},{r.region},{mean},{pair},"
-                         f"{raw},{cor},{int(d.out_of_model)}\n")
+                cells[3:] = [r.region, _num(r.mean_f0),
+                             "+".join(map(str, r.selected_imfs or ())),
+                             "+".join(f"{x:.2f}" for x in d.raw_f0s),
+                             "+".join(f"{x:.2f}" for x in d.corrected_f0s),
+                             str(int(d.out_of_model))]
+            fh.write(",".join(cells) + "\n")
     click.echo(f"track written to {output}")
 
 
@@ -206,18 +196,13 @@ def separate(audio, output, **kwargs):
         result = analyze_utterance(buf, ["pefac"], ["pro"], cfg)
     regions = result[("pefac", "pro")].regions
     if output is None:
-        stem = os.path.splitext(os.path.basename(audio))[0]
-        output = _default_out(f"{stem}_regions.csv")
+        output = _default_out("regions.csv", audio)
     hop = cfg.frame.hop_ms
     with open(output, "w") as fh:
         fh.write("time_ms,region,mean_f0,imf_a,imf_b\n")
-        for region in regions:
-            mean = f"{region.mean_f0:.4f}" if np.isfinite(region.mean_f0) else ""
-            if region.selected_imfs:
-                a, b = region.selected_imfs
-                fh.write(f"{region.frame_index * hop:g},{region.region},{mean},{a},{b}\n")
-            else:
-                fh.write(f"{region.frame_index * hop:g},{region.region},{mean},,\n")
+        for r in regions:
+            a, b = r.selected_imfs or ("", "")
+            fh.write(f"{r.frame_index * hop:g},{r.region},{_num(r.mean_f0)},{a},{b}\n")
     click.echo(f"{len(regions)} voiced frames classified; regions written to {output}")
 
 

@@ -16,8 +16,10 @@ from .audio import FrameSpec, SampleBuffer, load_wav, save_wav
 from .track import FramePitchTrack
 
 DEFAULT_FORMANTS = ((500.0, 80.0), (1500.0, 120.0), (2500.0, 160.0))
-# the lowest corpus rate: its Nyquist frequency is the 400 Hz contour ceiling
-MIN_CORPUS_RATE_HZ = 800
+# (low, high) Hz ranges generate_corpus draws its three formants from; a
+# corpus rate must put the top one below the Nyquist frequency, which also
+# keeps the 400 Hz contour ceiling below it
+CORPUS_FORMANT_RANGES = ((450.0, 900.0), (1000.0, 1900.0), (2100.0, 3100.0))
 
 
 @dataclass(frozen=True)
@@ -307,7 +309,7 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
         )
         formants = tuple(
             (float(rng.uniform(lo, hi)), float(rng.uniform(80, 180)))
-            for lo, hi in ((450, 900), (1000, 1900), (2100, 3100))
+            for lo, hi in CORPUS_FORMANT_RANGES
         )
         specs.append(SynthUtteranceSpec(
             f0_contour=knots, duration_ms=duration_ms, formant_set=formants,
@@ -315,9 +317,10 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
             sample_rate_hz=sample_rate_hz,
         ))
     frame.hop(sample_rate_hz)  # rejects a rate the reference grid cannot sample
-    if sample_rate_hz < MIN_CORPUS_RATE_HZ:
-        raise ValueError(f"corpus sample_rate_hz must be at least {MIN_CORPUS_RATE_HZ} Hz, "
-                         f"twice the 400 Hz contour ceiling, got {sample_rate_hz}")
+    top_hz = CORPUS_FORMANT_RANGES[-1][1]
+    if sample_rate_hz <= 2 * top_hz:
+        raise ValueError(f"corpus sample_rate_hz must exceed {2 * top_hz:g} Hz, twice the "
+                         f"{top_hz:g} Hz top formant, got {sample_rate_hz}")
     os.makedirs(out_dir, exist_ok=True)  # only once every option has passed
     entries = []
     for i, spec in enumerate(specs):

@@ -15,6 +15,7 @@ from .separation import (
     ProConfig,
     analyze_utterance,
     check_keys,
+    region_of,
 )
 from .track import FramePitchTrack, has_estimate, tracks_aligned
 
@@ -115,9 +116,8 @@ def separation_error(pred_regions: list[FrequencyRegion], ref: FramePitchTrack,
         i = region.frame_index
         if i >= len(ref) or not ref.voiced_mask[i] or not ref_ok[i]:
             continue
-        truth = "low" if ref.f0_hz[i] <= gamma_hz else "high"
         scored += 1
-        if region.region != truth:
+        if region.region != region_of(ref.f0_hz[i], gamma_hz):
             wrong += 1
     if scored == 0:
         raise ValueError("no voiced frames with region predictions to score")

@@ -4,7 +4,7 @@ Per frame, F0 is estimated independently on the first decomposition modes;
 the two modes whose estimates vary least against the others are selected,
 and their mean places the frame below or above the boundary gamma (200 Hz
 by default). Pitch candidates from a conventional estimator are then folded
-into the band the frame belongs to ([gamma/4, gamma] for low, (gamma,
+into the band the frame belongs to ([gamma/4, gamma] for low, [gamma,
 2 gamma] for high) by octave shifts.
 """
 from __future__ import annotations
@@ -44,6 +44,11 @@ class ProConfig:
             raise ValueError("gamma_hz must lie in (50, 400)")
         if self.k_imfs < 2:
             raise ValueError("k_imfs must be at least 2")
+
+
+def region_of(f0_hz: float, gamma_hz: float = ProConfig.gamma_hz) -> str:
+    """The region a frequency lies in: LOW at or below gamma, HIGH above."""
+    return LOW if f0_hz <= gamma_hz else HIGH
 
 
 @dataclass(frozen=True)
@@ -129,8 +134,7 @@ def classify_region(f0_per_imf: np.ndarray, cfg: ProConfig = ProConfig(),
     imf_a = int(valid[a - 1]) + 1
     imf_b = int(valid[b - 1]) + 1
     mean_f0 = float(0.5 * (sub[a - 1] + sub[b - 1]))
-    region = LOW if mean_f0 <= cfg.gamma_hz else HIGH
-    return FrequencyRegion(frame_index=frame_index, region=region,
+    return FrequencyRegion(frame_index=frame_index, region=region_of(mean_f0, cfg.gamma_hz),
                            mean_f0=mean_f0, selected_imfs=(imf_a, imf_b))
 
 
@@ -216,7 +220,7 @@ def correct_candidate(f_cand: float, region: str,
 
     Low frames map onto [gamma/4, gamma]: identity there, halve on
     (gamma, 2 gamma], quarter above 2 gamma. High frames map onto
-    (gamma, 2 gamma]: quadruple on [gamma/4, gamma/2], double on
+    [gamma, 2 gamma]: quadruple on [gamma/4, gamma/2], double on
     (gamma/2, gamma], identity on (gamma, 2 gamma], halve above 2 gamma.
     Candidates below gamma/4 pass through unchanged (out of the model's
     range; callers flag them in diagnostics). At the default gamma of
@@ -295,15 +299,14 @@ def check_keys(estimators: list[str], methods: list[str]) -> None:
                              f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
 
 
-def _diagnostic(f0s: np.ndarray, region: FrequencyRegion,
+def _diagnostic(raw: np.ndarray, folded: np.ndarray, region: FrequencyRegion,
                 gamma_hz: float) -> FrameDiagnostic:
-    """Audit record of one frame from its row of candidate F0s, in slot order."""
-    raw_f0s = tuple(f0s[~np.isnan(f0s)].tolist())
-    return FrameDiagnostic(
-        region=region, raw_f0s=raw_f0s,
-        corrected_f0s=tuple(correct_candidate(f, region.region, gamma_hz)
-                            for f in raw_f0s),
-        out_of_model=any(f < 0.25 * gamma_hz for f in raw_f0s))
+    """Audit record of one frame from its raw and folded CANDIDATE rows."""
+    found = ~np.isnan(raw["f0_hz"])
+    raw_f0s = tuple(raw["f0_hz"][found].tolist())
+    return FrameDiagnostic(region=region, raw_f0s=raw_f0s,
+                           corrected_f0s=tuple(folded["f0_hz"][found].tolist()),
+                           out_of_model=any(f < 0.25 * gamma_hz for f in raw_f0s))
 
 
 def analyze_utterance(buf: SampleBuffer, estimators: list[str],
@@ -312,9 +315,9 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     """Run the requested estimator/method combinations over one utterance.
 
     Every stage writes onto the utterance's frame grid, and the utterance
-    is framed once. Each voiced segment is decomposed once, sifting no
-    further than the last mode the requested keys read (pro.k_imfs for pro,
-    estimator.hht_num_imfs for hht, both within emd.max_imfs); its per-mode
+    is framed once. Each voiced segment is decomposed once, sifting exactly
+    the modes the requested keys read, whatever emd.max_imfs says (pro.k_imfs
+    for pro, estimator.hht_num_imfs for hht, the larger for both); its per-mode
     F0 rows and hht candidates land at the segment's frames. pefac, shr and
     swipe then score the voiced rows of the utterance framing, and each
     (f0_hz, salience) pair they return fills the frame's one slot. Each
@@ -322,9 +325,10 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     for hht, one slot otherwise). One region pass then classifies all
     voiced frames in order, so a frame without mode evidence inherits the
     previous voiced frame's region, across segments too. The raw F0 is each
-    frame's most salient candidate and the pro F0 is that pick folded into
-    the frame's region. Folding keeps salience and order, so this equals
-    picking among the folded candidates.
+    frame's most salient candidate. Each candidate of a voiced frame is
+    folded once into the frame's region, and the pro F0 is the most salient
+    folded candidate. Folding keeps salience and order, so this equals the
+    raw pick folded.
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
@@ -337,8 +341,8 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     hop, vad_len = cfg.frame.hop(fs), cfg.vad.frame_spec(cfg.frame).frame_len(fs)
     # sifting is sequential, so stopping after the last mode a key reads
     # leaves every mode that is read, and their trial averages, unchanged
-    emd_cfg = replace(cfg.emd, max_imfs=min(cfg.emd.max_imfs, max(
-        cfg.pro.k_imfs if pro else 1, cfg.estimator.hht_num_imfs if hht else 1)))
+    emd_cfg = replace(cfg.emd, max_imfs=max(cfg.pro.k_imfs if pro else 1,
+                                            cfg.estimator.hht_num_imfs if hht else 1))
 
     voiced = np.zeros(n_track, dtype=bool)
     mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
@@ -374,12 +378,14 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
         raw = pick(cands[est])
         f0, diagnostics = {"raw": raw}, ()
         if pro:
-            f0["pro"] = raw.copy()
+            folded = cands[est].copy()
             for r in regions:
-                if not math.isnan(raw[r.frame_index]):
-                    f0["pro"][r.frame_index] = correct_candidate(raw[r.frame_index],
-                                                                 r.region, gamma)
-            diagnostics = tuple(_diagnostic(cands[est][r.frame_index]["f0_hz"], r, gamma)
+                row = folded["f0_hz"][r.frame_index]
+                for k in np.flatnonzero(~np.isnan(row)):
+                    row[k] = correct_candidate(row[k], r.region, gamma)
+            f0["pro"] = pick(folded)
+            diagnostics = tuple(_diagnostic(cands[est][r.frame_index],
+                                            folded[r.frame_index], r, gamma)
                                 for r in regions)
         for meth in methods:
             track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=f0[meth],

@@ -357,8 +357,8 @@ class TestSynthAndBench:
         (["--low-fraction", "2"], "low_fraction must lie in [0, 1], got 2.0"),
         (["--low-fraction", "-1"], "low_fraction must lie in [0, 1], got -1.0"),
         (["--sample-rate", "50"], "hop_ms=10.0 rounds to 0 samples at 50 Hz"),
-        (["--sample-rate", "400"], "corpus sample_rate_hz must be at least 800 Hz, "
-                                   "twice the 400 Hz contour ceiling, got 400")])
+        (["--sample-rate", "400"], "corpus sample_rate_hz must exceed 6200 Hz, "
+                                   "twice the 3100 Hz top formant, got 400")])
     def test_bad_synth_option_is_click_error(self, runner, tmp_path, args, message):
         # every option is checked before the corpus directory is made
         out_dir = tmp_path / "corpus"

@@ -296,17 +296,18 @@ class TestManifest:
             assert np.nanmin(item.truth.f0_hz) > 200.0
 
     def test_corpus_rate_floor(self, tmp_path):
-        # below twice the 400 Hz contour ceiling a reference could name an
-        # F0 above its audio's Nyquist frequency
-        assert corpus.MIN_CORPUS_RATE_HZ == 800
+        # at or below twice the top 3100 Hz formant a resonator would sit at
+        # or above the Nyquist frequency and alias (the 400 Hz contour
+        # ceiling is far below it)
+        assert corpus.CORPUS_FORMANT_RANGES[-1][1] == 3100.0
         rejected = tmp_path / "rejected"
-        with pytest.raises(ValueError, match="corpus sample_rate_hz must be at least "
-                                             "800 Hz, .* got 799$"):
-            generate_corpus(rejected, count=1, duration_ms=200.0, sample_rate_hz=799)
+        with pytest.raises(ValueError, match="corpus sample_rate_hz must exceed "
+                                             "6200 Hz, .* got 6200$"):
+            generate_corpus(rejected, count=1, duration_ms=200.0, sample_rate_hz=6200)
         assert not rejected.exists()
         manifest = generate_corpus(tmp_path / "accepted", count=1, duration_ms=200.0,
-                                   sample_rate_hz=800)
-        assert load_manifest(manifest)[0].audio.sample_rate_hz == 800
+                                   sample_rate_hz=8000)
+        assert load_manifest(manifest)[0].audio.sample_rate_hz == 8000
 
     @pytest.mark.parametrize("kinds,rate,message", [
         (NOISE_KINDS, 50, "noise sample_rate_hz must be at least 51 Hz, got 50$"),

@@ -206,6 +206,9 @@ class TestSeparationError:
         assert separation_error(self._regions([LOW]), ref) == 0.0
         assert separation_error(self._regions([HIGH]), ref) == 100.0
         assert separation_error(self._regions([HIGH]), track([200.5])) == 0.0
+        # a reference of exactly a given gamma is low too
+        assert separation_error(self._regions([LOW]), track([150.0]), 150.0) == 0.0
+        assert separation_error(self._regions([HIGH]), track([150.5]), 150.0) == 0.0
 
     def test_unvoiced_frames_not_scored(self):
         ref = track([100.0, np.nan, 100.0], voiced=[True, False, True])

@@ -320,8 +320,8 @@ class TestCorrectCandidate:
 
 
 class TestPickThenFold:
-    """The pipeline picks the most salient raw candidate and folds only the
-    pick; the oracle folds every candidate and then picks."""
+    """The pipeline folds every candidate and picks the most salient folded
+    one; that equals folding the most salient raw candidate."""
 
     @settings(max_examples=300, deadline=None)
     @given(cands=st.lists(st.tuples(
@@ -487,6 +487,13 @@ class TestPipeline:
                 else:
                     assert pro.track.f0_hz[i] == correct_candidate(f, region_at[i])
                     moved += pro.track.f0_hz[i] != f
+            # each diagnostic folds every raw candidate into its region and
+            # flags a raw candidate below gamma / 4
+            for d in pro.diagnostics:
+                assert d.corrected_f0s == tuple(correct_candidate(f, d.region.region)
+                                                for f in d.raw_f0s)
+                assert d.out_of_model == any(f < 0.25 * ProConfig.gamma_hz
+                                             for f in d.raw_f0s)
         assert moved > 0
 
     def test_pro_folds_on_gamma(self):
@@ -539,7 +546,8 @@ class TestPipeline:
         (["shr", "hht"], ["raw", "pro"], ProConfig().k_imfs)])
     def test_mode_cap_equals_uncapped_oracle(self, monkeypatch, estimators, methods,
                                              n_read):
-        # the pipeline sifts only the modes its keys read; a run that
+        # the pipeline sifts exactly the modes its keys read, whatever
+        # emd.max_imfs says, even below them; a default-config run that
         # sifts all emd.max_imfs modes must give the same output
         clean, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 140.0), (500, 260.0)), duration_ms=500, rng_seed=5))
@@ -547,26 +555,29 @@ class TestPipeline:
                                   noise=make_noise("babble", len(clean), FS, seed=2)))
         cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0))
         real_decompose = separation.eemd_decompose
+        monkeypatch.setattr(separation, "eemd_decompose",
+                            lambda seg, emd_cfg: real_decompose(seg, cfg.emd))
+        oracle = analyze_utterance(buf, estimators, methods, cfg)
+        assert any(np.isfinite(r.track.f0_hz).any() for r in oracle.values())
         caps = []
 
         def recording(seg, emd_cfg):
             caps.append(emd_cfg.max_imfs)
             return real_decompose(seg, emd_cfg)
         monkeypatch.setattr(separation, "eemd_decompose", recording)
-        capped = analyze_utterance(buf, estimators, methods, cfg)
-        assert caps and set(caps) == {n_read}
-        monkeypatch.setattr(separation, "eemd_decompose",
-                            lambda seg, emd_cfg: real_decompose(seg, cfg.emd))
-        oracle = analyze_utterance(buf, estimators, methods, cfg)
-        assert capped.keys() == oracle.keys()
-        for key, result in capped.items():
-            np.testing.assert_array_equal(result.track.f0_hz, oracle[key].track.f0_hz)
-            np.testing.assert_array_equal(result.track.voiced_mask,
-                                          oracle[key].track.voiced_mask)
-            # repr round-trips floats exactly and prints NaN equal to NaN
-            assert repr(result.regions) == repr(oracle[key].regions)
-            assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
-        assert any(np.isfinite(r.track.f0_hz).any() for r in capped.values())
+        for max_imfs in (cfg.emd.max_imfs, 2, 3):
+            capped = analyze_utterance(buf, estimators, methods, AnalysisConfig(
+                emd=EmdConfig(ensemble_size=5, rng_seed=0, max_imfs=max_imfs)))
+            assert caps and set(caps) == {n_read}
+            assert capped.keys() == oracle.keys()
+            for key, result in capped.items():
+                np.testing.assert_array_equal(result.track.f0_hz,
+                                              oracle[key].track.f0_hz)
+                np.testing.assert_array_equal(result.track.voiced_mask,
+                                              oracle[key].track.voiced_mask)
+                # repr round-trips floats exactly and prints NaN equal to NaN
+                assert repr(result.regions) == repr(oracle[key].regions)
+                assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
 
     @pytest.mark.parametrize("fs", [8000, 16000])
     def test_comb_tracks_equal_per_segment_loop(self, fs):
@@ -665,9 +676,20 @@ class TestAnalyzeProperties:
             assert track.f0_hz.shape == track.voiced_mask.shape == (n_frames,)
             assert not (np.isfinite(track.f0_hz) & ~track.voiced_mask).any()
             assert np.ptp(x) > 0 or not track.voiced_mask.any()
+        gamma = cfg.pro.gamma_hz
         for est in ALL_KEYS[0]:
             np.testing.assert_array_equal(np.isfinite(out[(est, "pro")].track.f0_hz),
                                           np.isfinite(out[(est, "raw")].track.f0_hz))
+            # every corrected candidate lies in its frame's closed band, or
+            # came from a raw candidate below gamma / 4 on a flagged frame
+            for d in out[(est, "pro")].diagnostics:
+                low = d.region.region == LOW
+                lo, hi = (gamma / 4, gamma) if low else (gamma, 2 * gamma)
+                for raw, corrected in zip(d.raw_f0s, d.corrected_f0s):
+                    if raw < gamma / 4:
+                        assert d.out_of_model and corrected == raw
+                    else:
+                        assert lo <= corrected <= hi, (d, raw, corrected)
         constant = SampleBuffer(np.full(x.size, x[0]), fs)
         for result in analyze_utterance(constant, *ALL_KEYS, cfg).values():
             assert not result.track.voiced_mask.any()

@@ -34,6 +34,8 @@ def main():
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     estimators = args.estimators.split(",")
     methods = args.methods.split(",")
     try:

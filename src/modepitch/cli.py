@@ -97,12 +97,25 @@ def _setup(kwargs: dict) -> tuple[AnalysisConfig, int]:
 
 @contextlib.contextmanager
 def _input_errors():
-    """Report a ValueError raised on what the user supplied (too short an
-    input, a bad synth option) as an ``Error:`` line, not a traceback."""
+    """Report a ValueError or OSError raised on what the user supplied (an
+    unreadable or missing file, too short an input, a bad option value) as
+    an ``Error:`` line, not a traceback."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
+
+
+def _csv_list(flag: str, text: str, convert=str) -> list:
+    """The comma-separated values of FLAG; ValueError if one does not
+    convert or there are none."""
+    try:
+        values = [convert(x.strip()) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}")
+    if not values:
+        raise ValueError(f"{flag} names no values")
+    return values
 
 
 def _default_out(name: str, audio: str | None = None) -> str:
@@ -132,7 +145,8 @@ def main():
 def decompose(audio, output, **kwargs):
     """Decompose AUDIO and dump modes plus per-mode energies."""
     cfg, _ = _setup(kwargs)
-    buf = load_wav(audio)
+    with _input_errors():
+        buf = load_wav(audio)
     imfset = eemd_decompose(buf, cfg.emd)
     click.echo(f"{len(imfset)} IMFs from {len(buf)} samples at "
                f"{buf.sample_rate_hz} Hz")
@@ -156,9 +170,9 @@ def decompose(audio, output, **kwargs):
 def track(audio, estimator, use_pro, output, **kwargs):
     """Track F0 of AUDIO frame by frame."""
     cfg, _ = _setup(kwargs)
-    buf = load_wav(audio)
     method = "pro" if use_pro else "raw"
     with _input_errors():
+        buf = load_wav(audio)
         result = analyze_utterance(buf, [estimator], [method], cfg)[(estimator, method)]
     if output is None:
         output = _default_out(f"{estimator}_{method}.csv", audio)
@@ -190,9 +204,9 @@ def track(audio, estimator, use_pro, output, **kwargs):
 def separate(audio, output, **kwargs):
     """Classify voiced frames of AUDIO as low or high frequency."""
     cfg, _ = _setup(kwargs)
-    buf = load_wav(audio)
     # regions come from the modes alone; the estimator only names the result key
     with _input_errors():
+        buf = load_wav(audio)
         result = analyze_utterance(buf, ["pefac"], ["pro"], cfg)
     regions = result[("pefac", "pro")].regions
     if output is None:
@@ -221,7 +235,8 @@ def separate(audio, output, **kwargs):
               type=click.Choice(["ref_voiced", "detected_voiced"]),
               help="which voicing gates the GE denominator")
 @click.option("--jobs", default=os.cpu_count() or 1, show_default="cpu count",
-              type=click.INT, help="parallel workers for benchmark cells")
+              type=click.IntRange(min=1),
+              help="parallel workers for benchmark cells (at most one per utterance)")
 @click.option("--dump-mixes", default=None,
               type=click.Path(file_okay=False),
               help="also materialize every mixed signal as 16-bit PCM WAV here")
@@ -231,17 +246,17 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
           dump_mixes, output, **kwargs):
     """Score estimators over the (noise x SNR x method) grid."""
     cfg, seed = _setup(kwargs)
-    est_list = [e.strip() for e in estimators.split(",") if e.strip()]
-    meth_list = [m.strip() for m in methods.split(",") if m.strip()]
-    with _input_errors():
-        check_keys(est_list, meth_list)
-    corpus = load_manifest(manifest)
     noise_files = sorted(f for f in os.listdir(noise_dir) if f.endswith(".wav"))
     if not noise_files:
         raise click.ClickException(f"no noise WAVs in {noise_dir}")
-    noises = [(os.path.splitext(f)[0], load_wav(os.path.join(noise_dir, f)))
-              for f in noise_files]
-    snr_list = [float(s) for s in snrs.split(",") if s.strip()]
+    with _input_errors():
+        est_list = _csv_list("--estimators", estimators)
+        meth_list = _csv_list("--methods", methods)
+        snr_list = _csv_list("--snrs", snrs, float)
+        check_keys(est_list, meth_list)
+        corpus = load_manifest(manifest)
+        noises = [(os.path.splitext(f)[0], load_wav(os.path.join(noise_dir, f)))
+                  for f in noise_files]
     reports, failures = run_benchmark(
         corpus, noises, snr_list, est_list, meth_list, cfg,
         seed=seed, gate=gate, jobs=jobs)

@@ -138,9 +138,12 @@ def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec(
 # ---------------------------------------------------------------------------
 
 NOISE_KINDS = ("white", "pink", "babble", "hum", "bursts", "shaped")
-# the lowest rate every kind supports: babble's voices are synthesized on the
-# 10 ms analysis hop, which rounds to 0 samples at 50 Hz and below
+# the lowest rate every kind supports: below 20 Hz bursts has no room for a
+# burst width, and the 10 ms hop rounds to 0 samples at 50 Hz and below
 MIN_NOISE_RATE_HZ = 51
+# (low, high) Hz ranges each babble voice draws its three formants from; a
+# babble rate must put the top one below the Nyquist frequency
+BABBLE_FORMANT_RANGES = ((300.0, 900.0), (900.0, 1800.0), (1800.0, 3000.0))
 
 
 def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
@@ -151,6 +154,10 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
     if sample_rate_hz < MIN_NOISE_RATE_HZ:
         raise ValueError(f"noise sample_rate_hz must be at least {MIN_NOISE_RATE_HZ} Hz, "
                          f"got {sample_rate_hz}")
+    top_hz = BABBLE_FORMANT_RANGES[-1][1]
+    if kind == "babble" and sample_rate_hz <= 2 * top_hz:
+        raise ValueError(f"babble sample_rate_hz must exceed {2 * top_hz:g} Hz, twice the "
+                         f"{top_hz:g} Hz top formant, got {sample_rate_hz}")
     rng = np.random.default_rng(seed)
     fs = sample_rate_hz
     if kind == "white":
@@ -201,7 +208,7 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
                 duration_ms=max(200.0, duration_ms),
                 formant_set=tuple(
                     (float(rng.uniform(lo, hi)), float(rng.uniform(80, 200)))
-                    for lo, hi in ((300, 900), (900, 1800), (1800, 3000))
+                    for lo, hi in BABBLE_FORMANT_RANGES
                 ),
                 jitter_pct=1.0,
                 rng_seed=int(rng.integers(0, 2 ** 31)),

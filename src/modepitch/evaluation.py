@@ -197,14 +197,21 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     reason prefixed by the corpus item name; a cell with no successful
     utterance is left out of the reports. Unknown estimator or method names
     raise before anything is mixed. The mixes are those of `mix_cells`, so
-    the result is deterministic for a fixed seed.
+    the result is deterministic for a fixed seed. Utterances run in a pool
+    of min(jobs, corpus size) worker processes, or in this process when
+    that is 1.
     """
     if not corpus or not noises or not snrs or not estimators or not methods:
         raise ValueError("benchmark grids must be non-empty")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     check_keys(estimators, methods)
     reports: list[EvalReport] = []
     failures: list[BenchFailure] = []
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    # under fork the pool starts all its workers with the first task, and a
+    # cell has one task per utterance
+    workers = min(jobs, len(corpus))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for noise_name, snr, mixes in mix_cells(corpus, noises, snrs, seed):
             tasks = [(item, mix, estimators, methods, cfg, gate)

@@ -74,16 +74,23 @@ class FrequencyRegion:
 
 
 def distance_matrix(f0_vector: np.ndarray) -> np.ndarray:
-    """Normalized pairwise distances |(a - b) / (a + b)|.
+    """Normalized pairwise distances |(a - b) / (a + b)| over the last axis.
 
-    Symmetric with zero diagonal; every value lies in [0, 1).
+    Symmetric with zero diagonal; every value lies in [0, 1). Leading axes
+    are batch axes: a (frames x modes) array gives one matrix per frame.
     """
     v = np.asarray(f0_vector, dtype=np.float64)
     if np.any(~np.isfinite(v)) or np.any(v <= 0):
         raise ValueError("distance matrix requires strictly positive F0 entries")
-    diff = np.abs(v[:, None] - v[None, :])
-    total = v[:, None] + v[None, :]
+    diff = np.abs(v[..., :, None] - v[..., None, :])
+    total = v[..., :, None] + v[..., None, :]
     return diff / total
+
+
+def _smallest_two(scores: np.ndarray) -> np.ndarray:
+    """0-based indices of the two smallest scores along the last axis, in
+    ascending index order; ties go to the smaller index."""
+    return np.sort(np.argsort(scores, axis=-1, kind="stable")[..., :2], axis=-1)
 
 
 def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
@@ -98,65 +105,52 @@ def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
     if d.shape != (k, k) or k < 2:
         raise ValueError("need a square matrix of size >= 2")
     scores = d.sum(axis=1)
-    order = np.argsort(scores, kind="stable")
-    a, b = sorted((int(order[0]) + 1, int(order[1]) + 1))
+    a, b = (_smallest_two(scores) + 1).tolist()
     return (a, b), scores
-
-
-def _check_mode_f0(mode_f0: np.ndarray, ndim: int) -> np.ndarray:
-    """Per-mode F0 as a float64 array of ndim axes, modes on the last: at
-    least two modes, every finite entry positive (NaN marks no estimate)."""
-    mode_f0 = np.asarray(mode_f0, dtype=np.float64)
-    if mode_f0.ndim != ndim or mode_f0.shape[-1] < 2:
-        raise ValueError(f"need a {ndim}-D array of at least two mode estimates")
-    if np.any(np.isfinite(mode_f0) & (mode_f0 <= 0)):
-        raise ValueError("mode F0 entries must be positive or NaN")
-    return mode_f0
-
-
-def classify_region(f0_per_imf: np.ndarray, cfg: ProConfig = ProConfig(),
-                    frame_index: int = 0) -> FrequencyRegion:
-    """Mean F0 of the selected mode pair against the gamma threshold;
-    exactly gamma counts as low.
-
-    Modes with missing estimates are excluded before pair selection; fewer
-    than two usable modes raises ValueError, as does a vector that is not
-    valid per-mode F0.
-    """
-    v = _check_mode_f0(f0_per_imf, 1)
-    valid = np.flatnonzero(np.isfinite(v))
-    if valid.size < 2:
-        raise ValueError(
-            f"frame {frame_index}: only {valid.size} usable mode estimates")
-    sub = v[valid]
-    d = distance_matrix(sub)
-    (a, b), _ = select_imf_pair(d)
-    imf_a = int(valid[a - 1]) + 1
-    imf_b = int(valid[b - 1]) + 1
-    mean_f0 = float(0.5 * (sub[a - 1] + sub[b - 1]))
-    return FrequencyRegion(frame_index=frame_index, region=region_of(mean_f0, cfg.gamma_hz),
-                           mean_f0=mean_f0, selected_imfs=(imf_a, imf_b))
 
 
 def classify_frames(mode_f0: np.ndarray, cfg: ProConfig = ProConfig(),
                     frames: np.ndarray | None = None) -> list[FrequencyRegion]:
     """Classify the given rows (frame indices, in order; default all) of a
-    (frames x modes) F0 matrix. A frame with fewer than two usable mode
-    estimates inherits the region of the frame classified before it; the
-    first one defaults to low."""
-    mode_f0 = _check_mode_f0(mode_f0, 2)
-    regions: list[FrequencyRegion] = []
-    last = LOW
-    for i in range(len(mode_f0)) if frames is None else frames:
-        row = mode_f0[i]
-        if np.count_nonzero(np.isfinite(row)) >= 2:
-            region = classify_region(row, cfg, int(i))
-        else:
-            region = FrequencyRegion(frame_index=int(i), region=last,
-                                     mean_f0=math.nan, selected_imfs=None)
-        regions.append(region)
-        last = region.region
+    (frames x modes) F0 matrix in one array pass: the select_imf_pair rule
+    over each row's usable (finite) modes, then region_of the pair's mean
+    F0. A frame with fewer than two usable mode estimates inherits the
+    region of the frame classified before it; the first one defaults to low.
+    """
+    mode_f0 = np.asarray(mode_f0, dtype=np.float64)
+    if mode_f0.ndim != 2 or mode_f0.shape[1] < 2:
+        raise ValueError("need a (frames x modes) array of at least two mode estimates")
+    rows = np.arange(len(mode_f0)) if frames is None else np.asarray(frames, dtype=np.intp)
+    v = mode_f0[rows]
+    usable = np.isfinite(v)
+    if np.any(usable & (v <= 0)):
+        raise ValueError("mode F0 entries must be positive or NaN")
+    # unusable modes get a stand-in F0, add 0 to every row sum and never win
+    v = np.where(usable, v, 1.0)
+    scores = np.where(usable[:, None, :], distance_matrix(v), 0.0).sum(axis=-1)
+    pair = _smallest_two(np.where(usable, scores, np.inf))
+    mean_f0 = 0.5 * np.take_along_axis(v, pair, axis=1).sum(axis=1)
+    regions, last = [], LOW
+    for i, ok, mean, (a, b) in zip(rows.tolist(), (usable.sum(axis=1) >= 2).tolist(),
+                                   mean_f0.tolist(), (pair + 1).tolist()):
+        last = region_of(mean, cfg.gamma_hz) if ok else last
+        regions.append(FrequencyRegion(i, last, mean, (a, b)) if ok
+                       else FrequencyRegion(i, last, math.nan, None))
     return regions
+
+
+def classify_region(f0_per_imf: np.ndarray, cfg: ProConfig = ProConfig(),
+                    frame_index: int = 0) -> FrequencyRegion:
+    """classify_frames on one frame's per-mode F0 vector; exactly gamma
+    counts as low. Fewer than two usable modes raises ValueError."""
+    v = np.asarray(f0_per_imf, dtype=np.float64)
+    if v.ndim != 1 or v.size < 2:
+        raise ValueError("need a 1-D array of at least two mode estimates")
+    region = classify_frames(v[None, :], cfg)[0]
+    if region.selected_imfs is None:
+        raise ValueError(f"frame {frame_index}: only {np.isfinite(v).sum()} "
+                         "usable mode estimates")
+    return replace(region, frame_index=frame_index)
 
 
 def _smoothed_argmax_track(cands: np.ndarray, scores: np.ndarray,

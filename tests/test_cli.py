@@ -94,6 +94,18 @@ class TestHelpDocSync:
         assert "-15,-10,-5,0,5" in result.output.replace(" ", "")
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", [["decompose"], ["track"], ["track", "--pro"],
+                                         ["separate"]])
+    def test_non_wav_input_is_click_error(self, runner, tmp_path, command):
+        notes = tmp_path / "notes.wav"
+        notes.write_text("not audio\n")
+        result = runner.invoke(main, [command[0], str(notes), *command[1:],
+                                      "-o", str(tmp_path / "out")])
+        assert_click_error(result, f"unreadable WAV file {notes}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestDecompose:
     def test_two_tone_reports_modes(self, runner, two_tone_wav, tmp_path):
         out = str(tmp_path / "modes.wav")
@@ -428,6 +440,35 @@ class TestSynthAndBench:
         for name, samples in zip(names, scored):
             pcm = np.round(np.clip(samples, -1.0, 1.0) * 32767.0) / 32768.0
             np.testing.assert_array_equal(load_wav(mixes / name).samples, pcm)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--snrs", "abc"], "--snrs: could not convert string to float: 'abc'"),
+        (["--snrs", ""], "--snrs names no values"),
+        (["--snrs", ","], "--snrs names no values"),
+        (["--estimators", " , "], "--estimators names no values"),
+        (["--methods", ""], "--methods names no values"),
+        ([], "[Errno 2] No such file or directory")])
+    def test_bad_bench_input_is_click_error(self, runner, tmp_path, args, message):
+        # the option lists are read before the manifest, whose WAV is missing
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("missing.wav missing.f0\n")
+        noise_dir = tmp_path / "noises"
+        write_noise_set(noise_dir, kinds=("white",), duration_ms=500.0)
+        result = runner.invoke(main, ["bench", "--manifest", str(manifest),
+                                      "--noise-dir", str(noise_dir), "--jobs", "1",
+                                      "-o", str(tmp_path / "r.csv"), *args])
+        assert_click_error(result, message)
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bench_jobs_below_one_usage_error(self, runner, tmp_path, jobs):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("missing.wav missing.f0\n")
+        result = runner.invoke(main, ["bench", "--manifest", str(manifest),
+                                      "--noise-dir", str(tmp_path), "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.output
+        assert "Traceback" not in result.output
 
     def test_empty_manifest_fails_before_work(self, runner, tmp_path):
         manifest = tmp_path / "manifest.txt"

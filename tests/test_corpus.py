@@ -252,8 +252,15 @@ class TestNoise:
                                                  f"least 51 Hz, got {fs}$"):
                 make_noise(kind, 8000, fs)
         assert np.abs(make_noise(kind, 1, FS).samples).tolist() == [1.0]
+        # babble's floor is twice its top formant; every other kind accepts 51
+        floor = 6001 if kind == "babble" else 51
+        if kind == "babble":
+            with pytest.raises(ValueError, match="babble sample_rate_hz must exceed "
+                                                 "6000 Hz, twice the 3000 Hz top "
+                                                 "formant, got 6000$"):
+                make_noise(kind, 8000, 6000)
         for n in (1, 7, 3 * 51):  # the floor itself is accepted
-            assert len(make_noise(kind, n, 51, seed=2)) == n
+            assert len(make_noise(kind, n, floor, seed=2)) == n
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown noise"):

@@ -310,6 +310,38 @@ class TestRunBenchmark:
         assert len(calls) == len(noises) * 2 * len(corpus)
         assert repr(reports) == repr(per_mix)
 
+    def test_pool_never_larger_than_the_corpus(self, monkeypatch):
+        # the pool starts every worker up front, so it is sized to the
+        # utterances a cell has, and one utterance needs no pool at all
+        from modepitch import evaluation
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+            def shutdown(self):
+                pass
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+        noises = [("white", make_noise("white", 2 * FS, FS, seed=1))]
+        args = (noises, [5.0], ["shr"], ["raw"], FAST_CFG)
+        pooled, failures = run_benchmark(small_corpus(2), *args, jobs=10_000)
+        assert sizes == [2] and not failures
+        serial, _ = run_benchmark(small_corpus(2), *args, jobs=1)
+        assert repr(pooled) == repr(serial)
+        run_benchmark(small_corpus(1), *args, jobs=4)
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        noises = [("white", make_noise("white", 2 * FS, FS, seed=1))]
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}$"):
+            run_benchmark(small_corpus(1), noises, [5.0], ["shr"], ["raw"],
+                          FAST_CFG, jobs=jobs)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark([], [("white", make_noise("white", FS, FS))],

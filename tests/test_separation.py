@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from modepitch.separation import (
     correct_candidate,
     distance_matrix,
     imf_pitch_vector,
+    region_of,
     select_imf_pair,
 )
 from modepitch.vad import VadConfig, detect_voiced, voiced_segments
@@ -71,6 +74,34 @@ def per_segment_comb_loop(buf, est, cfg):
     return pick(cands)
 
 
+def classify_frames_loop(mode_f0, cfg, frames=None):
+    """Per-frame oracle for classify_frames: each row is cut down to its
+    finite entries, the two smallest stable-sorted row sums of their
+    distance matrix pick the pair, whose indices map back to mode numbers;
+    a row with fewer than two finite entries inherits the region decided
+    before it, low at first."""
+    regions = []
+    last = LOW
+    for i in range(len(mode_f0)) if frames is None else frames:
+        row = mode_f0[i]
+        valid = np.flatnonzero(np.isfinite(row))
+        if valid.size >= 2:
+            sub = row[valid]
+            order = np.argsort(distance_matrix(sub).sum(axis=1), kind="stable")
+            a, b = sorted((int(order[0]), int(order[1])))
+            mean_f0 = float(0.5 * (sub[a] + sub[b]))
+            region = FrequencyRegion(frame_index=int(i),
+                                     region=region_of(mean_f0, cfg.gamma_hz),
+                                     mean_f0=mean_f0,
+                                     selected_imfs=(int(valid[a]) + 1, int(valid[b]) + 1))
+        else:
+            region = FrequencyRegion(frame_index=int(i), region=last,
+                                     mean_f0=math.nan, selected_imfs=None)
+        regions.append(region)
+        last = region.region
+    return regions
+
+
 def brute_force_pair(d):
     """Exhaustive smallest-two-row-sum enumeration."""
     sums = d.sum(axis=1)
@@ -114,6 +145,13 @@ class TestDistanceMatrix:
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
             distance_matrix(np.array([100.0, 0.0, 50.0, 60.0]))
+
+    def test_batched_rows_equal_one_row_calls(self, rng):
+        m = rng.uniform(50, 400, size=(7, 5))
+        d = distance_matrix(m)
+        assert d.shape == (7, 5, 5)
+        for i in range(7):
+            np.testing.assert_array_equal(d[i], distance_matrix(m[i]))
 
 
 class TestSelectImfPair:
@@ -175,8 +213,15 @@ class TestClassifyRegion:
         assert region.selected_imfs == (2, 3)
 
     def test_too_few_valid_raises(self):
-        with pytest.raises(ValueError):
-            classify_region(vector([np.nan, 150.0, np.nan, np.nan]), ProConfig())
+        with pytest.raises(ValueError, match="^frame 7: only 1 usable mode estimates$"):
+            classify_region(vector([np.nan, 150.0, np.nan, np.nan]), ProConfig(), 7)
+
+    def test_one_row_of_classify_frames(self):
+        v = vector([np.nan, 230.0, 180.0, 226.0])
+        region = classify_region(v, ProConfig(), frame_index=7)
+        assert region == FrequencyRegion(frame_index=7, region=HIGH, mean_f0=228.0,
+                                         selected_imfs=(2, 4))
+        assert repr(region) == repr(replace(classify_frames(v[None, :])[0], frame_index=7))
 
     def test_single_mode_rejected(self):
         with pytest.raises(ValueError, match="two mode estimates"):
@@ -223,6 +268,36 @@ class TestClassifyFrames:
     def test_single_mode_column_rejected(self):
         with pytest.raises(ValueError, match="two mode estimates"):
             classify_frames(np.full((3, 1), 150.0), ProConfig())
+
+    def test_matches_per_frame_oracle(self):
+        # NaN and infinite entries, whole missing rows, exact ties (F0s on a
+        # 25 Hz lattice), F0s on both sides of 1, k from 2 to 6, and rows
+        # given as None, a list, an array or an empty array; regions must
+        # agree to the last bit. Below 8 modes numpy adds a row's terms in
+        # order, so the masked zeros leave every row sum exact; from 8 on it
+        # sums pairwise, and a pair tied to within rounding can differ
+        rng = np.random.default_rng(20260)
+        inherited = tied = 0
+        for trial in range(300):
+            k = int(rng.integers(2, 7))
+            n = int(rng.integers(0, 25))
+            m = rng.uniform(55.0, 395.0, size=(n, k))
+            if trial % 2:
+                m = np.round(m / 25.0) * 25.0
+            if trial % 3 == 0:  # F0s around 1, any positive value is valid
+                m = m / 200.0
+            m[rng.random((n, k)) < rng.uniform(0.0, 0.8)] = np.nan
+            m[rng.random((n, k)) < 0.02] = np.inf
+            m[rng.random(n) < 0.15] = np.nan
+            cfg = ProConfig(gamma_hz=float(rng.choice([150.0, 200.0, 250.0])), k_imfs=k)
+            picked = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            frames = [None, picked.tolist(), picked, np.array([], dtype=np.intp)][trial % 4]
+            expected = classify_frames_loop(m, cfg, frames)
+            assert repr(classify_frames(m, cfg, frames)) == repr(expected)
+            inherited += sum(r.selected_imfs is None for r in expected)
+            tied += sum(len(set(row[np.isfinite(row)])) < np.isfinite(row).sum()
+                        for row in m)
+        assert inherited > 0 and tied > 0
 
     @pytest.mark.parametrize("bad", [0.0, -150.0])
     def test_non_positive_entry_rejected_not_inherited(self, bad):

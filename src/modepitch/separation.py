@@ -88,9 +88,11 @@ def distance_matrix(f0_vector: np.ndarray) -> np.ndarray:
 
 
 def _smallest_two(scores: np.ndarray) -> np.ndarray:
-    """0-based indices of the two smallest scores along the last axis, in
-    ascending index order; ties go to the smaller index."""
-    return np.sort(np.argsort(scores, axis=-1, kind="stable")[..., :2], axis=-1)
+    """0-based indices of the two smallest scores along the last axis,
+    smallest first; ties go to the smaller index. Callers put each pair in
+    index order in Python: numpy's first integer sort maps about 256 KB more
+    resident memory."""
+    return np.argsort(scores, axis=-1, kind="stable")[..., :2]
 
 
 def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
@@ -105,8 +107,8 @@ def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
     if d.shape != (k, k) or k < 2:
         raise ValueError("need a square matrix of size >= 2")
     scores = d.sum(axis=1)
-    a, b = (_smallest_two(scores) + 1).tolist()
-    return (a, b), scores
+    a, b = sorted(_smallest_two(scores).tolist())
+    return (a + 1, b + 1), scores
 
 
 def classify_frames(mode_f0: np.ndarray, cfg: ProConfig = ProConfig(),
@@ -131,10 +133,11 @@ def classify_frames(mode_f0: np.ndarray, cfg: ProConfig = ProConfig(),
     pair = _smallest_two(np.where(usable, scores, np.inf))
     mean_f0 = 0.5 * np.take_along_axis(v, pair, axis=1).sum(axis=1)
     regions, last = [], LOW
-    for i, ok, mean, (a, b) in zip(rows.tolist(), (usable.sum(axis=1) >= 2).tolist(),
-                                   mean_f0.tolist(), (pair + 1).tolist()):
+    for i, ok, mean, pair_i in zip(rows.tolist(), (usable.sum(axis=1) >= 2).tolist(),
+                                   mean_f0.tolist(), pair.tolist()):
         last = region_of(mean, cfg.gamma_hz) if ok else last
-        regions.append(FrequencyRegion(i, last, mean, (a, b)) if ok
+        a, b = sorted(pair_i)
+        regions.append(FrequencyRegion(i, last, mean, (a + 1, b + 1)) if ok
                        else FrequencyRegion(i, last, math.nan, None))
     return regions
 

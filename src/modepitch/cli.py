@@ -126,6 +126,20 @@ def _default_out(name: str, audio: str | None = None) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), name)
 
 
+def _output_path(output: str | None, name: str, audio: str | None = None) -> str:
+    """OUTPUT, or NAME's default path (see _default_out). A missing
+    directory or a directory as the output is a click error; commands
+    resolve the path before they read any input, so it costs no work."""
+    if output is None:
+        output = _default_out(name, audio)
+    directory = os.path.dirname(output) or "."
+    if not os.path.isdir(directory):
+        raise click.ClickException(f"output directory {directory} does not exist")
+    if os.path.isdir(output):
+        raise click.ClickException(f"output {output} is a directory")
+    return output
+
+
 def _num(x: float) -> str:
     """x to four decimals, or empty when it is not finite."""
     return f"{x:.4f}" if np.isfinite(x) else ""
@@ -145,6 +159,7 @@ def main():
 def decompose(audio, output, **kwargs):
     """Decompose AUDIO and dump modes plus per-mode energies."""
     cfg, _ = _setup(kwargs)
+    output = _output_path(output, "modes.wav", audio)
     with _input_errors():
         buf = load_wav(audio)
     imfset = eemd_decompose(buf, cfg.emd)
@@ -153,8 +168,6 @@ def decompose(audio, output, **kwargs):
     energies = mode_energies(imfset)
     for k, energy in enumerate(energies, start=1):
         click.echo(f"  IMF_{k}: mean-square energy {energy:.6e}")
-    if output is None:
-        output = _default_out("modes.wav", audio)
     write_imf_wav(output, imfset)
     click.echo(f"modes written to {output}")
 
@@ -171,11 +184,10 @@ def track(audio, estimator, use_pro, output, **kwargs):
     """Track F0 of AUDIO frame by frame."""
     cfg, _ = _setup(kwargs)
     method = "pro" if use_pro else "raw"
+    output = _output_path(output, f"{estimator}_{method}.csv", audio)
     with _input_errors():
         buf = load_wav(audio)
         result = analyze_utterance(buf, [estimator], [method], cfg)[(estimator, method)]
-    if output is None:
-        output = _default_out(f"{estimator}_{method}.csv", audio)
     pro_columns = ["region", "mean_f0", "selected_imfs", "raw_candidates",
                    "corrected_candidates", "out_of_model"] if use_pro else []
     diag_at = {d.region.frame_index: d for d in result.diagnostics}
@@ -204,13 +216,12 @@ def track(audio, estimator, use_pro, output, **kwargs):
 def separate(audio, output, **kwargs):
     """Classify voiced frames of AUDIO as low or high frequency."""
     cfg, _ = _setup(kwargs)
+    output = _output_path(output, "regions.csv", audio)
     # regions come from the modes alone; the estimator only names the result key
     with _input_errors():
         buf = load_wav(audio)
         result = analyze_utterance(buf, ["pefac"], ["pro"], cfg)
     regions = result[("pefac", "pro")].regions
-    if output is None:
-        output = _default_out("regions.csv", audio)
     hop = cfg.frame.hop_ms
     with open(output, "w") as fh:
         fh.write("time_ms,region,mean_f0,imf_a,imf_b\n")
@@ -246,6 +257,7 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
           dump_mixes, output, **kwargs):
     """Score estimators over the (noise x SNR x method) grid."""
     cfg, seed = _setup(kwargs)
+    output = _output_path(output, "bench_report.csv")
     noise_files = sorted(f for f in os.listdir(noise_dir) if f.endswith(".wav"))
     if not noise_files:
         raise click.ClickException(f"no noise WAVs in {noise_dir}")
@@ -267,8 +279,6 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
                 name = f"{item.name}_{noise_name}_{snr:g}dB.wav"
                 save_wav(os.path.join(dump_mixes, name), mix_at_snr(mix))
         click.echo(f"mixed signals written to {dump_mixes}")
-    if output is None:
-        output = _default_out("bench_report.csv")
     write_report_csv(output, reports)
     click.echo(f"{len(reports)} cells written to {output} (gate={gate})")
     if failures:

@@ -20,6 +20,8 @@ DEFAULT_FORMANTS = ((500.0, 80.0), (1500.0, 120.0), (2500.0, 160.0))
 # corpus rate must put the top one below the Nyquist frequency, which also
 # keeps the 400 Hz contour ceiling below it
 CORPUS_FORMANT_RANGES = ((450.0, 900.0), (1000.0, 1900.0), (2100.0, 3100.0))
+# rows each LAPACK solve in _all_pole covers, so its work memory is fixed
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,30 @@ def _all_pole(a, x) -> np.ndarray:
 
     The recursion y[i] = x[i] - sum_k a[k] y[i-k] is the forward
     substitution through the unit lower-triangular banded Toeplitz matrix
-    of ``a``. The band is built in Fortran order so LAPACK reads it
-    without a copy.
+    of ``a``, solved _BLOCK_ROWS rows at a time over one band of p history
+    rows (p the filter order) plus one block. The history rows are identity
+    rows that carry the previous block's last p outputs, so every output
+    row receives the same column updates, in the same order, as in one
+    full-length solve, and the work memory does not grow with the signal.
+    The band is built in Fortran order so LAPACK reads it without a copy,
+    and each block is solved in place.
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    band = np.tile(a, (x.size, 1)).T
-    return dtbtrs(band, x, uplo="L", diag="U")[0]
+    p = a.size - 1
+    band = np.tile(a, (p + _BLOCK_ROWS, 1)).T
+    for k in range(1, p + 1):
+        band[k, :p - k] = 0.0
+    work = np.zeros(p + _BLOCK_ROWS)
+    y = np.empty(x.size)
+    for start in range(0, x.size, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, x.size - start)
+        lo = p if start == 0 else 0  # the first block has no history
+        work[p:p + m] = x[start:start + m]
+        dtbtrs(band[:, lo:p + m], work[lo:p + m], uplo="L", diag="U", overwrite_b=1)
+        y[start:start + m] = work[p:p + m]
+        work[:p] = work[m:m + p]
+    return y
 
 
 def _resonator_coeffs(freq_hz: float, bw_hz: float, fs: int):
@@ -118,6 +137,7 @@ def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec(
 
     # -6 dB/oct glottal tilt, then the formant cascade
     x = _all_pole([1.0, -0.95], pulses)
+    del pulses
     for freq, bw in spec.formant_set:
         x = _all_pole(_resonator_coeffs(freq, bw, fs), x)
     peak = np.max(np.abs(x))
@@ -216,6 +236,7 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
             )
             voice, _ = synthesize_utterance(voice_spec)
             x[:len(voice)] += voice.samples[:n_samples]
+            del voice  # free it before the next voice is synthesized
     else:
         raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
     rms = float(np.sqrt(np.mean(x ** 2)))
@@ -245,12 +266,16 @@ def write_reference(path, track: FramePitchTrack) -> None:
 def read_reference(path) -> FramePitchTrack:
     times, f0s, voiced = [], [], []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            t_str, f_str = line.split()
-            t, f0 = float(t_str), float(f_str)
+            try:
+                t_str, f_str = line.split()
+                t, f0 = float(t_str), float(f_str)
+            except ValueError:
+                raise ValueError(f"reference file {path} line {number}: expected "
+                                 f"'time_ms f0_hz' numbers, got {line!r}") from None
             times.append(t)
             voiced.append(f0 > 0)
             f0s.append(f0 if f0 > 0 else np.nan)
@@ -271,11 +296,15 @@ def load_manifest(path) -> list[CorpusItem]:
     base = os.path.dirname(os.path.abspath(path))
     items = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            wav_rel, ref_rel = line.split()
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"manifest {path} line {number}: expected "
+                                 f"'wav_path ref_path', got {line!r}")
+            wav_rel, ref_rel = fields
             wav_path = os.path.join(base, wav_rel)
             ref_path = os.path.join(base, ref_rel)
             name = os.path.splitext(os.path.basename(wav_rel))[0]

@@ -329,6 +329,8 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
+    # the config checks frame_len_ms; every estimator sees the rounded samples
+    cfg.estimator.check_frame(cfg.frame.frame_len(fs) / fs)
     frames = cfg.frame.frames(buf.samples, fs)
     n_track = len(frames)
     times = np.arange(n_track) * cfg.frame.hop_ms

@@ -106,6 +106,29 @@ class TestUnreadableInput:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["decompose", "track", "separate", "bench"])
+    def test_bad_output_is_click_error_before_any_input_is_read(self, runner, tmp_path,
+                                                                command, bad):
+        # every input is unreadable, so reading one first would say so instead
+        notes = tmp_path / "notes.wav"
+        notes.write_text("not audio\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("missing.wav missing.f0\n")
+        args = ([command, str(notes)] if command != "bench" else
+                [command, "--manifest", str(manifest), "--noise-dir", str(tmp_path)])
+        if bad == "missing":
+            out, message = tmp_path / "missing" / "x.csv", \
+                f"output directory {tmp_path / 'missing'} does not exist"
+        else:
+            out, message = tmp_path, f"output {tmp_path} is a directory"
+        result = runner.invoke(main, [*args, "-o", str(out)])
+        assert_click_error(result, message)
+        assert result.output.count("Error:") == 1
+        assert not (tmp_path / "missing").exists()
+
+
 class TestDecompose:
     def test_two_tone_reports_modes(self, runner, two_tone_wav, tmp_path):
         out = str(tmp_path / "modes.wav")
@@ -223,6 +246,21 @@ class TestTrack:
         assert result.exit_code == 1
         assert ("bad configuration: frame of 30.0 ms is shorter than two pitch "
                 "periods at f_min=50.0 Hz") in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["track", "--estimator", "pefac", "--pro"],
+                                         ["separate"]])
+    def test_rounded_frame_too_short_for_f_min_is_click_error(self, runner, vowel_wav,
+                                                              tmp_path, command):
+        # 42.56 ms passes the configured floor of 42.55 ms at 47 Hz, but the
+        # frame rounds to 340 samples = 42.50 ms at 8 kHz
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, [command[0], vowel_wav, *command[1:], "-o", str(out),
+                                      "--estimator-f-min", "47",
+                                      "--frame-frame-len-ms", "42.56"])
+        assert_click_error(result, "frame of 42.5 ms is shorter than two pitch "
+                                   "periods at f_min=47.0 Hz")
+        assert result.output.count("Error:") == 1
         assert not out.exists()
 
     def test_input_shorter_than_one_frame_is_click_error(self, runner, short_wav,

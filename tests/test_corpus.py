@@ -1,7 +1,11 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtbtrs
 from scipy.signal import lfilter
 
 from conftest import FS
@@ -228,6 +232,70 @@ class TestAllPole:
         np.testing.assert_allclose(fast.samples, slow.samples, rtol=0, atol=1e-12)
 
 
+def full_band_all_pole(a, x):
+    """The all-pole solve as first written, one LAPACK call over a band as
+    long as the signal: the oracle the blocked solve must match bit for
+    bit."""
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    band = np.tile(a, (x.size, 1)).T
+    return dtbtrs(band, x, uplo="L", diag="U")[0]
+
+
+@st.composite
+def blocked_cases(draw):
+    """Every denominator corpus filters with, over lengths around the block
+    edges, driven by impulse trains (as synthesis is) or by noise."""
+    fs = draw(st.sampled_from([8000, 16000, 22050]))
+    kind = draw(st.sampled_from(["tilt", "hum", "formant"]))
+    if kind == "tilt":
+        a = [1.0, -0.95]
+    elif kind == "hum":
+        a = [1.0, -0.98]
+    else:
+        a = corpus._resonator_coeffs(draw(st.floats(300.0, 3100.0)),
+                                     draw(st.floats(80.0, 200.0)), fs)
+    n = draw(st.one_of(st.integers(0, 5000), st.sampled_from([2047, 2048, 2049, 4097])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    if draw(st.booleans()):
+        x = np.zeros(n)
+        x[::draw(st.integers(2, 400))] = 1.0
+    else:
+        x = rng.standard_normal(n)
+    return a, x
+
+
+class TestBlockedAllPole:
+    @settings(max_examples=150, deadline=None)
+    @given(case=blocked_cases())
+    def test_equals_full_band_solve(self, case):
+        a, x = case
+        got = corpus._all_pole(a, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, full_band_all_pole(a, x))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("a", [[1.0], [1.0, -0.95],
+                                   corpus._resonator_coeffs(2500.0, 160.0, 8000)])
+    def test_any_block_length_equals_full_band_solve(self, monkeypatch, a, block):
+        # blocks shorter than the filter order carry history across blocks
+        x = np.random.default_rng(block).standard_normal(50)
+        monkeypatch.setattr(corpus, "_BLOCK_ROWS", block)
+        assert np.array_equal(corpus._all_pole(a, x), full_band_all_pole(a, x))
+
+    @pytest.mark.parametrize("a", [[1.0, -0.95], corpus._resonator_coeffs(500.0, 80.0, 8000)])
+    def test_work_memory_bounded_by_the_output(self, a):
+        # the full-band solve peaks at 3x (order 1) and 4x (order 2)
+        x = np.random.default_rng(0).standard_normal(100_000)
+        tracemalloc.start()
+        try:
+            corpus._all_pole(a, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
+
+
 class TestNoise:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_unit_rms_and_deterministic(self, kind):
@@ -325,6 +393,23 @@ class TestManifest:
         with pytest.raises(ValueError, match=message):
             write_noise_set(out_dir, kinds=kinds, sample_rate_hz=rate)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("line", ["a.wav", "a.wav b.f0 c"])
+    def test_manifest_line_without_two_fields_named(self, tmp_path, line):
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"# header\n\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"manifest {path} line 3: expected 'wav_path ref_path', got '{line}'")):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("line", ["10.0", "10.0 120.0 1", "10.0 high"])
+    def test_reference_line_without_two_numbers_named(self, tmp_path, line):
+        path = tmp_path / "ref.f0"
+        path.write_text(f"0.0 120.0\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"reference file {path} line 2: expected 'time_ms f0_hz' numbers, "
+                f"got '{line}'")):
+            read_reference(path)
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

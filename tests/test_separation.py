@@ -681,6 +681,19 @@ class TestPipeline:
                            frame=FrameSpec(frame_len_ms=19.0))
         AnalysisConfig(frame=FrameSpec(frame_len_ms=40.0))  # exactly two periods
 
+    def test_rounded_frame_too_short_for_f_min_rejected(self, monkeypatch):
+        # 42.56 ms passes the config's two-period floor at 47 Hz (42.55 ms),
+        # but rounds to 340 samples = 42.50 ms at 8 kHz, where every comb
+        # frame and every per-mode F0 would fail
+        cfg = AnalysisConfig(estimator=EstimatorConfig(f_min=47.0),
+                             frame=FrameSpec(frame_len_ms=42.56))
+        buf, _ = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, 150.0), (600, 150.0)), rng_seed=2))
+        monkeypatch.setattr(separation, "detect_voiced", None)  # no work is reached
+        with pytest.raises(ValueError, match=r"frame of 42\.5 ms is shorter than two "
+                                             r"pitch periods at f_min=47\.0 Hz"):
+            analyze_utterance(buf, ["pefac", "shr", "swipe"], ["raw", "pro"], cfg)
+
     def test_hop_rounding_to_zero_samples_rejected(self):
         buf = glottal_pulse_train(150.0, duration_s=0.3)
         cfg = AnalysisConfig(frame=FrameSpec(hop_ms=0.05))

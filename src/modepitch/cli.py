@@ -23,9 +23,9 @@ from .corpus import (
     load_manifest,
     write_noise_set,
 )
-from .emd import eemd_decompose, mode_energies, write_imf_wav
+from .emd import DEFAULT_MAX_IMFS, eemd_decompose, mode_energies, write_imf_wav
 from .evaluation import mix_cells, run_benchmark, write_report_csv
-from .separation import AnalysisConfig, analyze_utterance, check_keys
+from .separation import ESTIMATORS, AnalysisConfig, analyze_utterance, check_keys
 
 OUT_DIR_ENV = "MODEPITCH_OUT_DIR"
 DEFAULT_SNRS = (-15.0, -10.0, -5.0, 0.0, 5.0)
@@ -155,14 +155,16 @@ def main():
 @click.option("-o", "--output", default=None,
               help="multi-channel WAV for the mode dump "
                    f"[default: $${OUT_DIR_ENV}/<stem>_modes.wav]")
+@click.option("--emd-max-imfs", "max_imfs", default=DEFAULT_MAX_IMFS, show_default=True,
+              type=click.IntRange(min=1), help="most modes to sift")
 @config_options
-def decompose(audio, output, **kwargs):
+def decompose(audio, output, max_imfs, **kwargs):
     """Decompose AUDIO and dump modes plus per-mode energies."""
     cfg, _ = _setup(kwargs)
     output = _output_path(output, "modes.wav", audio)
     with _input_errors():
         buf = load_wav(audio)
-    imfset = eemd_decompose(buf, cfg.emd)
+    imfset = eemd_decompose(buf, cfg.emd, max_imfs)
     click.echo(f"{len(imfset)} IMFs from {len(buf)} samples at "
                f"{buf.sample_rate_hz} Hz")
     energies = mode_energies(imfset)
@@ -175,7 +177,7 @@ def decompose(audio, output, **kwargs):
 @main.command()
 @click.argument("audio", type=click.Path(exists=True, dir_okay=False))
 @click.option("--estimator", default="hht", show_default=True,
-              type=click.Choice(["pefac", "shr", "swipe", "hht"]))
+              type=click.Choice(ESTIMATORS))
 @click.option("--pro/--raw", "use_pro", default=False,
               help="apply low/high separation and candidate correction")
 @click.option("-o", "--output", default=None, help="per-frame CSV path")
@@ -281,6 +283,12 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
         click.echo(f"mixed signals written to {dump_mixes}")
     write_report_csv(output, reports)
     click.echo(f"{len(reports)} cells written to {output} (gate={gate})")
+    ges: dict[tuple[str, str], list[float]] = {}
+    for report in reports:
+        ges.setdefault((report.estimator, report.method), []).append(report.ge_percent)
+    click.echo("mean GE by estimator/method:")
+    for (est, meth), values in sorted(ges.items()):
+        click.echo(f"  {est:6s} {meth:4s}: {sum(values) / len(values):5.1f}%")
     if failures:
         for failure in failures:
             click.echo(f"FAILED cell {failure.noise}/{failure.snr_db}dB/"

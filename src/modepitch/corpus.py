@@ -197,13 +197,23 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
         gain = 1.0 / np.sqrt(1.0 + (freqs / 500.0) ** 2)
         x = np.fft.irfft(spec * gain, n_samples)
     elif kind == "hum":
-        # engine-like idle: strong low tonal stack plus rumble
+        # engine-like idle: strong low tonal stack plus rumble; each term is
+        # built in one reused array and added in place
         times = np.arange(n_samples) / fs
         x = np.zeros(n_samples)
+        term = np.empty(n_samples)
         for h, amp in ((1, 1.0), (2, 0.7), (3, 0.45), (4, 0.3)):
             phase = rng.uniform(0, 2 * np.pi)
-            x += amp * np.sin(2 * np.pi * 55.0 * h * times + phase)
-        x += 0.3 * _all_pole([1.0, -0.98], rng.standard_normal(n_samples))
+            np.multiply(2 * np.pi * 55.0 * h, times, out=term)
+            term += phase
+            np.sin(term, out=term)
+            term *= amp
+            x += term
+        del times, term  # free both before the rumble is drawn
+        rumble = _all_pole([1.0, -0.98], rng.standard_normal(n_samples))
+        rumble *= 0.3
+        x += rumble
+        del rumble  # free it before the output is scaled and copied
     elif kind == "bursts":
         # sparse wideband clatter over a quiet floor
         x = 0.1 * rng.standard_normal(n_samples)

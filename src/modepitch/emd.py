@@ -14,13 +14,14 @@ from scipy.linalg.lapack import dgtsv
 
 from .audio import SampleBuffer, save_wav_multichannel
 
+DEFAULT_MAX_IMFS = 8
+
 
 @dataclass(frozen=True)
 class EmdConfig:
     """The sift stop rule is fixed. Its constants are class attributes, not
     module constants: perfbench and tests read them as cfg.<name>."""
 
-    max_imfs: int = 8
     ensemble_size: int = 100
     wgn_std_ratio: float = 0.2         # noise std as a fraction of signal std
     rng_seed: int = 0
@@ -28,8 +29,8 @@ class EmdConfig:
     max_sift_iters: ClassVar[int] = 50
 
     def __post_init__(self):
-        if self.max_imfs <= 0 or self.ensemble_size <= 0:
-            raise ValueError("integer EmdConfig fields must be strictly positive")
+        if self.ensemble_size < 1:
+            raise ValueError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
         if self.wgn_std_ratio < 0:
             raise ValueError("wgn_std_ratio must be non-negative")
 
@@ -160,11 +161,18 @@ def _sift_one_imf(r: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
     return h
 
 
-def _emd_raw(data: np.ndarray, cfg: EmdConfig) -> tuple[list[np.ndarray], np.ndarray]:
-    """Array-level sift loop; returns (modes, remainder)."""
+def _check_max_imfs(max_imfs: int) -> None:
+    if max_imfs < 1:
+        raise ValueError(f"max_imfs must be at least 1, got {max_imfs}")
+
+
+def _emd_raw(data: np.ndarray, cfg: EmdConfig,
+             max_imfs: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Array-level sift loop, stopping after max_imfs modes; returns
+    (modes, remainder)."""
     modes: list[np.ndarray] = []
     remainder = data.copy()
-    while len(modes) < cfg.max_imfs:
+    while len(modes) < max_imfs:
         imf = _sift_one_imf(remainder, cfg)
         if imf is None:
             break
@@ -173,21 +181,25 @@ def _emd_raw(data: np.ndarray, cfg: EmdConfig) -> tuple[list[np.ndarray], np.nda
     return modes, remainder
 
 
-def emd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
-    """Plain sifting decomposition.
+def emd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
+                  max_imfs: int = DEFAULT_MAX_IMFS) -> ImfSet:
+    """Plain sifting decomposition into at most max_imfs modes.
 
-    The input always equals the sum of modes plus residual exactly, because
-    each extracted mode is subtracted from the running remainder. Inputs
-    with fewer than 4 extrema have nothing to sift and come back as a bare
-    residual.
+    Sifting is sequential, so a smaller cap leaves the first modes of a
+    larger one bit for bit. The input always equals the sum of modes plus
+    residual exactly, because each extracted mode is subtracted from the
+    running remainder. Inputs with fewer than 4 extrema have nothing to
+    sift and come back as a bare residual.
     """
-    modes, remainder = _emd_raw(x.samples.astype(np.float64), cfg)
+    _check_max_imfs(max_imfs)
+    modes, remainder = _emd_raw(x.samples.astype(np.float64), cfg, max_imfs)
     return ImfSet(np.reshape(modes, (len(modes), remainder.size)), remainder,
                   x.sample_rate_hz)
 
 
-def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
-    """Noise-ensemble decomposition.
+def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
+                   max_imfs: int = DEFAULT_MAX_IMFS) -> ImfSet:
+    """Noise-ensemble decomposition into at most max_imfs modes.
 
     For each of ensemble_size trials the input plus an independent WGN
     realization (std = wgn_std_ratio * std(x)) is decomposed, and mode k of
@@ -199,20 +211,22 @@ def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     With zero noise (wgn_std_ratio 0 or a constant input) every trial would
     decompose the same signal, so the result is plain `emd_decompose`.
     """
+    _check_max_imfs(max_imfs)
     data = x.samples.astype(np.float64)
     # np.std of a constant can read ~1e-16 from rounding; its spread is 0
     noise_std = cfg.wgn_std_ratio * float(np.std(data)) if np.ptp(data) > 0 else 0.0
     if noise_std == 0.0:
-        return emd_decompose(x, cfg)
+        return emd_decompose(x, cfg, max_imfs)
 
     n = data.size
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.ensemble_size)
-    mode_sums = np.zeros((cfg.max_imfs, n))
+    mode_sums = np.zeros((max_imfs, n))
     residual_sum = np.zeros(n)
     max_modes = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        modes, remainder = _emd_raw(data + noise_std * rng.standard_normal(n), cfg)
+        modes, remainder = _emd_raw(data + noise_std * rng.standard_normal(n), cfg,
+                                    max_imfs)
         for k, m in enumerate(modes):
             mode_sums[k] += m
         residual_sum += remainder

@@ -32,6 +32,7 @@ from .vad import VadConfig, detect_voiced, voiced_segments
 LOW = "low"
 HIGH = "high"
 SMOOTH_FRAMES = 5  # per-mode PEFAC score curves are averaged over this many frames
+ESTIMATORS = (*FRAME_ESTIMATORS, "hht")  # every name analyze_utterance accepts
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def check_keys(estimators: list[str], methods: list[str]) -> None:
         if m not in ("raw", "pro"):
             raise ValueError(f"unknown method {m!r}")
     for est in estimators:
-        if est != "hht" and est not in FRAME_ESTIMATORS:
+        if est not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}; "
                              f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
 
@@ -313,8 +314,8 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
 
     Every stage writes onto the utterance's frame grid, and the utterance
     is framed once. Each voiced segment is decomposed once, sifting exactly
-    the modes the requested keys read, whatever emd.max_imfs says (pro.k_imfs
-    for pro, estimator.hht_num_imfs for hht, the larger for both); its per-mode
+    the modes the requested keys read (pro.k_imfs for pro,
+    estimator.hht_num_imfs for hht, the larger for both); its per-mode
     F0 rows and hht candidates land at the segment's frames. pefac, shr and
     swipe then score the voiced rows of the utterance framing, and each
     (f0_hz, salience) pair they return fills the frame's one slot. Each
@@ -340,8 +341,8 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     hop, vad_len = cfg.frame.hop(fs), cfg.vad.frame_spec(cfg.frame).frame_len(fs)
     # sifting is sequential, so stopping after the last mode a key reads
     # leaves every mode that is read, and their trial averages, unchanged
-    emd_cfg = replace(cfg.emd, max_imfs=max(cfg.pro.k_imfs if pro else 1,
-                                            cfg.estimator.hht_num_imfs if hht else 1))
+    n_modes = max(cfg.pro.k_imfs if pro else 1,
+                  cfg.estimator.hht_num_imfs if hht else 1)
 
     voiced = np.zeros(n_track, dtype=bool)
     mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
@@ -354,7 +355,7 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
         voiced[rows] = True
         if n_frames == 0 or not (pro or hht):
             continue
-        decomposition = eemd_decompose(SampleBuffer(seg, fs), emd_cfg)
+        decomposition = eemd_decompose(SampleBuffer(seg, fs), cfg.emd, n_modes)
         if pro and len(decomposition) >= cfg.pro.k_imfs:
             mode_f0[rows] = imf_pitch_vector(decomposition, cfg.frame, cfg.pro,
                                              cfg.estimator)

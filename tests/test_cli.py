@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -13,6 +14,7 @@ from modepitch.cli import CONFIG_SECTIONS, DEFAULT_SNRS, main
 from modepitch.corpus import generate_corpus, write_noise_set
 from modepitch.emd import EmdConfig
 from modepitch.estimators import EstimatorConfig
+from modepitch.separation import ESTIMATORS
 from modepitch.vad import VadConfig
 
 
@@ -66,12 +68,12 @@ class TestHelpDocSync:
                     assert flag in result.output, f"{flag} missing from {command}"
 
     def test_settable_fields_and_fixed_constants(self):
-        # twelve settable knobs; every other estimator, sift and VAD value is a
+        # eleven settable knobs; every other estimator, sift and VAD value is a
         # class constant holding its published default, readable as cfg.<name>
         assert {section: [f.name for f in dataclasses.fields(cls)]
                 for section, cls in CONFIG_SECTIONS.items()} == {
             "frame": ["frame_len_ms", "hop_ms"],
-            "emd": ["max_imfs", "ensemble_size", "wgn_std_ratio", "rng_seed"],
+            "emd": ["ensemble_size", "wgn_std_ratio", "rng_seed"],
             "estimator": ["f_min", "hht_num_imfs"],
             "pro": ["gamma_hz", "k_imfs"],
             "vad": ["frame_ms", "hangover_frames"]}
@@ -87,6 +89,11 @@ class TestHelpDocSync:
             for name, value in values.items():
                 assert getattr(cls, name) == getattr(cls(), name) == value
         assert not hasattr(EstimatorConfig, "window")
+
+    def test_track_offers_the_pipeline_estimators(self, runner):
+        assert ESTIMATORS == ("pefac", "shr", "swipe", "hht")
+        result = runner.invoke(main, ["track", "--help"])
+        assert "[pefac|shr|swipe|hht]" in result.output
 
     def test_default_snr_grid(self, runner):
         assert DEFAULT_SNRS == (-15.0, -10.0, -5.0, 0.0, 5.0)
@@ -304,13 +311,23 @@ class TestTrack:
         ("--estimator-pefac-num-harmonics", "10"),
         ("--estimator-pefac-compression", "0.5"),
         ("--estimator-bins-per-octave", "48"), ("--estimator-window", "hann"),
-        ("--vad-zcr-max", "0.48"), ("--vad-energy-min-ratio", "0.1")])
+        ("--vad-zcr-max", "0.48"), ("--vad-energy-min-ratio", "0.1"),
+        ("--emd-max-imfs", "2")])
     def test_removed_flag_usage_error(self, runner, vowel_wav, tmp_path, flag, value):
-        result = runner.invoke(main, [
-            "track", vowel_wav, "--estimator", "shr", "-o", str(tmp_path / "t.csv"),
-            flag, value])
-        assert result.exit_code == 2
-        assert flag in result.output
+        # every removed flag is a usage error on each analysis command; the
+        # mode cap is decompose's own flag, since these sift the modes they read
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("missing.wav missing.f0\n")
+        for command in (["track", vowel_wav, "--estimator", "shr"],
+                        ["separate", vowel_wav],
+                        ["bench", "--manifest", str(manifest), "--noise-dir",
+                         str(tmp_path), "--jobs", "1"]):
+            result = runner.invoke(main, [*command, "-o", str(tmp_path / "t.csv"),
+                                          flag, value])
+            assert result.exit_code == 2, command
+            assert flag in result.output
+            assert "Traceback" not in result.output
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("section,name,value", [
         ("frame", "window", "rectangular"), ("vad", "hop_ms", 20.0),
@@ -322,7 +339,8 @@ class TestTrack:
         ("estimator", "pefac_num_harmonics", 10),
         ("estimator", "pefac_compression", 0.5),
         ("estimator", "bins_per_octave", 48), ("estimator", "window", "hann"),
-        ("vad", "zcr_max", 0.48), ("vad", "energy_min_ratio", 0.1)])
+        ("vad", "zcr_max", 0.48), ("vad", "energy_min_ratio", 0.1),
+        ("emd", "max_imfs", 8)])
     def test_config_file_naming_removed_field_rejected(self, runner, vowel_wav,
                                                        tmp_path, section, name, value):
         cfg_path = tmp_path / "cfg.json"
@@ -435,6 +453,35 @@ class TestSynthAndBench:
         text = outputs[0].decode()
         assert text.splitlines()[0].startswith("noise,snr_db")
         assert len(text.splitlines()) == 2
+
+    def test_bench_prints_mean_ge_per_key(self, runner, tmp_path):
+        # after the cells line, one line per estimator/method key, each the
+        # mean of that key's ge_percent over the report's cells
+        manifest = generate_corpus(tmp_path / "corpus", count=2, seed=0,
+                                   duration_ms=300.0)
+        noise_dir = tmp_path / "noises"
+        write_noise_set(noise_dir, kinds=("pink", "white"), duration_ms=1000.0, seed=0)
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, [
+            "bench", "--manifest", manifest, "--noise-dir", str(noise_dir),
+            "--snrs", "0,5", "--estimators", "swipe,shr", "--methods", "raw,pro",
+            "--jobs", "1", "-o", str(out), "--emd-ensemble-size", "2"])
+        assert result.exit_code == 0, result.output
+        ges = {}
+        with open(out) as fh:
+            for row in csv.DictReader(fh):
+                ges.setdefault((row["estimator"], row["method"]), []).append(
+                    float(row["ge_percent"]))
+        lines = result.output.splitlines()
+        assert lines[-6].startswith("16 cells written to")
+        assert lines[-5] == "mean GE by estimator/method:"
+        assert len(ges) == 4 and all(len(v) == 4 for v in ges.values())
+        for line, key in zip(lines[-4:], sorted(ges)):
+            est, meth, colon, value = line.split()
+            assert (est, meth, colon) == (*key, ":")
+            # the CSV holds 4 decimals, the summary 1
+            assert float(value.rstrip("%")) == pytest.approx(np.mean(ges[key]),
+                                                             abs=0.0501)
 
     def test_bench_unknown_estimator_fails(self, runner, tmp_path):
         # the name is rejected once, before any utterance is mixed or scored

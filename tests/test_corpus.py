@@ -297,6 +297,17 @@ class TestBlockedAllPole:
 
 
 class TestNoise:
+    def test_hum_work_memory_bounded_by_the_output(self):
+        # each tone and the rumble are added in place; building every term
+        # through full-length temporaries peaks at 4.1x
+        tracemalloc.start()
+        try:
+            out = make_noise("hum", 48_000, 16_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * out.samples.nbytes
+
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_unit_rms_and_deterministic(self, kind):
         a = make_noise(kind, 8000, FS, seed=3)

@@ -164,6 +164,14 @@ def _noisy_vowel(fs):
     return SampleBuffer(buf.samples + noise, fs)
 
 
+class TestEmdConfig:
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_ensemble_below_one_rejected(self, size):
+        message = f"ensemble_size must be at least 1, got {size}$"
+        with pytest.raises(ValueError, match=message):
+            EmdConfig(ensemble_size=size)
+
+
 class TestModeCap:
     # sifting is sequential: capping max_imfs at k must leave the first k
     # modes of the uncapped decomposition bit for bit
@@ -171,13 +179,27 @@ class TestModeCap:
     @pytest.mark.parametrize("fs", [8000, 16000])
     def test_capped_modes_equal_uncapped_prefix(self, decompose, fs):
         buf = _noisy_vowel(fs)
-        cfg = EmdConfig(max_imfs=8, ensemble_size=5, rng_seed=4)
-        full = decompose(buf, cfg)
+        cfg = EmdConfig(ensemble_size=5, rng_seed=4)
+        full = decompose(buf, cfg, 8)
         assert len(full) > 4
         for k in (3, 4):
-            capped = decompose(buf, EmdConfig(max_imfs=k, ensemble_size=5, rng_seed=4))
+            capped = decompose(buf, cfg, k)
             assert len(capped) == k
             assert np.array_equal(capped.modes, full.modes[:k])
+
+    @pytest.mark.parametrize("decompose", [emd_decompose, eemd_decompose])
+    @pytest.mark.parametrize("max_imfs", [0, -1])
+    def test_cap_below_one_rejected(self, decompose, max_imfs):
+        message = f"max_imfs must be at least 1, got {max_imfs}$"
+        with pytest.raises(ValueError, match=message):
+            decompose(_noisy_vowel(FS), EmdConfig(ensemble_size=2), max_imfs)
+
+    def test_default_cap_is_eight(self):
+        buf = _noisy_vowel(FS)
+        cfg = EmdConfig(ensemble_size=5, rng_seed=4)
+        assert emd.DEFAULT_MAX_IMFS == 8
+        assert np.array_equal(eemd_decompose(buf, cfg).modes,
+                              eemd_decompose(buf, cfg, 8).modes)
 
 
 class TestEmd:
@@ -220,7 +242,7 @@ class TestEmd:
 
     def test_max_imfs_respected(self, rng):
         buf = SampleBuffer(rng.standard_normal(4096), FS)
-        imfs = emd_decompose(buf, EmdConfig(max_imfs=3))
+        imfs = emd_decompose(buf, EmdConfig(), max_imfs=3)
         assert len(imfs) <= 3
 
     def test_determinism(self, rng):
@@ -302,10 +324,11 @@ class TestEemd:
         out = eemd_decompose(SampleBuffer(x, FS), cfg)
         seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.ensemble_size)
         noise_std = cfg.wgn_std_ratio * float(np.std(x))
-        acc = np.zeros((cfg.max_imfs, x.size))
+        acc = np.zeros((emd.DEFAULT_MAX_IMFS, x.size))
         for seed in seeds:
             gen = np.random.default_rng(seed)
-            modes, _ = _emd_raw(x + noise_std * gen.standard_normal(x.size), cfg)
+            modes, _ = _emd_raw(x + noise_std * gen.standard_normal(x.size), cfg,
+                                emd.DEFAULT_MAX_IMFS)
             for k, m in enumerate(modes):
                 acc[k] += m
         acc /= cfg.ensemble_size
@@ -331,7 +354,7 @@ class TestImfSet:
 
     def test_wav_dump(self, tmp_path, rng):
         buf = SampleBuffer(rng.standard_normal(2000), FS)
-        imfs = emd_decompose(buf, EmdConfig(max_imfs=4))
+        imfs = emd_decompose(buf, EmdConfig(), max_imfs=4)
         path = tmp_path / "modes.wav"
         write_imf_wav(path, imfs)
         from scipy.io import wavfile

@@ -596,8 +596,8 @@ class TestPipeline:
         real_decompose = separation.eemd_decompose
         calls = []
 
-        def decompose(seg, cfg):
-            imfs = real_decompose(seg, cfg)
+        def decompose(seg, cfg, max_imfs):
+            imfs = real_decompose(seg, cfg, max_imfs)
             calls.append(len(imfs))
             if len(calls) == 1:
                 return imfs
@@ -621,9 +621,8 @@ class TestPipeline:
         (["shr", "hht"], ["raw", "pro"], ProConfig().k_imfs)])
     def test_mode_cap_equals_uncapped_oracle(self, monkeypatch, estimators, methods,
                                              n_read):
-        # the pipeline sifts exactly the modes its keys read, whatever
-        # emd.max_imfs says, even below them; a default-config run that
-        # sifts all emd.max_imfs modes must give the same output
+        # the pipeline sifts exactly the modes its keys read; a run whose
+        # decompositions sift all 8 default modes must give the same output
         clean, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 140.0), (500, 260.0)), duration_ms=500, rng_seed=5))
         buf = mix_at_snr(NoisyMix(clean=clean, snr_db=0.0, seed=1,
@@ -631,28 +630,25 @@ class TestPipeline:
         cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0))
         real_decompose = separation.eemd_decompose
         monkeypatch.setattr(separation, "eemd_decompose",
-                            lambda seg, emd_cfg: real_decompose(seg, cfg.emd))
+                            lambda seg, emd_cfg, _: real_decompose(seg, emd_cfg, 8))
         oracle = analyze_utterance(buf, estimators, methods, cfg)
         assert any(np.isfinite(r.track.f0_hz).any() for r in oracle.values())
         caps = []
 
-        def recording(seg, emd_cfg):
-            caps.append(emd_cfg.max_imfs)
-            return real_decompose(seg, emd_cfg)
+        def recording(seg, emd_cfg, max_imfs):
+            caps.append(max_imfs)
+            return real_decompose(seg, emd_cfg, max_imfs)
         monkeypatch.setattr(separation, "eemd_decompose", recording)
-        for max_imfs in (cfg.emd.max_imfs, 2, 3):
-            capped = analyze_utterance(buf, estimators, methods, AnalysisConfig(
-                emd=EmdConfig(ensemble_size=5, rng_seed=0, max_imfs=max_imfs)))
-            assert caps and set(caps) == {n_read}
-            assert capped.keys() == oracle.keys()
-            for key, result in capped.items():
-                np.testing.assert_array_equal(result.track.f0_hz,
-                                              oracle[key].track.f0_hz)
-                np.testing.assert_array_equal(result.track.voiced_mask,
-                                              oracle[key].track.voiced_mask)
-                # repr round-trips floats exactly and prints NaN equal to NaN
-                assert repr(result.regions) == repr(oracle[key].regions)
-                assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
+        capped = analyze_utterance(buf, estimators, methods, cfg)
+        assert caps and set(caps) == {n_read}
+        assert capped.keys() == oracle.keys()
+        for key, result in capped.items():
+            np.testing.assert_array_equal(result.track.f0_hz, oracle[key].track.f0_hz)
+            np.testing.assert_array_equal(result.track.voiced_mask,
+                                          oracle[key].track.voiced_mask)
+            # repr round-trips floats exactly and prints NaN equal to NaN
+            assert repr(result.regions) == repr(oracle[key].regions)
+            assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
 
     @pytest.mark.parametrize("fs", [8000, 16000])
     def test_comb_tracks_equal_per_segment_loop(self, fs):

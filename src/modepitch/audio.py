@@ -181,8 +181,11 @@ def mix_at_snr(mix: NoisyMix) -> SampleBuffer:
 
     SNR is referenced to the full clean-utterance power. The noise is read
     from a seed-derived circular offset and resampled first if its rate
-    differs from the clean signal.
+    differs from the clean signal. snr_db may be +inf (no noise) but not
+    NaN or -inf, which no gain reaches.
     """
+    if math.isnan(mix.snr_db) or mix.snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number of dB or +inf, got {mix.snr_db}")
     clean = mix.clean
     noise = mix.noise
     if noise.sample_rate_hz != clean.sample_rate_hz:

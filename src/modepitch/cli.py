@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -118,6 +119,14 @@ def _csv_list(flag: str, text: str, convert=str) -> list:
     return values
 
 
+def _snr_db(text: str) -> float:
+    """One --snrs value in dB; inf mixes no noise, and no mix reaches NaN or -inf."""
+    snr_db = float(text)
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"SNR must be a number of dB or inf, got {text}")
+    return snr_db
+
+
 def _default_out(name: str, audio: str | None = None) -> str:
     """Path of NAME in $MODEPITCH_OUT_DIR (default "."); given an input
     AUDIO path, NAME is prefixed with its stem and an underscore."""
@@ -154,7 +163,7 @@ def main():
 @click.argument("audio", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", default=None,
               help="multi-channel WAV for the mode dump "
-                   f"[default: $${OUT_DIR_ENV}/<stem>_modes.wav]")
+                   f"[default: ${OUT_DIR_ENV}/<stem>_modes.wav]")
 @click.option("--emd-max-imfs", "max_imfs", default=DEFAULT_MAX_IMFS, show_default=True,
               type=click.IntRange(min=1), help="most modes to sift")
 @config_options
@@ -180,7 +189,9 @@ def decompose(audio, output, max_imfs, **kwargs):
               type=click.Choice(ESTIMATORS))
 @click.option("--pro/--raw", "use_pro", default=False,
               help="apply low/high separation and candidate correction")
-@click.option("-o", "--output", default=None, help="per-frame CSV path")
+@click.option("-o", "--output", default=None,
+              help="per-frame CSV path "
+                   f"[default: ${OUT_DIR_ENV}/<stem>_<estimator>_<method>.csv]")
 @config_options
 def track(audio, estimator, use_pro, output, **kwargs):
     """Track F0 of AUDIO frame by frame."""
@@ -213,7 +224,8 @@ def track(audio, estimator, use_pro, output, **kwargs):
 
 @main.command()
 @click.argument("audio", type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", default=None, help="per-frame region CSV path")
+@click.option("-o", "--output", default=None,
+              help=f"per-frame region CSV path [default: ${OUT_DIR_ENV}/<stem>_regions.csv]")
 @config_options
 def separate(audio, output, **kwargs):
     """Classify voiced frames of AUDIO as low or high frequency."""
@@ -253,7 +265,8 @@ def separate(audio, output, **kwargs):
 @click.option("--dump-mixes", default=None,
               type=click.Path(file_okay=False),
               help="also materialize every mixed signal as 16-bit PCM WAV here")
-@click.option("-o", "--output", default=None, help="report CSV path")
+@click.option("-o", "--output", default=None,
+              help=f"report CSV path [default: ${OUT_DIR_ENV}/bench_report.csv]")
 @config_options
 def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
           dump_mixes, output, **kwargs):
@@ -266,7 +279,7 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
     with _input_errors():
         est_list = _csv_list("--estimators", estimators)
         meth_list = _csv_list("--methods", methods)
-        snr_list = _csv_list("--snrs", snrs, float)
+        snr_list = _csv_list("--snrs", snrs, _snr_db)
         check_keys(est_list, meth_list)
         corpus = load_manifest(manifest)
         noises = [(os.path.splitext(f)[0], load_wav(os.path.join(noise_dir, f)))

@@ -30,11 +30,11 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Search floor and HHT mode count. The published constants are class
-    attributes, not module constants: perfbench and tests read cfg.<name>."""
+    """The published estimator constants. They are class attributes, not
+    module constants: perfbench and tests read cfg.<name>."""
 
-    f_min: float = 50.0
-    hht_num_imfs: int = 3
+    f_min: ClassVar[float] = 50.0      # search floor for every estimator
+    hht_num_imfs: ClassVar[int] = 3    # modes hht reads candidates from
     f_max: ClassVar[float] = 400.0     # search ceiling for pefac/shr/hht
     swipe_f_max: ClassVar[float] = 500.0  # swipe searches [f_min, 500] Hz
     shr_threshold: ClassVar[float] = 0.4
@@ -44,12 +44,6 @@ class EstimatorConfig:
     pefac_num_harmonics: ClassVar[int] = 10
     pefac_compression: ClassVar[float] = 0.5
     bins_per_octave: ClassVar[int] = 48
-
-    def __post_init__(self):
-        if not 0 < self.f_min < self.f_max:
-            raise ValueError(f"f_min must lie in (0, {self.f_max}) Hz, got {self.f_min}")
-        if self.hht_num_imfs < 1:
-            raise ValueError("hht_num_imfs must be at least 1")
 
     def check_frame(self, duration_s: float) -> None:
         """Reject a frame that spans fewer than two pitch periods at f_min."""

@@ -2,15 +2,16 @@
 
 Per frame, F0 is estimated independently on the first decomposition modes;
 the two modes whose estimates vary least against the others are selected,
-and their mean places the frame below or above the boundary gamma (200 Hz
-by default). Pitch candidates from a conventional estimator are then folded
-into the band the frame belongs to ([gamma/4, gamma] for low, [gamma,
-2 gamma] for high) by octave shifts.
+and their mean places the frame below or above the boundary gamma (200 Hz).
+Pitch candidates from a conventional estimator are then folded into the
+band the frame belongs to ([gamma/4, gamma] for low, [gamma, 2 gamma] for
+high) by octave shifts.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,14 +38,10 @@ ESTIMATORS = (*FRAME_ESTIMATORS, "hht")  # every name analyze_utterance accepts
 
 @dataclass(frozen=True)
 class ProConfig:
-    gamma_hz: float = 200.0
-    k_imfs: int = 4
+    """The paper's fixed separation constants, read as cfg.<name>."""
 
-    def __post_init__(self):
-        if not 50.0 < self.gamma_hz < 400.0:
-            raise ValueError("gamma_hz must lie in (50, 400)")
-        if self.k_imfs < 2:
-            raise ValueError("k_imfs must be at least 2")
+    gamma_hz: ClassVar[float] = 200.0  # low/high boundary
+    k_imfs: ClassVar[int] = 4          # modes whose F0 the region pass reads
 
 
 def region_of(f0_hz: float, gamma_hz: float = ProConfig.gamma_hz) -> str:
@@ -251,18 +248,14 @@ def correct_candidate(f_cand: float, region: str,
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    frame: FrameSpec = FrameSpec()
-    emd: EmdConfig = EmdConfig()
-    estimator: EstimatorConfig = EstimatorConfig()
-    pro: ProConfig = ProConfig()
-    vad: VadConfig = VadConfig()
+    """The settable decomposition config; the frame, estimator, region and
+    VAD sections are the paper's fixed constants."""
 
-    def __post_init__(self):
-        # the VAD frames sit on the analysis hop and must not leave gaps
-        if self.frame.hop_ms > self.vad.frame_ms:
-            raise ValueError("frame.hop_ms must not exceed vad.frame_ms")
-        # the comb estimators and the per-mode F0 could score no frame
-        self.estimator.check_frame(self.frame.frame_len_ms / 1000.0)
+    emd: EmdConfig = EmdConfig()
+    frame: ClassVar[FrameSpec] = FrameSpec()
+    estimator: ClassVar[EstimatorConfig] = EstimatorConfig()
+    pro: ClassVar[ProConfig] = ProConfig()
+    vad: ClassVar[VadConfig] = VadConfig()
 
 
 @dataclass(frozen=True)
@@ -330,8 +323,6 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
-    # the config checks frame_len_ms; every estimator sees the rounded samples
-    cfg.estimator.check_frame(cfg.frame.frame_len(fs) / fs)
     frames = cfg.frame.frames(buf.samples, fs)
     n_track = len(frames)
     times = np.arange(n_track) * cfg.frame.hop_ms

@@ -15,21 +15,15 @@ from .audio import FrameSpec, SampleBuffer
 
 @dataclass(frozen=True)
 class VadConfig:
-    """The decision thresholds are fixed. They are class attributes, not
-    module constants: perfbench and tests read them as cfg.<name>."""
+    """The frame, hangover and decision thresholds are fixed class attributes,
+    not module constants: perfbench and tests read them as cfg.<name>."""
 
-    frame_ms: float = 25.0
-    hangover_frames: int = 2
+    frame_ms: ClassVar[float] = 25.0
+    hangover_frames: ClassVar[int] = 2
     # sign flips per sample transition; broadband noise sits near 0.5, so the
     # ceiling is set just under that to keep voiced frames at low SNR
     zcr_max: ClassVar[float] = 0.48
     energy_min_ratio: ClassVar[float] = 0.1  # fraction of utterance mean frame energy
-
-    def __post_init__(self):
-        if self.frame_ms <= 0:
-            raise ValueError("frame_ms must be positive")
-        if self.hangover_frames < 0:
-            raise ValueError("hangover_frames must be non-negative")
 
     def frame_spec(self, analysis: FrameSpec = FrameSpec()) -> FrameSpec:
         # on the analysis hop: VAD frame i starts where analysis frame i does

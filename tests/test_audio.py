@@ -122,6 +122,20 @@ class TestMixAtSnr:
         with pytest.raises(ValueError, match="SNR undefined"):
             mix_at_snr(NoisyMix(clean, SampleBuffer(np.ones(100), FS), 0.0))
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_unreachable_snr_rejected(self, rng, snr_db):
+        # NaN gives a NaN gain and -inf a zero division; both must name snr_db
+        clean = SampleBuffer(rng.standard_normal(100), FS)
+        noise = SampleBuffer(rng.standard_normal(100), FS)
+        with pytest.raises(ValueError, match=r"snr_db must be a number of dB or \+inf"):
+            mix_at_snr(NoisyMix(clean, noise, snr_db))
+
+    def test_infinite_snr_mixes_no_noise(self, rng):
+        clean = SampleBuffer(rng.standard_normal(100), FS)
+        noise = SampleBuffer(rng.standard_normal(100), FS)
+        mixed = mix_at_snr(NoisyMix(clean, noise, math.inf))
+        np.testing.assert_array_equal(mixed.samples, clean.samples)
+
     def test_deterministic_given_seed(self, rng):
         clean = SampleBuffer(rng.standard_normal(2000), FS)
         noise = SampleBuffer(rng.standard_normal(5000), FS)

@@ -10,11 +10,11 @@ from click.testing import CliRunner
 from conftest import FS, glottal_pulse_train
 from modepitch import evaluation
 from modepitch.audio import SampleBuffer, load_wav, save_wav
-from modepitch.cli import CONFIG_SECTIONS, DEFAULT_SNRS, main
+from modepitch.cli import CONFIG_SECTIONS, DEFAULT_SNRS, OUT_DIR_ENV, main
 from modepitch.corpus import generate_corpus, write_noise_set
 from modepitch.emd import EmdConfig
 from modepitch.estimators import EstimatorConfig
-from modepitch.separation import ESTIMATORS
+from modepitch.separation import ESTIMATORS, AnalysisConfig, ProConfig
 from modepitch.vad import VadConfig
 
 
@@ -68,27 +68,47 @@ class TestHelpDocSync:
                     assert flag in result.output, f"{flag} missing from {command}"
 
     def test_settable_fields_and_fixed_constants(self):
-        # eleven settable knobs; every other estimator, sift and VAD value is a
-        # class constant holding its published default, readable as cfg.<name>
+        # the EEMD ensemble, noise ratio and seed are the only settable knobs;
+        # every other frame, estimator, sift, region and VAD value is a class
+        # constant holding its published default, readable as cfg.<name>
         assert {section: [f.name for f in dataclasses.fields(cls)]
                 for section, cls in CONFIG_SECTIONS.items()} == {
-            "frame": ["frame_len_ms", "hop_ms"],
-            "emd": ["ensemble_size", "wgn_std_ratio", "rng_seed"],
-            "estimator": ["f_min", "hht_num_imfs"],
-            "pro": ["gamma_hz", "k_imfs"],
-            "vad": ["frame_ms", "hangover_frames"]}
+            "emd": ["ensemble_size", "wgn_std_ratio", "rng_seed"]}
+        assert [f.name for f in dataclasses.fields(AnalysisConfig)] == ["emd"]
         constants = {
             EmdConfig: {"sift_stop_sd": 0.2, "max_sift_iters": 50},
             EstimatorConfig: {
+                "f_min": 50.0, "hht_num_imfs": 3,
                 "f_max": 400.0, "swipe_f_max": 500.0, "shr_threshold": 0.4,
                 "shr_max_harmonics": 8, "swipe_bins_per_octave": 48,
                 "swipe_num_peaks": 5, "pefac_num_harmonics": 10,
                 "pefac_compression": 0.5, "bins_per_octave": 48},
-            VadConfig: {"zcr_max": 0.48, "energy_min_ratio": 0.1}}
+            ProConfig: {"gamma_hz": 200.0, "k_imfs": 4},
+            VadConfig: {"frame_ms": 25.0, "hangover_frames": 2,
+                        "zcr_max": 0.48, "energy_min_ratio": 0.1}}
         for cls, values in constants.items():
             for name, value in values.items():
                 assert getattr(cls, name) == getattr(cls(), name) == value
         assert not hasattr(EstimatorConfig, "window")
+        assert (AnalysisConfig.frame.frame_len_ms, AnalysisConfig.frame.hop_ms) == \
+            (90.0, 10.0)
+        for section, cls in (("estimator", EstimatorConfig), ("pro", ProConfig),
+                             ("vad", VadConfig)):
+            assert getattr(AnalysisConfig, section) == getattr(AnalysisConfig(), section) \
+                == cls()
+
+    @pytest.mark.parametrize("command,name", [
+        ("decompose", "<stem>_modes.wav"),
+        ("track", "<stem>_<estimator>_<method>.csv"),
+        ("separate", "<stem>_regions.csv"),
+        ("bench", "bench_report.csv")])
+    def test_output_help_names_the_default(self, runner, command, name):
+        # one dollar sign before the variable, however click wraps the line
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        text = "".join(result.output.split())
+        assert f"[default:${OUT_DIR_ENV}/{name}]" in text
+        assert text.count("$") == 1
 
     def test_track_offers_the_pipeline_estimators(self, runner):
         assert ESTIMATORS == ("pefac", "shr", "swipe", "hht")
@@ -212,63 +232,26 @@ class TestTrack:
         out = str(tmp_path / "t.csv")
         result = runner.invoke(main, [
             "track", vowel_wav, "--estimator", "pefac", "-o", out,
-            "--print-config", "--pro-gamma-hz", "230"])
+            "--print-config", "--emd-wgn-std-ratio", "0.3"])
         assert result.exit_code == 0, result.output
         blob = result.output[:result.output.rindex("}") + 1]
         config = json.loads(blob)
-        assert config["pro"]["gamma_hz"] == 230.0
-        assert config["emd"]["ensemble_size"] == 100
+        assert config == {"emd": {"ensemble_size": 100, "wgn_std_ratio": 0.3,
+                                  "rng_seed": 0}}
 
     def test_config_file_layering(self, runner, vowel_wav, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"pro": {"gamma_hz": 210.0},
-                                        "emd": {"ensemble_size": 3}}))
+        cfg_path.write_text(json.dumps({"emd": {"wgn_std_ratio": 0.3,
+                                                "ensemble_size": 3}}))
         out = str(tmp_path / "t.csv")
         result = runner.invoke(main, [
             "track", vowel_wav, "--estimator", "pefac", "-o", out,
-            "--config", str(cfg_path), "--pro-gamma-hz", "220",
+            "--config", str(cfg_path), "--emd-wgn-std-ratio", "0.25",
             "--print-config"])
         assert result.exit_code == 0, result.output
         config = json.loads(result.output[:result.output.rindex("}") + 1])
-        assert config["pro"]["gamma_hz"] == 220.0   # flag beats file
-        assert config["emd"]["ensemble_size"] == 3  # file beats default
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_no_hht_mode_is_bad_configuration(self, runner, vowel_wav, tmp_path, value):
-        out = tmp_path / "t.csv"
-        result = runner.invoke(main, [
-            "track", vowel_wav, "--estimator", "hht", "-o", str(out),
-            "--estimator-hht-num-imfs", value])
-        assert result.exit_code == 1
-        assert "bad configuration: hht_num_imfs must be at least 1" in result.output
-        assert not out.exists()
-
-    def test_frame_too_short_for_f_min_is_bad_configuration(self, runner, vowel_wav,
-                                                           tmp_path):
-        # 30 ms holds 1.5 periods of the 50 Hz floor: no frame could be scored
-        out = tmp_path / "t.csv"
-        result = runner.invoke(main, [
-            "track", vowel_wav, "--estimator", "swipe", "--pro", "-o", str(out),
-            "--frame-frame-len-ms", "30"])
-        assert result.exit_code == 1
-        assert ("bad configuration: frame of 30.0 ms is shorter than two pitch "
-                "periods at f_min=50.0 Hz") in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", [["track", "--estimator", "pefac", "--pro"],
-                                         ["separate"]])
-    def test_rounded_frame_too_short_for_f_min_is_click_error(self, runner, vowel_wav,
-                                                              tmp_path, command):
-        # 42.56 ms passes the configured floor of 42.55 ms at 47 Hz, but the
-        # frame rounds to 340 samples = 42.50 ms at 8 kHz
-        out = tmp_path / "t.csv"
-        result = runner.invoke(main, [command[0], vowel_wav, *command[1:], "-o", str(out),
-                                      "--estimator-f-min", "47",
-                                      "--frame-frame-len-ms", "42.56"])
-        assert_click_error(result, "frame of 42.5 ms is shorter than two pitch "
-                                   "periods at f_min=47.0 Hz")
-        assert result.output.count("Error:") == 1
-        assert not out.exists()
+        assert config["emd"]["wgn_std_ratio"] == 0.25  # flag beats file
+        assert config["emd"]["ensemble_size"] == 3     # file beats default
 
     def test_input_shorter_than_one_frame_is_click_error(self, runner, short_wav,
                                                           tmp_path):
@@ -279,12 +262,14 @@ class TestTrack:
                                    "90.0 ms frame (720 samples)")
         assert not out.exists()
 
-    def test_hop_rounding_to_zero_samples_is_click_error(self, runner, vowel_wav,
-                                                         tmp_path):
+    def test_hop_rounding_to_zero_samples_is_click_error(self, runner, tmp_path):
+        # below 50 Hz the fixed 10 ms hop holds no sample
+        wav = tmp_path / "rate40.wav"
+        save_wav(wav, SampleBuffer(np.sin(np.arange(40.0)), 40))
         out = tmp_path / "t.csv"
-        result = runner.invoke(main, ["track", vowel_wav, "--estimator", "swipe",
-                                      "-o", str(out), "--frame-hop-ms", "0.05"])
-        assert_click_error(result, "hop_ms=0.05 rounds to 0 samples at 8000 Hz")
+        result = runner.invoke(main, ["track", str(wav), "--estimator", "swipe",
+                                      "-o", str(out)])
+        assert_click_error(result, "hop_ms=10.0 rounds to 0 samples at 40 Hz")
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -312,7 +297,11 @@ class TestTrack:
         ("--estimator-pefac-compression", "0.5"),
         ("--estimator-bins-per-octave", "48"), ("--estimator-window", "hann"),
         ("--vad-zcr-max", "0.48"), ("--vad-energy-min-ratio", "0.1"),
-        ("--emd-max-imfs", "2")])
+        ("--emd-max-imfs", "2"), ("--frame-frame-len-ms", "90"),
+        ("--frame-hop-ms", "20"), ("--estimator-f-min", "50"),
+        ("--estimator-hht-num-imfs", "3"), ("--pro-gamma-hz", "150"),
+        ("--pro-k-imfs", "4"), ("--vad-frame-ms", "25"),
+        ("--vad-hangover-frames", "2")])
     def test_removed_flag_usage_error(self, runner, vowel_wav, tmp_path, flag, value):
         # every removed flag is a usage error on each analysis command; the
         # mode cap is decompose's own flag, since these sift the modes they read
@@ -340,28 +329,35 @@ class TestTrack:
         ("estimator", "pefac_compression", 0.5),
         ("estimator", "bins_per_octave", 48), ("estimator", "window", "hann"),
         ("vad", "zcr_max", 0.48), ("vad", "energy_min_ratio", 0.1),
-        ("emd", "max_imfs", 8)])
+        ("emd", "max_imfs", 8), ("frame", "frame_len_ms", 90.0),
+        ("frame", "hop_ms", 10.0), ("estimator", "f_min", 50.0),
+        ("estimator", "hht_num_imfs", 3), ("pro", "gamma_hz", 200.0),
+        ("pro", "k_imfs", 4), ("vad", "frame_ms", 25.0),
+        ("vad", "hangover_frames", 2)])
     def test_config_file_naming_removed_field_rejected(self, runner, vowel_wav,
                                                        tmp_path, section, name, value):
+        # emd is the one config section; the others are fixed whole
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({section: {name: value}}))
         result = runner.invoke(main, [
             "track", vowel_wav, "--estimator", "shr", "-o", str(tmp_path / "t.csv"),
             "--config", str(cfg_path)])
         assert result.exit_code == 1
-        assert f"unknown config field {section}.{name}" in result.output
+        assert (f"unknown config field {section}.{name}" if section == "emd"
+                else f"unknown config section {section!r}") in result.output
+        assert not (tmp_path / "t.csv").exists()
 
-    def test_pro_on_20_ms_hop(self, runner, vowel_wav, tmp_path):
-        # the VAD follows the analysis hop, so a non-default hop just works
+    def test_pro_rows_on_the_analysis_grid(self, runner, vowel_wav, tmp_path):
+        # one row per 90 ms frame on the 10 ms hop, and the VAD follows it
         out = str(tmp_path / "track_pro.csv")
         result = runner.invoke(main, [
             "track", vowel_wav, "--estimator", "shr", "--pro", "-o", out,
-            "--emd-ensemble-size", "2", "--frame-hop-ms", "20"])
+            "--emd-ensemble-size", "2"])
         assert result.exit_code == 0, result.output
         rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
         times = [float(row[0]) for row in rows]
-        assert len(times) == (600 - 90) // 20 + 1
-        assert times == [20.0 * i for i in range(len(times))]
+        assert len(times) == (600 - 90) // 10 + 1
+        assert times == [10.0 * i for i in range(len(times))]
         assert any(row[3] for row in rows)  # voiced frames carry a region
 
 
@@ -402,7 +398,7 @@ class TestSeparate:
             "separate", vowel_wav, "-o", str(tmp_path / "r.csv"),
             "--emd-ensemble-size", "2", "--config", str(cfg_path)])
         assert result.exit_code == 1
-        assert "unknown config field pro.smooth_frames" in result.output
+        assert "unknown config section 'pro'" in result.output
 
 
 class TestSynthAndBench:
@@ -532,7 +528,9 @@ class TestSynthAndBench:
         (["--snrs", ","], "--snrs names no values"),
         (["--estimators", " , "], "--estimators names no values"),
         (["--methods", ""], "--methods names no values"),
-        ([], "[Errno 2] No such file or directory")])
+        ([], "[Errno 2] No such file or directory"),
+        (["--snrs", "0,nan"], "--snrs: SNR must be a number of dB or inf, got nan"),
+        (["--snrs", "-inf,5"], "--snrs: SNR must be a number of dB or inf, got -inf")])
     def test_bad_bench_input_is_click_error(self, runner, tmp_path, args, message):
         # the option lists are read before the manifest, whose WAV is missing
         manifest = tmp_path / "manifest.txt"

@@ -406,19 +406,3 @@ class TestInvariants:
         assert "yin" not in FRAME_ESTIMATORS
         with pytest.raises(ValueError, match="unknown estimator 'yin'"):
             check_keys(["shr", "yin"], ["raw"])
-
-
-class TestEstimatorConfig:
-    @pytest.mark.parametrize("n", [0, -2])
-    def test_hht_num_imfs_below_one_rejected(self, n):
-        # with no mode to read, hht would report no pitch on voiced frames
-        with pytest.raises(ValueError, match="hht_num_imfs"):
-            EstimatorConfig(hht_num_imfs=n)
-
-    @pytest.mark.parametrize("f_min", [0.0, -5.0, 400.0, 450.0])
-    def test_f_min_outside_search_range_rejected(self, f_min):
-        with pytest.raises(ValueError, match=r"f_min must lie in \(0, 400.0\) Hz"):
-            EstimatorConfig(f_min=f_min)
-
-    def test_one_hht_mode_accepted(self):
-        assert EstimatorConfig(hht_num_imfs=1).hht_num_imfs == 1

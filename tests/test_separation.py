@@ -12,8 +12,13 @@ from modepitch import separation
 from modepitch.audio import Frame, FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
-from modepitch.estimators import CANDIDATE, FRAME_ESTIMATORS, EstimatorConfig, pick
-from modepitch.evaluation import gross_error
+from modepitch.estimators import (
+    CANDIDATE,
+    FRAME_ESTIMATORS,
+    EstimatorConfig,
+    pefac_scores,
+    pick,
+)
 from modepitch.separation import (
     HIGH,
     LOW,
@@ -237,11 +242,14 @@ class TestClassifyRegion:
            gamma_lo=st.floats(min_value=60, max_value=390),
            gamma_hi=st.floats(min_value=60, max_value=390))
     def test_monotone_in_gamma(self, seed, gamma_lo, gamma_hi):
-        # raising gamma never flips a frame from low to high
+        # the region is region_of the pair's mean F0, and raising gamma never
+        # flips that mean from low to high
         lo, hi = sorted((gamma_lo, gamma_hi))
         v = vector(np.random.default_rng(seed).uniform(60, 390, size=4))
-        at_lo = classify_region(v, ProConfig(gamma_hz=lo)).region
-        at_hi = classify_region(v, ProConfig(gamma_hz=hi)).region
+        region = classify_region(v, ProConfig())
+        assert region.region == region_of(region.mean_f0, ProConfig.gamma_hz)
+        at_lo = region_of(region.mean_f0, lo)
+        at_hi = region_of(region.mean_f0, hi)
         assert not (at_lo == LOW and at_hi == HIGH)
 
 
@@ -271,7 +279,8 @@ class TestClassifyFrames:
 
     def test_matches_per_frame_oracle(self):
         # NaN and infinite entries, whole missing rows, exact ties (F0s on a
-        # 25 Hz lattice), F0s on both sides of 1, k from 2 to 6, and rows
+        # 25 Hz lattice), F0s on both sides of 1, k from 2 to 6 (the matrix
+        # width, whatever ProConfig.k_imfs says), and rows
         # given as None, a list, an array or an empty array; regions must
         # agree to the last bit. Below 8 modes numpy adds a row's terms in
         # order, so the masked zeros leave every row sum exact; from 8 on it
@@ -289,7 +298,7 @@ class TestClassifyFrames:
             m[rng.random((n, k)) < rng.uniform(0.0, 0.8)] = np.nan
             m[rng.random((n, k)) < 0.02] = np.inf
             m[rng.random(n) < 0.15] = np.nan
-            cfg = ProConfig(gamma_hz=float(rng.choice([150.0, 200.0, 250.0])), k_imfs=k)
+            cfg = ProConfig()
             picked = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
             frames = [None, picked.tolist(), picked, np.array([], dtype=np.intp)][trial % 4]
             expected = classify_frames_loop(m, cfg, frames)
@@ -478,8 +487,7 @@ class TestImfPitchVector:
             f0_contour=((0, 150.0), (500, 150.0)), duration_ms=500, rng_seed=1))
         imfs = ImfSet(np.tile(buf.samples, (3, 1)), np.full(len(buf), 1e-12), FS)
         with pytest.raises(ValueError, match="4 modes"):
-            imf_pitch_vector(imfs, FrameSpec(), ProConfig(k_imfs=4),
-                             EstimatorConfig())
+            imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
 
 
 class TestPipeline:
@@ -571,21 +579,6 @@ class TestPipeline:
                                              for f in d.raw_f0s)
         assert moved > 0
 
-    def test_pro_folds_on_gamma(self):
-        # a clean 170 Hz vowel sits in the high band (150, 300] of
-        # gamma = 150 Hz, so folding leaves it alone; folding on the 200 Hz
-        # edges instead would double every pick
-        buf, truth = synthesize_utterance(SynthUtteranceSpec(
-            f0_contour=((0, 170.0), (600, 170.0)), duration_ms=600, rng_seed=4))
-        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=5, rng_seed=0),
-                             pro=ProConfig(gamma_hz=150.0))
-        out = analyze_utterance(buf, ["shr"], ["raw", "pro"], cfg)
-        raw, pro = out[("shr", "raw")], out[("shr", "pro")]
-        assert pro.regions and all(r.region == HIGH for r in pro.regions)
-        np.testing.assert_array_equal(pro.track.f0_hz, raw.track.f0_hz)
-        assert gross_error(pro.track, truth) <= 5.0
-        assert all(d.corrected_f0s == d.raw_f0s for d in pro.diagnostics)
-
     def test_frames_without_mode_evidence_inherit_across_segments(self, monkeypatch):
         # a high vowel, a pause, then a low vowel whose decomposition keeps
         # fewer than k_imfs modes: no frame of the second segment has mode
@@ -668,46 +661,59 @@ class TestPipeline:
             np.testing.assert_array_equal(f0, per_segment_comb_loop(buf, est, cfg))
 
     def test_frames_too_short_for_f_min_rejected(self):
-        # 30 ms holds 1.5 periods at 50 Hz: every comb frame and every
-        # per-mode F0 would fail, leaving an empty track and default regions
-        with pytest.raises(ValueError, match="shorter than two pitch periods"):
-            AnalysisConfig(frame=FrameSpec(frame_len_ms=30.0))
-        with pytest.raises(ValueError, match="f_min=100.0"):
-            AnalysisConfig(estimator=EstimatorConfig(f_min=100.0),
-                           frame=FrameSpec(frame_len_ms=19.0))
-        AnalysisConfig(frame=FrameSpec(frame_len_ms=40.0))  # exactly two periods
-
-    def test_rounded_frame_too_short_for_f_min_rejected(self, monkeypatch):
-        # 42.56 ms passes the config's two-period floor at 47 Hz (42.55 ms),
-        # but rounds to 340 samples = 42.50 ms at 8 kHz, where every comb
-        # frame and every per-mode F0 would fail
-        cfg = AnalysisConfig(estimator=EstimatorConfig(f_min=47.0),
-                             frame=FrameSpec(frame_len_ms=42.56))
-        buf, _ = synthesize_utterance(SynthUtteranceSpec(
-            f0_contour=((0, 150.0), (600, 150.0)), rng_seed=2))
-        monkeypatch.setattr(separation, "detect_voiced", None)  # no work is reached
-        with pytest.raises(ValueError, match=r"frame of 42\.5 ms is shorter than two "
-                                             r"pitch periods at f_min=47\.0 Hz"):
-            analyze_utterance(buf, ["pefac", "shr", "swipe"], ["raw", "pro"], cfg)
-
-    def test_hop_rounding_to_zero_samples_rejected(self):
-        buf = glottal_pulse_train(150.0, duration_s=0.3)
-        cfg = AnalysisConfig(frame=FrameSpec(hop_ms=0.05))
-        with pytest.raises(ValueError, match="hop_ms=0.05 rounds to 0 samples"):
-            analyze_utterance(buf, ["shr"], ["raw"], cfg)
+        # callers hand the frame estimators and the per-mode PEFAC scores
+        # frames of any length: 30 ms holds 1.5 periods at 50 Hz and is
+        # rejected, 40 ms holds exactly two
+        x = glottal_pulse_train(150.0, duration_s=0.04).samples
+        for score in (*FRAME_ESTIMATORS.values(), pefac_scores):
+            with pytest.raises(ValueError, match=r"frame of 30\.0 ms is shorter than two "
+                                                 r"pitch periods at f_min=50\.0 Hz"):
+                score(Frame(x[:240], FS, 0.0), EstimatorConfig())
+            score(Frame(x, FS, 0.0), EstimatorConfig())
 
     def test_hop_longer_than_vad_frame_rejected(self):
-        with pytest.raises(ValueError, match="vad.frame_ms"):
-            AnalysisConfig(frame=FrameSpec(hop_ms=30.0), vad=VadConfig(frame_ms=25.0))
+        # a caller's analysis hop longer than the 25 ms VAD frame would leave
+        # gaps between VAD frames
+        buf = glottal_pulse_train(150.0, duration_s=0.3)
+        with pytest.raises(ValueError, match="hop_ms must not exceed frame_len_ms"):
+            detect_voiced(buf, VadConfig(), FrameSpec(hop_ms=30.0))
+
+    def test_fixed_constants_keep_frame_and_vad_consistent(self):
+        # the VAD frames sit on the analysis hop and must leave no gaps, and a
+        # frame spans two pitch periods at f_min, so every frame can be scored
+        frame, vad, est = AnalysisConfig.frame, AnalysisConfig.vad, AnalysisConfig.estimator
+        assert frame.hop_ms <= vad.frame_ms
+        assert frame.frame_len_ms >= 2000.0 / est.f_min
+
+    def test_fixed_frame_spans_two_periods_at_every_rate(self):
+        # the frame analyze_utterance cuts is rounded to whole samples; at
+        # every rate up to 192 kHz it either holds no sample (an input error)
+        # or still spans two periods at f_min
+        frame, f_min = AnalysisConfig.frame, AnalysisConfig.estimator.f_min
+        rounded_to_zero = 0
+        for fs in range(1, 192001):
+            try:
+                n = frame.frame_len(fs)
+            except ValueError as exc:
+                assert "rounds to 0 samples" in str(exc)
+                rounded_to_zero += 1
+                continue
+            assert n / fs >= 2.0 / f_min, fs
+        assert rounded_to_zero == 5  # 90 ms rounds to a sample from 6 Hz
+
+    def test_hop_rounding_to_zero_samples_rejected(self):
+        # below 50 Hz the fixed 10 ms hop holds no sample
+        buf = SampleBuffer(np.sin(np.arange(40.0)), 40)
+        with pytest.raises(ValueError, match="hop_ms=10.0 rounds to 0 samples at 40 Hz"):
+            analyze_utterance(buf, ["shr"], ["raw"], AnalysisConfig())
 
     def test_vad_runs_on_analysis_hop(self):
         buf = glottal_pulse_train(150.0, duration_s=0.6)
-        cfg = AnalysisConfig(frame=FrameSpec(hop_ms=20.0),
-                             emd=EmdConfig(ensemble_size=2, rng_seed=0))
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=0))
         out = analyze_utterance(buf, ["shr"], ["raw", "pro"], cfg)
         track = out[("shr", "pro")].track
-        n = FrameSpec(hop_ms=20.0).num_frames(len(buf), FS)
-        np.testing.assert_array_equal(track.frame_times_ms, 20.0 * np.arange(n))
+        n = cfg.frame.num_frames(len(buf), FS)
+        np.testing.assert_array_equal(track.frame_times_ms, 10.0 * np.arange(n))
         assert track.voiced_mask.sum() >= n - 2
         assert [r.frame_index for r in out[("shr", "pro")].regions] == \
             list(np.flatnonzero(track.voiced_mask))
@@ -745,8 +751,8 @@ class TestAnalyzeProperties:
         voice = glottal_pulse_train(f0, duration_s=duration_ms / 1000.0, fs=fs).samples
         noise = 0.01 * np.random.default_rng(seed).standard_normal(voice.size)
         x = np.clip(gain * (voice + noise) + dc, -clip, clip)
-        spec = FrameSpec()
-        cfg = AnalysisConfig(frame=spec, emd=EmdConfig(ensemble_size=2, rng_seed=seed))
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=seed))
+        spec = cfg.frame
         if x.size < spec.frame_len(fs):
             with pytest.raises(ValueError, match="shorter than one"):
                 analyze_utterance(SampleBuffer(x, fs), *ALL_KEYS, cfg)

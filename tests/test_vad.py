@@ -175,9 +175,9 @@ class TestLoopOracle:
     @given(rate=st.sampled_from([8000, 11025, 16000, 22050]),
            duration_ms=st.integers(26, 700), seed=st.integers(0, 2**32 - 1),
            noise=st.floats(0.0, 1.0), held=st.booleans(), clip=st.booleans(),
-           silent_tail=st.booleans(), hangover=st.integers(0, 3))
+           silent_tail=st.booleans())
     def test_matches_frame_loop(self, rate, duration_ms, seed, noise, held, clip,
-                                silent_tail, hangover):
+                                silent_tail):
         gen = np.random.default_rng(seed)
         n = int(duration_ms * rate / 1000)
         t = np.arange(n) / rate
@@ -191,7 +191,7 @@ class TestLoopOracle:
         if silent_tail:
             x[n - int(gen.integers(1, n + 1)):] = 0.0
         buf = SampleBuffer(x, rate)
-        cfg = VadConfig(hangover_frames=hangover)
+        cfg = VadConfig()
         mask, energies, zcrs, moving = detect_voiced_loop(buf, cfg)
         got_energies, got_zcrs, got_moving = _frame_features(buf, cfg.frame_spec())
         np.testing.assert_array_equal(detect_voiced(buf, cfg), mask)

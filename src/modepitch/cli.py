@@ -25,7 +25,7 @@ from .corpus import (
     write_noise_set,
 )
 from .emd import DEFAULT_MAX_IMFS, eemd_decompose, mode_energies, write_imf_wav
-from .evaluation import mix_cells, run_benchmark, write_report_csv
+from .evaluation import GATES, mix_cells, run_benchmark, write_report_csv
 from .separation import ESTIMATORS, AnalysisConfig, analyze_utterance, check_keys
 
 OUT_DIR_ENV = "MODEPITCH_OUT_DIR"
@@ -257,7 +257,7 @@ def separate(audio, output, **kwargs):
 @click.option("--estimators", default="shr,swipe,hht", show_default=True)
 @click.option("--methods", default="raw,pro", show_default=True)
 @click.option("--gate", default="ref_voiced", show_default=True,
-              type=click.Choice(["ref_voiced", "detected_voiced"]),
+              type=click.Choice(GATES),
               help="which voicing gates the GE denominator")
 @click.option("--jobs", default=os.cpu_count() or 1, show_default="cpu count",
               type=click.IntRange(min=1),

@@ -99,8 +99,7 @@ def _resonator_coeffs(freq_hz: float, bw_hz: float, fs: int):
     return [1.0, -2.0 * r * np.cos(theta), r * r]
 
 
-def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec()
-                         ) -> tuple[SampleBuffer, FramePitchTrack]:
+def synthesize_utterance(spec: SynthUtteranceSpec) -> tuple[SampleBuffer, FramePitchTrack]:
     """Glottal-pulse train following the contour, shaped by three formant
     resonators, with per-period jitter.
 
@@ -145,6 +144,7 @@ def synthesize_utterance(spec: SynthUtteranceSpec, frame: FrameSpec = FrameSpec(
         x = 0.5 * x / peak
     buf = SampleBuffer(x, fs)
 
+    frame = FrameSpec()  # the analysis grid
     n_frames = frame.num_frames(n, fs)
     times = np.arange(n_frames) * frame.hop_ms
     truth_f0 = np.interp(times + frame.frame_len_ms / 2.0, knots_t, knots_f)
@@ -327,8 +327,7 @@ def load_manifest(path) -> list[CorpusItem]:
 
 def generate_corpus(out_dir, count: int = 20, seed: int = 0,
                     duration_ms: float = 600.0, sample_rate_hz: int = 8000,
-                    low_fraction: float = 0.5,
-                    frame: FrameSpec = FrameSpec()) -> str:
+                    low_fraction: float = 0.5) -> str:
     """Write WAVs, reference tracks, and a manifest; returns the manifest path.
 
     Half the contours (by low_fraction) stay at or below 200 Hz, the rest
@@ -362,7 +361,7 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
             jitter_pct=0.5, rng_seed=int(rng.integers(0, 2 ** 31)),
             sample_rate_hz=sample_rate_hz,
         ))
-    frame.hop(sample_rate_hz)  # rejects a rate the reference grid cannot sample
+    FrameSpec().hop(sample_rate_hz)  # rejects a rate the reference grid cannot sample
     top_hz = CORPUS_FORMANT_RANGES[-1][1]
     if sample_rate_hz <= 2 * top_hz:
         raise ValueError(f"corpus sample_rate_hz must exceed {2 * top_hz:g} Hz, twice the "
@@ -370,7 +369,7 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
     os.makedirs(out_dir, exist_ok=True)  # only once every option has passed
     entries = []
     for i, spec in enumerate(specs):
-        audio, truth = synthesize_utterance(spec, frame)
+        audio, truth = synthesize_utterance(spec)
         stem = f"utt_{i:03d}_{'low' if i < n_low else 'high'}"
         save_wav(os.path.join(out_dir, f"{stem}.wav"), audio)
         write_reference(os.path.join(out_dir, f"{stem}.f0"), truth)

@@ -6,6 +6,8 @@ suppresses mode mixing at the cost of a small reconstruction residue.
 """
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -29,10 +31,16 @@ class EmdConfig:
     max_sift_iters: ClassVar[int] = 50
 
     def __post_init__(self):
+        for name in ("ensemble_size", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.ensemble_size < 1:
             raise ValueError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
-        if self.wgn_std_ratio < 0:
-            raise ValueError("wgn_std_ratio must be non-negative")
+        ratio = self.wgn_std_ratio
+        if not isinstance(ratio, numbers.Real) or not 0 <= ratio < np.inf:
+            raise ValueError(f"wgn_std_ratio must be a finite number >= 0, got {ratio!r}")
 
 
 @dataclass(frozen=True)

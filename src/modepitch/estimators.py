@@ -255,8 +255,7 @@ def _first_acf_peak(r: np.ndarray, tau_min: int, tau_max: int) -> int | None:
     return None
 
 
-def hht_candidates(imfs: ImfSet, cfg: EstimatorConfig = EstimatorConfig(),
-                   frame: FrameSpec = FrameSpec()) -> np.ndarray:
+def hht_candidates(imfs: ImfSet) -> np.ndarray:
     """Candidates of every analysis frame as a (frames x hht_num_imfs)
     CANDIDATE array: slot k holds the candidate of mode k + 1, if any.
 
@@ -268,6 +267,7 @@ def hht_candidates(imfs: ImfSet, cfg: EstimatorConfig = EstimatorConfig(),
     range leave their slot empty (NaN) for that interval. Modes shorter
     than one frame raise ValueError.
     """
+    cfg, frame = EstimatorConfig, FrameSpec()  # the analysis frame
     if len(imfs) < cfg.hht_num_imfs:
         raise ValueError(
             f"need {cfg.hht_num_imfs} modes for candidate extraction, "

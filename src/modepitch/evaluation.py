@@ -22,6 +22,7 @@ from .track import FramePitchTrack, has_estimate, tracks_aligned
 GE_DEVIATION_THRESHOLD = 0.20
 CSV_SCHEMA = "noise,snr_db,estimator,method,ge_percent,mae_hz,sep_error_percent,frames"
 CSV_SCHEMA_VERSION = 1
+GATES = ("ref_voiced", "detected_voiced")  # which voicing gates the GE denominator
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,9 @@ class BenchFailure:
 
 
 def _gate_mask(est: FramePitchTrack, ref: FramePitchTrack, gate: str) -> np.ndarray:
-    if gate == "ref_voiced":
-        return ref.voiced_mask.copy()
-    if gate == "detected_voiced":
-        return est.voiced_mask.copy()
-    raise ValueError(f"unknown gate {gate!r}")
+    if gate not in GATES:
+        raise ValueError(f"unknown gate {gate!r}")
+    return (ref if gate == "ref_voiced" else est).voiced_mask.copy()
 
 
 def gross_error(est: FramePitchTrack, ref: FramePitchTrack,
@@ -173,7 +172,7 @@ def _bench_utterance(args):
                 if (result.track.estimated_mask() & item.truth.voiced_mask).any() \
                 else math.nan
             if key[1] == "pro" and result.regions:
-                sep = separation_error(result.regions, item.truth, cfg.pro.gamma_hz)
+                sep = separation_error(result.regions, item.truth)
             else:
                 sep = math.nan
             frames = int(item.truth.voiced_mask.sum())
@@ -195,8 +194,8 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     Each report averages the scores of the utterances that succeeded. Every
     failed utterance is recorded once per estimator/method key, with its
     reason prefixed by the corpus item name; a cell with no successful
-    utterance is left out of the reports. Unknown estimator or method names
-    raise before anything is mixed. The mixes are those of `mix_cells`, so
+    utterance is left out of the reports. Unknown estimator, method or gate
+    names raise before anything is mixed. The mixes are those of `mix_cells`, so
     the result is deterministic for a fixed seed. Utterances run in a pool
     of min(jobs, corpus size) worker processes, or in this process when
     that is 1.
@@ -206,6 +205,8 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     check_keys(estimators, methods)
+    if gate not in GATES:
+        raise ValueError(f"unknown gate {gate!r}")
     reports: list[EvalReport] = []
     failures: list[BenchFailure] = []
     # under fork the pool starts all its workers with the first task, and a

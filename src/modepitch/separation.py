@@ -109,8 +109,8 @@ def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
     return (a + 1, b + 1), scores
 
 
-def classify_frames(mode_f0: np.ndarray, cfg: ProConfig = ProConfig(),
-                    frames: np.ndarray | None = None) -> list[FrequencyRegion]:
+def classify_frames(mode_f0: np.ndarray, frames: np.ndarray | None = None
+                    ) -> list[FrequencyRegion]:
     """Classify the given rows (frame indices, in order; default all) of a
     (frames x modes) F0 matrix in one array pass: the select_imf_pair rule
     over each row's usable (finite) modes, then region_of the pair's mean
@@ -133,21 +133,20 @@ def classify_frames(mode_f0: np.ndarray, cfg: ProConfig = ProConfig(),
     regions, last = [], LOW
     for i, ok, mean, pair_i in zip(rows.tolist(), (usable.sum(axis=1) >= 2).tolist(),
                                    mean_f0.tolist(), pair.tolist()):
-        last = region_of(mean, cfg.gamma_hz) if ok else last
+        last = region_of(mean) if ok else last
         a, b = sorted(pair_i)
         regions.append(FrequencyRegion(i, last, mean, (a + 1, b + 1)) if ok
                        else FrequencyRegion(i, last, math.nan, None))
     return regions
 
 
-def classify_region(f0_per_imf: np.ndarray, cfg: ProConfig = ProConfig(),
-                    frame_index: int = 0) -> FrequencyRegion:
+def classify_region(f0_per_imf: np.ndarray, frame_index: int = 0) -> FrequencyRegion:
     """classify_frames on one frame's per-mode F0 vector; exactly gamma
     counts as low. Fewer than two usable modes raises ValueError."""
     v = np.asarray(f0_per_imf, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need a 1-D array of at least two mode estimates")
-    region = classify_frames(v[None, :], cfg)[0]
+    region = classify_frames(v[None, :])[0]
     if region.selected_imfs is None:
         raise ValueError(f"frame {frame_index}: only {np.isfinite(v).sum()} "
                          "usable mode estimates")
@@ -177,10 +176,7 @@ def _smoothed_argmax_track(cands: np.ndarray, scores: np.ndarray,
     return np.where(counts > 0, picks, np.nan)
 
 
-def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
-                     cfg: ProConfig = ProConfig(),
-                     est_cfg: EstimatorConfig = EstimatorConfig()
-                     ) -> np.ndarray:
+def imf_pitch_vector(imfs: ImfSet) -> np.ndarray:
     """Frame-by-frame PEFAC F0 on each of the first k_imfs modes, as a
     (frames x k_imfs) matrix (all modes share the source length, so the
     framing is identical). Each mode's comb score curves are averaged over
@@ -188,20 +184,20 @@ def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
     cannot score counts as missing in that average; a frame whose whole
     window is missing yields NaN for that mode.
     """
-    if len(imfs) < cfg.k_imfs:
+    k_imfs, spec, est = ProConfig.k_imfs, AnalysisConfig.frame, EstimatorConfig
+    if len(imfs) < k_imfs:
         raise ValueError(
-            f"separation needs {cfg.k_imfs} modes, decomposition produced "
-            f"{len(imfs)}")
+            f"separation needs {k_imfs} modes, decomposition produced {len(imfs)}")
     fs = imfs.sample_rate_hz
-    cands = log_grid(est_cfg.f_min, est_cfg.f_max, est_cfg.bins_per_octave)
+    cands = log_grid(est.f_min, est.f_max, est.bins_per_octave)
     per_mode = []
-    for mode in imfs.modes[:cfg.k_imfs]:
+    for mode in imfs.modes[:k_imfs]:
         frames = spec.frames(mode, fs)
         scores = np.full((len(frames), cands.size), -np.inf)
         valid = np.zeros(len(frames), dtype=bool)
         for i, row in enumerate(frames):
             try:
-                scores[i] = pefac_scores(Frame(row, fs, i * spec.hop_ms), est_cfg)[1]
+                scores[i] = pefac_scores(Frame(row, fs, i * spec.hop_ms))[1]
                 valid[i] = True
             except ValueError:
                 pass
@@ -209,8 +205,7 @@ def imf_pitch_vector(imfs: ImfSet, spec: FrameSpec = FrameSpec(),
     return np.column_stack(per_mode)
 
 
-def correct_candidate(f_cand: float, region: str,
-                      gamma_hz: float = ProConfig.gamma_hz) -> float:
+def correct_candidate(f_cand: float, region: str) -> float:
     """Fold a pitch candidate into its frame's frequency band.
 
     Low frames map onto [gamma/4, gamma]: identity there, halve on
@@ -218,9 +213,10 @@ def correct_candidate(f_cand: float, region: str,
     [gamma, 2 gamma]: quadruple on [gamma/4, gamma/2], double on
     (gamma/2, gamma], identity on (gamma, 2 gamma], halve above 2 gamma.
     Candidates below gamma/4 pass through unchanged (out of the model's
-    range; callers flag them in diagnostics). At the default gamma of
-    200 Hz the edges are 50, 100, 200 and 400 Hz.
+    range; callers flag them in diagnostics). With gamma at 200 Hz the
+    edges are 50, 100, 200 and 400 Hz.
     """
+    gamma_hz = ProConfig.gamma_hz
     if f_cand <= 0:
         raise ValueError("candidate frequency must be positive")
     if region not in (LOW, HIGH):
@@ -290,14 +286,15 @@ def check_keys(estimators: list[str], methods: list[str]) -> None:
                              f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
 
 
-def _diagnostic(raw: np.ndarray, folded: np.ndarray, region: FrequencyRegion,
-                gamma_hz: float) -> FrameDiagnostic:
+def _diagnostic(raw: np.ndarray, folded: np.ndarray, region: FrequencyRegion
+                ) -> FrameDiagnostic:
     """Audit record of one frame from its raw and folded CANDIDATE rows."""
     found = ~np.isnan(raw["f0_hz"])
     raw_f0s = tuple(raw["f0_hz"][found].tolist())
     return FrameDiagnostic(region=region, raw_f0s=raw_f0s,
                            corrected_f0s=tuple(folded["f0_hz"][found].tolist()),
-                           out_of_model=any(f < 0.25 * gamma_hz for f in raw_f0s))
+                           out_of_model=any(f < 0.25 * ProConfig.gamma_hz
+                                            for f in raw_f0s))
 
 
 def analyze_utterance(buf: SampleBuffer, estimators: list[str],
@@ -328,8 +325,7 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     times = np.arange(n_track) * cfg.frame.hop_ms
     pro = "pro" in methods
     hht = "hht" in estimators
-    gamma = cfg.pro.gamma_hz
-    hop, vad_len = cfg.frame.hop(fs), cfg.vad.frame_spec(cfg.frame).frame_len(fs)
+    hop, vad_len = cfg.frame.hop(fs), cfg.vad.frame_spec.frame_len(fs)
     # sifting is sequential, so stopping after the last mode a key reads
     # leaves every mode that is read, and their trial averages, unchanged
     n_modes = max(cfg.pro.k_imfs if pro else 1,
@@ -339,7 +335,7 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
     cands = {est: np.full((n_track, cfg.estimator.hht_num_imfs if est == "hht" else 1),
                           np.nan, CANDIDATE) for est in estimators}
-    for first, last in voiced_segments(detect_voiced(buf, cfg.vad, cfg.frame)):
+    for first, last in voiced_segments(detect_voiced(buf)):
         seg = buf.samples[first * hop:last * hop + vad_len]
         n_frames = cfg.frame.num_frames(len(seg), fs)
         rows = slice(first, first + n_frames)
@@ -348,22 +344,20 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
             continue
         decomposition = eemd_decompose(SampleBuffer(seg, fs), cfg.emd, n_modes)
         if pro and len(decomposition) >= cfg.pro.k_imfs:
-            mode_f0[rows] = imf_pitch_vector(decomposition, cfg.frame, cfg.pro,
-                                             cfg.estimator)
+            mode_f0[rows] = imf_pitch_vector(decomposition)
         if hht and len(decomposition) >= cfg.estimator.hht_num_imfs:
-            cands["hht"][rows] = hht_candidates(decomposition, cfg.estimator, cfg.frame)
+            cands["hht"][rows] = hht_candidates(decomposition)
     # a segment's frame i is the utterance's frame first + i, so the comb
     # estimators score the voiced rows of the one utterance framing
     for est in [e for e in estimators if e != "hht"]:
         for i in np.flatnonzero(voiced):
             try:
                 cands[est][i, 0] = FRAME_ESTIMATORS[est](
-                    Frame(frames[i], fs, float(times[i])), cfg.estimator)
+                    Frame(frames[i], fs, float(times[i])))
             except ValueError:
                 pass
 
-    regions = (tuple(classify_frames(mode_f0, cfg.pro, np.flatnonzero(voiced)))
-               if pro else ())
+    regions = tuple(classify_frames(mode_f0, np.flatnonzero(voiced))) if pro else ()
     out: dict[tuple[str, str], MethodResult] = {}
     for est in estimators:
         raw = pick(cands[est])
@@ -373,11 +367,10 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
             for r in regions:
                 row = folded["f0_hz"][r.frame_index]
                 for k in np.flatnonzero(~np.isnan(row)):
-                    row[k] = correct_candidate(row[k], r.region, gamma)
+                    row[k] = correct_candidate(row[k], r.region)
             f0["pro"] = pick(folded)
             diagnostics = tuple(_diagnostic(cands[est][r.frame_index],
-                                            folded[r.frame_index], r, gamma)
-                                for r in regions)
+                                            folded[r.frame_index], r) for r in regions)
         for meth in methods:
             track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=f0[meth],
                                     voiced_mask=voiced.copy())

@@ -24,10 +24,8 @@ class VadConfig:
     # ceiling is set just under that to keep voiced frames at low SNR
     zcr_max: ClassVar[float] = 0.48
     energy_min_ratio: ClassVar[float] = 0.1  # fraction of utterance mean frame energy
-
-    def frame_spec(self, analysis: FrameSpec = FrameSpec()) -> FrameSpec:
-        # on the analysis hop: VAD frame i starts where analysis frame i does
-        return FrameSpec(frame_len_ms=self.frame_ms, hop_ms=analysis.hop_ms)
+    # on the analysis hop: VAD frame i starts where analysis frame i does
+    frame_spec: ClassVar[FrameSpec] = FrameSpec(frame_ms, FrameSpec().hop_ms)
 
 
 def _majority_hold(mask: np.ndarray, hangover: int) -> np.ndarray:
@@ -49,15 +47,14 @@ def _frame_features(buf: SampleBuffer, spec: FrameSpec
     return np.mean(frames ** 2, axis=1), zcrs, np.ptp(frames, axis=1) > 0
 
 
-def detect_voiced(buf: SampleBuffer, cfg: VadConfig = VadConfig(),
-                  frame: FrameSpec = FrameSpec()) -> np.ndarray:
-    """Per-frame voiced mask on the hop of `frame`: low zero-crossing rate
+def detect_voiced(buf: SampleBuffer) -> np.ndarray:
+    """Per-frame voiced mask on the analysis hop: low zero-crossing rate
     AND energy above a fraction of the utterance mean, then
     hangover-smoothed. A frame whose samples are all equal (DC, or silence)
     has no periodic content and is always unvoiced, whatever its
     neighbours. A rate at which a VAD frame holds fewer than 2 samples, so
     that no zero crossing can be counted, raises ValueError."""
-    spec = cfg.frame_spec(frame)
+    cfg, spec = VadConfig, VadConfig.frame_spec
     if spec.frame_len(buf.sample_rate_hz) < 2:
         raise ValueError(f"a {cfg.frame_ms} ms VAD frame holds 1 sample at "
                          f"{buf.sample_rate_hz} Hz; the zero-crossing rate needs "

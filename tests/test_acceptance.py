@@ -267,7 +267,7 @@ def test_c7_estimator_sanity():
             results.append(f"{name}@{f0_true:.0f}:{100 * frac:.0f}%")
             ok &= frac >= 0.95
         imfs = eemd_decompose(buf, EmdConfig(ensemble_size=10, rng_seed=0))
-        picks = pick(hht_candidates(imfs, cfg))
+        picks = pick(hht_candidates(imfs))
         frac = float(np.mean(np.abs(picks - f0_true) / f0_true <= 0.20))
         results.append(f"hht@{f0_true:.0f}:{100 * frac:.0f}%")
         ok &= frac >= 0.95

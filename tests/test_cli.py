@@ -253,6 +253,32 @@ class TestTrack:
         assert config["emd"]["wgn_std_ratio"] == 0.25  # flag beats file
         assert config["emd"]["ensemble_size"] == 3     # file beats default
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("ensemble_size", 2.5, "ensemble_size must be an integer, got 2.5"),
+        ("ensemble_size", True, "ensemble_size must be an integer, got True"),
+        ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5"),
+        ("wgn_std_ratio", "0.2", "wgn_std_ratio must be a finite number >= 0, got '0.2'")])
+    def test_config_file_value_of_wrong_type_is_bad_configuration(
+            self, runner, vowel_wav, tmp_path, name, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"emd": {name: value}}))
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, ["track", vowel_wav, "--estimator", "shr", "-o",
+                                      str(out), "--config", str(cfg_path)])
+        assert_click_error(result, f"bad configuration: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_wgn_std_ratio_is_bad_configuration(self, runner, vowel_wav,
+                                                           tmp_path, ratio):
+        # a NaN ratio made every region low and exited 0 with a wrong track
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, ["track", vowel_wav, "--pro", "--emd-ensemble-size",
+                                      "2", "--emd-wgn-std-ratio", ratio, "-o", str(out)])
+        assert_click_error(result, "bad configuration: wgn_std_ratio must be a finite "
+                                   f"number >= 0, got {float(ratio)!r}")
+        assert not out.exists()
+
     def test_input_shorter_than_one_frame_is_click_error(self, runner, short_wav,
                                                           tmp_path):
         out = tmp_path / "t.csv"

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,6 +173,28 @@ class TestEmdConfig:
         message = f"ensemble_size must be at least 1, got {size}$"
         with pytest.raises(ValueError, match=message):
             EmdConfig(ensemble_size=size)
+
+    @pytest.mark.parametrize("name", ["ensemble_size", "rng_seed"])
+    def test_integer_fields_take_numpy_integers(self, name):
+        cfg = EmdConfig(**{name: np.int64(3)})
+        assert getattr(cfg, name) == 3 and type(getattr(cfg, name)) is int
+
+    @pytest.mark.parametrize("name", ["ensemble_size", "rng_seed"])
+    @pytest.mark.parametrize("value", [2.5, True, np.True_, "3", np.float64(3.0)])
+    def test_integer_fields_reject_other_types(self, name, value):
+        message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=message):
+            EmdConfig(**{name: value})
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, -0.1, "0.2", None])
+    def test_wgn_std_ratio_finite_and_non_negative(self, ratio):
+        message = f"^wgn_std_ratio must be a finite number >= 0, got {re.escape(repr(ratio))}$"
+        with pytest.raises(ValueError, match=message):
+            EmdConfig(wgn_std_ratio=ratio)
+
+    @pytest.mark.parametrize("ratio", [0, 0.0, np.float32(0.3), 5])
+    def test_wgn_std_ratio_accepts_real_numbers(self, ratio):
+        assert EmdConfig(wgn_std_ratio=ratio).wgn_std_ratio == ratio
 
 
 class TestModeCap:

@@ -259,7 +259,7 @@ class TestHhtCandidates:
         am = np.cos(2 * np.pi * 1000 * t) * (1 + 0.5 * np.cos(2 * np.pi * 125 * t))
         filler1 = 0.001 * np.cos(2 * np.pi * 300 * t)
         filler2 = 0.001 * np.cos(2 * np.pi * 80 * t)
-        cands = hht_candidates(self._imfset([am, filler1, filler2]), CFG)
+        cands = hht_candidates(self._imfset([am, filler1, filler2]))
         mode1 = cands["f0_hz"][:, 0]
         mode1 = mode1[~np.isnan(mode1)]
         assert mode1.size, "expected candidates from the AM mode"
@@ -269,7 +269,7 @@ class TestHhtCandidates:
     def test_flat_envelope_yields_no_candidate(self):
         t = np.arange(FS) / FS
         flat = np.cos(2 * np.pi * 1000 * t)
-        cands = hht_candidates(self._imfset([flat, flat * 0.5, flat * 0.25]), CFG)
+        cands = hht_candidates(self._imfset([flat, flat * 0.5, flat * 0.25]))
         assert len(cands) == FrameSpec().num_frames(FS, FS)
         assert np.isnan(cands["f0_hz"]).all() and np.isnan(cands["salience"]).all()
 
@@ -277,7 +277,7 @@ class TestHhtCandidates:
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 110.0), (500, 110.0)), duration_ms=500, rng_seed=2))
         imfs = eemd_decompose(buf, EmdConfig(ensemble_size=10, rng_seed=0))
-        cands = hht_candidates(imfs, CFG)
+        cands = hht_candidates(imfs)
         hop_count = FrameSpec().num_frames(len(buf), FS)
         assert cands.dtype == CANDIDATE
         assert cands.shape == (hop_count, CFG.hht_num_imfs)
@@ -289,7 +289,7 @@ class TestHhtCandidates:
         buf, _ = synthesize_utterance(SynthUtteranceSpec(
             f0_contour=((0, 110.0), (500, 110.0)), duration_ms=500, rng_seed=2))
         imfs = eemd_decompose(buf, EmdConfig(ensemble_size=10, rng_seed=0))
-        cands = hht_candidates(imfs, CFG)
+        cands = hht_candidates(imfs)
         hits = np.any(np.abs(cands["f0_hz"] - 110.0) / 110.0 <= 0.20, axis=1)
         assert hits.sum() >= 0.8 * len(cands)
 
@@ -297,14 +297,14 @@ class TestHhtCandidates:
         t = np.arange(FS) / FS
         imfs = self._imfset([np.cos(2 * np.pi * 500 * t)] * 2)
         with pytest.raises(ValueError, match="modes"):
-            hht_candidates(imfs, CFG)
+            hht_candidates(imfs)
 
     def test_rate_read_from_the_modes(self):
         # the same AM mode at 16 kHz: lags scale with the rate, F0 does not
         t = np.arange(2 * FS) / (2 * FS)
         am = np.cos(2 * np.pi * 1000 * t) * (1 + 0.5 * np.cos(2 * np.pi * 125 * t))
         quiet = 0.001 * np.cos(2 * np.pi * 300 * t)
-        cands = hht_candidates(self._imfset([am, quiet, quiet], fs=2 * FS), CFG)
+        cands = hht_candidates(self._imfset([am, quiet, quiet], fs=2 * FS))
         assert len(cands) == FrameSpec().num_frames(2 * FS, 2 * FS)
         assert np.nanmedian(cands["f0_hz"][:, 0]) == pytest.approx(125.0, abs=2.0)
 
@@ -361,7 +361,7 @@ class TestInvariants:
         results = []
         for c in (1.0, 7.5):
             imfs = ImfSet(np.multiply(modes, c), np.zeros(FS) + 1e-12, FS)
-            picks = pick(hht_candidates(imfs, CFG))
+            picks = pick(hht_candidates(imfs))
             results.append(picks[~np.isnan(picks)])
         assert results[0].size
         np.testing.assert_allclose(results[0], results[1], rtol=1e-9)

@@ -362,6 +362,19 @@ class TestRunBenchmark:
             run_benchmark(small_corpus(1), noises, [5.0], estimators, methods,
                           FAST_CFG)
 
+    def test_unknown_gate_rejected_before_analysis(self, monkeypatch):
+        # like an unknown name, an unknown gate must fail the run at once,
+        # not once per utterance after every analysis
+        from modepitch import evaluation
+
+        def no_analysis(*args):
+            raise AssertionError("analyzed before the gate was checked")
+        monkeypatch.setattr(evaluation, "analyze_utterance", no_analysis)
+        noises = [("white", make_noise("white", 2 * FS, FS, seed=1))]
+        with pytest.raises(ValueError, match="^unknown gate 'voiced'$"):
+            run_benchmark(small_corpus(1), noises, [5.0], ["shr"], ["raw"],
+                          FAST_CFG, gate="voiced")
+
     def test_failures_recorded_not_fatal(self):
         # an unmixable (all-zero) utterance is recorded as a failure of its
         # cell, while the run and the other utterance's scores survive

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -10,12 +11,18 @@ from hypothesis import strategies as st
 from conftest import FS, glottal_pulse_train
 from modepitch import separation
 from modepitch.audio import Frame, FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
-from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
+from modepitch.corpus import (
+    SynthUtteranceSpec,
+    generate_corpus,
+    make_noise,
+    synthesize_utterance,
+)
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
 from modepitch.estimators import (
     CANDIDATE,
     FRAME_ESTIMATORS,
     EstimatorConfig,
+    hht_candidates,
     pefac_scores,
     pick,
 )
@@ -65,21 +72,21 @@ def per_segment_comb_loop(buf, est, cfg):
     segment written to row first + i."""
     fs = buf.sample_rate_hz
     flen, hop = cfg.frame.frame_len(fs), cfg.frame.hop(fs)
-    vad_len = cfg.vad.frame_spec(cfg.frame).frame_len(fs)
+    vad_len = cfg.vad.frame_spec.frame_len(fs)
     cands = np.full((cfg.frame.num_frames(len(buf), fs), 1), np.nan, CANDIDATE)
-    for first, last in voiced_segments(detect_voiced(buf, cfg.vad, cfg.frame)):
+    for first, last in voiced_segments(detect_voiced(buf)):
         seg = buf.samples[first * hop:last * hop + vad_len]
         for i in range(cfg.frame.num_frames(len(seg), fs)):
             frame = Frame(seg[i * hop:i * hop + flen], fs, 1000.0 * i * hop / fs)
             try:
-                f0, salience = FRAME_ESTIMATORS[est](frame, cfg.estimator)
+                f0, salience = FRAME_ESTIMATORS[est](frame)
             except ValueError:
                 continue
             cands[first + i, 0] = f0, salience
     return pick(cands)
 
 
-def classify_frames_loop(mode_f0, cfg, frames=None):
+def classify_frames_loop(mode_f0, frames=None):
     """Per-frame oracle for classify_frames: each row is cut down to its
     finite entries, the two smallest stable-sorted row sums of their
     distance matrix pick the pair, whose indices map back to mode numbers;
@@ -96,7 +103,7 @@ def classify_frames_loop(mode_f0, cfg, frames=None):
             a, b = sorted((int(order[0]), int(order[1])))
             mean_f0 = float(0.5 * (sub[a] + sub[b]))
             region = FrequencyRegion(frame_index=int(i),
-                                     region=region_of(mean_f0, cfg.gamma_hz),
+                                     region=region_of(mean_f0),
                                      mean_f0=mean_f0,
                                      selected_imfs=(int(valid[a]) + 1, int(valid[b]) + 1))
         else:
@@ -188,54 +195,49 @@ class TestSelectImfPair:
 
 class TestClassifyRegion:
     def test_low_example(self):
-        region = classify_region(vector([180.0, 190.0, 185.0, 186.0]),
-                                 ProConfig())
+        region = classify_region(vector([180.0, 190.0, 185.0, 186.0]))
         assert region.region == LOW
         assert region.mean_f0 <= 200.0
 
     def test_high_example(self):
-        region = classify_region(vector([210.0, 230.0, 215.0, 214.0]),
-                                 ProConfig())
+        region = classify_region(vector([210.0, 230.0, 215.0, 214.0]))
         assert region.region == HIGH
 
     def test_exactly_gamma_is_low(self):
-        region = classify_region(vector([200.0, 200.0, 200.0, 200.0]),
-                                 ProConfig())
+        region = classify_region(vector([200.0, 200.0, 200.0, 200.0]))
         assert region.mean_f0 == 200.0
         assert region.region == LOW
 
     def test_mean_uses_selected_pair_only(self):
         # modes 1 and 2 agree near 100; the pair mean ignores the outliers
-        region = classify_region(vector([100.0, 101.0, 399.0, 250.0]),
-                                 ProConfig())
+        region = classify_region(vector([100.0, 101.0, 399.0, 250.0]))
         assert region.selected_imfs == (1, 2)
         assert region.mean_f0 == pytest.approx(100.5)
 
     def test_missing_entries_excluded(self):
-        region = classify_region(vector([np.nan, 150.0, 151.0, np.nan]),
-                                 ProConfig())
+        region = classify_region(vector([np.nan, 150.0, 151.0, np.nan]))
         assert region.region == LOW
         assert region.selected_imfs == (2, 3)
 
     def test_too_few_valid_raises(self):
         with pytest.raises(ValueError, match="^frame 7: only 1 usable mode estimates$"):
-            classify_region(vector([np.nan, 150.0, np.nan, np.nan]), ProConfig(), 7)
+            classify_region(vector([np.nan, 150.0, np.nan, np.nan]), 7)
 
     def test_one_row_of_classify_frames(self):
         v = vector([np.nan, 230.0, 180.0, 226.0])
-        region = classify_region(v, ProConfig(), frame_index=7)
+        region = classify_region(v, frame_index=7)
         assert region == FrequencyRegion(frame_index=7, region=HIGH, mean_f0=228.0,
                                          selected_imfs=(2, 4))
         assert repr(region) == repr(replace(classify_frames(v[None, :])[0], frame_index=7))
 
     def test_single_mode_rejected(self):
         with pytest.raises(ValueError, match="two mode estimates"):
-            classify_region(vector([150.0]), ProConfig())
+            classify_region(vector([150.0]))
 
     @pytest.mark.parametrize("bad", [0.0, -150.0])
     def test_non_positive_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="positive or NaN"):
-            classify_region(vector([150.0, bad, 151.0, 152.0]), ProConfig())
+            classify_region(vector([150.0, bad, 151.0, 152.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10 ** 6),
@@ -246,7 +248,7 @@ class TestClassifyRegion:
         # flips that mean from low to high
         lo, hi = sorted((gamma_lo, gamma_hi))
         v = vector(np.random.default_rng(seed).uniform(60, 390, size=4))
-        region = classify_region(v, ProConfig())
+        region = classify_region(v)
         assert region.region == region_of(region.mean_f0, ProConfig.gamma_hz)
         at_lo = region_of(region.mean_f0, lo)
         at_hi = region_of(region.mean_f0, hi)
@@ -256,7 +258,7 @@ class TestClassifyRegion:
 class TestClassifyFrames:
     def test_inheritance_defaults_low(self):
         mode_f0 = np.array([[np.nan] * 4, [300.0, 301.0, 60.0, 80.0], [np.nan] * 4])
-        regions = classify_frames(mode_f0, ProConfig())
+        regions = classify_frames(mode_f0)
         assert [r.region for r in regions] == [LOW, HIGH, HIGH]
         assert [r.frame_index for r in regions] == [0, 1, 2]
         assert regions[0].selected_imfs is None
@@ -268,14 +270,14 @@ class TestClassifyFrames:
         mode_f0 = np.full((6, 4), np.nan)
         mode_f0[1] = [300.0, 301.0, 60.0, 80.0]
         mode_f0[3] = [120.0, 121.0, 60.0, 80.0]
-        regions = classify_frames(mode_f0, ProConfig(), [1, 4, 5])
+        regions = classify_frames(mode_f0, [1, 4, 5])
         assert [r.frame_index for r in regions] == [1, 4, 5]
         assert [r.region for r in regions] == [HIGH, HIGH, HIGH]
         assert [r.selected_imfs is None for r in regions] == [False, True, True]
 
     def test_single_mode_column_rejected(self):
         with pytest.raises(ValueError, match="two mode estimates"):
-            classify_frames(np.full((3, 1), 150.0), ProConfig())
+            classify_frames(np.full((3, 1), 150.0))
 
     def test_matches_per_frame_oracle(self):
         # NaN and infinite entries, whole missing rows, exact ties (F0s on a
@@ -298,11 +300,10 @@ class TestClassifyFrames:
             m[rng.random((n, k)) < rng.uniform(0.0, 0.8)] = np.nan
             m[rng.random((n, k)) < 0.02] = np.inf
             m[rng.random(n) < 0.15] = np.nan
-            cfg = ProConfig()
             picked = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
             frames = [None, picked.tolist(), picked, np.array([], dtype=np.intp)][trial % 4]
-            expected = classify_frames_loop(m, cfg, frames)
-            assert repr(classify_frames(m, cfg, frames)) == repr(expected)
+            expected = classify_frames_loop(m, frames)
+            assert repr(classify_frames(m, frames)) == repr(expected)
             inherited += sum(r.selected_imfs is None for r in expected)
             tied += sum(len(set(row[np.isfinite(row)])) < np.isfinite(row).sum()
                         for row in m)
@@ -314,7 +315,7 @@ class TestClassifyFrames:
         # taken for a frame without evidence and inherit a region
         mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [bad, np.nan, np.nan, np.nan]])
         with pytest.raises(ValueError, match="positive or NaN"):
-            classify_frames(mode_f0, ProConfig())
+            classify_frames(mode_f0)
 
 
 class TestCorrectCandidate:
@@ -340,28 +341,14 @@ class TestCorrectCandidate:
         with pytest.raises(ValueError):
             correct_candidate(0.0, LOW)
 
-    @pytest.mark.parametrize("f_cand,region,expected", [
-        (170.0, HIGH, 170.0),   # identity on (150, 300]
-        (170.0, LOW, 85.0),     # halve into [37.5, 150]
-        (60.0, HIGH, 240.0),    # quadruple on [37.5, 75]
-        (100.0, HIGH, 200.0),   # double on (75, 150]
-        (320.0, HIGH, 160.0),   # halve above 300
-        (320.0, LOW, 80.0),     # quarter above 300
-        (150.0, LOW, 150.0),    # gamma itself is low
-        (37.0, HIGH, 37.0),     # below gamma/4: out of model
-    ])
-    def test_edges_follow_gamma(self, f_cand, region, expected):
-        assert correct_candidate(f_cand, region, 150.0) == pytest.approx(expected)
-
     @settings(max_examples=200, deadline=None)
-    @given(gamma=st.floats(min_value=50.0, max_value=400.0, exclude_min=True,
-                           exclude_max=True),
-           ratio=st.floats(min_value=0.25, max_value=4.0, exclude_min=True))
-    def test_folds_into_the_gamma_bands(self, gamma, ratio):
+    @given(ratio=st.floats(min_value=0.25, max_value=4.0, exclude_min=True))
+    def test_folds_into_the_gamma_bands(self, ratio):
         # above gamma/4 and up to 4 gamma, one fold lands in the frame's band
+        gamma = ProConfig.gamma_hz
         f = gamma * ratio
-        assert 0.25 * gamma <= correct_candidate(f, LOW, gamma) <= gamma
-        assert gamma <= correct_candidate(f, HIGH, gamma) <= 2.0 * gamma
+        assert 0.25 * gamma <= correct_candidate(f, LOW) <= gamma
+        assert gamma <= correct_candidate(f, HIGH) <= 2.0 * gamma
 
     def test_matches_transcription_oracle(self):
         def oracle_low(f):
@@ -467,7 +454,7 @@ class TestImfPitchVector:
             f0_contour=((0, 150.0), (500, 150.0)), duration_ms=500,
             jitter_pct=0.0, rng_seed=1))
         imfs = ImfSet(np.tile(buf.samples, (4, 1)), np.full(len(buf), 1e-12), FS)
-        mode_f0 = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
+        mode_f0 = imf_pitch_vector(imfs)
         spread = np.nanmax(mode_f0, axis=1) - np.nanmin(mode_f0, axis=1)
         assert (spread <= 3.0).all()
 
@@ -478,7 +465,7 @@ class TestImfPitchVector:
             jitter_pct=0.0, rng_seed=1))
         modes = [buf.samples] * 3 + [np.zeros(len(buf))]
         imfs = ImfSet(modes, np.full(len(buf), 1e-12), FS)
-        mode_f0 = imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
+        mode_f0 = imf_pitch_vector(imfs)
         assert mode_f0.shape == (FrameSpec().num_frames(len(buf), FS), 4)
         assert np.isfinite(mode_f0[:, :3]).all() and np.isnan(mode_f0[:, 3]).all()
 
@@ -487,7 +474,7 @@ class TestImfPitchVector:
             f0_contour=((0, 150.0), (500, 150.0)), duration_ms=500, rng_seed=1))
         imfs = ImfSet(np.tile(buf.samples, (3, 1)), np.full(len(buf), 1e-12), FS)
         with pytest.raises(ValueError, match="4 modes"):
-            imf_pitch_vector(imfs, FrameSpec(), ProConfig(), EstimatorConfig())
+            imf_pitch_vector(imfs)
 
 
 class TestPipeline:
@@ -668,15 +655,8 @@ class TestPipeline:
         for score in (*FRAME_ESTIMATORS.values(), pefac_scores):
             with pytest.raises(ValueError, match=r"frame of 30\.0 ms is shorter than two "
                                                  r"pitch periods at f_min=50\.0 Hz"):
-                score(Frame(x[:240], FS, 0.0), EstimatorConfig())
-            score(Frame(x, FS, 0.0), EstimatorConfig())
-
-    def test_hop_longer_than_vad_frame_rejected(self):
-        # a caller's analysis hop longer than the 25 ms VAD frame would leave
-        # gaps between VAD frames
-        buf = glottal_pulse_train(150.0, duration_s=0.3)
-        with pytest.raises(ValueError, match="hop_ms must not exceed frame_len_ms"):
-            detect_voiced(buf, VadConfig(), FrameSpec(hop_ms=30.0))
+                score(Frame(x[:240], FS, 0.0))
+            score(Frame(x, FS, 0.0))
 
     def test_fixed_constants_keep_frame_and_vad_consistent(self):
         # the VAD frames sit on the analysis hop and must leave no gaps, and a
@@ -684,6 +664,24 @@ class TestPipeline:
         frame, vad, est = AnalysisConfig.frame, AnalysisConfig.vad, AnalysisConfig.estimator
         assert frame.hop_ms <= vad.frame_ms
         assert frame.frame_len_ms >= 2000.0 / est.f_min
+
+    def test_fixed_constants_are_not_parameters(self):
+        # the analysis frame, VAD, estimator and region constants are read
+        # where they are used; no function takes one as a parameter
+        removed = {
+            classify_frames: {"cfg"},
+            classify_region: {"cfg"},
+            imf_pitch_vector: {"spec", "cfg", "est_cfg"},
+            correct_candidate: {"gamma_hz"},
+            detect_voiced: {"cfg", "frame"},
+            hht_candidates: {"cfg", "frame"},
+            synthesize_utterance: {"frame"},
+            generate_corpus: {"frame"},
+        }
+        for fn, names in removed.items():
+            assert not names & set(inspect.signature(fn).parameters), fn.__name__
+        # the VAD framing is one constant, not a method of the analysis frame
+        assert VadConfig.frame_spec == FrameSpec(frame_len_ms=25.0, hop_ms=10.0)
 
     def test_fixed_frame_spans_two_periods_at_every_rate(self):
         # the frame analyze_utterance cuts is rounded to whole samples; at

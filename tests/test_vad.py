@@ -54,7 +54,7 @@ def zcr_loop(x):
 def detect_voiced_loop(buf, cfg):
     """Oracle for detect_voiced, one frame row at a time; returns the mask
     and the per-frame energies, zero-crossing rates and spread flags."""
-    frames = cfg.frame_spec().frames(buf.samples, buf.sample_rate_hz)
+    frames = cfg.frame_spec.frames(buf.samples, buf.sample_rate_hz)
     energies = np.array([float(np.mean(f ** 2)) for f in frames])
     zcrs = np.array([zcr_loop(f) for f in frames])
     moving = np.array([np.ptp(f) > 0 for f in frames])
@@ -70,7 +70,7 @@ def detect_voiced_loop(buf, cfg):
 
 class TestDetectVoiced:
     def test_pure_tone_all_voiced(self):
-        mask = detect_voiced(tone(120.0, 1.0), VadConfig())
+        mask = detect_voiced(tone(120.0, 1.0))
         assert mask.all()
 
     def test_quiet_noise_all_unvoiced(self, rng):
@@ -79,8 +79,8 @@ class TestDetectVoiced:
         noise = rng.standard_normal(len(voice))
         noise *= np.sqrt(0.01 * np.mean(voice ** 2) / np.mean(noise ** 2))
         buf = SampleBuffer(np.concatenate([voice, noise]), FS)
-        mask = detect_voiced(buf, VadConfig())
-        n_voice_frames = VadConfig().frame_spec().num_frames(len(voice), FS)
+        mask = detect_voiced(buf)
+        n_voice_frames = VadConfig.frame_spec.num_frames(len(voice), FS)
         assert not mask[n_voice_frames + 2:].any()
 
     def test_tone_silence_tone_boundaries(self):
@@ -88,8 +88,8 @@ class TestDetectVoiced:
         seg = tone(150.0, 0.4).samples
         gap = np.zeros(int(0.4 * FS))
         buf = SampleBuffer(np.concatenate([seg, gap, seg]), FS)
-        mask = detect_voiced(buf, cfg)
-        spec = cfg.frame_spec()
+        mask = detect_voiced(buf)
+        spec = cfg.frame_spec
         hop = spec.hop(FS)
         flen = spec.frame_len(FS)
         truth = []
@@ -109,17 +109,16 @@ class TestDetectVoiced:
             n = int(n_ms * FS / 1000)
             buf = SampleBuffer(rng.standard_normal(n), FS)
             cfg = VadConfig()
-            mask = detect_voiced(buf, cfg)
-            assert len(mask) == len(cfg.frame_spec().frames(buf.samples, FS))
+            mask = detect_voiced(buf)
+            assert len(mask) == len(cfg.frame_spec.frames(buf.samples, FS))
 
-    @pytest.mark.parametrize("hop_ms", [5.0, 10.0, 20.0, 25.0])
-    def test_frames_follow_analysis_hop(self, hop_ms, rng):
+    def test_frames_follow_analysis_hop(self, rng):
         # VAD frame i is vad.frame_ms long and starts where analysis frame i does
         buf = SampleBuffer(rng.standard_normal(int(0.777 * FS)), FS)
-        cfg = VadConfig()
-        spec = cfg.frame_spec(FrameSpec(hop_ms=hop_ms))
-        assert (spec.frame_len_ms, spec.hop_ms) == (cfg.frame_ms, hop_ms)
-        mask = detect_voiced(buf, cfg, FrameSpec(hop_ms=hop_ms))
+        spec = VadConfig.frame_spec
+        assert (spec.frame_len_ms, spec.hop_ms) == (VadConfig.frame_ms, FrameSpec().hop_ms)
+        assert spec.hop_ms == 10.0
+        mask = detect_voiced(buf)
         assert len(mask) == spec.num_frames(len(buf), FS)
 
     @settings(max_examples=30, deadline=None)
@@ -129,13 +128,13 @@ class TestDetectVoiced:
         voice = tone(130.0, 0.3).samples
         noise = 0.02 * gen.standard_normal(int(0.3 * FS))
         base = np.concatenate([voice, noise])
-        mask_1 = detect_voiced(SampleBuffer(base, FS), VadConfig())
-        mask_g = detect_voiced(SampleBuffer(base * gain, FS), VadConfig())
+        mask_1 = detect_voiced(SampleBuffer(base, FS))
+        mask_g = detect_voiced(SampleBuffer(base * gain, FS))
         np.testing.assert_array_equal(mask_1, mask_g)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            detect_voiced(SampleBuffer(np.ones(10), FS), VadConfig())
+            detect_voiced(SampleBuffer(np.ones(10), FS))
 
     @pytest.mark.filterwarnings("error")
     def test_frame_under_two_samples_rejected(self, rng):
@@ -143,18 +142,18 @@ class TestDetectVoiced:
         # transition to count a zero crossing on
         with pytest.raises(ValueError, match="a 25.0 ms VAD frame holds 1 sample at "
                                              "51 Hz; the zero-crossing rate needs at least 2"):
-            detect_voiced(SampleBuffer(rng.standard_normal(51), 51), VadConfig())
+            detect_voiced(SampleBuffer(rng.standard_normal(51), 51))
         # at 60 Hz the frame rounds up to 2 samples
-        mask = detect_voiced(SampleBuffer(rng.standard_normal(60), 60), VadConfig())
-        assert mask.shape == (VadConfig().frame_spec().num_frames(60, 60),)
+        mask = detect_voiced(SampleBuffer(rng.standard_normal(60), 60))
+        assert mask.shape == (VadConfig.frame_spec.num_frames(60, 60),)
 
     def test_all_zero_unvoiced(self):
-        mask = detect_voiced(SampleBuffer(np.zeros(FS) + 0.0, FS), VadConfig())
+        mask = detect_voiced(SampleBuffer(np.zeros(FS) + 0.0, FS))
         assert not mask.any()
 
     def test_constant_input_unvoiced(self):
         # zero crossings 0 and energy at the utterance mean pass both gates
-        mask = detect_voiced(SampleBuffer(np.full(FS, 0.3), FS), VadConfig())
+        mask = detect_voiced(SampleBuffer(np.full(FS, 0.3), FS))
         assert not mask.any()
 
     def test_constant_run_inside_voicing_unvoiced(self):
@@ -163,8 +162,8 @@ class TestDetectVoiced:
         cfg = VadConfig()
         seg = tone(150.0, 0.4).samples
         buf = SampleBuffer(np.concatenate([seg, np.full(int(0.1 * FS), 0.3), seg]), FS)
-        mask = detect_voiced(buf, cfg)
-        flat = np.ptp(cfg.frame_spec().frames(buf.samples, FS), axis=1) == 0
+        mask = detect_voiced(buf)
+        flat = np.ptp(cfg.frame_spec.frames(buf.samples, FS), axis=1) == 0
         assert flat.sum() >= 5
         assert not mask[flat].any()
         assert mask[~flat].mean() > 0.9
@@ -193,8 +192,8 @@ class TestLoopOracle:
         buf = SampleBuffer(x, rate)
         cfg = VadConfig()
         mask, energies, zcrs, moving = detect_voiced_loop(buf, cfg)
-        got_energies, got_zcrs, got_moving = _frame_features(buf, cfg.frame_spec())
-        np.testing.assert_array_equal(detect_voiced(buf, cfg), mask)
+        got_energies, got_zcrs, got_moving = _frame_features(buf, cfg.frame_spec)
+        np.testing.assert_array_equal(detect_voiced(buf), mask)
         assert np.array_equal(got_energies, energies)
         assert np.array_equal(got_zcrs, zcrs)
         np.testing.assert_array_equal(got_moving, moving)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,50 +111,106 @@ class NoisyMix:
 def load_wav(path) -> SampleBuffer:
     """Read a RIFF/WAVE file into a normalized SampleBuffer.
 
-    Accepts 16-bit PCM and 32-bit float, mono or stereo (stereo is
-    downmixed by channel averaging). 16-bit data is scaled by 1/32768.
+    Accepts 16-bit PCM and 32- or 64-bit float, in plain or extensible
+    format chunks, with any number of channels (downmixed by channel
+    averaging). 16-bit data is scaled by 1/32768.
     """
-    from scipy.io import wavfile
-
     try:
-        rate, data = wavfile.read(path)
+        with open(path, "rb") as f:
+            rate, channels, encoding, body = _parse_riff(f.read())
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"unreadable WAV file {path}: {exc}") from exc
-    if data.size == 0:
+    if not body:
         raise ValueError(f"zero-length audio in {path}")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / INT16_FULL_SCALE
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported encoding {data.dtype} in {path} "
+    if encoding not in ("int16", "float32", "float64"):
+        raise ValueError(f"unsupported encoding {encoding} in {path} "
                          "(expected 16-bit PCM or 32-bit float)")
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    elif samples.ndim != 1:
-        raise ValueError(f"unsupported channel layout in {path}")
-    return SampleBuffer(samples, int(rate))
+    data = np.frombuffer(body, np.dtype(encoding).newbyteorder("<"))
+    samples = data.astype(np.float64)
+    if encoding == "int16":
+        samples /= INT16_FULL_SCALE
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
+    return SampleBuffer(samples, rate)
+
+
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+# bytes 4-15 of every standard WAVE_FORMAT_EXTENSIBLE sub-format GUID; its
+# first 4 bytes are the plain format tag
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _parse_riff(raw: bytes) -> tuple[int, int, str, memoryview]:
+    """(rate, channels, encoding, data bytes) of a little-endian RIFF/WAVE
+    image. The encoding is the numpy dtype name of one sample ("int16",
+    "float32", "uint8", ...); the data is cut to whole frames. Chunks other
+    than "fmt " and "data" are skipped, with the pad byte of an odd size."""
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError(f"not a RIFF/WAVE file (header {raw[:12]!r})")
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk, size = raw[pos:pos + 4], int.from_bytes(raw[pos + 4:pos + 8], "little")
+        body = memoryview(raw)[pos + 8:pos + 8 + size]
+        if chunk == b"fmt ":
+            if len(body) < 16:
+                raise ValueError("fmt chunk shorter than 16 bytes")
+            fmt = struct.unpack_from("<HHIIHH", body)
+            if fmt[0] == _WAVE_EXTENSIBLE and body[28:40] == _GUID_TAIL:
+                fmt = (int.from_bytes(body[24:28], "little"),) + fmt[1:]
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("no fmt chunk before the data chunk")
+            tag, channels, rate, _, block_align, bits = fmt
+            if not channels or not block_align or block_align % channels:
+                raise ValueError(f"block align {block_align} does not fit "
+                                 f"{channels} channels")
+            width = block_align // channels
+            if tag == _WAVE_PCM:
+                encoding = "uint8" if bits <= 8 else f"int{8 * width}"
+            elif tag == _WAVE_FLOAT:
+                encoding = f"float{8 * width}"
+            else:
+                encoding = f"format tag {tag:#06x}"
+            return rate, channels, encoding, body[:len(body) - len(body) % block_align]
+        pos += 8 + size + size % 2
+    raise ValueError("no data chunk")
+
+
+def _write_riff(path, rate: int, data: np.ndarray) -> None:
+    """Write a (frames x channels) int16 or float array as one RIFF/WAVE file:
+    a 16-byte PCM fmt chunk, or an 18-byte float fmt chunk and a fact chunk."""
+    frames, channels = data.shape
+    width = data.dtype.itemsize
+    is_float = data.dtype.kind == "f"
+    fmt = struct.pack("<HHIIHH", _WAVE_FLOAT if is_float else _WAVE_PCM, channels, rate,
+                      rate * width * channels, width * channels, 8 * width)
+    if is_float:
+        fmt += b"\x00\x00"  # no format extension
+    header = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+    if is_float:
+        header += b"fact" + struct.pack("<II", 4, frames)
+    header += b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as f:
+        f.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header)
+        data.astype(data.dtype.newbyteorder("<"), copy=False).tofile(f)
 
 
 def save_wav(path, buf: SampleBuffer) -> None:
     """Write a buffer as 16-bit PCM, clipping to full scale."""
-    from scipy.io import wavfile
-
     clipped = np.clip(buf.samples, -1.0, 1.0)
     pcm = np.round(clipped * (INT16_FULL_SCALE - 1)).astype(np.int16)
-    wavfile.write(path, buf.sample_rate_hz, pcm)
+    _write_riff(path, buf.sample_rate_hz, pcm[:, None])
 
 
 def save_wav_multichannel(path, channels: list[np.ndarray], sample_rate_hz: int) -> None:
     """Write several equal-length signals as one 32-bit float multi-channel WAV."""
-    from scipy.io import wavfile
-
     if not channels:
         raise ValueError("no channels to write")
     stacked = np.stack([np.asarray(c, dtype=np.float32) for c in channels], axis=1)
-    wavfile.write(path, sample_rate_hz, stacked)
+    _write_riff(path, sample_rate_hz, stacked)
 
 
 def resample(buf: SampleBuffer, target_hz: int) -> SampleBuffer:

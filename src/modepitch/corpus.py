@@ -10,8 +10,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
+from ._lapack import dtbtrs
 from .audio import FrameSpec, SampleBuffer, load_wav, save_wav
 from .track import FramePitchTrack
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .audio import SampleBuffer, save_wav_multichannel
 
 DEFAULT_MAX_IMFS = 8
@@ -38,6 +38,8 @@ class EmdConfig:
             object.__setattr__(self, name, operator.index(value))
         if self.ensemble_size < 1:
             raise ValueError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         ratio = self.wgn_std_ratio
         if not isinstance(ratio, numbers.Real) or not 0 <= ratio < np.inf:
             raise ValueError(f"wgn_std_ratio must be a finite number >= 0, got {ratio!r}")

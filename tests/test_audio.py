@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import modepitch
+from modepitch import audio
 from modepitch.audio import (
     FrameSpec,
     NoisyMix,
@@ -20,6 +23,7 @@ from modepitch.audio import (
     mix_at_snr,
     resample,
     save_wav,
+    save_wav_multichannel,
 )
 
 FS = 16000
@@ -256,22 +260,127 @@ def _run_python(code: str) -> None:
 
 
 class TestDeferredImports:
-    """`import modepitch` loads no scipy module beyond scipy.linalg; WAV
-    I/O and resampling load theirs on first use."""
+    """Importing the package, reading WAV files and the paper's analysis load
+    no scipy module (the two LAPACK routines come from scipy's _flapack
+    extension, loaded by file); resample loads scipy.signal on first use."""
 
-    def test_package_import_skips_heavy_scipy(self):
+    def test_package_import_skips_heavy_scipy(self, tmp_path):
+        path = tmp_path / "vowel.wav"
+        t = np.arange(4800) / 8000
+        save_wav(path, SampleBuffer(0.3 * np.sin(2 * np.pi * 150 * t)
+                                    + 0.2 * np.sin(2 * np.pi * 300 * t), 8000))
         _run_python(
             "import sys, modepitch, modepitch.cli\n"
-            "loaded = [m for m in ('scipy.signal', 'scipy.io', 'scipy.stats',"
-            " 'scipy.sparse') if m in sys.modules]\n"
+            "from modepitch.emd import EmdConfig\n"
+            "from modepitch.separation import AnalysisConfig, analyze_utterance\n"
+            f"buf = modepitch.load_wav({str(path)!r})\n"
+            "out = analyze_utterance(buf, ['hht', 'swipe'], ['pro'],\n"
+            "                        AnalysisConfig(emd=EmdConfig(ensemble_size=2)))\n"
+            "assert len(out) == 2\n"
+            "loaded = [m for m in ('scipy.linalg', 'scipy.io', 'scipy.signal',"
+            " 'scipy.sparse', 'scipy._lib') if m in sys.modules]\n"
             "assert not loaded, loaded\n")
 
-    def test_load_wav_imports_wavfile(self, tmp_path):
+    def test_load_wav_skips_scipy_io(self, tmp_path):
         path = tmp_path / "tone.wav"
         wavfile.write(path, FS, np.zeros(FS // 10, dtype=np.int16) + 100)
         _run_python(
             "import sys, modepitch\n"
-            "assert 'scipy.io' not in sys.modules\n"
             f"buf = modepitch.load_wav({str(path)!r})\n"
             "assert len(buf) == 1600\n"
-            "assert 'scipy.io' in sys.modules\n")
+            "assert 'scipy.io' not in sys.modules\n")
+
+    def test_resample_imports_signal(self):
+        _run_python(
+            "import sys, numpy as np\n"
+            "from modepitch.audio import SampleBuffer, resample\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "assert len(resample(SampleBuffer(np.ones(80), 8000), 16000)) == 160\n"
+            "assert 'scipy.signal' in sys.modules\n")
+
+
+def _scipy_load(path) -> tuple[int, np.ndarray]:
+    """What load_wav returned when scipy.io.wavfile read the file for it."""
+    rate, data = wavfile.read(path)
+    samples = data.astype(np.float64)
+    if data.dtype == np.int16:
+        samples = samples / 32768.0
+    return rate, samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+def _wav_image(chunks: list[tuple[bytes, bytes]]) -> bytes:
+    """A RIFF/WAVE file of the given (id, body) chunks, each odd body padded."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data
+                              + b"\0" * (len(data) % 2) for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+class TestWavOracle:
+    """The numpy RIFF reader and writer against scipy.io.wavfile."""
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_reads_and_writes_like_scipy(self, tmp_path, dtype, channels):
+        gen = np.random.default_rng(channels)
+        scale = 9000 if dtype == np.int16 else 0.4
+        data = (gen.standard_normal((777, channels)) * scale).astype(dtype)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        wavfile.write(theirs, 11025, data[:, 0] if channels == 1 else data)
+        audio._write_riff(ours, 11025, data)
+        assert ours.read_bytes() == theirs.read_bytes()
+        rate, expected = _scipy_load(theirs)
+        buf = load_wav(theirs)
+        assert buf.sample_rate_hz == rate == 11025
+        np.testing.assert_array_equal(buf.samples, expected)
+
+    def test_save_wav_writes_scipy_bytes(self, tmp_path):
+        buf = SampleBuffer(np.sin(np.linspace(0.0, 40.0, 1001)) * 1.2, 8000)
+        save_wav(tmp_path / "ours.wav", buf)
+        pcm = np.round(np.clip(buf.samples, -1, 1) * 32767).astype(np.int16)
+        wavfile.write(tmp_path / "theirs.wav", 8000, pcm)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "theirs.wav").read_bytes()
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_save_wav_multichannel_writes_scipy_bytes(self, tmp_path, channels):
+        rows = [np.random.default_rng(k).standard_normal(501) for k in range(channels)]
+        save_wav_multichannel(tmp_path / "ours.wav", rows, 16000)
+        stacked = np.stack([r.astype(np.float32) for r in rows], axis=1)
+        wavfile.write(tmp_path / "theirs.wav", 16000, stacked)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "theirs.wav").read_bytes()
+
+    def test_list_chunk_with_pad_byte_and_extensible_format(self, tmp_path):
+        pcm = np.array([[100, -200], [300, -400], [32767, -32768]], dtype=np.int16)
+        guid = struct.pack("<I", 1) + bytes.fromhex("000010008000 00aa00389b71")
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 2, 8000, 32000, 4, 16, 22, 16, 3) + guid
+        path = tmp_path / "ext.wav"
+        path.write_bytes(_wav_image([(b"LIST", b"INFOisft\x03\x00\x00\x00ab\0"),
+                                     (b"fmt ", fmt), (b"JUNK", b"x"),
+                                     (b"data", pcm.tobytes())]))
+        rate, expected = _scipy_load(path)
+        buf = load_wav(path)
+        assert buf.sample_rate_hz == rate == 8000
+        np.testing.assert_array_equal(buf.samples, expected)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
+    def test_other_pcm_widths_rejected(self, tmp_path, dtype):
+        path = tmp_path / "pcm.wav"
+        wavfile.write(path, FS, np.arange(1, 50, dtype=dtype))
+        name = np.dtype(dtype).name
+        with pytest.raises(ValueError, match=f"^unsupported encoding {name} in "
+                                             f"{re.escape(str(path))} \\(expected 16-bit "
+                                             "PCM or 32-bit float\\)$"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("content", [b"not audio\n", b"RIFF\0\0\0\0WAVE",
+                                         b"RIFF\x0c\0\0\0WAVEfmt \x02\0\0\0ab"])
+    def test_non_riff_or_truncated_is_unreadable(self, tmp_path, content):
+        path = tmp_path / "notes.wav"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^unreadable WAV file {re.escape(str(path))}: "):
+            load_wav(path)
+        with pytest.raises(Exception):
+            wavfile.read(path)
+
+    def test_missing_file_is_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_wav(tmp_path / "missing.wav")

@@ -279,6 +279,20 @@ class TestTrack:
                                    f"number >= 0, got {float(ratio)!r}")
         assert not out.exists()
 
+    def test_negative_seed_is_bad_configuration_before_analysis(
+            self, runner, vowel_wav, tmp_path, monkeypatch):
+        # it used to fail inside the EEMD, after the WAV and the VAD, with
+        # numpy's "expected non-negative integer"
+        def no_read(path):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr("modepitch.cli.load_wav", no_read)
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, ["track", vowel_wav, "--pro", "--seed", "-1",
+                                      "-o", str(out)])
+        assert_click_error(result, "bad configuration: rng_seed must be non-negative, got -1")
+        assert not out.exists()
+
     def test_input_shorter_than_one_frame_is_click_error(self, runner, short_wav,
                                                           tmp_path):
         out = tmp_path / "t.csv"
@@ -399,6 +413,20 @@ class TestSeparate:
         assert regions and set(regions) <= {"low", "high"}
         # a 120 Hz vowel should be overwhelmingly low-frequency
         assert regions.count("low") / len(regions) >= 0.8
+
+    def test_negative_seed_is_bad_configuration_before_analysis(
+            self, runner, vowel_wav, tmp_path, monkeypatch):
+        # it used to fail inside the EEMD, after the WAV and the VAD, with
+        # numpy's "expected non-negative integer"
+        def no_read(path):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr("modepitch.cli.load_wav", no_read)
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, ["track", vowel_wav, "--pro", "--seed", "-1",
+                                      "-o", str(out)])
+        assert_click_error(result, "bad configuration: rng_seed must be non-negative, got -1")
+        assert not out.exists()
 
     def test_input_shorter_than_one_frame_is_click_error(self, runner, short_wav,
                                                           tmp_path):

@@ -174,6 +174,12 @@ class TestEmdConfig:
         with pytest.raises(ValueError, match=message):
             EmdConfig(ensemble_size=size)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2 ** 31)])
+    def test_negative_seed_rejected(self, seed):
+        # numpy's SeedSequence would reject it later without naming the field
+        with pytest.raises(ValueError, match=f"^rng_seed must be non-negative, got {seed}$"):
+            EmdConfig(rng_seed=seed)
+
     @pytest.mark.parametrize("name", ["ensemble_size", "rng_seed"])
     def test_integer_fields_take_numpy_integers(self, name):
         cfg = EmdConfig(**{name: np.int64(3)})

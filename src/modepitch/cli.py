@@ -1,15 +1,13 @@
 """Command-line front end: decompose, track, separate, bench, synth.
 
-Configuration is layered: dataclass defaults, then a JSON config file
-(--config), then individual flags. Every module config knob is exposed as
-a prefixed flag (e.g. --emd-ensemble-size); --print-config dumps the
-resolved configuration before running.
+The analysis commands take the three settable values as flags:
+--emd-ensemble-size, --emd-wgn-std-ratio and --seed, the one seed (bench
+also mixes its noise with it). Every other analysis value is a fixed
+constant of AnalysisConfig.
 """
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import json
 import math
 import os
 import sys
@@ -24,76 +22,32 @@ from .corpus import (
     load_manifest,
     write_noise_set,
 )
-from .emd import DEFAULT_MAX_IMFS, eemd_decompose, mode_energies, write_imf_wav
+from .emd import DEFAULT_MAX_IMFS, EmdConfig, eemd_decompose, mode_energies, write_imf_wav
 from .evaluation import GATES, mix_cells, run_benchmark, write_report_csv
 from .separation import ESTIMATORS, AnalysisConfig, analyze_utterance, check_keys
 
 OUT_DIR_ENV = "MODEPITCH_OUT_DIR"
 DEFAULT_SNRS = (-15.0, -10.0, -5.0, 0.0, 5.0)
 
-CONFIG_SECTIONS = {f.name: type(f.default) for f in dataclasses.fields(AnalysisConfig)}
 
-
-def config_options(fn):
-    """Attach one flag per config dataclass field, prefixed by section."""
-    for section, cls in reversed(list(CONFIG_SECTIONS.items())):
-        for field in reversed(dataclasses.fields(cls)):
-            flag = f"--{section}-{field.name.replace('_', '-')}"
-            fn = click.option(
-                flag, default=None, type=type(field.default),
-                help=f"{section}.{field.name} (default {field.default!r})",
-            )(fn)
-    fn = click.option("--config", "config_file", default=None,
-                      type=click.Path(exists=True, dir_okay=False),
-                      help="JSON config file: {section: {field: value}}")(fn)
+def emd_options(fn):
+    """The settable configuration: the EEMD ensemble's two values and the seed."""
     fn = click.option("--seed", default=0, show_default=True, type=click.INT,
-                      help="master seed (also sets emd.rng_seed unless given)")(fn)
-    fn = click.option("--print-config", is_flag=True,
-                      help="dump the resolved configuration as JSON")(fn)
-    return fn
+                      help="seed of the EEMD added noise, and of bench's mixing")(fn)
+    fn = click.option("--emd-wgn-std-ratio", "wgn_std_ratio",
+                      default=EmdConfig.wgn_std_ratio, show_default=True, type=click.FLOAT,
+                      help="added-noise std as a fraction of the signal std")(fn)
+    return click.option("--emd-ensemble-size", "ensemble_size",
+                        default=EmdConfig.ensemble_size, show_default=True,
+                        type=click.INT, help="EEMD trials to average")(fn)
 
 
-def resolve_config(config_file: str | None, seed: int, flags: dict) -> AnalysisConfig:
-    """defaults <- file <- flags, then build the config bundle."""
-    layered = {section: {f.name: f.default for f in dataclasses.fields(cls)}
-               for section, cls in CONFIG_SECTIONS.items()}
-    layered["emd"]["rng_seed"] = seed
-    if config_file:
-        with open(config_file) as fh:
-            file_cfg = json.load(fh)
-        for section, values in file_cfg.items():
-            if section not in layered:
-                raise click.ClickException(f"unknown config section {section!r}")
-            for name, value in values.items():
-                if name not in layered[section]:
-                    raise click.ClickException(
-                        f"unknown config field {section}.{name}")
-                layered[section][name] = value
-    for key, value in flags.items():
-        if value is None:
-            continue
-        section, _, name = key.partition("_")
-        layered[section][name] = value
+def _analysis_config(ensemble_size, wgn_std_ratio, seed) -> AnalysisConfig:
+    """The flags' config; a value EmdConfig rejects is an ``Error:`` line."""
     try:
-        return AnalysisConfig(**{
-            section: cls(**layered[section])
-            for section, cls in CONFIG_SECTIONS.items()
-        })
+        return AnalysisConfig(emd=EmdConfig(ensemble_size, wgn_std_ratio, rng_seed=seed))
     except (TypeError, ValueError) as exc:
         raise click.ClickException(f"bad configuration: {exc}")
-
-
-def _setup(kwargs: dict) -> tuple[AnalysisConfig, int]:
-    # config flags are named <section>_<field>
-    flags = {key: kwargs.pop(key) for key in list(kwargs)
-             if key.partition("_")[0] in CONFIG_SECTIONS}
-    config_file = kwargs.pop("config_file")
-    seed = kwargs.pop("seed")
-    print_config = kwargs.pop("print_config")
-    cfg = resolve_config(config_file, seed, flags)
-    if print_config:
-        click.echo(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
-    return cfg, seed
 
 
 @contextlib.contextmanager
@@ -166,10 +120,10 @@ def main():
                    f"[default: ${OUT_DIR_ENV}/<stem>_modes.wav]")
 @click.option("--emd-max-imfs", "max_imfs", default=DEFAULT_MAX_IMFS, show_default=True,
               type=click.IntRange(min=1), help="most modes to sift")
-@config_options
-def decompose(audio, output, max_imfs, **kwargs):
+@emd_options
+def decompose(audio, output, max_imfs, ensemble_size, wgn_std_ratio, seed):
     """Decompose AUDIO and dump modes plus per-mode energies."""
-    cfg, _ = _setup(kwargs)
+    cfg = _analysis_config(ensemble_size, wgn_std_ratio, seed)
     output = _output_path(output, "modes.wav", audio)
     with _input_errors():
         buf = load_wav(audio)
@@ -192,10 +146,10 @@ def decompose(audio, output, max_imfs, **kwargs):
 @click.option("-o", "--output", default=None,
               help="per-frame CSV path "
                    f"[default: ${OUT_DIR_ENV}/<stem>_<estimator>_<method>.csv]")
-@config_options
-def track(audio, estimator, use_pro, output, **kwargs):
+@emd_options
+def track(audio, estimator, use_pro, output, ensemble_size, wgn_std_ratio, seed):
     """Track F0 of AUDIO frame by frame."""
-    cfg, _ = _setup(kwargs)
+    cfg = _analysis_config(ensemble_size, wgn_std_ratio, seed)
     method = "pro" if use_pro else "raw"
     output = _output_path(output, f"{estimator}_{method}.csv", audio)
     with _input_errors():
@@ -226,10 +180,10 @@ def track(audio, estimator, use_pro, output, **kwargs):
 @click.argument("audio", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", default=None,
               help=f"per-frame region CSV path [default: ${OUT_DIR_ENV}/<stem>_regions.csv]")
-@config_options
-def separate(audio, output, **kwargs):
+@emd_options
+def separate(audio, output, ensemble_size, wgn_std_ratio, seed):
     """Classify voiced frames of AUDIO as low or high frequency."""
-    cfg, _ = _setup(kwargs)
+    cfg = _analysis_config(ensemble_size, wgn_std_ratio, seed)
     output = _output_path(output, "regions.csv", audio)
     # regions come from the modes alone; the estimator only names the result key
     with _input_errors():
@@ -267,11 +221,11 @@ def separate(audio, output, **kwargs):
               help="also materialize every mixed signal as 16-bit PCM WAV here")
 @click.option("-o", "--output", default=None,
               help=f"report CSV path [default: ${OUT_DIR_ENV}/bench_report.csv]")
-@config_options
+@emd_options
 def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
-          dump_mixes, output, **kwargs):
+          dump_mixes, output, ensemble_size, wgn_std_ratio, seed):
     """Score estimators over the (noise x SNR x method) grid."""
-    cfg, seed = _setup(kwargs)
+    cfg = _analysis_config(ensemble_size, wgn_std_ratio, seed)
     output = _output_path(output, "bench_report.csv")
     noise_files = sorted(f for f in os.listdir(noise_dir) if f.endswith(".wav"))
     if not noise_files:

@@ -335,6 +335,8 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0.0 <= low_fraction <= 1.0:
         raise ValueError(f"low_fraction must lie in [0, 1], got {low_fraction}")
     rng = np.random.default_rng(seed)
@@ -384,6 +386,8 @@ def write_noise_set(out_dir, kinds=NOISE_KINDS, duration_ms: float = 3000.0,
     """Materialize one WAV per noise kind; returns kind -> path. Every noise
     is made before out_dir is created, so a rejected option leaves no
     directory."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = int(round(duration_ms * sample_rate_hz / 1000.0))
     bufs = [make_noise(kind, n, sample_rate_hz, seed=seed + k)
             for k, kind in enumerate(kinds)]

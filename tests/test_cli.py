@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import json
 import os
 
 import numpy as np
@@ -10,7 +9,7 @@ from click.testing import CliRunner
 from conftest import FS, glottal_pulse_train
 from modepitch import evaluation
 from modepitch.audio import SampleBuffer, load_wav, save_wav
-from modepitch.cli import CONFIG_SECTIONS, DEFAULT_SNRS, OUT_DIR_ENV, main
+from modepitch.cli import DEFAULT_SNRS, OUT_DIR_ENV, main
 from modepitch.corpus import generate_corpus, write_noise_set
 from modepitch.emd import EmdConfig
 from modepitch.estimators import EstimatorConfig
@@ -58,23 +57,68 @@ def assert_click_error(result, message):
 
 class TestHelpDocSync:
     def test_every_config_knob_in_help(self, runner):
-        # every dataclass config field must be reachable as a CLI flag
-        for command in ("track", "bench"):
+        # the three settable values are the analysis commands' only
+        # configuration; a new option on any of them fails here
+        knobs = {"--emd-ensemble-size", "--emd-wgn-std-ratio", "--seed"}
+        own = {
+            "decompose": {"-o", "--output", "--emd-max-imfs"},
+            "track": {"--estimator", "--pro", "--raw", "-o", "--output"},
+            "separate": {"-o", "--output"},
+            "bench": {"--manifest", "--noise-dir", "--snrs", "--estimators",
+                      "--methods", "--gate", "--jobs", "--dump-mixes", "-o",
+                      "--output"}}
+        for command, flags in own.items():
+            params = main.commands[command].params
+            assert {opt for p in params for opt in (*p.opts, *p.secondary_opts)
+                    if opt.startswith("-")} == flags | knobs, command
             result = runner.invoke(main, [command, "--help"])
             assert result.exit_code == 0
-            for section, cls in CONFIG_SECTIONS.items():
-                for field in dataclasses.fields(cls):
-                    flag = f"--{section}-{field.name.replace('_', '-')}"
-                    assert flag in result.output, f"{flag} missing from {command}"
+            for flag in knobs:
+                assert flag in result.output, f"{flag} missing from {command}"
+
+    @pytest.mark.parametrize("command", ["decompose", "track", "separate", "bench"])
+    def test_flags_reach_the_analysis(self, runner, vowel_wav, tmp_path, monkeypatch,
+                                      command):
+        # the analysis call of each command gets the flags' EmdConfig, and
+        # bench mixes with the same seed
+        seen = {}
+
+        class Reached(Exception):
+            pass
+
+        def analysis(*args, **kwargs):
+            seen["args"], seen["kwargs"] = args, kwargs
+            raise Reached
+
+        name = {"decompose": "eemd_decompose", "bench": "run_benchmark"}.get(
+            command, "analyze_utterance")
+        monkeypatch.setattr(f"modepitch.cli.{name}", analysis)
+        if command == "bench":
+            manifest = generate_corpus(tmp_path / "corpus", count=1, duration_ms=200.0)
+            noise_dir = tmp_path / "noises"
+            write_noise_set(noise_dir, kinds=("white",), duration_ms=500.0)
+            args = ["--manifest", manifest, "--noise-dir", str(noise_dir), "--jobs", "1"]
+        else:
+            args = [vowel_wav]
+        result = runner.invoke(main, [command, *args, "-o", str(tmp_path / "out"),
+                                      "--seed", "3", "--emd-ensemble-size", "2",
+                                      "--emd-wgn-std-ratio", "0.3"])
+        assert isinstance(result.exception, Reached), result.output
+        # decompose passes cfg.emd second, the others the whole cfg last
+        if command == "decompose":
+            assert seen["args"][1] == EmdConfig(2, 0.3, 3)
+        else:
+            assert seen["args"][-1] == AnalysisConfig(emd=EmdConfig(2, 0.3, 3))
+        if command == "bench":
+            assert seen["kwargs"]["seed"] == 3
 
     def test_settable_fields_and_fixed_constants(self):
         # the EEMD ensemble, noise ratio and seed are the only settable knobs;
         # every other frame, estimator, sift, region and VAD value is a class
         # constant holding its published default, readable as cfg.<name>
-        assert {section: [f.name for f in dataclasses.fields(cls)]
-                for section, cls in CONFIG_SECTIONS.items()} == {
-            "emd": ["ensemble_size", "wgn_std_ratio", "rng_seed"]}
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == ["emd"]
+        assert [f.name for f in dataclasses.fields(EmdConfig)] == [
+            "ensemble_size", "wgn_std_ratio", "rng_seed"]
         constants = {
             EmdConfig: {"sift_stop_sd": 0.2, "max_sift_iters": 50},
             EstimatorConfig: {
@@ -228,46 +272,6 @@ class TestTrack:
         assert result.exit_code == 2
         assert "estimator" in result.output
 
-    def test_print_config_emits_json(self, runner, vowel_wav, tmp_path):
-        out = str(tmp_path / "t.csv")
-        result = runner.invoke(main, [
-            "track", vowel_wav, "--estimator", "pefac", "-o", out,
-            "--print-config", "--emd-wgn-std-ratio", "0.3"])
-        assert result.exit_code == 0, result.output
-        blob = result.output[:result.output.rindex("}") + 1]
-        config = json.loads(blob)
-        assert config == {"emd": {"ensemble_size": 100, "wgn_std_ratio": 0.3,
-                                  "rng_seed": 0}}
-
-    def test_config_file_layering(self, runner, vowel_wav, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"emd": {"wgn_std_ratio": 0.3,
-                                                "ensemble_size": 3}}))
-        out = str(tmp_path / "t.csv")
-        result = runner.invoke(main, [
-            "track", vowel_wav, "--estimator", "pefac", "-o", out,
-            "--config", str(cfg_path), "--emd-wgn-std-ratio", "0.25",
-            "--print-config"])
-        assert result.exit_code == 0, result.output
-        config = json.loads(result.output[:result.output.rindex("}") + 1])
-        assert config["emd"]["wgn_std_ratio"] == 0.25  # flag beats file
-        assert config["emd"]["ensemble_size"] == 3     # file beats default
-
-    @pytest.mark.parametrize("name,value,message", [
-        ("ensemble_size", 2.5, "ensemble_size must be an integer, got 2.5"),
-        ("ensemble_size", True, "ensemble_size must be an integer, got True"),
-        ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5"),
-        ("wgn_std_ratio", "0.2", "wgn_std_ratio must be a finite number >= 0, got '0.2'")])
-    def test_config_file_value_of_wrong_type_is_bad_configuration(
-            self, runner, vowel_wav, tmp_path, name, value, message):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"emd": {name: value}}))
-        out = tmp_path / "t.csv"
-        result = runner.invoke(main, ["track", vowel_wav, "--estimator", "shr", "-o",
-                                      str(out), "--config", str(cfg_path)])
-        assert_click_error(result, f"bad configuration: {message}")
-        assert not out.exists()
-
     @pytest.mark.parametrize("ratio", ["nan", "inf"])
     def test_non_finite_wgn_std_ratio_is_bad_configuration(self, runner, vowel_wav,
                                                            tmp_path, ratio):
@@ -341,50 +345,27 @@ class TestTrack:
         ("--frame-hop-ms", "20"), ("--estimator-f-min", "50"),
         ("--estimator-hht-num-imfs", "3"), ("--pro-gamma-hz", "150"),
         ("--pro-k-imfs", "4"), ("--vad-frame-ms", "25"),
-        ("--vad-hangover-frames", "2")])
+        ("--vad-hangover-frames", "2"), ("--config", "cfg.json"),
+        pytest.param("--print-config", None, id="--print-config"),
+        ("--emd-rng-seed", "1")])
     def test_removed_flag_usage_error(self, runner, vowel_wav, tmp_path, flag, value):
         # every removed flag is a usage error on each analysis command; the
-        # mode cap is decompose's own flag, since these sift the modes they read
+        # mode cap is decompose's own flag, since the others sift the modes
+        # they read
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("missing.wav missing.f0\n")
-        for command in (["track", vowel_wav, "--estimator", "shr"],
-                        ["separate", vowel_wav],
-                        ["bench", "--manifest", str(manifest), "--noise-dir",
-                         str(tmp_path), "--jobs", "1"]):
+        commands = [["track", vowel_wav, "--estimator", "shr"],
+                    ["separate", vowel_wav],
+                    ["bench", "--manifest", str(manifest), "--noise-dir",
+                     str(tmp_path), "--jobs", "1"]]
+        if flag != "--emd-max-imfs":
+            commands.append(["decompose", vowel_wav])
+        for command in commands:
             result = runner.invoke(main, [*command, "-o", str(tmp_path / "t.csv"),
-                                          flag, value])
+                                          flag, *([value] if value else [])])
             assert result.exit_code == 2, command
             assert flag in result.output
             assert "Traceback" not in result.output
-        assert not (tmp_path / "t.csv").exists()
-
-    @pytest.mark.parametrize("section,name,value", [
-        ("frame", "window", "rectangular"), ("vad", "hop_ms", 20.0),
-        ("emd", "sift_stop_sd", 0.2), ("emd", "max_sift_iters", 50),
-        ("estimator", "f_max", 400.0), ("estimator", "swipe_f_max", 500.0),
-        ("estimator", "shr_threshold", 0.4), ("estimator", "shr_max_harmonics", 8),
-        ("estimator", "swipe_bins_per_octave", 48),
-        ("estimator", "swipe_num_peaks", 5),
-        ("estimator", "pefac_num_harmonics", 10),
-        ("estimator", "pefac_compression", 0.5),
-        ("estimator", "bins_per_octave", 48), ("estimator", "window", "hann"),
-        ("vad", "zcr_max", 0.48), ("vad", "energy_min_ratio", 0.1),
-        ("emd", "max_imfs", 8), ("frame", "frame_len_ms", 90.0),
-        ("frame", "hop_ms", 10.0), ("estimator", "f_min", 50.0),
-        ("estimator", "hht_num_imfs", 3), ("pro", "gamma_hz", 200.0),
-        ("pro", "k_imfs", 4), ("vad", "frame_ms", 25.0),
-        ("vad", "hangover_frames", 2)])
-    def test_config_file_naming_removed_field_rejected(self, runner, vowel_wav,
-                                                       tmp_path, section, name, value):
-        # emd is the one config section; the others are fixed whole
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({section: {name: value}}))
-        result = runner.invoke(main, [
-            "track", vowel_wav, "--estimator", "shr", "-o", str(tmp_path / "t.csv"),
-            "--config", str(cfg_path)])
-        assert result.exit_code == 1
-        assert (f"unknown config field {section}.{name}" if section == "emd"
-                else f"unknown config section {section!r}") in result.output
         assert not (tmp_path / "t.csv").exists()
 
     def test_pro_rows_on_the_analysis_grid(self, runner, vowel_wav, tmp_path):
@@ -422,8 +403,8 @@ class TestSeparate:
             raise AssertionError("the input was read")
 
         monkeypatch.setattr("modepitch.cli.load_wav", no_read)
-        out = tmp_path / "t.csv"
-        result = runner.invoke(main, ["track", vowel_wav, "--pro", "--seed", "-1",
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, ["separate", vowel_wav, "--seed", "-1",
                                       "-o", str(out)])
         assert_click_error(result, "bad configuration: rng_seed must be non-negative, got -1")
         assert not out.exists()
@@ -443,16 +424,6 @@ class TestSeparate:
             "--emd-ensemble-size", "2", "--pro-inner-estimator", "shr"])
         assert result.exit_code == 2
         assert "--pro-inner-estimator" in result.output
-
-    def test_config_file_naming_removed_field_rejected(self, runner, vowel_wav,
-                                                       tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"pro": {"smooth_frames": 3}}))
-        result = runner.invoke(main, [
-            "separate", vowel_wav, "-o", str(tmp_path / "r.csv"),
-            "--emd-ensemble-size", "2", "--config", str(cfg_path)])
-        assert result.exit_code == 1
-        assert "unknown config section 'pro'" in result.output
 
 
 class TestSynthAndBench:
@@ -476,7 +447,8 @@ class TestSynthAndBench:
         (["--low-fraction", "-1"], "low_fraction must lie in [0, 1], got -1.0"),
         (["--sample-rate", "50"], "hop_ms=10.0 rounds to 0 samples at 50 Hz"),
         (["--sample-rate", "400"], "corpus sample_rate_hz must exceed 6200 Hz, "
-                                   "twice the 3100 Hz top formant, got 400")])
+                                   "twice the 3100 Hz top formant, got 400"),
+        (["--count", "1", "--seed", "-1"], "seed must be non-negative, got -1")])
     def test_bad_synth_option_is_click_error(self, runner, tmp_path, args, message):
         # every option is checked before the corpus directory is made
         out_dir = tmp_path / "corpus"

@@ -404,6 +404,14 @@ class TestManifest:
             write_noise_set(out_dir, kinds=kinds, sample_rate_hz=rate)
         assert not out_dir.exists()
 
+    def test_negative_seed_named_before_any_directory(self, tmp_path):
+        # numpy's own message named neither the seed nor its caller
+        for write in (generate_corpus, write_noise_set):
+            out_dir = tmp_path / write.__name__
+            with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+                write(out_dir, seed=-1)
+            assert not out_dir.exists()
+
     @pytest.mark.parametrize("line", ["a.wav", "a.wav b.f0 c"])
     def test_manifest_line_without_two_fields_named(self, tmp_path, line):
         path = tmp_path / "manifest.txt"

@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._lapack import dgtsv
+from ._lapack import solve_tridiagonal
 from .audio import SampleBuffer, save_wav_multichannel
 
 DEFAULT_MAX_IMFS = 8
@@ -125,18 +125,20 @@ def _mean_envelope(h: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.
     dx = np.diff(t).astype(np.float64)          # dx[m - 1] spans the seam
     slope = np.diff(v) / dx
     # row i: dx[i-1] M[i-1] + 2 (dx[i-1] + dx[i]) M[i] + dx[i] M[i+1]
-    #        = 6 (slope[i] - slope[i-1]); block-end rows: M[i] = 0
-    diag = np.empty(t.size)
+    #        = 6 (slope[i] - slope[i-1]); block-end rows: M[i] = 0. The
+    # rows of system are the sub-, main and super-diagonal and the right-hand
+    # side, which the solve overwrites with M
+    system = np.empty((4, t.size))
+    lower, diag, upper, curv = system
+    lower[:-1] = dx
+    lower[[m - 2, m - 1, t.size - 2]] = 0.0
     diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
     diag[ends] = 1.0
-    upper = dx.copy()
+    upper[:-1] = dx
     upper[ends[:3]] = 0.0
-    lower = dx.copy()
-    lower[[m - 2, m - 1, t.size - 2]] = 0.0
-    rhs = np.empty(t.size)
-    rhs[1:-1] = 6.0 * np.diff(slope)
-    rhs[ends] = 0.0
-    curv = dgtsv(lower, diag, upper, rhs)[3]
+    curv[1:-1] = 6.0 * np.diff(slope)
+    curv[ends] = 0.0
+    solve_tridiagonal(system)
     c1 = slope - dx * (2.0 * curv[:-1] + curv[1:]) / 6.0
     c2 = 0.5 * curv[:-1]
     c3 = (curv[1:] - curv[:-1]) / (6.0 * dx)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +211,11 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     # under fork the pool starts all its workers with the first task, and a
     # cell has one task per utterance
     workers = min(jobs, len(corpus))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: it loads multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         for noise_name, snr, mixes in mix_cells(corpus, noises, snrs, seed):
             tasks = [(item, mix, estimators, methods, cfg, gate)

@@ -261,8 +261,9 @@ def _run_python(code: str) -> None:
 
 class TestDeferredImports:
     """Importing the package, reading WAV files and the paper's analysis load
-    no scipy module (the two LAPACK routines come from scipy's _flapack
-    extension, loaded by file); resample loads scipy.signal on first use."""
+    no scipy module (the two LAPACK routines come from numpy's OpenBLAS, or
+    from scipy's _flapack extension loaded by file) and no process pool;
+    resample loads scipy.signal on first use."""
 
     def test_package_import_skips_heavy_scipy(self, tmp_path):
         path = tmp_path / "vowel.wav"
@@ -278,8 +279,16 @@ class TestDeferredImports:
             "                        AnalysisConfig(emd=EmdConfig(ensemble_size=2)))\n"
             "assert len(out) == 2\n"
             "loaded = [m for m in ('scipy.linalg', 'scipy.io', 'scipy.signal',"
-            " 'scipy.sparse', 'scipy._lib') if m in sys.modules]\n"
-            "assert not loaded, loaded\n")
+            " 'scipy.sparse', 'scipy._lib', 'concurrent.futures.process',"
+            " 'multiprocessing') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from modepitch import _lapack\n"
+            "if _lapack.BACKEND == 'numpy':\n"
+            "    assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "if _lapack.BACKEND == 'numpy' and sys.platform.startswith('linux'):\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        blas = {line.split()[-1] for line in maps if 'openblas' in line}\n"
+            "    assert len(blas) == 1, blas  # numpy's own, and no second runtime\n")
 
     def test_load_wav_skips_scipy_io(self, tmp_path):
         path = tmp_path / "tone.wav"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -312,8 +313,8 @@ class TestRunBenchmark:
 
     def test_pool_never_larger_than_the_corpus(self, monkeypatch):
         # the pool starts every worker up front, so it is sized to the
-        # utterances a cell has, and one utterance needs no pool at all
-        from modepitch import evaluation
+        # utterances a cell has, and one utterance needs no pool at all;
+        # run_benchmark imports the pool class when it needs one
         sizes = []
 
         class SerialPool:
@@ -325,7 +326,7 @@ class TestRunBenchmark:
 
             def shutdown(self):
                 pass
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         noises = [("white", make_noise("white", 2 * FS, FS, seed=1))]
         args = (noises, [5.0], ["shr"], ["raw"], FAST_CFG)
         pooled, failures = run_benchmark(small_corpus(2), *args, jobs=10_000)

@@ -4,9 +4,8 @@
 ``solve_unit_lower_band`` (``dtbtrs``, the corpus all-pole filter) call the
 ILP64 OpenBLAS that numpy's wheels bundle and that ``import numpy`` has
 already mapped, through ctypes, so a process runs one BLAS runtime. Numpy
-2.x wheels export the routines as ``scipy_dgtsv_64_``/``scipy_dtbtrs_64_``;
-numpy 1.22-1.26 wheels are expected, unverified, to export
-``dgtsv_64_``/``dtbtrs_64_``. Where neither resolves (numpy built against
+2.x wheels export the routines as ``scipy_dgtsv_64_``/``scipy_dtbtrs_64_``.
+Where those names do not resolve (numpy 1.x wheels, or numpy built against
 Accelerate, MKL or a distribution's LAPACK), the same two functions call
 scipy's compiled ``scipy/linalg/_flapack`` extension, loaded by file path
 so that ``scipy/__init__`` and ``scipy.linalg`` never run. ``BACKEND``
@@ -27,8 +26,8 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 _NAME = "scipy.linalg._flapack"
-# numpy >= 2.0 wheels prefix the symbols; numpy 1.22-1.26 wheels are expected not to
-_SYMBOL_PREFIXES = ("scipy_", "")
+# numpy >= 2.0 wheels export the bundled OpenBLAS's ILP64 routines under this prefix
+_SYMBOL_PREFIX = "scipy_"
 _INTS_3, _INTS_5 = ctypes.c_int64 * 3, ctypes.c_int64 * 5
 
 
@@ -52,18 +51,14 @@ def _load_flapack():
 
 def _numpy_solvers():
     """The two solves through numpy's ILP64 ``dgtsv`` and ``dtbtrs``, or
-    None where numpy exports neither name.
+    None where numpy does not export both.
 
     The symbols are looked up through numpy's own LAPACK extension module,
     whose handle reaches the libraries it links."""
     lib = ctypes.CDLL(_umath_linalg.__file__)
-    for prefix in _SYMBOL_PREFIXES:
-        try:
-            dgtsv, dtbtrs = lib[prefix + "dgtsv_64_"], lib[prefix + "dtbtrs_64_"]
-            break
-        except AttributeError:
-            pass
-    else:
+    try:
+        dgtsv, dtbtrs = lib[_SYMBOL_PREFIX + "dgtsv_64_"], lib[_SYMBOL_PREFIX + "dtbtrs_64_"]
+    except AttributeError:
         return None
     # every Fortran argument is a pointer; dtbtrs's three characters are
     # followed by their lengths, as gfortran passes them

@@ -6,7 +6,6 @@ one "time_ms f0_hz" pair per line with 0 marking unvoiced frames.
 """
 from __future__ import annotations
 
-import bisect
 import os
 from dataclasses import dataclass
 
@@ -55,9 +54,9 @@ class SynthUtteranceSpec:
             raise ValueError("formant_set must name three resonances")
 
     def knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The contour as the float64 (times_ms, f0_hz) arrays ``np.interp`` reads."""
-        return (np.array([t for t, _ in self.f0_contour], dtype=np.float64),
-                np.array([f for _, f in self.f0_contour], dtype=np.float64))
+        """The contour as the (times_ms, f0_hz) arrays ``np.interp`` reads."""
+        return (np.array([t for t, _ in self.f0_contour]),
+                np.array([f for _, f in self.f0_contour]))
 
     def contour_at(self, times_ms) -> np.ndarray:
         return np.interp(np.asarray(times_ms, dtype=np.float64), *self.knots())
@@ -94,26 +93,6 @@ def _all_pole(a, x) -> np.ndarray:
     return y
 
 
-def _interp(x: float, xp: list[float], fp: list[float]) -> float:
-    """``np.interp(x, xp, fp)`` for one finite float over strictly
-    increasing knots, in Python floats: the same cases (the end values
-    outside the knots, a knot's own value at it, the retry from the right
-    knot where an infinite knot time makes the result NaN) and the same
-    formula between knots."""
-    j = bisect.bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    y = slope * (x - xp[j]) + fp[j]
-    if y != y:
-        y = slope * (x - xp[j + 1]) + fp[j + 1]
-        if y != y and fp[j] == fp[j + 1]:
-            y = fp[j]
-    return y
-
-
 def _resonator_coeffs(freq_hz: float, bw_hz: float, fs: int):
     r = np.exp(-np.pi * bw_hz / fs)
     theta = 2.0 * np.pi * freq_hz / fs
@@ -146,13 +125,13 @@ def synthesize_utterance(spec: SynthUtteranceSpec) -> tuple[SampleBuffer, FrameP
     wobble = np.clip(np.random.default_rng(spec.rng_seed).standard_normal(
         int(n / min_period) + 2), -3.0, 3.0)
     scales = (1.0 + wobble * spec.jitter_pct / 100.0).tolist()
-    xp, fp = knots_t.tolist(), knots_f.tolist()
     pulses = np.zeros(n)
     t = 0.0
     i = 0
     while t < n:
         pulses[int(t)] += 1.0
-        t += fs / _interp(1000.0 * t / fs, xp, fp) * scales[i]
+        f0 = float(np.interp(1000.0 * t / fs, knots_t, knots_f))
+        t += fs / f0 * scales[i]
         i += 1
 
     # -6 dB/oct glottal tilt, then the formant cascade

@@ -171,25 +171,6 @@ class TestPulseLoopOracle:
                                   jitter_pct=1.0, rng_seed=11, sample_rate_hz=16000)
         assert_same_synthesis(synthesize_utterance(spec), per_pulse_synthesis(spec))
 
-    @settings(max_examples=300, deadline=None)
-    @given(knots=st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(50.0, 400.0)),
-                          min_size=1, max_size=6, unique_by=lambda k: k[0]),
-           xs=st.lists(st.floats(-2e4, 2e4), max_size=20))
-    def test_interp_equals_np_interp(self, knots, xs):
-        # at every knot, just beside it, between knots, beyond both ends
-        # and at random points
-        xp, fp = map(list, zip(*sorted(knots)))
-        xs = xs + xp + [np.nextafter(x, d) for x in xp for d in (-np.inf, np.inf)]
-        xs += [0.5 * (a + b) for a, b in zip(xp, xp[1:])] + [xp[0] - 1.0, xp[-1] + 1.0]
-        for x in xs:
-            assert corpus._interp(float(x), xp, fp) == float(np.interp(x, xp, fp)), x
-
-    def test_interp_equals_np_interp_beside_an_infinite_knot(self):
-        for xp in ([-np.inf, 100.0, 300.0], [0.0, 100.0, np.inf]):
-            fp = [100.0, 120.0, 90.0]
-            for x in (-1e300, 0.0, 50.0, 100.0, 200.0, 300.0, 1e300):
-                assert corpus._interp(x, xp, fp) == float(np.interp(x, xp, fp)), (xp, x)
-
     @pytest.mark.parametrize("fs", [8000, 16000])
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_make_noise_equals_per_pulse_loop(self, monkeypatch, fs, kind):

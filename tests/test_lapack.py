@@ -8,6 +8,9 @@ import importlib.machinery
 import importlib.util
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,9 +66,27 @@ def _numpy_exports_ilp64_lapack() -> bool:
     for path in (glob.glob(root + ".libs/*openblas*")
                  + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
         lib = ctypes.CDLL(path)
-        if any(hasattr(lib, prefix + "dgtsv_64_") for prefix in _lapack._SYMBOL_PREFIXES):
+        if hasattr(lib, _lapack._SYMBOL_PREFIX + "dgtsv_64_"):
             return True
     return False
+
+
+def _digests_in_fresh_interpreter(setup: str = "") -> list[str]:
+    """`solve_digests` through the module's two functions in a fresh
+    interpreter, after the statements in ``setup``; the interpreter fails
+    if scipy.linalg was imported there."""
+    src = str(Path(_lapack.__file__).resolve().parents[1])
+    path = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import sys, test_lapack\n"
+            "from modepitch import _lapack\n"
+            + setup
+            + "print(*test_lapack.solve_digests(_lapack.solve_tridiagonal,\n"
+            "                                   _lapack.solve_unit_lower_band), sep='\\n')\n"
+            "assert 'scipy.linalg' not in sys.modules\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=300)
+    return result.stdout.split()
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +119,17 @@ def _system(n: int = 5) -> np.ndarray:
 
 
 class TestOracle:
+    # both run where scipy.linalg was never imported, so the fallback
+    # solves through the extension it loaded by file, not a cached one
     def test_random_systems_bit_identical(self, oracle_digests):
-        got = solve_digests(_lapack.solve_tridiagonal, _lapack.solve_unit_lower_band)
+        got = _digests_in_fresh_interpreter()
         assert len(got) == len(oracle_digests) == 2 * SYSTEMS
         assert got == oracle_digests
 
-    def test_flapack_fallback_bit_identical(self, monkeypatch, oracle_digests):
-        _use_flapack(monkeypatch)
-        got = solve_digests(_lapack.solve_tridiagonal, _lapack.solve_unit_lower_band)
+    def test_flapack_fallback_bit_identical(self, oracle_digests):
+        got = _digests_in_fresh_interpreter(
+            "_lapack._gtsv, _lapack._tbtrs = _lapack._flapack_solvers()\n")
+        assert len(got) == len(oracle_digests) == 2 * SYSTEMS
         assert got == oracle_digests
 
     def test_numpy_backend_where_its_symbols_resolve(self):
@@ -114,7 +138,7 @@ class TestOracle:
         assert _lapack.BACKEND == "numpy"
 
     def test_no_symbol_means_no_numpy_backend(self, monkeypatch):
-        monkeypatch.setattr(_lapack, "_SYMBOL_PREFIXES", ("no_such_prefix_",))
+        monkeypatch.setattr(_lapack, "_SYMBOL_PREFIX", "no_such_prefix_")
         assert _lapack._numpy_solvers() is None
 
 

@@ -260,10 +260,17 @@ def _run_python(code: str) -> None:
 
 
 class TestDeferredImports:
-    """Importing the package, reading WAV files and the paper's analysis load
-    no scipy module (the two LAPACK routines come from numpy's OpenBLAS, or
-    from scipy's _flapack extension loaded by file) and no process pool;
-    resample loads scipy.signal on first use."""
+    """Importing the package loads nothing; reading WAV files and the
+    paper's analysis load no scipy module (the two LAPACK routines come from
+    numpy's OpenBLAS, or from scipy's _flapack extension loaded by file) and
+    no process pool; resample loads scipy.signal on first use."""
+
+    def test_package_import_loads_no_submodule(self):
+        _run_python(
+            "import sys, modepitch\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.startswith('modepitch.') or m.split('.')[0] == 'numpy']\n"
+            "assert not loaded, loaded\n")
 
     def test_package_import_skips_heavy_scipy(self, tmp_path):
         path = tmp_path / "vowel.wav"
@@ -272,9 +279,10 @@ class TestDeferredImports:
                                     + 0.2 * np.sin(2 * np.pi * 300 * t), 8000))
         _run_python(
             "import sys, modepitch, modepitch.cli\n"
+            "from modepitch.audio import load_wav\n"
             "from modepitch.emd import EmdConfig\n"
             "from modepitch.separation import AnalysisConfig, analyze_utterance\n"
-            f"buf = modepitch.load_wav({str(path)!r})\n"
+            f"buf = load_wav({str(path)!r})\n"
             "out = analyze_utterance(buf, ['hht', 'swipe'], ['pro'],\n"
             "                        AnalysisConfig(emd=EmdConfig(ensemble_size=2)))\n"
             "assert len(out) == 2\n"
@@ -294,8 +302,9 @@ class TestDeferredImports:
         path = tmp_path / "tone.wav"
         wavfile.write(path, FS, np.zeros(FS // 10, dtype=np.int16) + 100)
         _run_python(
-            "import sys, modepitch\n"
-            f"buf = modepitch.load_wav({str(path)!r})\n"
+            "import sys\n"
+            "from modepitch.audio import load_wav\n"
+            f"buf = load_wav({str(path)!r})\n"
             "assert len(buf) == 1600\n"
             "assert 'scipy.io' not in sys.modules\n")
 

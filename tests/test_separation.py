@@ -18,6 +18,7 @@ from modepitch.corpus import (
     synthesize_utterance,
 )
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
+from modepitch.evaluation import gross_error
 from modepitch.estimators import (
     CANDIDATE,
     FRAME_ESTIMATORS,
@@ -518,6 +519,21 @@ class TestPipeline:
         for d in diags:
             for corrected in d.corrected_f0s:
                 assert 200.0 <= corrected <= 400.0
+
+    def test_pro_lowers_hht_gross_error_on_noisy_high_vowel(self):
+        # a 300 Hz vowel in babble at 0 dB, ensemble 20: the fold lowers
+        # hht's gross error (25.0% raw, 19.2% pro on x86_64), although only
+        # 20 of its 98 raw candidates sit at or below gamma
+        clean, truth = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0.0, 300.0), (600.0, 300.0)), duration_ms=600.0,
+            rng_seed=1))
+        noise = make_noise("babble", 2 * len(clean), clean.sample_rate_hz, seed=2)
+        buf = mix_at_snr(NoisyMix(clean, noise, 0.0, seed=1))
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=20, rng_seed=1))
+        out = analyze_utterance(buf, ["hht"], ["raw", "pro"], cfg)
+        raw_ge = gross_error(out[("hht", "raw")].track, truth)
+        pro_ge = gross_error(out[("hht", "pro")].track, truth)
+        assert pro_ge < raw_ge
 
     def test_raw_and_pro_share_grid(self):
         buf, _ = synthesize_utterance(SynthUtteranceSpec(

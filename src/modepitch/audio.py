@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -11,28 +12,46 @@ from numpy.lib.stride_tricks import sliding_window_view
 INT16_FULL_SCALE = 32768.0
 
 
+def adopt(values) -> np.ndarray:
+    """A read-only float64 array holding values: values itself when it is
+    already a read-only float64 array that owns its data, so no one holds a
+    writeable view of it, else a read-only copy.
+
+    Code that builds an array and drops it hands it over with
+    ``x.setflags(write=False)`` first, and no copy is made.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    copy = np.array(values, dtype=np.float64)
+    copy.setflags(write=False)
+    return copy
+
+
 @dataclass(frozen=True)
 class SampleBuffer:
     """Uniformly sampled mono signal, full scale +-1.0.
 
-    The samples array is made read-only on construction; buffers are safe
-    to share between concurrent workers.
+    The samples are held read-only (see `adopt`), so buffers are safe to
+    share between concurrent workers.
     """
 
     samples: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = adopt(self.samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("SampleBuffer requires a non-empty 1-D sample array")
         if not np.all(np.isfinite(samples)):
             raise ValueError("SampleBuffer samples must be finite")
-        if self.sample_rate_hz <= 0:
+        rate = self.sample_rate_hz
+        if isinstance(rate, (bool, np.bool_)) or not hasattr(rate, "__index__"):
+            raise TypeError(f"sample_rate_hz must be an integer, got {rate!r}")
+        if rate <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        samples = samples.copy()
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate_hz", operator.index(rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -126,13 +145,14 @@ def load_wav(path) -> SampleBuffer:
         raise ValueError(f"zero-length audio in {path}")
     if encoding not in ("int16", "float32", "float64"):
         raise ValueError(f"unsupported encoding {encoding} in {path} "
-                         "(expected 16-bit PCM or 32-bit float)")
+                         "(expected 16-bit PCM or 32- or 64-bit float)")
     data = np.frombuffer(body, np.dtype(encoding).newbyteorder("<"))
     samples = data.astype(np.float64)
     if encoding == "int16":
         samples /= INT16_FULL_SCALE
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
+    samples.setflags(write=False)
     return SampleBuffer(samples, rate)
 
 
@@ -250,8 +270,14 @@ def mix_at_snr(mix: NoisyMix) -> SampleBuffer:
     n = len(clean)
     rng = np.random.default_rng(mix.seed)
     offset = int(rng.integers(0, len(noise)))
-    idx = (offset + np.arange(n)) % len(noise)
-    segment = noise.samples[idx]
+    # the noise read circularly from offset, copied a run at a time
+    segment = np.empty(n)
+    filled = 0
+    while filled < n:
+        run = noise.samples[offset:offset + n - filled]
+        segment[filled:filled + run.size] = run
+        filled += run.size
+        offset = 0
 
     p_clean = float(np.mean(clean.samples ** 2))
     p_noise = float(np.mean(segment ** 2))
@@ -260,7 +286,10 @@ def mix_at_snr(mix: NoisyMix) -> SampleBuffer:
     if p_noise == 0.0:
         raise ValueError("SNR undefined for an all-zero noise segment")
     gain = math.sqrt(p_clean / (p_noise * 10.0 ** (mix.snr_db / 10.0)))
-    return SampleBuffer(clean.samples + gain * segment, clean.sample_rate_hz)
+    segment *= gain
+    segment += clean.samples
+    segment.setflags(write=False)
+    return SampleBuffer(segment, clean.sample_rate_hz)
 
 
 def measured_snr_db(mixed: SampleBuffer, clean: SampleBuffer) -> float:

@@ -20,7 +20,8 @@ DEFAULT_FORMANTS = ((500.0, 80.0), (1500.0, 120.0), (2500.0, 160.0))
 # corpus rate must put the top one below the Nyquist frequency, which also
 # keeps the 400 Hz contour ceiling below it
 CORPUS_FORMANT_RANGES = ((450.0, 900.0), (1000.0, 1900.0), (2100.0, 3100.0))
-# rows each LAPACK solve in _all_pole covers, so its work memory is fixed
+# rows each LAPACK solve in _all_pole covers, and samples each block of
+# make_noise's hum tones covers, so their work memory is fixed
 _BLOCK_ROWS = 2048
 
 
@@ -62,8 +63,9 @@ class SynthUtteranceSpec:
         return np.interp(np.asarray(times_ms, dtype=np.float64), *self.knots())
 
 
-def _all_pole(a, x) -> np.ndarray:
-    """``lfilter([1.0], a, x)`` for ``a[0] == 1``, zero initial state.
+def _all_pole(a, x: np.ndarray) -> None:
+    """Overwrite the float64 array x with ``lfilter([1.0], a, x)`` for
+    ``a[0] == 1``, zero initial state.
 
     The recursion y[i] = x[i] - sum_k a[k] y[i-k] is the forward
     substitution through the unit lower-triangular banded Toeplitz matrix
@@ -73,24 +75,21 @@ def _all_pole(a, x) -> np.ndarray:
     row receives the same column updates, in the same order, as in one
     full-length solve, and the work memory does not grow with the signal.
     The band is built in Fortran order so LAPACK reads it without a copy,
-    and each block is solved in place.
+    and each block is solved in place and written back over its inputs.
     """
     a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
     p = a.size - 1
     band = np.tile(a, (p + _BLOCK_ROWS, 1)).T
     for k in range(1, p + 1):
         band[k, :p - k] = 0.0
     work = np.zeros(p + _BLOCK_ROWS)
-    y = np.empty(x.size)
     for start in range(0, x.size, _BLOCK_ROWS):
         m = min(_BLOCK_ROWS, x.size - start)
         lo = p if start == 0 else 0  # the first block has no history
         work[p:p + m] = x[start:start + m]
         solve_unit_lower_band(band[:, lo:p + m], work[lo:p + m])
-        y[start:start + m] = work[p:p + m]
+        x[start:start + m] = work[p:p + m]
         work[:p] = work[m:m + p]
-    return y
 
 
 def _resonator_coeffs(freq_hz: float, bw_hz: float, fs: int):
@@ -114,6 +113,9 @@ def synthesize_utterance(spec: SynthUtteranceSpec) -> tuple[SampleBuffer, FrameP
     each frame's value taken at the frame center; frames only exist where a
     full analysis window fits, matching what any frame-based estimator can
     score.
+
+    One array is allocated for the samples: the pulse train is filtered,
+    scaled in place and handed to the buffer read-only, without a copy.
     """
     fs = spec.sample_rate_hz
     n = int(round(spec.duration_ms * fs / 1000.0))
@@ -125,23 +127,24 @@ def synthesize_utterance(spec: SynthUtteranceSpec) -> tuple[SampleBuffer, FrameP
     wobble = np.clip(np.random.default_rng(spec.rng_seed).standard_normal(
         int(n / min_period) + 2), -3.0, 3.0)
     scales = (1.0 + wobble * spec.jitter_pct / 100.0).tolist()
-    pulses = np.zeros(n)
+    x = np.zeros(n)
     t = 0.0
     i = 0
     while t < n:
-        pulses[int(t)] += 1.0
+        x[int(t)] += 1.0
         f0 = float(np.interp(1000.0 * t / fs, knots_t, knots_f))
         t += fs / f0 * scales[i]
         i += 1
 
     # -6 dB/oct glottal tilt, then the formant cascade
-    x = _all_pole([1.0, -0.95], pulses)
-    del pulses
+    _all_pole([1.0, -0.95], x)
     for freq, bw in spec.formant_set:
-        x = _all_pole(_resonator_coeffs(freq, bw, fs), x)
-    peak = np.max(np.abs(x))
+        _all_pole(_resonator_coeffs(freq, bw, fs), x)
+    peak = max(x.max(), -x.min())
     if peak > 0:
-        x = 0.5 * x / peak
+        x *= 0.5
+        x /= peak
+    x.setflags(write=False)
     buf = SampleBuffer(x, fs)
 
     frame = FrameSpec()  # the analysis grid
@@ -168,7 +171,10 @@ BABBLE_FORMANT_RANGES = ((300.0, 900.0), (900.0, 1800.0), (1800.0, 3000.0))
 
 def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
                ) -> SampleBuffer:
-    """Deterministic synthetic noise of the named kind, unit RMS."""
+    """Deterministic synthetic noise of the named kind, unit RMS.
+
+    The output array is allocated once, scaled in place and handed to the
+    buffer read-only, without a copy."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if sample_rate_hz < MIN_NOISE_RATE_HZ:
@@ -184,39 +190,49 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
         x = rng.standard_normal(n_samples)
     elif kind == "pink":
         # -3 dB/oct via 1/sqrt(f) spectral shaping
-        white = rng.standard_normal(n_samples)
-        spec = np.fft.rfft(white)
+        spec = np.fft.rfft(rng.standard_normal(n_samples))
         freqs = np.fft.rfftfreq(n_samples, 1.0 / fs)
         freqs[0] = freqs[1] if freqs.size > 1 else 1.0
-        x = np.fft.irfft(spec / np.sqrt(freqs), n_samples)
+        spec /= np.sqrt(freqs, out=freqs)
+        x = np.fft.irfft(spec, n_samples)
     elif kind == "shaped":
-        # speech-shaped: white rolled off -6 dB/oct above 500 Hz
-        white = rng.standard_normal(n_samples)
-        spec = np.fft.rfft(white)
-        freqs = np.fft.rfftfreq(n_samples, 1.0 / fs)
-        gain = 1.0 / np.sqrt(1.0 + (freqs / 500.0) ** 2)
-        x = np.fft.irfft(spec * gain, n_samples)
+        # speech-shaped: white rolled off -6 dB/oct above 500 Hz, the gain
+        # 1 / sqrt(1 + (f / 500) ** 2) built in place over the frequencies
+        spec = np.fft.rfft(rng.standard_normal(n_samples))
+        gain = np.fft.rfftfreq(n_samples, 1.0 / fs)
+        gain /= 500.0
+        np.square(gain, out=gain)
+        gain += 1.0
+        np.sqrt(gain, out=gain)
+        np.divide(1.0, gain, out=gain)
+        spec *= gain
+        x = np.fft.irfft(spec, n_samples)
     elif kind == "hum":
-        # engine-like idle: strong low tonal stack plus rumble; each term is
-        # built in one reused array and added in place
-        times = np.arange(n_samples) / fs
+        # engine-like idle: strong low tonal stack plus rumble; the tones
+        # are summed in place _BLOCK_ROWS samples at a time, so the output
+        # is the one full-length array until the rumble is drawn
+        tones = [(h, amp, rng.uniform(0, 2 * np.pi))
+                 for h, amp in ((1, 1.0), (2, 0.7), (3, 0.45), (4, 0.3))]
         x = np.zeros(n_samples)
-        term = np.empty(n_samples)
-        for h, amp in ((1, 1.0), (2, 0.7), (3, 0.45), (4, 0.3)):
-            phase = rng.uniform(0, 2 * np.pi)
-            np.multiply(2 * np.pi * 55.0 * h, times, out=term)
-            term += phase
-            np.sin(term, out=term)
-            term *= amp
-            x += term
-        del times, term  # free both before the rumble is drawn
-        rumble = _all_pole([1.0, -0.98], rng.standard_normal(n_samples))
+        for start in range(0, n_samples, _BLOCK_ROWS):
+            block = x[start:start + _BLOCK_ROWS]
+            times = np.arange(start, start + block.size) / fs
+            term = np.empty(block.size)
+            for h, amp, phase in tones:
+                np.multiply(2 * np.pi * 55.0 * h, times, out=term)
+                term += phase
+                np.sin(term, out=term)
+                term *= amp
+                block += term
+        rumble = rng.standard_normal(n_samples)
+        _all_pole([1.0, -0.98], rumble)
         rumble *= 0.3
         x += rumble
-        del rumble  # free it before the output is scaled and copied
+        del rumble  # free it before the output is scaled
     elif kind == "bursts":
         # sparse wideband clatter over a quiet floor
-        x = 0.1 * rng.standard_normal(n_samples)
+        x = rng.standard_normal(n_samples)
+        x *= 0.1
         n_bursts = max(1, n_samples // (fs // 4))
         for _ in range(n_bursts):
             start = int(rng.integers(0, max(1, n_samples - fs // 20)))
@@ -250,7 +266,10 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
     else:
         raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
     rms = float(np.sqrt(np.mean(x ** 2)))
-    return SampleBuffer(x / rms if rms > 0 else x, fs)
+    if rms > 0:
+        x /= rms
+    x.setflags(write=False)
+    return SampleBuffer(x, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +415,8 @@ def write_noise_set(out_dir, kinds=NOISE_KINDS, duration_ms: float = 3000.0,
     for kind, buf in zip(kinds, bufs):
         path = os.path.join(out_dir, f"{kind}.wav")
         # unit-RMS noise exceeds 16-bit full scale; store at 0.2 RMS
-        save_wav(path, SampleBuffer(buf.samples * 0.2, sample_rate_hz))
+        scaled = buf.samples * 0.2
+        scaled.setflags(write=False)
+        save_wav(path, SampleBuffer(scaled, sample_rate_hz))
         paths[kind] = path
     return paths

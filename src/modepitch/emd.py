@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._lapack import solve_tridiagonal
-from .audio import SampleBuffer, save_wav_multichannel
+from .audio import SampleBuffer, adopt, save_wav_multichannel
 
 DEFAULT_MAX_IMFS = 8
 
@@ -48,20 +48,19 @@ class EmdConfig:
 @dataclass(frozen=True)
 class ImfSet:
     """Ordered oscillatory modes (fastest first) as the rows of one
-    (modes x samples) array, plus the leftover trend. Both are copied
-    read-only, so sets are safe to share between concurrent workers."""
+    (modes x samples) array, plus the leftover trend. Both are held
+    read-only (see `audio.adopt`), so sets are safe to share between
+    concurrent workers."""
 
     modes: np.ndarray
     residual: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self):
-        modes = np.array(self.modes, dtype=np.float64)
-        residual = np.array(self.residual, dtype=np.float64)
+        modes = adopt(self.modes)
+        residual = adopt(self.residual)
         if residual.ndim != 1 or modes.ndim != 2 or modes.shape[1] != residual.size:
             raise ValueError("modes must be 2-D with rows as long as the 1-D residual")
-        modes.setflags(write=False)
-        residual.setflags(write=False)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "residual", residual)
 
@@ -113,7 +112,9 @@ def _mean_envelope(h: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.
     tridiagonal system whose block-end rows read M = 0, so nothing couples
     across the seam, and solved by one LAPACK call (diagonally dominant: no
     pivoting). The mirrored knots of at least two extrema in [0, n-1]
-    bracket every sample, so no sample is extrapolated.
+    bracket every sample, so no sample is extrapolated. Each spline is
+    evaluated in place on an array of its own, its per-interval
+    coefficients repeated over the samples each interval covers.
     """
     n = h.size
     t_up, v_up = _mirrored_knots(maxima, h[maxima], n - 1)
@@ -142,15 +143,24 @@ def _mean_envelope(h: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.
     c1 = slope - dx * (2.0 * curv[:-1] + curv[1:]) / 6.0
     c2 = 0.5 * curv[:-1]
     c3 = (curv[1:] - curv[:-1]) / (6.0 * dx)
-    # interval j covers samples [t[j], t[j+1]); the lower spline's samples
-    # follow the upper's, so the seam interval covers none
-    bounds = np.clip(t, 0, n)
-    bounds[m:] += n
-    j = np.repeat(np.arange(t.size - 1), np.diff(bounds))
-    t[m:] += n
-    s = np.arange(2 * n) - t[j]
-    env = ((c3[j] * s + c2[j]) * s + c1[j]) * s + v[j]
-    return 0.5 * (env[:n] + env[n:])
+    # interval j covers samples [t[j], t[j+1]) of its own spline; the seam
+    # interval m - 1 is skipped
+    counts = np.diff(np.clip(t, 0, n))
+    upper, lower = np.empty(n), np.empty(n)
+    for env, knots in ((upper, slice(0, m - 1)), (lower, slice(m, t.size - 1))):
+        reps = counts[knots]
+        s = np.arange(n, dtype=np.float64)  # each sample's offset from its knot
+        s -= np.repeat(t[knots], reps)
+        # ((c3 s + c2) s + c1) s + v
+        np.multiply(np.repeat(c3[knots], reps), s, out=env)
+        env += np.repeat(c2[knots], reps)
+        env *= s
+        env += np.repeat(c1[knots], reps)
+        env *= s
+        env += np.repeat(v[knots], reps)
+    upper += lower
+    upper *= 0.5
+    return upper
 
 
 def _sift_one_imf(r: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
@@ -162,12 +172,14 @@ def _sift_one_imf(r: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
         if maxima.size < 2 or minima.size < 2:
             return None if h is r else h
         mean_env = _mean_envelope(h, maxima, minima)
-        h_new = h - mean_env
         denom = float(np.sum(h * h))
         if denom == 0.0:
             return None if h is r else h
         sd = float(np.sum(mean_env * mean_env)) / denom
-        h = h_new
+        # h - mean_env, written over mean_env while h is r (which is left
+        # as it is) and over h after that
+        h = np.subtract(h, mean_env, out=mean_env if h is r else h)
+        del mean_env  # free it before the next envelope is built
         if sd < cfg.sift_stop_sd:
             break
     return h
@@ -178,19 +190,29 @@ def _check_max_imfs(max_imfs: int) -> None:
         raise ValueError(f"max_imfs must be at least 1, got {max_imfs}")
 
 
-def _emd_raw(data: np.ndarray, cfg: EmdConfig,
-             max_imfs: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Array-level sift loop, stopping after max_imfs modes; returns
-    (modes, remainder)."""
-    modes: list[np.ndarray] = []
-    remainder = data.copy()
-    while len(modes) < max_imfs:
+def _sift_into(remainder: np.ndarray, cfg: EmdConfig, mode_sums: np.ndarray) -> int:
+    """Sift up to len(mode_sums) modes out of remainder in place: mode k is
+    added into row k of mode_sums and subtracted from remainder, which ends
+    as the residual. Returns the number of modes found."""
+    for k, row in enumerate(mode_sums):
         imf = _sift_one_imf(remainder, cfg)
         if imf is None:
-            break
-        modes.append(imf)
-        remainder = remainder - imf
-    return modes, remainder
+            return k
+        row += imf
+        remainder -= imf
+    return len(mode_sums)
+
+
+def _hand_over(mode_sums: np.ndarray, count: int, residual: np.ndarray,
+               sample_rate_hz: int) -> ImfSet:
+    """An ImfSet of the first count rows of mode_sums and residual, which
+    the caller built and drops: the rows past count are cut off in place
+    (no view of mode_sums exists) and both arrays are adopted without a
+    copy."""
+    mode_sums.resize((count, residual.size), refcheck=False)
+    mode_sums.setflags(write=False)
+    residual.setflags(write=False)
+    return ImfSet(mode_sums, residual, sample_rate_hz)
 
 
 def emd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
@@ -204,9 +226,12 @@ def emd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
     sift and come back as a bare residual.
     """
     _check_max_imfs(max_imfs)
-    modes, remainder = _emd_raw(x.samples.astype(np.float64), cfg, max_imfs)
-    return ImfSet(np.reshape(modes, (len(modes), remainder.size)), remainder,
-                  x.sample_rate_hz)
+    remainder = x.samples.copy()
+    # -0.0 is the additive identity of every float (0.0 + -0.0 is 0.0), so
+    # adding each mode into it leaves the mode bit for bit
+    modes = np.full((max_imfs, remainder.size), -0.0)
+    count = _sift_into(remainder, cfg, modes)
+    return _hand_over(modes, count, remainder, x.sample_rate_hz)
 
 
 def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
@@ -222,9 +247,13 @@ def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
     rng_seed, making the result independent of trial execution order.
     With zero noise (wgn_std_ratio 0 or a constant input) every trial would
     decompose the same signal, so the result is plain `emd_decompose`.
+
+    Each trial's noisy input is drawn into one reused array, which the sift
+    reduces in place to the trial's residual; modes are summed as they are
+    found.
     """
     _check_max_imfs(max_imfs)
-    data = x.samples.astype(np.float64)
+    data = x.samples
     # np.std of a constant can read ~1e-16 from rounding; its spread is 0
     noise_std = cfg.wgn_std_ratio * float(np.std(data)) if np.ptp(data) > 0 else 0.0
     if noise_std == 0.0:
@@ -234,18 +263,19 @@ def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.ensemble_size)
     mode_sums = np.zeros((max_imfs, n))
     residual_sum = np.zeros(n)
+    trial = np.empty(n)
     max_modes = 0
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        modes, remainder = _emd_raw(data + noise_std * rng.standard_normal(n), cfg,
-                                    max_imfs)
-        for k, m in enumerate(modes):
-            mode_sums[k] += m
-        residual_sum += remainder
-        max_modes = max(max_modes, len(modes))
+        np.random.default_rng(seed).standard_normal(out=trial)
+        trial *= noise_std
+        trial += data
+        max_modes = max(max_modes, _sift_into(trial, cfg, mode_sums))
+        residual_sum += trial
 
     scale = 1.0 / cfg.ensemble_size
-    return ImfSet(mode_sums[:max_modes] * scale, residual_sum * scale, x.sample_rate_hz)
+    mode_sums[:max_modes] *= scale
+    residual_sum *= scale
+    return _hand_over(mode_sums, max_modes, residual_sum, x.sample_rate_hz)
 
 
 def write_imf_wav(path, imfset: ImfSet) -> None:

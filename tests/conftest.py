@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -23,6 +25,17 @@ def glottal_pulse_train(f0_hz, duration_s=1.0, fs=FS, tilt=True):
     if tilt:
         x = lfilter([1.0], [1.0, -0.95], x)
     return SampleBuffer(0.5 * x / np.max(np.abs(x)), fs)
+
+
+def traced_peak(fn):
+    """(peak bytes allocated while fn runs, its result), under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from conftest import traced_peak
 import modepitch
 from modepitch import audio
 from modepitch.audio import (
@@ -46,6 +47,41 @@ class TestSampleBuffer:
         buf = SampleBuffer(np.zeros(10), FS)
         with pytest.raises(ValueError):
             buf.samples[0] = 1.0
+
+    @pytest.mark.parametrize("rate", [8000.5, 8000.0, True, np.True_, "8000", None])
+    def test_rate_must_be_an_integer(self, rate):
+        with pytest.raises(TypeError, match="sample_rate_hz must be an integer, got "):
+            SampleBuffer(np.zeros(10), rate)
+
+    def test_numpy_integer_rate_becomes_int(self):
+        buf = SampleBuffer(np.zeros(10), np.int64(FS))
+        assert buf.sample_rate_hz == FS and type(buf.sample_rate_hz) is int
+
+    def test_writeable_input_is_copied(self):
+        values = np.zeros(10)
+        buf = SampleBuffer(values, FS)
+        values[0] = 1.0
+        assert buf.samples is not values and buf.samples[0] == 0.0
+        assert values.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        # the view's base stays writeable, so the buffer must not share it
+        base = np.zeros(10)
+        view = base[2:]
+        view.setflags(write=False)
+        buf = SampleBuffer(view, FS)
+        base[2] = 1.0
+        assert buf.samples is not view and buf.samples[0] == 0.0
+
+    def test_read_only_owning_array_is_kept(self):
+        values = np.zeros(10)
+        values.setflags(write=False)
+        assert SampleBuffer(values, FS).samples is values
+
+    @pytest.mark.parametrize("values", [np.zeros(10, dtype=np.float32), [0.0] * 10])
+    def test_other_inputs_become_read_only_float64(self, values):
+        samples = SampleBuffer(values, FS).samples
+        assert samples.dtype == np.float64 and not samples.flags.writeable
 
 
 class TestLoadWav:
@@ -165,6 +201,45 @@ class TestMixAtSnr:
         noise = SampleBuffer(gen.standard_normal(7000) + 0.01, FS)
         mixed = mix_at_snr(NoisyMix(clean, noise, snr_db, seed=seed))
         assert measured_snr_db(mixed, clean) == pytest.approx(snr_db, abs=0.01)
+
+
+def copying_mix(mix):
+    """mix_at_snr's samples as built before it wrote in place: a gathered
+    noise segment and a new array per step. The oracle the in-place mix
+    must match bit for bit."""
+    clean, noise = mix.clean, mix.noise
+    if noise.sample_rate_hz != clean.sample_rate_hz:
+        noise = resample(noise, clean.sample_rate_hz)
+    n = len(clean)
+    offset = int(np.random.default_rng(mix.seed).integers(0, len(noise)))
+    segment = noise.samples[(offset + np.arange(n)) % len(noise)]
+    p_clean = float(np.mean(clean.samples ** 2))
+    p_noise = float(np.mean(segment ** 2))
+    gain = math.sqrt(p_clean / (p_noise * 10.0 ** (mix.snr_db / 10.0)))
+    return clean.samples + gain * segment
+
+
+class TestMixInPlace:
+    @settings(max_examples=80, deadline=None)
+    @given(n_clean=st.integers(1, 3000), n_noise=st.integers(1, 7000),
+           snr_db=st.one_of(st.floats(-30, 30), st.just(math.inf)),
+           noise_rate=st.sampled_from([FS, 8000]), seed=st.integers(0, 2 ** 31))
+    def test_equals_copying_mix(self, n_clean, n_noise, snr_db, noise_rate, seed):
+        # noise both shorter and longer than the clean signal, so the
+        # circular read wraps zero, one or many times
+        gen = np.random.default_rng(seed)
+        mix = NoisyMix(SampleBuffer(gen.standard_normal(n_clean) + 0.01, FS),
+                       SampleBuffer(gen.standard_normal(n_noise) + 0.01, noise_rate),
+                       snr_db, seed=seed)
+        assert np.array_equal(mix_at_snr(mix).samples, copying_mix(mix))
+
+    def test_work_memory_bounded_by_the_output(self, rng):
+        # the segment is read, scaled and adopted in place; the gathered
+        # segment, its index arrays and the buffer's copy peaked at 4.0x
+        mix = NoisyMix(SampleBuffer(rng.standard_normal(48_000), FS),
+                       SampleBuffer(rng.standard_normal(48_000), FS), 0.0, seed=1)
+        peak, out = traced_peak(lambda: mix_at_snr(mix))
+        assert peak < 2.5 * out.samples.nbytes
 
 
 class TestResample:
@@ -386,7 +461,7 @@ class TestWavOracle:
         name = np.dtype(dtype).name
         with pytest.raises(ValueError, match=f"^unsupported encoding {name} in "
                                              f"{re.escape(str(path))} \\(expected 16-bit "
-                                             "PCM or 32-bit float\\)$"):
+                                             "PCM or 32- or 64-bit float\\)$"):
             load_wav(path)
 
     @pytest.mark.parametrize("content", [b"not audio\n", b"RIFF\0\0\0\0WAVE",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dtbtrs
 from scipy.signal import lfilter
 
-from conftest import FS
+from conftest import FS, traced_peak
 from modepitch import corpus
 from modepitch.audio import FrameSpec
 from modepitch.corpus import (
@@ -92,6 +92,22 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="knot times must strictly increase"):
             SynthUtteranceSpec(f0_contour=contour)
 
+    def test_work_memory_bounded_by_the_output(self):
+        # filtered, scaled and adopted in place; a new array per stage and
+        # the buffer's copy peaked at 2.24x
+        spec = SynthUtteranceSpec(f0_contour=((0, 120.0), (3000, 220.0)),
+                                  duration_ms=3000, rng_seed=1, sample_rate_hz=16_000)
+        peak, (buf, _) = traced_peak(lambda: synthesize_utterance(spec))
+        assert peak < 1.5 * buf.samples.nbytes
+
+
+def filtered(a, x):
+    """A filtered copy of x: ``corpus._all_pole`` on a copy, which it
+    overwrites."""
+    y = np.array(x, dtype=np.float64)
+    corpus._all_pole(a, y)
+    return y
+
 
 def per_pulse_synthesis(spec):
     """The pulse loop as first written, one numpy call per step of each
@@ -112,9 +128,9 @@ def per_pulse_synthesis(spec):
         t += period
 
     # -6 dB/oct glottal tilt, then the formant cascade
-    x = corpus._all_pole([1.0, -0.95], pulses)
+    x = filtered([1.0, -0.95], pulses)
     for freq, bw in spec.formant_set:
-        x = corpus._all_pole(corpus._resonator_coeffs(freq, bw, fs), x)
+        x = filtered(corpus._resonator_coeffs(freq, bw, fs), x)
     peak = np.max(np.abs(x))
     if peak > 0:
         x = 0.5 * x / peak
@@ -181,7 +197,7 @@ class TestPulseLoopOracle:
 
 
 def _lfilter_all_pole(a, x):
-    return lfilter([1.0], a, x)
+    x[...] = lfilter([1.0], a, x)
 
 
 @st.composite
@@ -208,7 +224,7 @@ class TestAllPole:
     @given(case=all_pole_cases())
     def test_matches_lfilter(self, case):
         a, x = case
-        got = corpus._all_pole(a, x)
+        got = filtered(a, x)
         want = lfilter([1.0], a, x)
         assert got.shape == want.shape
         scale = np.max(np.abs(want), initial=0.0)
@@ -269,7 +285,7 @@ class TestBlockedAllPole:
     @given(case=blocked_cases())
     def test_equals_full_band_solve(self, case):
         a, x = case
-        got = corpus._all_pole(a, x)
+        got = filtered(a, x)
         assert got.shape == x.shape
         assert np.array_equal(got, full_band_all_pole(a, x))
 
@@ -280,7 +296,7 @@ class TestBlockedAllPole:
         # blocks shorter than the filter order carry history across blocks
         x = np.random.default_rng(block).standard_normal(50)
         monkeypatch.setattr(corpus, "_BLOCK_ROWS", block)
-        assert np.array_equal(corpus._all_pole(a, x), full_band_all_pole(a, x))
+        assert np.array_equal(filtered(a, x), full_band_all_pole(a, x))
 
     @pytest.mark.parametrize("a", [[1.0, -0.95], corpus._resonator_coeffs(500.0, 80.0, 8000)])
     def test_work_memory_bounded_by_the_output(self, a):
@@ -295,17 +311,116 @@ class TestBlockedAllPole:
         assert peak < 1.5 * x.nbytes
 
 
+def copying_synthesis(spec):
+    """synthesize_utterance's samples as built before synthesis wrote in
+    place: a new array per filter stage (the full-band solve) and per
+    scaling step. The oracle the in-place synthesis must match bit for
+    bit."""
+    fs = spec.sample_rate_hz
+    n = int(round(spec.duration_ms * fs / 1000.0))
+    knots_t, knots_f = spec.knots()
+    min_period = fs / knots_f.max() * (1.0 - 3.0 * spec.jitter_pct / 100.0)
+    wobble = np.clip(np.random.default_rng(spec.rng_seed).standard_normal(
+        int(n / min_period) + 2), -3.0, 3.0)
+    scales = (1.0 + wobble * spec.jitter_pct / 100.0).tolist()
+    pulses = np.zeros(n)
+    t = 0.0
+    i = 0
+    while t < n:
+        pulses[int(t)] += 1.0
+        f0 = float(np.interp(1000.0 * t / fs, knots_t, knots_f))
+        t += fs / f0 * scales[i]
+        i += 1
+    x = full_band_all_pole([1.0, -0.95], pulses)
+    for freq, bw in spec.formant_set:
+        x = full_band_all_pole(corpus._resonator_coeffs(freq, bw, fs), x)
+    peak = np.max(np.abs(x))
+    if peak > 0:
+        x = 0.5 * x / peak
+    return x
+
+
+def copying_noise(kind, n_samples, fs, seed):
+    """make_noise's samples as built before it wrote in place, each step a
+    new array and babble voices from `copying_synthesis`: the oracle the
+    in-place noise must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    if kind == "white":
+        x = rng.standard_normal(n_samples)
+    elif kind == "pink":
+        spec = np.fft.rfft(rng.standard_normal(n_samples))
+        freqs = np.fft.rfftfreq(n_samples, 1.0 / fs)
+        freqs[0] = freqs[1] if freqs.size > 1 else 1.0
+        x = np.fft.irfft(spec / np.sqrt(freqs), n_samples)
+    elif kind == "shaped":
+        spec = np.fft.rfft(rng.standard_normal(n_samples))
+        freqs = np.fft.rfftfreq(n_samples, 1.0 / fs)
+        gain = 1.0 / np.sqrt(1.0 + (freqs / 500.0) ** 2)
+        x = np.fft.irfft(spec * gain, n_samples)
+    elif kind == "hum":
+        times = np.arange(n_samples) / fs
+        x = np.zeros(n_samples)
+        for h, amp in ((1, 1.0), (2, 0.7), (3, 0.45), (4, 0.3)):
+            phase = rng.uniform(0, 2 * np.pi)
+            x += np.sin(2 * np.pi * 55.0 * h * times + phase) * amp
+        x += full_band_all_pole([1.0, -0.98], rng.standard_normal(n_samples)) * 0.3
+    elif kind == "bursts":
+        x = 0.1 * rng.standard_normal(n_samples)
+        for _ in range(max(1, n_samples // (fs // 4))):
+            start = int(rng.integers(0, max(1, n_samples - fs // 20)))
+            width = int(rng.integers(fs // 100, fs // 20))
+            stop = min(n_samples, start + width)
+            x[start:stop] += rng.standard_normal(stop - start) * np.hanning(stop - start)
+    else:
+        assert kind == "babble"
+        x = np.zeros(n_samples)
+        duration_ms = 1000.0 * n_samples / fs
+        for _ in range(6):
+            f0_base = float(rng.uniform(70, 320))
+            knots = tuple((t, float(np.clip(f0_base * rng.uniform(0.8, 1.25), 50, 400)))
+                          for t in np.linspace(0, duration_ms, 5))
+            voice = copying_synthesis(SynthUtteranceSpec(
+                f0_contour=knots, duration_ms=max(200.0, duration_ms),
+                formant_set=tuple((float(rng.uniform(lo, hi)), float(rng.uniform(80, 200)))
+                                  for lo, hi in corpus.BABBLE_FORMANT_RANGES),
+                jitter_pct=1.0, rng_seed=int(rng.integers(0, 2 ** 31)), sample_rate_hz=fs))
+            x[:len(voice)] += voice[:n_samples]
+    rms = float(np.sqrt(np.mean(x ** 2)))
+    return x / rms if rms > 0 else x
+
+
+class TestCopyingOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=synth_specs())
+    def test_synthesize_equals_copying_synthesis(self, spec):
+        assert np.array_equal(synthesize_utterance(spec)[0].samples, copying_synthesis(spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(NOISE_KINDS),
+           n=st.one_of(st.integers(300, 6000), st.sampled_from([2047, 2048, 2049, 4097])),
+           fs=st.sampled_from([8000, 16000, 22050]), seed=st.integers(0, 2 ** 31))
+    def test_make_noise_equals_copying_noise(self, kind, n, fs, seed):
+        assert np.array_equal(make_noise(kind, n, fs, seed).samples,
+                              copying_noise(kind, n, fs, seed))
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_make_noise_equals_copying_noise_at_each_rate(self, kind, fs):
+        assert np.array_equal(make_noise(kind, 6000, fs, seed=9).samples,
+                              copying_noise(kind, 6000, fs, seed=9))
+
+
 class TestNoise:
-    def test_hum_work_memory_bounded_by_the_output(self):
-        # each tone and the rumble are added in place; building every term
-        # through full-length temporaries peaks at 4.1x
-        tracemalloc.start()
-        try:
-            out = make_noise("hum", 48_000, 16_000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * out.samples.nbytes
+    # multiples of the output's bytes; building through temporaries and
+    # copying into the buffer peaked at white 3.0, pink 5.5, babble 3.32,
+    # hum 3.14, bursts 3.0 and shaped 6.0
+    WORK_MEMORY_BOUNDS = {"white": 2.5, "pink": 4.0, "babble": 2.8, "hum": 2.5,
+                          "bursts": 2.5, "shaped": 4.0}
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_work_memory_bounded_by_the_output(self, kind):
+        peak, out = traced_peak(lambda: make_noise(kind, 48_000, 16_000, seed=0))
+        assert peak < self.WORK_MEMORY_BOUNDS[kind] * out.samples.nbytes
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_unit_rms_and_deterministic(self, kind):

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from conftest import traced_peak
 from modepitch import emd
+from modepitch._lapack import solve_tridiagonal
 from modepitch.audio import SampleBuffer
 from modepitch.corpus import SynthUtteranceSpec, synthesize_utterance
 from modepitch.emd import (
@@ -19,6 +21,7 @@ from modepitch.emd import (
     write_imf_wav,
     _local_extrema,
     _mean_envelope,
+    _mirrored_knots,
 )
 
 FS = 8000
@@ -161,6 +164,164 @@ class TestDecompositionOracle:
         np.testing.assert_allclose(fast.residual, slow.residual, rtol=0, atol=1e-9)
 
 
+def copying_mean_envelope(h, maxima, minima):
+    """_mean_envelope as it was before it evaluated each spline in place:
+    both splines over one 2n index array. The oracle the in-place
+    evaluation must match bit for bit."""
+    n = h.size
+    t_up, v_up = _mirrored_knots(maxima, h[maxima], n - 1)
+    t_lo, v_lo = _mirrored_knots(minima, h[minima], n - 1)
+    m = t_up.size
+    t = np.concatenate([t_up, t_lo])
+    v = np.concatenate([v_up, v_lo])
+    ends = [0, m - 1, m, t.size - 1]
+    dx = np.diff(t).astype(np.float64)
+    slope = np.diff(v) / dx
+    system = np.empty((4, t.size))
+    lower, diag, upper, curv = system
+    lower[:-1] = dx
+    lower[[m - 2, m - 1, t.size - 2]] = 0.0
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    diag[ends] = 1.0
+    upper[:-1] = dx
+    upper[ends[:3]] = 0.0
+    curv[1:-1] = 6.0 * np.diff(slope)
+    curv[ends] = 0.0
+    solve_tridiagonal(system)
+    c1 = slope - dx * (2.0 * curv[:-1] + curv[1:]) / 6.0
+    c2 = 0.5 * curv[:-1]
+    c3 = (curv[1:] - curv[:-1]) / (6.0 * dx)
+    bounds = np.clip(t, 0, n)
+    bounds[m:] += n
+    j = np.repeat(np.arange(t.size - 1), np.diff(bounds))
+    t[m:] += n
+    s = np.arange(2 * n) - t[j]
+    env = ((c3[j] * s + c2[j]) * s + c1[j]) * s + v[j]
+    return 0.5 * (env[:n] + env[n:])
+
+
+def copying_sift_one_imf(r, cfg):
+    """_sift_one_imf as it was before it updated h in place."""
+    h = r
+    for _ in range(cfg.max_sift_iters):
+        maxima, minima = _local_extrema(h)
+        if maxima.size < 2 or minima.size < 2:
+            return None if h is r else h
+        mean_env = copying_mean_envelope(h, maxima, minima)
+        h_new = h - mean_env
+        denom = float(np.sum(h * h))
+        if denom == 0.0:
+            return None if h is r else h
+        sd = float(np.sum(mean_env * mean_env)) / denom
+        h = h_new
+        if sd < cfg.sift_stop_sd:
+            break
+    return h
+
+
+def copying_emd(data, cfg, max_imfs):
+    """The sift loop as it was before it wrote in place: a list of modes and
+    a new remainder per mode."""
+    modes = []
+    remainder = data.copy()
+    while len(modes) < max_imfs:
+        imf = copying_sift_one_imf(remainder, cfg)
+        if imf is None:
+            break
+        modes.append(imf)
+        remainder = remainder - imf
+    return np.reshape(modes, (len(modes), remainder.size)), remainder
+
+
+def copying_eemd(x, cfg, max_imfs):
+    """eemd_decompose's (modes, residual) as built before it wrote in place:
+    each trial's noisy input and modes new arrays. The oracle the in-place
+    ensemble must match bit for bit."""
+    data = x.samples.astype(np.float64)
+    noise_std = cfg.wgn_std_ratio * float(np.std(data)) if np.ptp(data) > 0 else 0.0
+    if noise_std == 0.0:
+        return copying_emd(data, cfg, max_imfs)
+    n = data.size
+    mode_sums = np.zeros((max_imfs, n))
+    residual_sum = np.zeros(n)
+    max_modes = 0
+    for seed in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.ensemble_size):
+        rng = np.random.default_rng(seed)
+        modes, remainder = copying_emd(data + noise_std * rng.standard_normal(n), cfg,
+                                       max_imfs)
+        for k, m in enumerate(modes):
+            mode_sums[k] += m
+        residual_sum += remainder
+        max_modes = max(max_modes, len(modes))
+    scale = 1.0 / cfg.ensemble_size
+    return mode_sums[:max_modes] * scale, residual_sum * scale
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, signed zeros included (a WAV dump writes the sign)."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _oracle_signal(kind, n, fs, seed):
+    if kind == "constant":
+        return SampleBuffer(np.full(n, 0.3), fs)
+    noise = np.random.default_rng(seed).standard_normal(n)
+    if kind == "noise":
+        return SampleBuffer(noise, fs)
+    vowel = synthesize_utterance(SynthUtteranceSpec(
+        f0_contour=((0, 120.0), (200, 260.0)), duration_ms=max(200.0, 1000.0 * n / fs),
+        rng_seed=seed, sample_rate_hz=fs))[0].samples[:n]
+    return SampleBuffer(vowel + 0.05 * noise, fs)
+
+
+class TestCopyingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=envelope_cases())
+    @example(case=_case(50, [0, 49], [0, 49]))
+    @example(case=_case(2, [0, 1], [0, 1]))
+    def test_mean_envelope_equals_copying_envelope(self, case):
+        h, maxima, minima = case
+        assert_same_bits(_mean_envelope(h, maxima, minima),
+                         copying_mean_envelope(h, maxima, minima))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["vowel", "noise"]), n=st.integers(300, 6000),
+           fs=st.sampled_from([8000, 16000, 22050]), ensemble=st.integers(1, 12),
+           max_imfs=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+    # the bounds of every range, and the paths with no injected noise
+    @example(kind="noise", n=6000, fs=22050, ensemble=12, max_imfs=8, seed=1)
+    @example(kind="vowel", n=300, fs=8000, ensemble=1, max_imfs=1, seed=2)
+    @example(kind="vowel", n=4650, fs=16000, ensemble=5, max_imfs=4, seed=3)
+    @example(kind="constant", n=500, fs=8000, ensemble=5, max_imfs=8, seed=0)
+    def test_eemd_equals_copying_eemd(self, kind, n, fs, ensemble, max_imfs, seed):
+        x = _oracle_signal(kind, n, fs, seed)
+        cfg = EmdConfig(ensemble_size=ensemble, rng_seed=seed)
+        got = eemd_decompose(x, cfg, max_imfs)
+        modes, residual = copying_eemd(x, cfg, max_imfs)
+        assert_same_bits(got.modes, modes)
+        assert_same_bits(got.residual, residual)
+
+    @pytest.mark.parametrize("kind", ["vowel", "noise"])
+    @pytest.mark.parametrize("max_imfs", [1, 3, 8])
+    def test_zero_noise_and_plain_emd_equal_copying_emd(self, kind, max_imfs):
+        x = _oracle_signal(kind, 3000, 8000, 4)
+        modes, residual = copying_emd(x.samples, EmdConfig(), max_imfs)
+        for got in (emd_decompose(x, EmdConfig(), max_imfs),
+                    eemd_decompose(x, EmdConfig(wgn_std_ratio=0.0), max_imfs)):
+            assert_same_bits(got.modes, modes)
+            assert_same_bits(got.residual, residual)
+
+    def test_plain_emd_keeps_negative_zeros(self, monkeypatch):
+        # each mode is added into -0.0, so a mode sample of -0.0 keeps its
+        # sign (added into +0.0 it would not)
+        imf = np.array([-0.0, 0.0, 1.0, -1.0] * 25)
+        found = iter([imf, None])
+        monkeypatch.setattr(emd, "_sift_one_imf", lambda r, cfg: next(found))
+        assert_same_bits(emd_decompose(SampleBuffer(np.ones(100), FS)).modes, imf[None])
+
+
 def _noisy_vowel(fs):
     buf = _vowel(fs)
     noise = 0.1 * np.random.default_rng(3).standard_normal(len(buf))
@@ -285,6 +446,16 @@ class TestEmd:
 
 
 class TestEemd:
+    def test_work_memory_bounded(self):
+        # the noise is drawn into one reused array, modes are summed and
+        # subtracted in place, and each spline is evaluated in place; new
+        # arrays per trial, mode and spline term peaked at 35.5x the input
+        x = _oracle_signal("noise", 4650, 8000, 0)
+        cfg = EmdConfig(ensemble_size=5, rng_seed=2)
+        peak, out = traced_peak(lambda: eemd_decompose(x, cfg, 4))
+        assert len(out) == 4
+        assert peak < 26 * x.samples.nbytes
+
     @pytest.mark.parametrize("signal,ensemble_size,wgn_std_ratio", [
         ("two_tone", 1, 0.0),
         ("two_tone", 5, 0.0),
@@ -349,7 +520,6 @@ class TestEemd:
 
     def test_averaging_linearity(self, rng):
         # the ensemble average equals the arithmetic mean of per-trial modes
-        from modepitch.emd import _emd_raw
         x = rng.standard_normal(1024)
         cfg = EmdConfig(ensemble_size=4, wgn_std_ratio=0.1, rng_seed=7)
         out = eemd_decompose(SampleBuffer(x, FS), cfg)
@@ -358,8 +528,8 @@ class TestEemd:
         acc = np.zeros((emd.DEFAULT_MAX_IMFS, x.size))
         for seed in seeds:
             gen = np.random.default_rng(seed)
-            modes, _ = _emd_raw(x + noise_std * gen.standard_normal(x.size), cfg,
-                                emd.DEFAULT_MAX_IMFS)
+            trial = SampleBuffer(x + noise_std * gen.standard_normal(x.size), FS)
+            modes = emd_decompose(trial, cfg, emd.DEFAULT_MAX_IMFS).modes
             for k, m in enumerate(modes):
                 acc[k] += m
         acc /= cfg.ensemble_size
@@ -373,6 +543,21 @@ class TestImfSet:
                                 (np.ones((2, 100)), np.ones((1, 100)))]:
             with pytest.raises(ValueError, match="rows as long as the 1-D residual"):
                 ImfSet(modes, residual, FS)
+
+    def test_read_only_owning_arrays_kept(self):
+        modes, residual = np.ones((2, 100)), np.zeros(100)
+        modes.setflags(write=False)
+        residual.setflags(write=False)
+        imfs = ImfSet(modes, residual, FS)
+        assert imfs.modes is modes and imfs.residual is residual
+
+    def test_read_only_views_copied(self):
+        base = np.ones((3, 100))
+        modes = base[:2]
+        modes.setflags(write=False)
+        imfs = ImfSet(modes, np.zeros(100), FS)
+        base[0, 0] = 5.0
+        assert imfs.modes is not modes and imfs.modes[0, 0] == 1.0
 
     def test_arrays_copied_read_only(self):
         modes = np.ones((2, 100))

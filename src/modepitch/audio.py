@@ -12,16 +12,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 INT16_FULL_SCALE = 32768.0
 
 
+def _adopted(a) -> bool:
+    """Whether a is a read-only float64 array that owns its data."""
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.owndata and not a.flags.writeable)
+
+
 def adopt(values) -> np.ndarray:
     """A read-only float64 array holding values: values itself when it is
-    already a read-only float64 array that owns its data, so no one holds a
-    writeable view of it, else a read-only copy.
+    already a read-only float64 array that owns its data, or a read-only
+    view of one, so no one holds a writeable view of it; else a read-only
+    copy.
 
     Code that builds an array and drops it hands it over with
-    ``x.setflags(write=False)`` first, and no copy is made.
+    ``x.setflags(write=False)`` first, and no copy is made. Slices of an
+    adopted array, such as a segment of a buffer's samples, share its memory.
     """
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.flags.owndata and not values.flags.writeable):
+    if _adopted(values) or (isinstance(values, np.ndarray) and values.dtype == np.float64
+                            and not values.flags.writeable and _adopted(values.base)):
         return values
     copy = np.array(values, dtype=np.float64)
     copy.setflags(write=False)
@@ -106,7 +114,8 @@ def _whole_samples(name: str, ms: float, sample_rate_hz: int) -> int:
 
 @dataclass(frozen=True)
 class Frame:
-    """One analysis frame: a raw slice plus its start time."""
+    """One analysis frame, or a (rows x n) stack of frames, plus the start
+    time of the first."""
 
     samples: np.ndarray
     sample_rate_hz: int

@@ -6,6 +6,8 @@ one "time_ms f0_hz" pair per line with 0 marking unvoiced frames.
 """
 from __future__ import annotations
 
+import bisect
+import math
 import os
 from dataclasses import dataclass
 
@@ -61,6 +63,25 @@ class SynthUtteranceSpec:
 
     def contour_at(self, times_ms) -> np.ndarray:
         return np.interp(np.asarray(times_ms, dtype=np.float64), *self.knots())
+
+
+def _interp_at(x: float, xp: list[float], fp: list[float]) -> float:
+    """``np.interp(x, xp, fp)`` for one float and strictly increasing knots,
+    in Python floats: clamped to the end knots, exact at a knot, else
+    slope * (x - x_j) + f_j with np.interp's fallbacks for a NaN result, so
+    it gives the same bits without a numpy call."""
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if math.isnan(y):
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if math.isnan(y) and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
 
 
 def _all_pole(a, x: np.ndarray) -> None:
@@ -127,12 +148,13 @@ def synthesize_utterance(spec: SynthUtteranceSpec) -> tuple[SampleBuffer, FrameP
     wobble = np.clip(np.random.default_rng(spec.rng_seed).standard_normal(
         int(n / min_period) + 2), -3.0, 3.0)
     scales = (1.0 + wobble * spec.jitter_pct / 100.0).tolist()
+    xp, fp = knots_t.tolist(), knots_f.tolist()
     x = np.zeros(n)
     t = 0.0
     i = 0
     while t < n:
         x[int(t)] += 1.0
-        f0 = float(np.interp(1000.0 * t / fs, knots_t, knots_f))
+        f0 = _interp_at(1000.0 * t / fs, xp, fp)
         t += fs / f0 * scales[i]
         i += 1
 

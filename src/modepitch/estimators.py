@@ -53,19 +53,24 @@ class EstimatorConfig:
 
 
 # one pitch candidate per slot of a (frames x slots) array; NaN marks an
-# empty slot. The frame estimators return one as an (f0_hz, salience) pair.
+# empty slot. The frame estimators return an (f0_hz, salience) pair per frame.
 CANDIDATE = np.dtype([("f0_hz", np.float64), ("salience", np.float64)])
 
 
-def _frame_spectrum(frame, cfg: EstimatorConfig, spectrum) -> Spectrum:
-    """Validate the frame, zero-pad it to next_pow2(4n) and take its Hann-windowed
-    spectrum with `spectrum` (power_spectrum or magnitude_spectrum)."""
+def _frame_spectrum(frame, cfg: EstimatorConfig, spectrum) -> tuple[Spectrum, np.ndarray]:
+    """Validate the frame, zero-pad it to next_pow2(4n) and take its
+    Hann-windowed spectrum with `spectrum` (power_spectrum or
+    magnitude_spectrum). frame.samples is one frame or a (rows x n) stack,
+    spectra along the last axis; also returns which frames hold a nonzero
+    sample. A single frame of zeros raises ValueError."""
     x = np.asarray(frame.samples, dtype=np.float64)
     fs = frame.sample_rate_hz
-    cfg.check_frame(x.size / fs)
-    if not np.any(x):
+    n = x.shape[-1] if x.ndim else 0
+    cfg.check_frame(n / fs)
+    live = np.any(x, axis=-1)
+    if x.ndim == 1 and not live:
         raise ValueError("degenerate frame (all zeros)")
-    return spectrum(x, fs, next_pow2(4 * x.size))
+    return spectrum(x, fs, next_pow2(4 * n)), live
 
 
 def _log_spectrum(spec: Spectrum, cfg: EstimatorConfig,
@@ -98,28 +103,48 @@ def _refined_peak(scores: np.ndarray, cands: np.ndarray, bins_per_octave: int,
     return f0, float(scores[best])
 
 
-def _comb(read, cand_hz: np.ndarray, counts: np.ndarray,
-          offsets: tuple[float, ...]) -> list[np.ndarray]:
-    """Spectrum values at the comb positions (h + offset) * f0, h = 1..count.
+def _per_frame(pairs, live: np.ndarray):
+    """(f0_hz, salience) of each frame from an iterable of per-frame pairs:
+    two floats for a single frame, else two arrays with NaN at the frames
+    in which live is False."""
+    f0, salience = np.array(list(pairs)).reshape(live.shape + (2,)).T
+    if live.ndim == 0:
+        return float(f0), float(salience)
+    return np.where(live, f0, np.nan), np.where(live, salience, np.nan)
 
-    Returns one (candidates x max count) array per offset. Each is filled
-    by a single read(f0, h + offset) call over exactly the counted
-    positions of every candidate, and holds 0 where h exceeds the count.
+
+def _comb(spectra: np.ndarray, xp: np.ndarray, at, cand_hz: np.ndarray,
+          counts: np.ndarray, offsets: tuple[float, ...]):
+    """Spectrum values at the comb positions (h + offset) * f0, h = 1..count,
+    for each spectrum along the last axis of spectra, sampled at xp.
+
+    at(f0, h) maps comb positions onto xp's scale. The positions are built
+    once, harmonic-major: within one harmonic they ascend with the
+    candidates, so np.interp finds each one next to the last. Yields, per
+    spectrum, one (candidates x max count) array per offset, each filled by
+    a single np.interp call over exactly the counted positions of every
+    candidate and 0 where h exceeds the count.
     """
     h = np.arange(1, counts.max(initial=0) + 1)
-    kept = h <= counts[:, None]
-    f0 = np.broadcast_to(cand_hz[:, None], kept.shape)[kept]
-    h_kept = np.broadcast_to(h, kept.shape)[kept]
-    rows = []
-    for offset in offsets:
-        values = np.zeros(kept.shape)
-        values[kept] = read(f0, h_kept + offset)
-        rows.append(values)
-    return rows
+    kept = h[:, None] <= counts  # (harmonics x candidates)
+    f0 = np.broadcast_to(cand_hz, kept.shape)[kept]
+    h_kept = np.broadcast_to(h[:, None], kept.shape)[kept]
+    positions = [at(f0, h_kept + offset) for offset in offsets]
+    for spectrum in spectra.reshape(-1, xp.size):
+        rows = []
+        for pos in positions:
+            values = np.zeros((cand_hz.size, h.size))
+            values.T[kept] = np.interp(pos, xp, spectrum)
+            rows.append(values)
+        yield rows
 
 
-def _log_reader(logspec: LogSpectrum):
-    return lambda f0, h: logspec.sample(np.log2(f0) + np.log2(h))
+def _log_comb(logspec: LogSpectrum, cand_hz, counts, offsets):
+    """_comb over the log-frequency views of logspec."""
+    xp = np.arange(logspec.values.shape[-1], dtype=np.float64)
+    return _comb(logspec.values, xp,
+                 lambda f0, h: logspec.index(np.log2(f0) + np.log2(h)),
+                 cand_hz, counts, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +154,7 @@ def _log_reader(logspec: LogSpectrum):
 def harmonic_summation_scores(logspec: LogSpectrum, cand_hz: np.ndarray,
                               num_harmonics: int = EstimatorConfig.pefac_num_harmonics
                               ) -> np.ndarray:
-    """Comb-filter response at each candidate F0.
+    """Comb-filter response at each candidate F0, one row per spectrum.
 
     The filter places impulses of weight w_h = 1/sqrt(h) at log2(h) for
     h = 1..H and impulses of weight -w_h/2 at the flanking half-harmonic
@@ -143,32 +168,41 @@ def harmonic_summation_scores(logspec: LogSpectrum, cand_hz: np.ndarray,
     top_log2 = logspec.grid_log2()[-1]
     counts = np.minimum(num_harmonics,
                         (2.0 ** (top_log2 - np.log2(cand_hz)) - 0.5).astype(int))
-    peaks, lo, hi = _comb(_log_reader(logspec), cand_hz, counts, (0.0, -0.5, 0.5))
-    weights = 1.0 / np.sqrt(np.arange(1, peaks.shape[1] + 1))
-    return np.where(counts >= 1, (peaks - 0.5 * (lo + hi)) @ weights, -np.inf)
+    weights = 1.0 / np.sqrt(np.arange(1, counts.max(initial=0) + 1))
+    scores = np.full(logspec.values.shape[:-1] + cand_hz.shape, -np.inf)
+    for out, (peaks, lo, hi) in zip(scores.reshape(-1, cand_hz.size),
+                                    _log_comb(logspec, cand_hz, counts, (0.0, -0.5, 0.5))):
+        out[:] = np.where(counts >= 1, (peaks - 0.5 * (lo + hi)) @ weights, -np.inf)
+    return scores
 
 
 def pefac_scores(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate grid and comb response for one frame.
+    """Candidate grid and comb response of one frame, or of each row of a
+    (rows x n) stack as a (rows x candidates) array whose all-zero rows
+    are NaN.
 
     The log-frequency power spectrum is amplitude-compressed
     (power**pefac_compression) before filtering so formant peaks cannot
     drown the harmonic pattern.
     """
-    logspec = _log_spectrum(_frame_spectrum(frame, cfg, power_spectrum), cfg,
-                            cfg.pefac_num_harmonics)
+    spec, live = _frame_spectrum(frame, cfg, power_spectrum)
+    logspec = _log_spectrum(spec, cfg, cfg.pefac_num_harmonics)
+    del spec  # only the log-frequency views live through the comb reads
     compressed = replace(logspec, values=logspec.values ** cfg.pefac_compression)
     cands = log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
-    return cands, harmonic_summation_scores(compressed, cands,
-                                            cfg.pefac_num_harmonics)
+    scores = harmonic_summation_scores(compressed, cands, cfg.pefac_num_harmonics)
+    scores[~live] = np.nan
+    return cands, scores
 
 
-def pefac_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
-                   ) -> tuple[float, float]:
-    """(f0_hz, salience) of the harmonic-summation response's maximum."""
+def pefac_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()):
+    """(f0_hz, salience) of the harmonic-summation response's maximum: two
+    floats for one frame, two arrays (NaN at all-zero rows) for a stack."""
     cands, scores = pefac_scores(frame, cfg)
-    return _refined_peak(scores, cands, cfg.bins_per_octave, cfg.f_min, cfg.f_max)
+    return _per_frame((_refined_peak(row, cands, cfg.bins_per_octave, cfg.f_min, cfg.f_max)
+                       for row in scores.reshape(-1, cands.size)),
+                      ~np.isnan(scores[..., 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +212,8 @@ def pefac_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = Estimator
 def subharmonic_ratio_curves(logspec: LogSpectrum, cand_hz: np.ndarray,
                              max_harmonics: int = EstimatorConfig.shr_max_harmonics
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Harmonic sum SH(F0) and subharmonic sum SS(F0) per candidate.
+    """Harmonic sum SH(F0) and subharmonic sum SS(F0) per candidate, one
+    row per spectrum.
 
     SH sums amplitudes at n*F0, SS at (n - 1/2)*F0, n = 1..N, both truncated
     where positions leave the spectrum support (but never below n = 1).
@@ -186,18 +221,20 @@ def subharmonic_ratio_curves(logspec: LogSpectrum, cand_hz: np.ndarray,
     top_log2 = logspec.grid_log2()[-1]
     counts = np.maximum(np.minimum(
         max_harmonics, (2.0 ** (top_log2 - np.log2(cand_hz))).astype(int)), 1)
-    harmonic, subharmonic = _comb(_log_reader(logspec), cand_hz, counts, (0.0, -0.5))
-    return harmonic.sum(axis=1), subharmonic.sum(axis=1)
+    sh = np.zeros(logspec.values.shape[:-1] + cand_hz.shape)
+    ss = np.zeros_like(sh)
+    for sh_row, ss_row, (harmonic, subharmonic) in zip(
+            sh.reshape(-1, cand_hz.size), ss.reshape(-1, cand_hz.size),
+            _log_comb(logspec, cand_hz, counts, (0.0, -0.5))):
+        sh_row[:] = harmonic.sum(axis=1)
+        ss_row[:] = subharmonic.sum(axis=1)
+    return sh, ss
 
 
-def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
-                 ) -> tuple[float, float]:
-    """(f0_hz, salience) of the harmonic-sum peak, demoted one octave when
-    the subharmonic-to-harmonic ratio exceeds the threshold."""
-    logspec = _log_spectrum(_frame_spectrum(frame, cfg, magnitude_spectrum), cfg,
-                            cfg.shr_max_harmonics)
-    cands = log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
-    sh, ss = subharmonic_ratio_curves(logspec, cands, cfg.shr_max_harmonics)
+def _shr_pick(sh: np.ndarray, ss: np.ndarray, cands: np.ndarray,
+              cfg: EstimatorConfig) -> tuple[float, float]:
+    """(f0_hz, salience) of one frame's harmonic-sum peak, demoted one
+    octave when the subharmonic-to-harmonic ratio exceeds the threshold."""
     best = int(np.argmax(sh))
     sh_best = float(sh[best])
     ss_best = float(ss[best])
@@ -209,36 +246,54 @@ def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorCo
     return f0, max(0.0, (sh_best - ss_best) / total) if total > 0 else 0.0
 
 
+def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()):
+    """(f0_hz, salience) of the harmonic-sum peak, demoted one octave when
+    the subharmonic-to-harmonic ratio exceeds the threshold: two floats for
+    one frame, two arrays (NaN at all-zero rows) for a stack."""
+    spec, live = _frame_spectrum(frame, cfg, magnitude_spectrum)
+    logspec = _log_spectrum(spec, cfg, cfg.shr_max_harmonics)
+    del spec  # only the log-frequency views live through the comb reads
+    cands = log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
+    sh, ss = subharmonic_ratio_curves(logspec, cands, cfg.shr_max_harmonics)
+    return _per_frame((_shr_pick(a, b, cands, cfg) for a, b in
+                       zip(sh.reshape(-1, cands.size), ss.reshape(-1, cands.size))), live)
+
+
 # ---------------------------------------------------------------------------
 # SWIPE: average peak-to-valley distance of a harmonic comb
 # ---------------------------------------------------------------------------
 
 def swipe_apvd(spec: Spectrum, cand_hz: np.ndarray,
                num_peaks: int = EstimatorConfig.swipe_num_peaks) -> np.ndarray:
-    """Average peak-to-valley distance D(f) per candidate.
+    """Average peak-to-valley distance D(f) per candidate, one row per
+    spectrum.
 
     d_n(f) = |X(nf)| - ([|X((n-1/2)f)| + |X((n+1/2)f)|]) / 2, averaged over
     the first num_peaks peaks; peaks whose upper valley leaves the spectrum
     are dropped and the average renormalized. A candidate left with no
     peak scores -inf.
     """
-    freqs = spec.frequencies()
     counts = np.minimum(num_peaks, (spec.max_hz / cand_hz - 0.5).astype(int))
-    peak, lo, hi = _comb(lambda f0, h: np.interp(h * f0, freqs, spec.bins),
-                         cand_hz, counts, (0.0, -0.5, 0.5))
-    return np.divide((peak - 0.5 * (lo + hi)).sum(axis=1), counts,
-                     out=np.full(cand_hz.size, -np.inf), where=counts >= 1)
+    apvd = np.full(spec.bins.shape[:-1] + cand_hz.shape, -np.inf)
+    for out, (peak, lo, hi) in zip(apvd.reshape(-1, cand_hz.size),
+                                   _comb(spec.bins, spec.frequencies(),
+                                         lambda f0, h: h * f0,
+                                         cand_hz, counts, (0.0, -0.5, 0.5))):
+        np.divide((peak - 0.5 * (lo + hi)).sum(axis=1), counts, out=out,
+                  where=counts >= 1)
+    return apvd
 
 
-def swipe_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()
-                   ) -> tuple[float, float]:
+def swipe_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()):
     """(f0_hz, salience) of the harmonic comb that best matches the
-    magnitude spectrum."""
-    spec = _frame_spectrum(frame, cfg, magnitude_spectrum)
+    magnitude spectrum: two floats for one frame, two arrays (NaN at
+    all-zero rows) for a stack."""
+    spec, live = _frame_spectrum(frame, cfg, magnitude_spectrum)
     cands = log_grid(cfg.f_min, cfg.swipe_f_max, cfg.swipe_bins_per_octave)
     scores = swipe_apvd(spec, cands, cfg.swipe_num_peaks)
-    return _refined_peak(scores, cands, cfg.swipe_bins_per_octave,
-                         cfg.f_min, cfg.swipe_f_max)
+    return _per_frame((_refined_peak(row, cands, cfg.swipe_bins_per_octave,
+                                     cfg.f_min, cfg.swipe_f_max)
+                       for row in scores.reshape(-1, cands.size)), live)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ from .vad import VadConfig, detect_voiced, voiced_segments
 LOW = "low"
 HIGH = "high"
 SMOOTH_FRAMES = 5  # per-mode PEFAC score curves are averaged over this many frames
+# frames per comb estimator call. A call builds its comb geometry once and
+# holds one linear spectrum per frame (32 KB at 16 kHz), so a fixed block
+# keeps its work memory from growing with the utterance; blocks of 16 raised
+# comb_raw's peak_rss_mb by 0.2-0.3 MB, blocks of 4 did not
+_BLOCK_ROWS = 4
 ESTIMATORS = (*FRAME_ESTIMATORS, "hht")  # every name analyze_utterance accepts
 
 
@@ -176,12 +181,33 @@ def _smoothed_argmax_track(cands: np.ndarray, scores: np.ndarray,
     return np.where(counts > 0, picks, np.nan)
 
 
+def _blocks(start: int, stop: int):
+    """Slices that cover the frame rows [start, stop), _BLOCK_ROWS at a time."""
+    for first in range(start, stop, _BLOCK_ROWS):
+        yield slice(first, min(first + _BLOCK_ROWS, stop))
+
+
+def _comb_candidates(estimate, frames: np.ndarray, fs: int, segments) -> np.ndarray:
+    """(frames x 1) CANDIDATE array of a comb estimator's (f0_hz, salience)
+    over the rows of each segment (a slice of frames), scored _BLOCK_ROWS
+    rows per call; rows outside the segments, and all-zero rows, stay empty."""
+    hop_ms = AnalysisConfig.frame.hop_ms
+    cands = np.full((len(frames), 1), np.nan, CANDIDATE)
+    for segment in segments:
+        for rows in _blocks(segment.start, segment.stop):
+            f0, salience = estimate(Frame(frames[rows], fs, rows.start * hop_ms))
+            cands["f0_hz"][rows, 0] = f0
+            cands["salience"][rows, 0] = salience
+    return cands
+
+
 def imf_pitch_vector(imfs: ImfSet) -> np.ndarray:
     """Frame-by-frame PEFAC F0 on each of the first k_imfs modes, as a
     (frames x k_imfs) matrix (all modes share the source length, so the
-    framing is identical). Each mode's comb score curves are averaged over
-    SMOOTH_FRAMES neighboring frames before the argmax. A mode frame PEFAC
-    cannot score counts as missing in that average; a frame whose whole
+    framing is identical). PEFAC scores each mode's frames _BLOCK_ROWS at a
+    time, and the comb score curves are averaged over SMOOTH_FRAMES
+    neighboring frames before the argmax. A mode frame PEFAC cannot score
+    (all zeros) counts as missing in that average; a frame whose whole
     window is missing yields NaN for that mode.
     """
     k_imfs, spec, est = ProConfig.k_imfs, AnalysisConfig.frame, EstimatorConfig
@@ -193,15 +219,10 @@ def imf_pitch_vector(imfs: ImfSet) -> np.ndarray:
     per_mode = []
     for mode in imfs.modes[:k_imfs]:
         frames = spec.frames(mode, fs)
-        scores = np.full((len(frames), cands.size), -np.inf)
-        valid = np.zeros(len(frames), dtype=bool)
-        for i, row in enumerate(frames):
-            try:
-                scores[i] = pefac_scores(Frame(row, fs, i * spec.hop_ms))[1]
-                valid[i] = True
-            except ValueError:
-                pass
-        per_mode.append(_smoothed_argmax_track(cands, scores, valid))
+        scores = np.empty((len(frames), cands.size))
+        for rows in _blocks(0, len(frames)):
+            scores[rows] = pefac_scores(Frame(frames[rows], fs, rows.start * spec.hop_ms))[1]
+        per_mode.append(_smoothed_argmax_track(cands, scores, ~np.isnan(scores[:, 0])))
     return np.column_stack(per_mode)
 
 
@@ -307,8 +328,9 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     the modes the requested keys read (pro.k_imfs for pro,
     estimator.hht_num_imfs for hht, the larger for both); its per-mode
     F0 rows and hht candidates land at the segment's frames. pefac, shr and
-    swipe then score the voiced rows of the utterance framing, and each
-    (f0_hz, salience) pair they return fills the frame's one slot. Each
+    swipe then score each segment's rows of the utterance framing,
+    _BLOCK_ROWS per call, and each (f0_hz, salience) pair they return fills
+    the frame's one slot (left empty for an all-zero frame). Each
     estimator keeps one (frames x slots) CANDIDATE array (one slot per mode
     for hht, one slot otherwise). One region pass then classifies all
     voiced frames in order, so a frame without mode evidence inherits the
@@ -333,29 +355,26 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
 
     voiced = np.zeros(n_track, dtype=bool)
     mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
-    cands = {est: np.full((n_track, cfg.estimator.hht_num_imfs if est == "hht" else 1),
-                          np.nan, CANDIDATE) for est in estimators}
+    hht_cands = np.full((n_track, cfg.estimator.hht_num_imfs), np.nan, CANDIDATE)
+    segments = []  # the frame rows of each voiced segment
     for first, last in voiced_segments(detect_voiced(buf)):
         seg = buf.samples[first * hop:last * hop + vad_len]
         n_frames = cfg.frame.num_frames(len(seg), fs)
         rows = slice(first, first + n_frames)
         voiced[rows] = True
+        segments.append(rows)
         if n_frames == 0 or not (pro or hht):
             continue
         decomposition = eemd_decompose(SampleBuffer(seg, fs), cfg.emd, n_modes)
         if pro and len(decomposition) >= cfg.pro.k_imfs:
             mode_f0[rows] = imf_pitch_vector(decomposition)
         if hht and len(decomposition) >= cfg.estimator.hht_num_imfs:
-            cands["hht"][rows] = hht_candidates(decomposition)
+            hht_cands[rows] = hht_candidates(decomposition)
     # a segment's frame i is the utterance's frame first + i, so the comb
-    # estimators score the voiced rows of the one utterance framing
-    for est in [e for e in estimators if e != "hht"]:
-        for i in np.flatnonzero(voiced):
-            try:
-                cands[est][i, 0] = FRAME_ESTIMATORS[est](
-                    Frame(frames[i], fs, float(times[i])))
-            except ValueError:
-                pass
+    # estimators score the segment's rows of the one utterance framing
+    cands = {est: hht_cands if est == "hht"
+             else _comb_candidates(FRAME_ESTIMATORS[est], frames, fs, segments)
+             for est in estimators}
 
     regions = tuple(classify_frames(mode_f0, np.flatnonzero(voiced))) if pro else ()
     out: dict[tuple[str, str], MethodResult] = {}

@@ -8,7 +8,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided spectrum with uniform bin spacing."""
+    """One-sided spectrum with uniform bin spacing along the last axis of
+    bins; leading axes, if any, index frames."""
 
     bins: np.ndarray
     bin_hz: float
@@ -19,15 +20,16 @@ class Spectrum:
 
     @property
     def max_hz(self) -> float:
-        return (len(self.bins) - 1) * self.bin_hz
+        return (self.bins.shape[-1] - 1) * self.bin_hz
 
     def frequencies(self) -> np.ndarray:
-        return np.arange(len(self.bins)) * self.bin_hz
+        return np.arange(self.bins.shape[-1]) * self.bin_hz
 
 
 @dataclass(frozen=True)
 class LogSpectrum:
-    """Spectrum resampled onto a base-2 logarithmic frequency grid."""
+    """Spectrum resampled onto a base-2 logarithmic frequency grid along
+    the last axis of values; leading axes, if any, index frames."""
 
     values: np.ndarray
     log2_f_start: float
@@ -38,46 +40,57 @@ class LogSpectrum:
             raise ValueError("step_log2 must be positive")
 
     def grid_log2(self) -> np.ndarray:
-        return self.log2_f_start + np.arange(len(self.values)) * self.step_log2
+        return self.log2_f_start + np.arange(self.values.shape[-1]) * self.step_log2
+
+    def index(self, log2_f) -> np.ndarray:
+        """Fractional grid index of arbitrary log2-frequency positions."""
+        return (np.asarray(log2_f) - self.log2_f_start) / self.step_log2
 
     def sample(self, log2_f) -> np.ndarray:
-        """Linear interpolation at arbitrary log2-frequency positions."""
-        pos = (np.asarray(log2_f) - self.log2_f_start) / self.step_log2
-        return np.interp(pos, np.arange(len(self.values)), self.values)
+        """Linear interpolation of a single spectrum at arbitrary
+        log2-frequency positions."""
+        return np.interp(self.index(log2_f), np.arange(len(self.values)), self.values)
 
 
-def _windowed_rfft(samples: np.ndarray, nfft: int) -> np.ndarray:
-    """rfft of the Hann-windowed frame zero-padded to nfft, a power of two >= n."""
+def _hann_spectra(samples: np.ndarray, nfft: int, bins_of) -> np.ndarray:
+    """bins_of(rfft) of each Hann-windowed frame along the last axis of
+    samples, zero-padded to nfft, a power of two >= n. The window is built
+    once and the FFTs are taken one frame at a time, so only the output
+    is stacked."""
     x = np.asarray(samples, dtype=np.float64)
-    n = x.size
+    n = x.shape[-1] if x.ndim else 0
     if n == 0:
         raise ValueError("empty frame")
     if nfft < n:
         raise ValueError(f"nfft={nfft} smaller than frame length {n}")
     if nfft & (nfft - 1):
         raise ValueError(f"nfft={nfft} is not a power of two")
-    return np.fft.rfft(x * np.hanning(n), nfft)
+    window = np.hanning(n)
+    out = np.empty(x.shape[:-1] + (nfft // 2 + 1,))
+    for row, bins in zip(x.reshape(-1, n), out.reshape(-1, out.shape[-1])):
+        bins[:] = bins_of(np.fft.rfft(row * window, nfft))
+    return out
 
 
 def power_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int) -> Spectrum:
-    """One-sided power spectrum of the Hann-windowed, zero-padded frame.
+    """One-sided power spectrum of the Hann-windowed, zero-padded frame, or
+    of each frame along the last axis of a stack.
 
     Scaled so the bins sum to the mean-square power of the windowed frame
     (Parseval), with interior bins doubled to fold in negative frequencies.
     """
-    spec = _windowed_rfft(samples, nfft)
-    n = np.size(samples)
-    power = (spec.real ** 2 + spec.imag ** 2) / (nfft * n)
-    power[1:] *= 2.0
+    power = _hann_spectra(samples, nfft, lambda spec: spec.real ** 2 + spec.imag ** 2)
+    power /= nfft * np.shape(samples)[-1]
+    power[..., 1:] *= 2.0
     if nfft % 2 == 0:
-        power[-1] *= 0.5
+        power[..., -1] *= 0.5
     return Spectrum(bins=power, bin_hz=sample_rate_hz / nfft)
 
 
 def magnitude_spectrum(samples: np.ndarray, sample_rate_hz: int, nfft: int) -> Spectrum:
-    """One-sided magnitude spectrum |X(f)| of the Hann-windowed frame."""
-    mags = np.abs(_windowed_rfft(samples, nfft))
-    return Spectrum(bins=mags, bin_hz=sample_rate_hz / nfft)
+    """One-sided magnitude spectrum |X(f)| of the Hann-windowed frame, or of
+    each frame along the last axis of a stack."""
+    return Spectrum(bins=_hann_spectra(samples, nfft, np.abs), bin_hz=sample_rate_hz / nfft)
 
 
 def analytic_signal(x: np.ndarray) -> np.ndarray:
@@ -138,10 +151,14 @@ def log_grid(f_lo: float, f_hi: float, bins_per_octave: int) -> np.ndarray:
 def to_log_frequency(s: Spectrum, f_lo: float, f_hi: float,
                      bins_per_octave: int) -> LogSpectrum:
     """Resample a linear-frequency spectrum onto log_grid(f_lo, f_hi,
-    bins_per_octave) by linear interpolation."""
+    bins_per_octave) by linear interpolation, frame by frame of a stack."""
     if f_hi > s.max_hz * (1 + 1e-12):
         raise ValueError(f"f_hi={f_hi} beyond spectrum support {s.max_hz:.1f} Hz")
-    values = np.interp(log_grid(f_lo, f_hi, bins_per_octave), s.frequencies(), s.bins)
+    grid, freqs = log_grid(f_lo, f_hi, bins_per_octave), s.frequencies()
+    values = np.empty(s.bins.shape[:-1] + grid.shape)
+    for out, bins in zip(values.reshape(-1, grid.size),
+                         s.bins.reshape(-1, freqs.size)):
+        out[:] = np.interp(grid, freqs, bins)
     return LogSpectrum(values=values, log2_f_start=np.log2(f_lo),
                        step_log2=1.0 / bins_per_octave)
 

@@ -73,6 +73,13 @@ class TestSampleBuffer:
         base[2] = 1.0
         assert buf.samples is not view and buf.samples[0] == 0.0
 
+    def test_slice_of_a_buffer_shares_its_memory(self):
+        # the base is read-only and owns its data, so no one can write it
+        buf = SampleBuffer(np.arange(10.0), FS)
+        seg = SampleBuffer(buf.samples[2:7], FS)
+        assert np.shares_memory(seg.samples, buf.samples)
+        assert not seg.samples.flags.writeable
+
     def test_read_only_owning_array_is_kept(self):
         values = np.zeros(10)
         values.setflags(write=False)

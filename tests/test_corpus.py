@@ -187,6 +187,27 @@ class TestPulseLoopOracle:
                                   jitter_pct=1.0, rng_seed=11, sample_rate_hz=16000)
         assert_same_synthesis(synthesize_utterance(spec), per_pulse_synthesis(spec))
 
+    def test_synthesize_equals_per_pulse_loop_on_a_subnormal_knot_gap(self):
+        # knots one subnormal step apart: the slope between them is inf, so
+        # only np.interp's exact-at-a-knot rule keeps the first F0 finite
+        spec = SynthUtteranceSpec(f0_contour=((0.0, 50.0), (5e-324, 51.0)))
+        assert_same_synthesis(synthesize_utterance(spec), per_pulse_synthesis(spec))
+
+    @settings(max_examples=300, deadline=None)
+    @given(knots=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(50.0, 400.0)),
+                          min_size=1, max_size=5, unique_by=lambda k: k[0]),
+           x=st.floats(-2e3, 2e3), at_knot=st.booleans(), nudge=st.integers(-2, 2))
+    def test_interp_at_equals_np_interp(self, knots, x, at_knot, nudge):
+        # x is drawn anywhere, or at a knot moved a few ulps either way
+        xp, fp = map(list, zip(*sorted(knots)))
+        if at_knot:
+            x = xp[len(xp) // 2]
+            for _ in range(abs(nudge)):
+                x = np.nextafter(x, np.inf if nudge > 0 else -np.inf)
+        x = float(x)
+        want = np.interp(x, np.array(xp), np.array(fp))
+        assert np.array_equal(corpus._interp_at(x, xp, fp), want)
+
     @pytest.mark.parametrize("fs", [8000, 16000])
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_make_noise_equals_per_pulse_loop(self, monkeypatch, fs, kind):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS, glottal_pulse_train, tone
-from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
+from modepitch.audio import Frame, FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
 from modepitch.estimators import (
@@ -248,6 +248,79 @@ class TestSwipe:
         f0, _ = swipe_estimate(first_frame(SampleBuffer(saw, FS)), CFG)
         assert f0 == pytest.approx(480.0, rel=0.03)
         assert 50.0 <= f0 <= 500.0
+
+
+def stack_of_frames(fs, rows, zero_row=None):
+    """rows analysis frames of a noisy 160 Hz pulse train at fs, one hop
+    apart, with row zero_row set to zeros."""
+    buf = glottal_pulse_train(160.0, duration_s=0.1 + 0.01 * rows, fs=fs)
+    x = buf.samples + 0.05 * np.random.default_rng(rows).standard_normal(len(buf))
+    frames = FrameSpec().frames(x, fs)[:rows].copy()
+    if zero_row is not None:
+        frames[zero_row] = 0.0
+    return frames
+
+
+STACK_SHAPES = pytest.mark.parametrize(
+    "rows,zero_row", [(1, None), (separation._BLOCK_ROWS, 0),
+                      (separation._BLOCK_ROWS + 1, separation._BLOCK_ROWS)],
+    ids=["one-row", "one-block", "past-a-block"])
+RATES = pytest.mark.parametrize("fs", [8000, 16000, 22050])
+
+
+class TestFrameStacks:
+    """A (rows x n) stack gives, row for row, the bits of one-frame calls;
+    an all-zero row gives no estimate (NaN), where a one-frame call raises."""
+
+    @RATES
+    @STACK_SHAPES
+    @pytest.mark.parametrize("name", ["pefac", "shr", "swipe"])
+    def test_estimates_equal_one_frame_calls(self, name, fs, rows, zero_row):
+        frames = stack_of_frames(fs, rows, zero_row)
+        f0, salience = FRAME_ESTIMATORS[name](Frame(frames, fs, 0.0))
+        assert f0.shape == salience.shape == (rows,)
+        for i, row in enumerate(frames):
+            if i == zero_row:
+                assert np.isnan(f0[i]) and np.isnan(salience[i])
+                with pytest.raises(ValueError, match="degenerate"):
+                    FRAME_ESTIMATORS[name](Frame(row, fs, 0.0))
+                continue
+            single = FRAME_ESTIMATORS[name](Frame(row, fs, 0.0))
+            assert all(type(v) is float for v in single)
+            assert (f0[i], salience[i]) == single
+
+    @RATES
+    @STACK_SHAPES
+    def test_pefac_scores_equal_one_frame_calls(self, fs, rows, zero_row):
+        frames = stack_of_frames(fs, rows, zero_row)
+        cands, scores = estimators.pefac_scores(Frame(frames, fs, 0.0))
+        assert scores.shape == (rows, cands.size)
+        for i, row in enumerate(frames):
+            if i == zero_row:
+                assert np.isnan(scores[i]).all()
+                continue
+            single_cands, single = estimators.pefac_scores(Frame(row, fs, 0.0))
+            assert np.array_equal(single_cands, cands)
+            assert np.array_equal(scores[i], single)
+
+    @pytest.mark.parametrize("comb", ["harmonic_summation_scores",
+                                      "subharmonic_ratio_curves"])
+    def test_log_combs_score_each_spectrum(self, comb, rng):
+        views = rng.uniform(0, 1, (3, 300))
+        stacked = LogSpectrum(values=views, log2_f_start=math.log2(25.0), step_log2=1 / 48)
+        cands = random_candidates(rng, 2.0 ** stacked.grid_log2()[-1])
+        got = np.asarray(getattr(estimators, comb)(stacked, cands))
+        for i, row in enumerate(views):
+            single = getattr(estimators, comb)(
+                LogSpectrum(values=row, log2_f_start=math.log2(25.0), step_log2=1 / 48), cands)
+            assert np.array_equal(got[..., i, :], np.asarray(single))
+
+    def test_swipe_apvd_scores_each_spectrum(self, rng):
+        bins = rng.uniform(0, 1, (3, 257))
+        cands = random_candidates(rng, 250 * 15.625 / 5)
+        got = swipe_apvd(Spectrum(bins=bins, bin_hz=15.625), cands)
+        for i, row in enumerate(bins):
+            assert np.array_equal(got[i], swipe_apvd(Spectrum(bins=row, bin_hz=15.625), cands))
 
 
 class TestHhtCandidates:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FS, glottal_pulse_train
+from conftest import FS, glottal_pulse_train, traced_peak
 from modepitch import separation
 from modepitch.audio import Frame, FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
 from modepitch.corpus import (
@@ -44,6 +44,7 @@ from modepitch.separation import (
     region_of,
     select_imf_pair,
 )
+from modepitch.spectral import log_grid
 from modepitch.vad import VadConfig, detect_voiced, voiced_segments
 
 
@@ -85,6 +86,51 @@ def per_segment_comb_loop(buf, est, cfg):
                 continue
             cands[first + i, 0] = f0, salience
     return pick(cands)
+
+
+def per_frame_comb_candidates(estimate, frames, fs, segments):
+    """Oracle for separation._comb_candidates: the loop analyze_utterance ran
+    before frames were stacked, one estimator call per voiced frame, a frame
+    the estimator rejects (all zeros) left without a candidate."""
+    hop_ms = AnalysisConfig.frame.hop_ms
+    cands = np.full((len(frames), 1), np.nan, CANDIDATE)
+    for segment in segments:
+        for i in range(segment.start, segment.stop):
+            try:
+                cands[i, 0] = estimate(Frame(frames[i], fs, i * hop_ms))
+            except ValueError:
+                pass
+    return cands
+
+
+def per_frame_imf_pitch_vector(imfs):
+    """Oracle for imf_pitch_vector: the loop it ran before frames were
+    stacked, pefac_scores on one mode frame per call, a frame it rejects
+    (all zeros) marked invalid."""
+    spec, est = AnalysisConfig.frame, EstimatorConfig
+    fs = imfs.sample_rate_hz
+    cands = log_grid(est.f_min, est.f_max, est.bins_per_octave)
+    per_mode = []
+    for mode in imfs.modes[:ProConfig.k_imfs]:
+        frames = spec.frames(mode, fs)
+        scores = np.full((len(frames), cands.size), -np.inf)
+        valid = np.zeros(len(frames), dtype=bool)
+        for i, row in enumerate(frames):
+            try:
+                scores[i] = pefac_scores(Frame(row, fs, i * spec.hop_ms))[1]
+                valid[i] = True
+            except ValueError:
+                pass
+        per_mode.append(_smoothed_argmax_track(cands, scores, valid))
+    return np.column_stack(per_mode)
+
+
+def voiced_with_a_gap(fs, seconds=0.61):
+    """A noisy 150 Hz pulse train at fs whose middle 120 ms are exact zeros."""
+    buf = glottal_pulse_train(150.0, duration_s=seconds, fs=fs)
+    x = buf.samples + 0.01 * np.random.default_rng(fs).standard_normal(len(buf))
+    x[int(0.24 * fs):int(0.36 * fs)] = 0.0
+    return x
 
 
 def classify_frames_loop(mode_f0, frames=None):
@@ -477,6 +523,51 @@ class TestImfPitchVector:
         with pytest.raises(ValueError, match="4 modes"):
             imf_pitch_vector(imfs)
 
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050])
+    def test_equals_per_frame_loop(self, fs):
+        # modes whose frames cross block boundaries and hold all-zero rows
+        x = voiced_with_a_gap(fs)
+        modes = [x, 0.5 * x, np.roll(x, fs // 100), np.zeros_like(x)]
+        modes[3][:fs // 5] = x[:fs // 5]
+        imfs = ImfSet(np.array(modes), np.full(x.size, 1e-12), fs)
+        assert FrameSpec().num_frames(x.size, fs) % separation._BLOCK_ROWS
+        np.testing.assert_array_equal(imf_pitch_vector(imfs), per_frame_imf_pitch_vector(imfs))
+
+
+class TestCombCandidates:
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050])
+    @pytest.mark.parametrize("est", ["pefac", "shr", "swipe"])
+    def test_equal_per_frame_loop(self, est, fs):
+        # a one-row segment, one that crosses a block boundary, and one
+        # over the all-zero frames of the gap
+        frames = FrameSpec().frames(voiced_with_a_gap(fs), fs)
+        b = separation._BLOCK_ROWS
+        segments = [slice(0, 1), slice(2, 2 + b + 1), slice(2 + b + 1, 2 + b + 1),
+                    slice(20, 40)]
+        assert not frames[25:27].any()
+        got = separation._comb_candidates(FRAME_ESTIMATORS[est], frames, fs, segments)
+        want = per_frame_comb_candidates(FRAME_ESTIMATORS[est], frames, fs, segments)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got["f0_hz"][25:27]).all()
+
+    @pytest.mark.parametrize("est", ["pefac", "shr", "swipe"])
+    def test_work_memory_does_not_grow_with_the_rows(self, est):
+        # 200 frames scored in blocks hold no more memory, beyond their
+        # candidate array, than one block does: the bound lets the work grow
+        # by 32 bytes a frame, the interpreter objects a longer loop leaves
+        # in flight, where each frame's log view kept to the end would add
+        # 2.8 KB and its spectrum 32 KB
+        fs = 16000
+        frames = FrameSpec().frames(glottal_pulse_train(150.0, 2.2, fs).samples, fs)[:200]
+
+        def work_bytes(rows):
+            peak, cands = traced_peak(lambda: separation._comb_candidates(
+                FRAME_ESTIMATORS[est], frames[:rows], fs, [slice(0, rows)]))
+            return peak - cands.nbytes
+        work_bytes(200)  # fills the interpreter's and numpy's free lists
+        rows = 200 - separation._BLOCK_ROWS
+        assert work_bytes(200) <= work_bytes(separation._BLOCK_ROWS) + 32 * rows
+
 
 class TestPipeline:
     def test_clean_120_vowel_tracked(self):
@@ -645,6 +736,23 @@ class TestPipeline:
             # repr round-trips floats exactly and prints NaN equal to NaN
             assert repr(result.regions) == repr(oracle[key].regions)
             assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050])
+    def test_outputs_equal_per_frame_scoring(self, fs, monkeypatch):
+        # every key, raw and pro, with the comb estimators scoring one frame
+        # per call as before frames were stacked
+        buf = SampleBuffer(voiced_with_a_gap(fs), fs)
+        keys = (["pefac", "shr", "swipe", "hht"], ["raw", "pro"])
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=3))
+        stacked = analyze_utterance(buf, *keys, cfg)
+        monkeypatch.setattr(separation, "_comb_candidates", per_frame_comb_candidates)
+        oracle = analyze_utterance(buf, *keys, cfg)
+        assert stacked.keys() == oracle.keys()
+        for key, result in stacked.items():
+            np.testing.assert_array_equal(result.track.f0_hz, oracle[key].track.f0_hz)
+            assert repr(result.regions) == repr(oracle[key].regions)
+            assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
+        assert np.isfinite(stacked[("pefac", "raw")].track.f0_hz).sum() >= 20
 
     @pytest.mark.parametrize("fs", [8000, 16000])
     def test_comb_tracks_equal_per_segment_loop(self, fs):

@@ -175,5 +175,37 @@ class TestLogFrequency:
             to_log_frequency(spec, 50, 5000, 48)
 
 
+class TestFrameStacks:
+    """A (frames x n) stack gives, frame for frame, the bits of one-frame calls."""
+
+    @staticmethod
+    def stack(fs, rows=5):
+        n = int(0.09 * fs)
+        x = np.random.default_rng(fs).standard_normal((rows, n))
+        x[1] = 0.0
+        return x, next_pow2(4 * n)
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050])
+    @BOTH_SPECTRA
+    def test_spectra_equal_one_frame_calls(self, fs, spectrum):
+        x, nfft = self.stack(fs)
+        stacked = spectrum(x, fs, nfft)
+        assert stacked.bins.shape == (len(x), nfft // 2 + 1)
+        assert stacked.max_hz == fs / 2
+        for row, bins in zip(x, stacked.bins):
+            assert np.array_equal(bins, spectrum(row, fs, nfft).bins)
+        np.testing.assert_array_equal(stacked.frequencies(),
+                                      spectrum(x[0], fs, nfft).frequencies())
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050])
+    def test_log_views_equal_one_frame_calls(self, fs):
+        x, nfft = self.stack(fs)
+        stacked = to_log_frequency(power_spectrum(x, fs, nfft), 25.0, 0.5 * fs, 48)
+        for row, values in zip(x, stacked.values):
+            single = to_log_frequency(power_spectrum(row, fs, nfft), 25.0, 0.5 * fs, 48)
+            assert np.array_equal(values, single.values)
+            assert np.array_equal(stacked.grid_log2(), single.grid_log2())
+
+
 def test_next_pow2():
     assert [next_pow2(k) for k in (1, 2, 3, 720, 1024)] == [1, 2, 4, 1024, 1024]

@@ -16,7 +16,7 @@ from .audio import FrameSpec, SampleBuffer
 @dataclass(frozen=True)
 class VadConfig:
     """The frame, hangover and decision thresholds are fixed class attributes,
-    not module constants: perfbench and tests read them as cfg.<name>."""
+    not module constants: detect_voiced and tests read them as cfg.<name>."""
 
     frame_ms: ClassVar[float] = 25.0
     hangover_frames: ClassVar[int] = 2

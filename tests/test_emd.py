@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
@@ -119,7 +119,47 @@ def _case(n, maxima, minima, seed=0):
     return h, np.array(maxima, dtype=np.intp), np.array(minima, dtype=np.intp)
 
 
+def _plateau_case(n, levels, seed=0):
+    """Noise rounded to a few levels, so that many extrema are plateaus,
+    with the extrema the sift would find in it."""
+    h = np.round(levels * np.random.default_rng(seed).standard_normal(n)) / levels
+    return (h, *_local_extrema(h))
+
+
 class TestMeanEnvelope:
+    def test_natural_spline_through_collinear_knots_is_their_line(self):
+        t = np.array([-3, 0, 1, 4, 9, 15, 22])
+        np.testing.assert_allclose(emd._natural_spline(t, 0.75 * t + 40.0, 20),
+                                   0.75 * np.arange(20.0) + 40.0, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", [
+        _case(300, list(range(1, 299, 2)), [5, 150, 290]),
+        _case(300, [5, 150, 290], list(range(1, 299, 2))),
+        _case(50, [0, 49], [1, 48]),
+        _plateau_case(400, 2),
+    ])
+    def test_one_solve_per_envelope(self, monkeypatch, case):
+        h, maxima, minima = case
+        sizes = []
+
+        def solve(system):
+            sizes.append(system.shape[1])
+            solve_tridiagonal(system)
+
+        monkeypatch.setattr(emd, "solve_tridiagonal", solve)
+        _mean_envelope(h, maxima, minima)
+        assert sizes == [_mirrored_knots(maxima, h[maxima], h.size - 1)[0].size,
+                         _mirrored_knots(minima, h[minima], h.size - 1)[0].size]
+
+    def test_work_memory_bounded(self):
+        # each spline is built, solved and evaluated on its own, so the
+        # second spline's knot-sized arrays come after the first's are
+        # freed; one system stacking both splines peaked at 14.45x
+        h = np.random.default_rng(0).standard_normal(4650)
+        maxima, minima = _local_extrema(h)
+        peak, _ = traced_peak(lambda: _mean_envelope(h, maxima, minima))
+        assert peak < 10 * h.nbytes
+
     @settings(max_examples=200, deadline=None)
     @given(case=envelope_cases())
     # extrema at sample 0 and n-1 drop the mirror of the end extremum
@@ -281,8 +321,31 @@ class TestCopyingOracle:
     @given(case=envelope_cases())
     @example(case=_case(50, [0, 49], [0, 49]))
     @example(case=_case(2, [0, 1], [0, 1]))
+    # exactly two maxima or two minima
+    @example(case=_case(40, [3, 4, 5, 6], [10, 30]))
+    @example(case=_case(120, [20, 100], list(range(2, 118, 5))))
+    # the outermost extrema the sift finds (1 and n-2), and an extremum at
+    # 0 or n-1, whose own mirror _mirrored_knots drops
+    @example(case=_case(60, [1, 30, 58], [1, 20, 40, 58]))
+    @example(case=_case(60, [0, 30, 58], [1, 20, 40, 59]))
+    # plateau extrema, counted at their end
+    @example(case=_plateau_case(500, 2))
+    @example(case=_plateau_case(64, 1, seed=3))
+    # upper and lower knot counts 10 and more apart
+    @example(case=_case(300, list(range(1, 299, 2)), [5, 150, 290]))
+    @example(case=_case(300, [0, 299], list(range(1, 299, 3))))
     def test_mean_envelope_equals_copying_envelope(self, case):
         h, maxima, minima = case
+        assert_same_bits(_mean_envelope(h, maxima, minima),
+                         copying_mean_envelope(h, maxima, minima))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(8, 800), levels=st.sampled_from([1, 2, 4, 64]),
+           seed=st.integers(0, 2 ** 16))
+    def test_mean_envelope_on_sifted_plateaus_equals_copying_envelope(self, n, levels,
+                                                                        seed):
+        h, maxima, minima = _plateau_case(n, levels, seed)
+        assume(maxima.size >= 2 and minima.size >= 2)
         assert_same_bits(_mean_envelope(h, maxima, minima),
                          copying_mean_envelope(h, maxima, minima))
 
@@ -353,7 +416,8 @@ class TestEmdConfig:
         with pytest.raises(TypeError, match=message):
             EmdConfig(**{name: value})
 
-    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, -0.1, "0.2", None])
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, -0.1, "0.2", None,
+                                       True, False])
     def test_wgn_std_ratio_finite_and_non_negative(self, ratio):
         message = f"^wgn_std_ratio must be a finite number >= 0, got {re.escape(repr(ratio))}$"
         with pytest.raises(ValueError, match=message):
@@ -448,13 +512,14 @@ class TestEmd:
 class TestEemd:
     def test_work_memory_bounded(self):
         # the noise is drawn into one reused array, modes are summed and
-        # subtracted in place, and each spline is evaluated in place; new
-        # arrays per trial, mode and spline term peaked at 35.5x the input
+        # subtracted in place, and each spline is solved and evaluated on its
+        # own; new arrays per trial, mode and spline term peaked at 35.5x the
+        # input, and one system stacking both splines at 22.5x
         x = _oracle_signal("noise", 4650, 8000, 0)
         cfg = EmdConfig(ensemble_size=5, rng_seed=2)
         peak, out = traced_peak(lambda: eemd_decompose(x, cfg, 4))
         assert len(out) == 4
-        assert peak < 26 * x.samples.nbytes
+        assert peak < 19 * x.samples.nbytes
 
     @pytest.mark.parametrize("signal,ensemble_size,wgn_std_ratio", [
         ("two_tone", 1, 0.0),

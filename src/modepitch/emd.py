@@ -76,42 +76,55 @@ class ImfSet:
 
 
 def _local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of local maxima and minima; plateaus count once at their end."""
-    d = np.diff(x)
-    s = np.sign(d)
-    nz = s != 0
-    if not nz.any():
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    # carry the previous non-zero slope sign across plateaus
-    idx = np.where(nz, np.arange(s.size), 0)
-    np.maximum.accumulate(idx, out=idx)
-    s = s[idx]
-    change = np.diff(s)
-    maxima = np.flatnonzero(change < 0) + 1
-    minima = np.flatnonzero(change > 0) + 1
-    return maxima, minima
+    """Indices of local maxima and minima; plateaus count once at their end,
+    and a flat run at either end of x is no extremum."""
+    # x[i + 1] > x[i] exactly where diff(x)[i] > 0: the difference of two
+    # finite floats has the sign of their order, and is 0 only when they
+    # are equal (gradual underflow)
+    rising = x[1:] > x[:-1]
+    if (x[1:] == x[:-1]).any():
+        # a zero difference takes the slope before it, and a leading flat
+        # run the first nonzero slope, so every slope is up or down
+        moves = x[1:] != x[:-1]
+        idx = np.where(moves, np.arange(moves.size), moves.argmax())
+        np.maximum.accumulate(idx, out=idx)
+        rising = rising[idx]
+    extrema = np.flatnonzero(rising[1:] != rising[:-1])
+    extrema += 1
+    # maxima and minima alternate, a maximum first where x starts rising
+    first = 0 if rising[:1].any() else 1
+    return extrema[first::2], extrema[1 - first::2]
 
 
 def _mirrored_knots(t_ext: np.ndarray, v_ext: np.ndarray,
                     end: int) -> tuple[np.ndarray, np.ndarray]:
     """Extrema with up to two of them mirrored strictly beyond each end of
-    [0, end], to tame the envelope's boundary swings."""
-    left_t = -t_ext[1::-1]
-    right_t = 2 * end - t_ext[:-3:-1]
-    keep_l = left_t < t_ext[0]
-    keep_r = right_t > t_ext[-1]
-    return (np.concatenate([left_t[keep_l], t_ext, right_t[keep_r]]),
-            np.concatenate([v_ext[1::-1][keep_l], v_ext, v_ext[:-3:-1][keep_r]]))
+    [0, end], to tame the envelope's boundary swings. An extremum at 0 or
+    at end is its own mirror, so that mirror is left out."""
+    left = 2 if t_ext[0] > 0 else 1
+    right = 2 if t_ext[-1] < end else 1
+    stop = left + t_ext.size
+    t = np.empty(stop + right, dtype=t_ext.dtype)
+    v = np.empty(stop + right, dtype=v_ext.dtype)
+    # the mirrors of t_ext[1], t_ext[0] and of t_ext[-1], t_ext[-2], in order
+    t[:left] = -t_ext[1::-1][:left]
+    v[:left] = v_ext[1::-1][:left]
+    t[left:stop] = t_ext
+    v[left:stop] = v_ext
+    t[stop:] = 2 * end - t_ext[:-3:-1][2 - right:]
+    v[stop:] = v_ext[:-3:-1][2 - right:]
+    return t, v
 
 
 def _natural_spline(t: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """The natural cubic spline through the knots (t, v), which must bracket
-    the samples 0..n-1, at those samples.
+    """The natural cubic spline through the knots (t, v), integers t with
+    t[0] <= 0 and t[-1] >= n, at the samples 0..n-1.
 
     Its second derivatives M solve one tridiagonal system by one LAPACK call
-    (diagonally dominant: no pivoting). It is evaluated in place, its
-    per-interval coefficients repeated over the samples each interval covers.
+    (diagonally dominant: no pivoting). The per-interval coefficients are
+    then written over the factorization rows, and the spline is evaluated
+    in place, each coefficient repeated over the samples its interval
+    covers.
     """
     # slicing and np.maximum/np.minimum, not np.diff and np.clip (3-6 us a call)
     dx = (t[1:] - t[:-1]).astype(np.float64)
@@ -131,14 +144,20 @@ def _natural_spline(t: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     curv[1:-1] = 6.0 * (slope[1:] - slope[:-1])
     curv[0] = curv[-1] = 0.0
     solve_tridiagonal(system)
-    c1 = slope - dx * (2.0 * curv[:-1] + curv[1:]) / 6.0
-    c2 = 0.5 * curv[:-1]
-    c3 = (curv[1:] - curv[:-1]) / (6.0 * dx)
+    # the per-interval coefficients go into the factorization rows, dead
+    # after the solve
+    c1, c2, c3 = lower[:-1], diag[:-1], upper[:-1]
+    np.subtract(slope, dx * (2.0 * curv[:-1] + curv[1:]) / 6.0, out=c1)
+    np.multiply(0.5, curv[:-1], out=c2)
+    np.divide(curv[1:] - curv[:-1], 6.0 * dx, out=c3)
+    del dx, slope
     # interval j covers samples [t[j], t[j+1])
     bounds = np.minimum(np.maximum(t, 0), n)
     reps = bounds[1:] - bounds[:-1]
-    s = np.arange(n, dtype=np.float64)  # each sample's offset from its knot
-    s -= np.repeat(t[:-1], reps)
+    del bounds
+    # each sample's offset from its knot, exact in float64
+    s = np.arange(n, dtype=np.float64)
+    s -= np.repeat(t[:-1].astype(np.float64), reps)
     # ((c3 s + c2) s + c1) s + v
     env = np.repeat(c3, reps)
     env *= s

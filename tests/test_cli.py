@@ -237,6 +237,21 @@ class TestDecompose:
         assert result.exit_code == 0, result.output
         assert result.output.startswith("0 IMFs")
 
+    def test_leading_silence_plain_emd(self, runner, tmp_path):
+        # 16-bit samples repeat, and the first 100 ms are exact zeros: the
+        # sift's plateau branch runs, and the leading flat run is no extremum
+        x = glottal_pulse_train(120.0, duration_s=0.5).samples.copy()
+        x[:FS // 10] = 0.0
+        path = tmp_path / "silence_first.wav"
+        save_wav(path, SampleBuffer(x, FS))
+        out = tmp_path / "silence_first_modes.wav"
+        result = runner.invoke(main, ["decompose", str(path), "-o", str(out),
+                                      "--emd-wgn-std-ratio", "0"])
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+        n_modes = int(result.output.split(" IMFs")[0])
+        assert n_modes >= 1 and load_wav(out).samples.size == x.size
+
     def test_missing_file_nonzero_exit(self, runner):
         result = runner.invoke(main, ["decompose", "/nope/missing.wav"])
         assert result.exit_code != 0

@@ -10,7 +10,7 @@ high) by octave shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -49,9 +49,34 @@ class ProConfig:
     k_imfs: ClassVar[int] = 4          # modes whose F0 the region pass reads
 
 
+_REGIONS = (LOW, HIGH)
+# The band table: the factor a candidate is folded by, per region (rows, in
+# _REGIONS order) and band (columns: below gamma/4, passed through, then
+# [gamma/4, gamma/2], (gamma/2, gamma], (gamma, 2 gamma], above 2 gamma).
+_FOLD = np.array([[1.0, 1.0, 1.0, 0.5, 0.25],
+                  [1.0, 4.0, 2.0, 1.0, 0.5]])
+
+
+def _above(f0_hz, gamma_hz: float = ProConfig.gamma_hz):
+    """The gamma rule on a frequency or an array: 1 (high) above gamma, 0
+    (low) at or below it, a row of _FOLD."""
+    return 1 * (f0_hz > gamma_hz)
+
+
+def _fold(f_hz, row):
+    """f_hz times the _FOLD factor of its band in the given row, on a float
+    or broadcast over arrays; a NaN (an empty slot) stays NaN."""
+    g = ProConfig.gamma_hz
+    band = 1 * (f_hz >= 0.25 * g) + (f_hz > 0.5 * g) + _above(f_hz) + (f_hz > 2.0 * g)
+    return f_hz * _FOLD[row, band]
+
+
 def region_of(f0_hz: float, gamma_hz: float = ProConfig.gamma_hz) -> str:
-    """The region a frequency lies in: LOW at or below gamma, HIGH above."""
-    return LOW if f0_hz <= gamma_hz else HIGH
+    """The region a frequency lies in: LOW at or below gamma, HIGH above.
+    A non-finite frequency raises ValueError."""
+    if not math.isfinite(f0_hz):
+        raise ValueError(f"frequency must be finite, got {f0_hz}")
+    return _REGIONS[_above(f0_hz, gamma_hz)]
 
 
 @dataclass(frozen=True)
@@ -68,7 +93,9 @@ class FrequencyRegion:
     selected_imfs: tuple[int, int] | None
 
     def __post_init__(self):
-        if self.region not in (LOW, HIGH):
+        if self.frame_index < 0:
+            raise ValueError(f"frame_index must be non-negative, got {self.frame_index}")
+        if self.region not in _REGIONS:
             raise ValueError(f"unknown region {self.region!r}")
         if self.selected_imfs is not None:
             a, b = self.selected_imfs
@@ -116,16 +143,20 @@ def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
 
 def classify_frames(mode_f0: np.ndarray, frames: np.ndarray | None = None
                     ) -> list[FrequencyRegion]:
-    """Classify the given rows (frame indices, in order; default all) of a
-    (frames x modes) F0 matrix in one array pass: the select_imf_pair rule
-    over each row's usable (finite) modes, then region_of the pair's mean
-    F0. A frame with fewer than two usable mode estimates inherits the
-    region of the frame classified before it; the first one defaults to low.
+    """Classify the given rows (strictly increasing frame indices; default
+    all) of a (frames x modes) F0 matrix in one array pass: the
+    select_imf_pair rule over each row's usable (finite) modes, then
+    region_of's gamma rule on the pair's mean F0. Each frame takes the region
+    of the last frame, itself included, with two usable modes; low before it.
     """
     mode_f0 = np.asarray(mode_f0, dtype=np.float64)
     if mode_f0.ndim != 2 or mode_f0.shape[1] < 2:
         raise ValueError("need a (frames x modes) array of at least two mode estimates")
     rows = np.arange(len(mode_f0)) if frames is None else np.asarray(frames, dtype=np.intp)
+    if (rows.ndim != 1 or np.any(rows < 0) or np.any(rows >= len(mode_f0))
+            or np.any(rows[1:] <= rows[:-1])):
+        raise ValueError("frames must be strictly increasing row indices "
+                         f"in [0, {len(mode_f0)})")
     v = mode_f0[rows]
     usable = np.isfinite(v)
     if np.any(usable & (v <= 0)):
@@ -135,27 +166,13 @@ def classify_frames(mode_f0: np.ndarray, frames: np.ndarray | None = None
     scores = np.where(usable[:, None, :], distance_matrix(v), 0.0).sum(axis=-1)
     pair = _smallest_two(np.where(usable, scores, np.inf))
     mean_f0 = 0.5 * np.take_along_axis(v, pair, axis=1).sum(axis=1)
-    regions, last = [], LOW
-    for i, ok, mean, pair_i in zip(rows.tolist(), (usable.sum(axis=1) >= 2).tolist(),
-                                   mean_f0.tolist(), pair.tolist()):
-        last = region_of(mean) if ok else last
-        a, b = sorted(pair_i)
-        regions.append(FrequencyRegion(i, last, mean, (a + 1, b + 1)) if ok
-                       else FrequencyRegion(i, last, math.nan, None))
-    return regions
-
-
-def classify_region(f0_per_imf: np.ndarray, frame_index: int = 0) -> FrequencyRegion:
-    """classify_frames on one frame's per-mode F0 vector; exactly gamma
-    counts as low. Fewer than two usable modes raises ValueError."""
-    v = np.asarray(f0_per_imf, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("need a 1-D array of at least two mode estimates")
-    region = classify_frames(v[None, :])[0]
-    if region.selected_imfs is None:
-        raise ValueError(f"frame {frame_index}: only {np.isfinite(v).sum()} "
-                         "usable mode estimates")
-    return replace(region, frame_index=frame_index)
+    ok = usable.sum(axis=1) >= 2
+    last_ok = np.maximum.accumulate(np.where(ok, np.arange(len(rows)), -1))
+    high = np.where(last_ok < 0, 0, _above(mean_f0)[last_ok])
+    return [FrequencyRegion(i, _REGIONS[h], mean, (min(p) + 1, max(p) + 1)) if k
+            else FrequencyRegion(i, _REGIONS[h], math.nan, None)
+            for i, h, k, mean, p in zip(rows.tolist(), high.tolist(), ok.tolist(),
+                                        mean_f0.tolist(), pair.tolist())]
 
 
 def _smoothed_argmax_track(cands: np.ndarray, scores: np.ndarray,
@@ -227,36 +244,17 @@ def imf_pitch_vector(imfs: ImfSet) -> np.ndarray:
 
 
 def correct_candidate(f_cand: float, region: str) -> float:
-    """Fold a pitch candidate into its frame's frequency band.
-
-    Low frames map onto [gamma/4, gamma]: identity there, halve on
-    (gamma, 2 gamma], quarter above 2 gamma. High frames map onto
-    [gamma, 2 gamma]: quadruple on [gamma/4, gamma/2], double on
-    (gamma/2, gamma], identity on (gamma, 2 gamma], halve above 2 gamma.
-    Candidates below gamma/4 pass through unchanged (out of the model's
-    range; callers flag them in diagnostics). With gamma at 200 Hz the
-    edges are 50, 100, 200 and 400 Hz.
+    """Fold a pitch candidate into its frame's band with the band table:
+    low frames onto [gamma/4, gamma], high frames onto [gamma, 2 gamma]
+    (band edges 50, 100, 200 and 400 Hz at gamma = 200 Hz). Candidates below
+    gamma/4 pass through unchanged (out of the model's range; callers flag
+    them in diagnostics).
     """
-    gamma_hz = ProConfig.gamma_hz
-    if f_cand <= 0:
-        raise ValueError("candidate frequency must be positive")
-    if region not in (LOW, HIGH):
+    if not 0.0 < f_cand < math.inf:
+        raise ValueError(f"candidate frequency must be positive and finite, got {f_cand}")
+    if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}")
-    if f_cand < 0.25 * gamma_hz:
-        return f_cand
-    if region == LOW:
-        if f_cand <= gamma_hz:
-            return f_cand
-        if f_cand <= 2.0 * gamma_hz:
-            return 0.5 * f_cand
-        return 0.25 * f_cand
-    if f_cand <= 0.5 * gamma_hz:
-        return 4.0 * f_cand
-    if f_cand <= gamma_hz:
-        return 2.0 * f_cand
-    if f_cand <= 2.0 * gamma_hz:
-        return f_cand
-    return 0.5 * f_cand
+    return float(_fold(f_cand, _REGIONS.index(region)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +333,10 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     for hht, one slot otherwise). One region pass then classifies all
     voiced frames in order, so a frame without mode evidence inherits the
     previous voiced frame's region, across segments too. The raw F0 is each
-    frame's most salient candidate. Each candidate of a voiced frame is
-    folded once into the frame's region, and the pro F0 is the most salient
-    folded candidate. Folding keeps salience and order, so this equals the
-    raw pick folded.
+    frame's most salient candidate. Every candidate of the voiced frames is
+    folded into its frame's region in one pass over the band table, and the
+    pro F0 is the most salient folded candidate. Folding keeps salience and
+    order, so this equals the raw pick folded.
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
@@ -376,17 +374,16 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
              else _comb_candidates(FRAME_ESTIMATORS[est], frames, fs, segments)
              for est in estimators}
 
-    regions = tuple(classify_frames(mode_f0, np.flatnonzero(voiced))) if pro else ()
+    voiced_rows = np.flatnonzero(voiced)
+    regions = tuple(classify_frames(mode_f0, voiced_rows)) if pro else ()
+    region_rows = np.array([r.region == HIGH for r in regions], dtype=np.intp)[:, None]
     out: dict[tuple[str, str], MethodResult] = {}
     for est in estimators:
         raw = pick(cands[est])
         f0, diagnostics = {"raw": raw}, ()
         if pro:
             folded = cands[est].copy()
-            for r in regions:
-                row = folded["f0_hz"][r.frame_index]
-                for k in np.flatnonzero(~np.isnan(row)):
-                    row[k] = correct_candidate(row[k], r.region)
+            folded["f0_hz"][voiced_rows] = _fold(folded["f0_hz"][voiced_rows], region_rows)
             f0["pro"] = pick(folded)
             diagnostics = tuple(_diagnostic(cands[est][r.frame_index],
                                             folded[r.frame_index], r) for r in regions)

@@ -1,11 +1,10 @@
 import inspect
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FS, glottal_pulse_train, traced_peak
@@ -37,7 +36,6 @@ from modepitch.separation import (
     _smoothed_argmax_track,
     analyze_utterance,
     classify_frames,
-    classify_region,
     correct_candidate,
     distance_matrix,
     imf_pitch_vector,
@@ -46,10 +44,6 @@ from modepitch.separation import (
 )
 from modepitch.spectral import log_grid
 from modepitch.vad import VadConfig, detect_voiced, voiced_segments
-
-
-def vector(entries):
-    return np.asarray(entries, dtype=float)
 
 
 def smoothed_argmax_loop(cands, scores, valid, window):
@@ -138,7 +132,8 @@ def classify_frames_loop(mode_f0, frames=None):
     finite entries, the two smallest stable-sorted row sums of their
     distance matrix pick the pair, whose indices map back to mode numbers;
     a row with fewer than two finite entries inherits the region decided
-    before it, low at first."""
+    before it, low at first (the Python loop classify_frames ran before
+    its inheritance became an array pass)."""
     regions = []
     last = LOW
     for i in range(len(mode_f0)) if frames is None else frames:
@@ -159,6 +154,49 @@ def classify_frames_loop(mode_f0, frames=None):
         regions.append(region)
         last = region.region
     return regions
+
+
+def fold_chain(f, region):
+    """Oracle for the band table: correct_candidate's if-chain before the
+    table became its one definition, one branch per band edge at gamma =
+    200 Hz."""
+    if f < 50.0:
+        return f
+    if region == LOW:
+        if f <= 200.0:
+            return f
+        if f <= 400.0:
+            return 0.5 * f
+        return 0.25 * f
+    if f <= 100.0:
+        return 4.0 * f
+    if f <= 200.0:
+        return 2.0 * f
+    if f <= 400.0:
+        return f
+    return 0.5 * f
+
+
+def fold_loop(cands, regions):
+    """Oracle for analyze_utterance's array fold: the nested loop it ran
+    before the band table, correct_candidate on every candidate of every
+    classified frame."""
+    folded = cands.copy()
+    for r in regions:
+        row = folded["f0_hz"][r.frame_index]
+        for k in np.flatnonzero(~np.isnan(row)):
+            row[k] = correct_candidate(row[k], r.region)
+    return folded
+
+
+def gapped_utterance(fs):
+    """Low, high and low voiced bursts at fs, each followed by 100 ms of
+    silence, in white noise."""
+    parts = []
+    for f0 in (120.0, 310.0, 180.0):
+        parts += [glottal_pulse_train(f0, 0.25, fs).samples, np.zeros(fs // 10)]
+    x = np.concatenate(parts)
+    return x + 0.05 * np.random.default_rng(fs).standard_normal(x.size)
 
 
 def brute_force_pair(d):
@@ -241,50 +279,47 @@ class TestSelectImfPair:
 
 
 class TestClassifyRegion:
+    """Examples of one frame's region, each a one-row classify_frames call."""
+
     def test_low_example(self):
-        region = classify_region(vector([180.0, 190.0, 185.0, 186.0]))
+        (region,) = classify_frames([[180.0, 190.0, 185.0, 186.0]])
         assert region.region == LOW
         assert region.mean_f0 <= 200.0
 
     def test_high_example(self):
-        region = classify_region(vector([210.0, 230.0, 215.0, 214.0]))
+        (region,) = classify_frames([[210.0, 230.0, 215.0, 214.0]])
         assert region.region == HIGH
 
     def test_exactly_gamma_is_low(self):
-        region = classify_region(vector([200.0, 200.0, 200.0, 200.0]))
+        (region,) = classify_frames([[200.0, 200.0, 200.0, 200.0]])
         assert region.mean_f0 == 200.0
         assert region.region == LOW
 
     def test_mean_uses_selected_pair_only(self):
         # modes 1 and 2 agree near 100; the pair mean ignores the outliers
-        region = classify_region(vector([100.0, 101.0, 399.0, 250.0]))
+        (region,) = classify_frames([[100.0, 101.0, 399.0, 250.0]])
         assert region.selected_imfs == (1, 2)
         assert region.mean_f0 == pytest.approx(100.5)
 
     def test_missing_entries_excluded(self):
-        region = classify_region(vector([np.nan, 150.0, 151.0, np.nan]))
+        (region,) = classify_frames([[np.nan, 150.0, 151.0, np.nan]])
         assert region.region == LOW
         assert region.selected_imfs == (2, 3)
 
-    def test_too_few_valid_raises(self):
-        with pytest.raises(ValueError, match="^frame 7: only 1 usable mode estimates$"):
-            classify_region(vector([np.nan, 150.0, np.nan, np.nan]), 7)
-
-    def test_one_row_of_classify_frames(self):
-        v = vector([np.nan, 230.0, 180.0, 226.0])
-        region = classify_region(v, frame_index=7)
-        assert region == FrequencyRegion(frame_index=7, region=HIGH, mean_f0=228.0,
-                                         selected_imfs=(2, 4))
-        assert repr(region) == repr(replace(classify_frames(v[None, :])[0], frame_index=7))
-
     def test_single_mode_rejected(self):
         with pytest.raises(ValueError, match="two mode estimates"):
-            classify_region(vector([150.0]))
+            classify_frames([[150.0]])
 
     @pytest.mark.parametrize("bad", [0.0, -150.0])
     def test_non_positive_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="positive or NaN"):
-            classify_region(vector([150.0, bad, 151.0, 152.0]))
+            classify_frames([[150.0, bad, 151.0, 152.0]])
+
+    @pytest.mark.parametrize("f0", [math.nan, math.inf, -math.inf])
+    def test_region_of_non_finite_rejected(self, f0):
+        # NaN and inf read as high, -inf as low
+        with pytest.raises(ValueError, match="frequency must be finite"):
+            region_of(f0)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10 ** 6),
@@ -294,8 +329,7 @@ class TestClassifyRegion:
         # the region is region_of the pair's mean F0, and raising gamma never
         # flips that mean from low to high
         lo, hi = sorted((gamma_lo, gamma_hi))
-        v = vector(np.random.default_rng(seed).uniform(60, 390, size=4))
-        region = classify_region(v)
+        (region,) = classify_frames(np.random.default_rng(seed).uniform(60, 390, size=(1, 4)))
         assert region.region == region_of(region.mean_f0, ProConfig.gamma_hz)
         at_lo = region_of(region.mean_f0, lo)
         at_hi = region_of(region.mean_f0, hi)
@@ -329,9 +363,9 @@ class TestClassifyFrames:
     def test_matches_per_frame_oracle(self):
         # NaN and infinite entries, whole missing rows, exact ties (F0s on a
         # 25 Hz lattice), F0s on both sides of 1, k from 2 to 6 (the matrix
-        # width, whatever ProConfig.k_imfs says), and rows
-        # given as None, a list, an array or an empty array; regions must
-        # agree to the last bit. Below 8 modes numpy adds a row's terms in
+        # width, whatever ProConfig.k_imfs says), and rows given as None, a
+        # sorted list, an array or an empty array; regions must agree to the
+        # last bit. Below 8 modes numpy adds a row's terms in
         # order, so the masked zeros leave every row sum exact; from 8 on it
         # sums pairwise, and a pair tied to within rounding can differ
         rng = np.random.default_rng(20260)
@@ -347,7 +381,7 @@ class TestClassifyFrames:
             m[rng.random((n, k)) < rng.uniform(0.0, 0.8)] = np.nan
             m[rng.random((n, k)) < 0.02] = np.inf
             m[rng.random(n) < 0.15] = np.nan
-            picked = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            picked = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
             frames = [None, picked.tolist(), picked, np.array([], dtype=np.intp)][trial % 4]
             expected = classify_frames_loop(m, frames)
             assert repr(classify_frames(m, frames)) == repr(expected)
@@ -356,6 +390,35 @@ class TestClassifyFrames:
                         for row in m)
         assert inherited > 0 and tied > 0
 
+    @pytest.mark.parametrize("frames", [[-1], [3], [1, 0], [0, 2, 2], [[0, 1]]])
+    def test_rows_outside_the_matrix_or_out_of_order_rejected(self, frames):
+        # a negative row wrapped round to the last frame, and inheritance
+        # reads the rows in frame order
+        mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [np.nan] * 4,
+                            [300.0, 301.0, 302.0, 303.0]])
+        with pytest.raises(ValueError, match=r"strictly increasing row indices in \[0, 3\)"):
+            classify_frames(mode_f0, frames)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), coarse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_inheritance_equals_loop_oracle(self, data, coarse, seed):
+        # random usable-mode masks, leading rows without two usable modes,
+        # and any subset of the rows; coarse F0s (a 25 Hz lattice) put pair
+        # means exactly on gamma
+        n = data.draw(st.integers(0, 30), label="frames")
+        k = data.draw(st.integers(2, 6), label="modes")
+        usable = np.array(data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k),
+                                    label="usable"), dtype=bool).reshape(n, k)
+        usable[:data.draw(st.integers(0, n), label="leading unusable rows")] = False
+        picked = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                                    label="rows kept"), dtype=bool)
+        frames = data.draw(st.sampled_from([None, np.flatnonzero(picked)]), label="frames")
+        f0 = np.random.default_rng(seed).uniform(55.0, 395.0, size=(n, k))
+        if coarse:
+            f0 = np.round(f0 / 25.0) * 25.0
+        m = np.where(usable, f0, np.nan)
+        assert repr(classify_frames(m, frames)) == repr(classify_frames_loop(m, frames))
+
     @pytest.mark.parametrize("bad", [0.0, -150.0])
     def test_non_positive_entry_rejected_not_inherited(self, bad):
         # a bad frame raises; with no other finite entry it must not be
@@ -363,6 +426,10 @@ class TestClassifyFrames:
         mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [bad, np.nan, np.nan, np.nan]])
         with pytest.raises(ValueError, match="positive or NaN"):
             classify_frames(mode_f0)
+
+
+BAND_EDGES = [float(x) for edge in (50.0, 100.0, 200.0, 400.0)
+              for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
 
 
 class TestCorrectCandidate:
@@ -422,6 +489,55 @@ class TestCorrectCandidate:
         for f in grid[::37]:
             assert correct_candidate(float(f), LOW) == oracle_low(float(f))
             assert correct_candidate(float(f), HIGH) == oracle_high(float(f))
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf])
+    @pytest.mark.parametrize("region", [LOW, HIGH])
+    def test_non_finite_rejected(self, f, region):
+        # NaN came back as NaN and inf as inf
+        with pytest.raises(ValueError, match="positive and finite"):
+            correct_candidate(f, region)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_array_fold_equals_correct_candidate(self, data):
+        # every slot of a (frames x slots) array folded into its frame's
+        # region row equals the one-row call and the if-chain, on (0, 1e4]
+        # and at the band edges and their neighbours; NaN slots stay NaN
+        n = data.draw(st.integers(1, 8), label="frames")
+        slots = data.draw(st.integers(1, 4), label="slots")
+        f0 = st.one_of(st.floats(min_value=0.0, max_value=1e4, exclude_min=True),
+                       st.sampled_from(BAND_EDGES), st.just(math.nan))
+        cands = np.array(data.draw(st.lists(f0, min_size=n * slots, max_size=n * slots),
+                                   label="f0")).reshape(n, slots)
+        rows = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n,
+                                           max_size=n), label="rows"))[:, None]
+        folded = separation._fold(cands, rows)
+        assert folded.shape == cands.shape
+        for (i, j), f in np.ndenumerate(cands):
+            if np.isnan(f):
+                assert np.isnan(folded[i, j])
+            else:
+                region = (LOW, HIGH)[rows[i, 0]]
+                assert folded[i, j] == correct_candidate(float(f), region) \
+                    == fold_chain(float(f), region)
+
+    @settings(max_examples=500, deadline=None)
+    @given(ref=st.floats(min_value=1.0, max_value=2 * ProConfig.gamma_hz),
+           ratio=st.floats(min_value=0.8, max_value=1.2))
+    def test_right_region_keeps_a_near_candidate_near(self, ref, ratio):
+        # on a frame whose region is right, a raw candidate within 20% of a
+        # reference in the model's range (0, 2 gamma] stays within 20% after
+        # the fold, unless 20% around the reference straddles gamma or
+        # 2 gamma: references in (166.7, 250] and (333.3, 400] Hz
+        gamma = ProConfig.gamma_hz
+        lo, hi = 0.8 * ref, 1.2 * ref
+        cand = ref * ratio
+        assume(lo <= cand <= hi)
+        assume(not any(lo <= edge < hi for edge in (gamma, 2.0 * gamma)))
+        region = region_of(ref)
+        assert lo <= correct_candidate(cand, region) <= hi
+        folded = separation._fold(np.array([[cand, math.nan]]), (LOW, HIGH).index(region))
+        assert lo <= folded[0, 0] <= hi and np.isnan(folded[0, 1])
 
     @settings(max_examples=200, deadline=None)
     @given(f=st.floats(min_value=50.0, max_value=800.0, exclude_min=True))
@@ -754,6 +870,46 @@ class TestPipeline:
             assert repr(result.diagnostics) == repr(oracle[key].diagnostics)
         assert np.isfinite(stacked[("pefac", "raw")].track.f0_hz).sum() >= 20
 
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050])
+    def test_outputs_equal_loop_fold_and_inheritance(self, fs, monkeypatch):
+        # every key on three voiced bursts between silent gaps, with the
+        # first two frames of each segment and one of every four later ones
+        # left with too few mode F0s, so frames default to low, inherit
+        # within and across segments, and candidates move; tracks, regions
+        # and diagnostics equal those of the per-frame inheritance loop and
+        # the nested fold loop over the raw candidate arrays the pipeline
+        # picked from
+        real_pitch_vector = separation.imf_pitch_vector
+
+        def sparse_pitch_vector(imfs):
+            mode_f0 = real_pitch_vector(imfs)
+            mode_f0[:2] = np.nan
+            mode_f0[5::4, 1:] = np.nan
+            return mode_f0
+        picked, classified = [], []
+        monkeypatch.setattr(separation, "imf_pitch_vector", sparse_pitch_vector)
+        monkeypatch.setattr(separation, "pick", lambda c: picked.append(c) or pick(c))
+        monkeypatch.setattr(separation, "classify_frames",
+                            lambda *args: classified.append(args) or classify_frames(*args))
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=3))
+        out = analyze_utterance(SampleBuffer(gapped_utterance(fs), fs), *ALL_KEYS, cfg)
+        assert len(voiced_segments(out[("shr", "raw")].track.voiced_mask)) == 3
+        ((mode_f0, rows),) = classified
+        regions = tuple(classify_frames_loop(mode_f0, rows))
+        assert {r.region for r in regions} == {LOW, HIGH}
+        assert sum(r.selected_imfs is None for r in regions) >= 10
+        moved = 0
+        for est, raw in zip(ALL_KEYS[0], picked[::2]):
+            folded = fold_loop(raw, regions)
+            moved += np.sum(~np.isnan(raw["f0_hz"]) & (folded["f0_hz"] != raw["f0_hz"]))
+            np.testing.assert_array_equal(out[(est, "raw")].track.f0_hz, pick(raw))
+            np.testing.assert_array_equal(out[(est, "pro")].track.f0_hz, pick(folded))
+            assert repr(out[(est, "pro")].regions) == repr(regions)
+            assert repr(out[(est, "pro")].diagnostics) == repr(tuple(
+                separation._diagnostic(raw[r.frame_index], folded[r.frame_index], r)
+                for r in regions))
+        assert moved > 0
+
     @pytest.mark.parametrize("fs", [8000, 16000])
     def test_comb_tracks_equal_per_segment_loop(self, fs):
         # two voiced bursts around a pause, so two segments start mid-utterance
@@ -794,7 +950,6 @@ class TestPipeline:
         # where they are used; no function takes one as a parameter
         removed = {
             classify_frames: {"cfg"},
-            classify_region: {"cfg"},
             imf_pitch_vector: {"spec", "cfg", "est_cfg"},
             correct_candidate: {"gamma_hz"},
             detect_voiced: {"cfg", "frame"},
@@ -914,6 +1069,10 @@ class TestFrequencyRegionType:
         with pytest.raises(ValueError):
             FrequencyRegion(frame_index=0, region=LOW, mean_f0=100.0,
                             selected_imfs=(2, 2))
+
+    def test_rejects_negative_frame_index(self):
+        with pytest.raises(ValueError, match="frame_index must be non-negative"):
+            FrequencyRegion(frame_index=-3, region=LOW, mean_f0=1.0, selected_imfs=(1, 2))
 
     def test_rejects_unknown_region(self):
         with pytest.raises(ValueError):

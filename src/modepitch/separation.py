@@ -141,18 +141,29 @@ def select_imf_pair(d: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
     return (a + 1, b + 1), scores
 
 
-def classify_frames(mode_f0: np.ndarray, frames: np.ndarray | None = None
-                    ) -> list[FrequencyRegion]:
-    """Classify the given rows (strictly increasing frame indices; default
-    all) of a (frames x modes) F0 matrix in one array pass: the
-    select_imf_pair rule over each row's usable (finite) modes, then
-    region_of's gamma rule on the pair's mean F0. Each frame takes the region
-    of the last frame, itself included, with two usable modes; low before it.
+# One row of an utterance's region table per classified frame: the frame
+# index, the gamma rule's decision as a row of _FOLD (1 high, 0 low), the
+# selected pair's mean F0 and its 1-based modes in ascending order; mean_f0 is
+# NaN and both modes 0 on a frame that inherited its region
+REGION_ROW = np.dtype([("frame_index", np.intp), ("high", np.int8),
+                       ("mean_f0", np.float64), ("imf_a", np.int32), ("imf_b", np.int32)])
+
+
+def _region_table(mode_f0: np.ndarray, frames: np.ndarray | None = None) -> np.ndarray:
+    """Classify the given rows (strictly increasing integer frame indices;
+    default all) of a (frames x modes) F0 matrix in one array pass, as a
+    REGION_ROW array: the select_imf_pair rule over each row's usable
+    (finite) modes, then region_of's gamma rule on the pair's mean F0. Each
+    frame takes the region of the last frame, itself included, with two
+    usable modes; low before it.
     """
     mode_f0 = np.asarray(mode_f0, dtype=np.float64)
     if mode_f0.ndim != 2 or mode_f0.shape[1] < 2:
         raise ValueError("need a (frames x modes) array of at least two mode estimates")
-    rows = np.arange(len(mode_f0)) if frames is None else np.asarray(frames, dtype=np.intp)
+    rows = np.arange(len(mode_f0)) if frames is None else np.asarray(frames)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"frames must be integer row indices, got {rows.dtype} rows")
+    rows = rows.astype(np.intp)
     if (rows.ndim != 1 or np.any(rows < 0) or np.any(rows >= len(mode_f0))
             or np.any(rows[1:] <= rows[:-1])):
         raise ValueError("frames must be strictly increasing row indices "
@@ -168,11 +179,26 @@ def classify_frames(mode_f0: np.ndarray, frames: np.ndarray | None = None
     mean_f0 = 0.5 * np.take_along_axis(v, pair, axis=1).sum(axis=1)
     ok = usable.sum(axis=1) >= 2
     last_ok = np.maximum.accumulate(np.where(ok, np.arange(len(rows)), -1))
-    high = np.where(last_ok < 0, 0, _above(mean_f0)[last_ok])
-    return [FrequencyRegion(i, _REGIONS[h], mean, (min(p) + 1, max(p) + 1)) if k
-            else FrequencyRegion(i, _REGIONS[h], math.nan, None)
-            for i, h, k, mean, p in zip(rows.tolist(), high.tolist(), ok.tolist(),
-                                        mean_f0.tolist(), pair.tolist())]
+    table = np.empty(len(rows), REGION_ROW)
+    table["frame_index"] = rows
+    table["high"] = np.where(last_ok < 0, 0, _above(mean_f0)[last_ok])
+    table["mean_f0"] = np.where(ok, mean_f0, np.nan)
+    table["imf_a"] = np.where(ok, pair.min(axis=1) + 1, 0)
+    table["imf_b"] = np.where(ok, pair.max(axis=1) + 1, 0)
+    return table
+
+
+def _region_objects(table: np.ndarray) -> list[FrequencyRegion]:
+    """The FrequencyRegion of each row of a region table."""
+    return [FrequencyRegion(i, _REGIONS[h], mean, (a, b) if a else None)
+            for i, h, mean, a, b in table.tolist()]
+
+
+def classify_frames(mode_f0: np.ndarray, frames: np.ndarray | None = None
+                    ) -> list[FrequencyRegion]:
+    """The FrequencyRegion of each row _region_table classifies (same
+    arguments, same rules)."""
+    return _region_objects(_region_table(mode_f0, frames))
 
 
 def _smoothed_argmax_track(cands: np.ndarray, scores: np.ndarray,
@@ -284,14 +310,39 @@ class FrameDiagnostic:
     out_of_model: bool  # some raw candidate lies below gamma/4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodResult:
-    """One estimator/method result. All pro keys of one analysis share the
-    same regions tuple; raw keys carry no regions and no diagnostics."""
+    """One estimator/method result. A pro key also holds the analysis's
+    REGION_ROW table (the same array on every pro key) and the estimator's
+    raw (frames x slots) CANDIDATE array; regions and diagnostics are built
+    from them on each read and not cached, so a kept result holds no
+    per-frame object. Both are empty on a raw key."""
 
     track: FramePitchTrack
-    regions: tuple[FrequencyRegion, ...]
-    diagnostics: tuple[FrameDiagnostic, ...]
+    region_table: np.ndarray | None = None
+    candidates: np.ndarray | None = None
+
+    @property
+    def regions(self) -> tuple[FrequencyRegion, ...]:
+        """The FrequencyRegion of each classified (voiced) frame, in order."""
+        if self.region_table is None:
+            return ()
+        return tuple(_region_objects(self.region_table))
+
+    @property
+    def diagnostics(self) -> tuple[FrameDiagnostic, ...]:
+        """Per classified frame, its region and the found candidates before
+        and after the band-table fold, in slot order."""
+        if self.region_table is None:
+            return ()
+        table = self.region_table
+        raw = self.candidates["f0_hz"][table["frame_index"]]
+        folded = _fold(raw, table["high"][:, None])
+        found = ~np.isnan(raw)
+        out_of_model = (raw < 0.25 * ProConfig.gamma_hz).any(axis=1).tolist()
+        return tuple(FrameDiagnostic(region, tuple(r[k].tolist()), tuple(c[k].tolist()), o)
+                     for region, r, c, k, o in zip(_region_objects(table), raw, folded,
+                                                   found, out_of_model))
 
 
 def check_keys(estimators: list[str], methods: list[str]) -> None:
@@ -303,17 +354,6 @@ def check_keys(estimators: list[str], methods: list[str]) -> None:
         if est not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}; "
                              f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
-
-
-def _diagnostic(raw: np.ndarray, folded: np.ndarray, region: FrequencyRegion
-                ) -> FrameDiagnostic:
-    """Audit record of one frame from its raw and folded CANDIDATE rows."""
-    found = ~np.isnan(raw["f0_hz"])
-    raw_f0s = tuple(raw["f0_hz"][found].tolist())
-    return FrameDiagnostic(region=region, raw_f0s=raw_f0s,
-                           corrected_f0s=tuple(folded["f0_hz"][found].tolist()),
-                           out_of_model=any(f < 0.25 * ProConfig.gamma_hz
-                                            for f in raw_f0s))
 
 
 def analyze_utterance(buf: SampleBuffer, estimators: list[str],
@@ -336,7 +376,8 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     frame's most salient candidate. Every candidate of the voiced frames is
     folded into its frame's region in one pass over the band table, and the
     pro F0 is the most salient folded candidate. Folding keeps salience and
-    order, so this equals the raw pick folded.
+    order, so this equals the raw pick folded. No per-frame object is built:
+    each pro key keeps the region table and its estimator's candidate array.
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
@@ -375,23 +416,18 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
              for est in estimators}
 
     voiced_rows = np.flatnonzero(voiced)
-    regions = tuple(classify_frames(mode_f0, voiced_rows)) if pro else ()
-    region_rows = np.array([r.region == HIGH for r in regions], dtype=np.intp)[:, None]
+    regions = _region_table(mode_f0, voiced_rows) if pro else None
     out: dict[tuple[str, str], MethodResult] = {}
     for est in estimators:
-        raw = pick(cands[est])
-        f0, diagnostics = {"raw": raw}, ()
+        f0 = {"raw": pick(cands[est])}
         if pro:
             folded = cands[est].copy()
-            folded["f0_hz"][voiced_rows] = _fold(folded["f0_hz"][voiced_rows], region_rows)
+            folded["f0_hz"][voiced_rows] = _fold(folded["f0_hz"][voiced_rows],
+                                                 regions["high"][:, None])
             f0["pro"] = pick(folded)
-            diagnostics = tuple(_diagnostic(cands[est][r.frame_index],
-                                            folded[r.frame_index], r) for r in regions)
         for meth in methods:
             track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=f0[meth],
                                     voiced_mask=voiced.copy())
-            out[(est, meth)] = MethodResult(
-                track=track,
-                regions=regions if meth == "pro" else (),
-                diagnostics=diagnostics if meth == "pro" else ())
+            out[(est, meth)] = (MethodResult(track, regions, cands[est]) if meth == "pro"
+                                else MethodResult(track))
     return out

@@ -46,11 +46,6 @@ class LogSpectrum:
         """Fractional grid index of arbitrary log2-frequency positions."""
         return (np.asarray(log2_f) - self.log2_f_start) / self.step_log2
 
-    def sample(self, log2_f) -> np.ndarray:
-        """Linear interpolation of a single spectrum at arbitrary
-        log2-frequency positions."""
-        return np.interp(self.index(log2_f), np.arange(len(self.values)), self.values)
-
 
 def _hann_spectra(samples: np.ndarray, nfft: int, bins_of) -> np.ndarray:
     """bins_of(rfft) of each Hann-windowed frame along the last axis of
@@ -103,16 +98,16 @@ def analytic_signal(x: np.ndarray) -> np.ndarray:
     n = x.size
     if n == 0:
         raise ValueError("empty input")
+    # the one-sided gain (1 at DC and Nyquist, 2 on positive, 0 on negative
+    # frequencies) is applied in place and the real part is the input itself,
+    # so the spectrum and the result are the only full-length arrays
     spec = np.fft.fft(x)
-    h = np.zeros(n)
-    if n % 2 == 0:
-        h[0] = h[n // 2] = 1.0
-        h[1:n // 2] = 2.0
-    else:
-        h[0] = 1.0
-        h[1:(n + 1) // 2] = 2.0
-    z = np.fft.ifft(spec * h)
-    return x + 1j * z.imag
+    spec[1:(n + 1) // 2] *= 2.0
+    spec[n // 2 + 1:] = 0.0
+    z = np.fft.ifft(spec)
+    del spec
+    z.real = x
+    return z
 
 
 def envelope(x: np.ndarray) -> np.ndarray:

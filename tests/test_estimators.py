@@ -71,6 +71,12 @@ def select_loop(cands):
     return np.array(picks)
 
 
+def sample(logspec, log2_f):
+    """Linear interpolation of a single log spectrum at arbitrary
+    log2-frequency positions."""
+    return np.interp(logspec.index(log2_f), np.arange(len(logspec.values)), logspec.values)
+
+
 def brute_force_harmonic_summation(logspec, cand_hz, num_harmonics):
     """Per-candidate loop transcribing the harmonic-summation comb."""
     top_log2 = logspec.grid_log2()[-1]
@@ -83,9 +89,9 @@ def brute_force_harmonic_summation(logspec, cand_hz, num_harmonics):
             continue
         h = np.arange(1, h_max + 1)
         weights = 1.0 / np.sqrt(h)
-        peaks = logspec.sample(base + np.log2(h))
-        valleys_lo = logspec.sample(base + np.log2(h - 0.5))
-        valleys_hi = logspec.sample(base + np.log2(h + 0.5))
+        peaks = sample(logspec, base + np.log2(h))
+        valleys_lo = sample(logspec, base + np.log2(h - 0.5))
+        valleys_hi = sample(logspec, base + np.log2(h + 0.5))
         scores[i] = float(np.dot(weights, peaks - 0.5 * (valleys_lo + valleys_hi)))
     return scores
 
@@ -99,8 +105,8 @@ def brute_force_subharmonic_curves(logspec, cand_hz, max_harmonics):
         base = math.log2(f0)
         n_max = max(min(max_harmonics, int(2.0 ** (top_log2 - base))), 1)
         n = np.arange(1, n_max + 1)
-        sh[i] = float(np.sum(logspec.sample(base + np.log2(n))))
-        ss[i] = float(np.sum(logspec.sample(base + np.log2(n - 0.5))))
+        sh[i] = float(np.sum(sample(logspec, base + np.log2(n))))
+        ss[i] = float(np.sum(sample(logspec, base + np.log2(n - 0.5))))
     return sh, ss
 
 

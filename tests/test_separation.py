@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from modepitch.separation import (
     HIGH,
     LOW,
     AnalysisConfig,
+    FrameDiagnostic,
     FrequencyRegion,
+    MethodResult,
     SMOOTH_FRAMES,
     ProConfig,
     _smoothed_argmax_track,
@@ -43,6 +46,7 @@ from modepitch.separation import (
     select_imf_pair,
 )
 from modepitch.spectral import log_grid
+from modepitch.track import FramePitchTrack
 from modepitch.vad import VadConfig, detect_voiced, voiced_segments
 
 
@@ -187,6 +191,18 @@ def fold_loop(cands, regions):
         for k in np.flatnonzero(~np.isnan(row)):
             row[k] = correct_candidate(row[k], r.region)
     return folded
+
+
+def diagnostic_oracle(raw, folded, region):
+    """Audit record of one frame from its raw and folded CANDIDATE rows, as
+    analyze_utterance built one per classified frame and pro key before it
+    kept its evidence as arrays."""
+    found = ~np.isnan(raw["f0_hz"])
+    raw_f0s = tuple(raw["f0_hz"][found].tolist())
+    return FrameDiagnostic(region=region, raw_f0s=raw_f0s,
+                           corrected_f0s=tuple(folded["f0_hz"][found].tolist()),
+                           out_of_model=any(f < 0.25 * ProConfig.gamma_hz
+                                            for f in raw_f0s))
 
 
 def gapped_utterance(fs):
@@ -397,6 +413,17 @@ class TestClassifyFrames:
         mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [np.nan] * 4,
                             [300.0, 301.0, 302.0, 303.0]])
         with pytest.raises(ValueError, match=r"strictly increasing row indices in \[0, 3\)"):
+            classify_frames(mode_f0, frames)
+
+    @pytest.mark.parametrize("frames", [[0.9], [1.0], np.array([0.0, 2.0]), [True],
+                                        [False, True], np.array([True, False, True])])
+    def test_rows_that_are_not_integers_rejected(self, frames):
+        # a float row was truncated ([0.9] gave frame 0), and a bool row or
+        # mask was read as 0 and 1 ([True] gave frame 1, [False, True] rows
+        # 0 and 1)
+        mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [np.nan] * 4,
+                            [300.0, 301.0, 302.0, 303.0]])
+        with pytest.raises(ValueError, match="frames must be integer row indices"):
             classify_frames(mode_f0, frames)
 
     @settings(max_examples=300, deadline=None)
@@ -770,7 +797,8 @@ class TestPipeline:
         moved = 0
         for est in estimators:
             raw, pro = out[(est, "raw")], out[(est, "pro")]
-            assert pro.regions is regions
+            assert pro.region_table is out[("shr", "pro")].region_table
+            assert repr(pro.regions) == repr(regions)
             assert raw.regions == () and raw.diagnostics == ()
             np.testing.assert_array_equal(raw.track.voiced_mask, voiced)
             np.testing.assert_array_equal(pro.track.voiced_mask, voiced)
@@ -788,6 +816,28 @@ class TestPipeline:
                 assert d.out_of_model == any(f < 0.25 * ProConfig.gamma_hz
                                              for f in d.raw_f0s)
         assert moved > 0
+
+    def test_analysis_keeps_its_evidence_as_arrays(self):
+        # one grid_pro-shaped analysis (shr, swipe and hht, raw and pro, on a
+        # 600 ms vowel) held 41 KB while each pro key kept a FrequencyRegion
+        # per voiced frame and a FrameDiagnostic per frame and key; the pro
+        # keys now hold one region table and their raw candidate arrays.
+        # Kept is what dropping the result frees: what it leaves in the
+        # allocators' caches while alive is not the result's
+        buf, _ = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, 150.0), (600, 150.0)), duration_ms=600, rng_seed=1))
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=0))
+        keys = (["shr", "swipe", "hht"], ["raw", "pro"])
+        assert len(analyze_utterance(buf, *keys, cfg)[("hht", "pro")].diagnostics) >= 50
+        tracemalloc.start()
+        try:
+            out = analyze_utterance(buf, *keys, cfg)
+            with_result = tracemalloc.get_traced_memory()[0]
+            del out
+            kept = with_result - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 20_000
 
     def test_frames_without_mode_evidence_inherit_across_segments(self, monkeypatch):
         # a high vowel, a pause, then a low vowel whose decomposition keeps
@@ -887,10 +937,11 @@ class TestPipeline:
             mode_f0[5::4, 1:] = np.nan
             return mode_f0
         picked, classified = [], []
+        real_region_table = separation._region_table
         monkeypatch.setattr(separation, "imf_pitch_vector", sparse_pitch_vector)
         monkeypatch.setattr(separation, "pick", lambda c: picked.append(c) or pick(c))
-        monkeypatch.setattr(separation, "classify_frames",
-                            lambda *args: classified.append(args) or classify_frames(*args))
+        monkeypatch.setattr(separation, "_region_table",
+                            lambda *args: classified.append(args) or real_region_table(*args))
         cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=3))
         out = analyze_utterance(SampleBuffer(gapped_utterance(fs), fs), *ALL_KEYS, cfg)
         assert len(voiced_segments(out[("shr", "raw")].track.voiced_mask)) == 3
@@ -906,7 +957,7 @@ class TestPipeline:
             np.testing.assert_array_equal(out[(est, "pro")].track.f0_hz, pick(folded))
             assert repr(out[(est, "pro")].regions) == repr(regions)
             assert repr(out[(est, "pro")].diagnostics) == repr(tuple(
-                separation._diagnostic(raw[r.frame_index], folded[r.frame_index], r)
+                diagnostic_oracle(raw[r.frame_index], folded[r.frame_index], r)
                 for r in regions))
         assert moved > 0
 
@@ -1062,6 +1113,35 @@ class TestAnalyzeProperties:
             assert not result.track.voiced_mask.any()
         with pytest.raises(ValueError, match="shorter than one"):
             analyze_utterance(SampleBuffer(x[:spec.frame_len(fs) - 1], fs), *ALL_KEYS, cfg)
+
+
+class TestMethodResult:
+    def test_views_equal_per_frame_oracles(self):
+        # a region table over a subset of rows with inherited frames, and
+        # raw candidates on and beside every band edge (gamma / 4 among
+        # them), off the model's range, or empty; both views equal the
+        # per-frame loops, and a raw key reads none
+        rng = np.random.default_rng(33)
+        n = 60
+        mode_f0 = rng.uniform(55.0, 395.0, size=(n, 4))
+        mode_f0[rng.random((n, 4)) < 0.6] = np.nan
+        rows = np.flatnonzero(rng.random(n) < 0.8)
+        cands = np.full((n, 3), np.nan, CANDIDATE)
+        cands["f0_hz"] = rng.choice(BAND_EDGES + [20.0, 75.0, 150.0, 300.0, 900.0, np.nan],
+                                    size=(n, 3))
+        cands["salience"] = rng.random((n, 3))
+        track = FramePitchTrack(10.0 * np.arange(n), np.full(n, np.nan), np.ones(n, bool))
+        result = MethodResult(track, separation._region_table(mode_f0, rows), cands)
+        regions = classify_frames_loop(mode_f0, rows)
+        folded = fold_loop(cands, regions)
+        assert {r.region for r in regions} == {LOW, HIGH}
+        assert any(r.selected_imfs is None for r in regions)
+        assert repr(result.regions) == repr(tuple(regions))
+        assert repr(result.diagnostics) == repr(tuple(
+            diagnostic_oracle(cands[r.frame_index], folded[r.frame_index], r)
+            for r in regions))
+        assert any(d.out_of_model for d in result.diagnostics)
+        assert MethodResult(track).regions == () and MethodResult(track).diagnostics == ()
 
 
 class TestFrequencyRegionType:

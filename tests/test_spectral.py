@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from modepitch.spectral import (
     Spectrum,
     analytic_signal,
@@ -17,6 +18,21 @@ from modepitch.spectral import (
 FS = 8000
 BOTH_SPECTRA = pytest.mark.parametrize(
     "spectrum", [power_spectrum, magnitude_spectrum], ids=lambda f: f.__name__)
+
+
+def analytic_signal_gain(x):
+    """Oracle for analytic_signal: the spectrum times a separate one-sided
+    gain array, and the real part put back by adding the input."""
+    n = x.size
+    h = np.zeros(n)
+    if n % 2 == 0:
+        h[0] = h[n // 2] = 1.0
+        h[1:n // 2] = 2.0
+    else:
+        h[0] = 1.0
+        h[1:(n + 1) // 2] = 2.0
+    z = np.fft.ifft(np.fft.fft(x) * h)
+    return x + 1j * z.imag
 
 
 def brute_force_acf(x, max_lag):
@@ -94,6 +110,28 @@ class TestAnalyticSignal:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             analytic_signal(np.array([]))
+
+    def test_envelope_equals_gain_array_oracle(self, rng):
+        # odd and even lengths, from one sample up, with exact and signed zeros
+        for trial in range(300):
+            n = int(rng.integers(1, 3000)) if trial > 3 else trial + 1
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+            x[rng.random(n) < 0.2] = [0.0, -0.0][trial % 2]
+            want = analytic_signal_gain(x)
+            got = analytic_signal(x)
+            assert np.array_equal(envelope(x).view(np.int64),
+                                  np.abs(want).view(np.int64)), n
+            assert np.array_equal(got.imag, want.imag) and np.array_equal(got.real, x), n
+
+    @pytest.mark.parametrize("n", [4760, 4761])
+    def test_peak_is_the_spectrum_and_the_result(self, rng, n):
+        # the gain array, the gained copy and the two temporaries of
+        # x + 1j * imag took the peak to 11.0x the input's bytes
+        x = rng.standard_normal(n)
+        analytic_signal(x)
+        peak, z = traced_peak(lambda: analytic_signal(x))
+        assert np.array_equal(z.real, x)
+        assert peak <= 4.25 * x.nbytes
 
 
 class TestAutocorrelation:

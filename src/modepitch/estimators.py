@@ -62,11 +62,14 @@ def _frame_spectrum(frame, cfg: EstimatorConfig, spectrum) -> tuple[Spectrum, np
     Hann-windowed spectrum with `spectrum` (power_spectrum or
     magnitude_spectrum). frame.samples is one frame or a (rows x n) stack,
     spectra along the last axis; also returns which frames hold a nonzero
-    sample. A single frame of zeros raises ValueError."""
+    sample. A single frame of zeros, or a NaN or inf sample in any frame,
+    raises ValueError."""
     x = np.asarray(frame.samples, dtype=np.float64)
     fs = frame.sample_rate_hz
     n = x.shape[-1] if x.ndim else 0
     cfg.check_frame(n / fs)
+    if not np.isfinite(x).all():
+        raise ValueError("frame holds a non-finite (NaN or inf) sample")
     live = np.any(x, axis=-1)
     if x.ndim == 1 and not live:
         raise ValueError("degenerate frame (all zeros)")
@@ -81,35 +84,37 @@ def _log_spectrum(spec: Spectrum, cfg: EstimatorConfig,
     return to_log_frequency(spec, cfg.f_min / 2.0, f_hi, cfg.bins_per_octave)
 
 
-def _parabolic_refine(y: np.ndarray, i: int) -> float:
-    """Fractional index of the peak around y[i], by parabola through 3 points."""
-    if i <= 0 or i >= y.size - 1:
-        return float(i)
-    if not (np.isfinite(y[i - 1]) and np.isfinite(y[i]) and np.isfinite(y[i + 1])):
-        return float(i)
-    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if denom == 0.0:
-        return float(i)
-    return i + 0.5 * (y[i - 1] - y[i + 1]) / denom
+def _refine(y: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Fractional index of the peak around y[i, peak[i]] in each row of y,
+    by a parabola through 3 points; the peak index itself at an edge of
+    the row, next to a non-finite value or on a flat top."""
+    inner = np.clip(peak, 1, y.shape[-1] - 2)
+    near = y[np.arange(len(y))[:, None], inner[:, None] + np.arange(-1, 2)]
+    lo, mid, hi = near.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = lo - 2.0 * mid + hi
+        fits = (inner == peak) & np.isfinite(near).all(axis=1) & (denom != 0.0)
+        return np.where(fits, peak + 0.5 * (lo - hi) / denom, peak)
 
 
-def _refined_peak(scores: np.ndarray, cands: np.ndarray, bins_per_octave: int,
-                  f_lo: float, f_hi: float) -> tuple[float, float]:
-    """F0 at the parabola-refined score maximum, clipped to [f_lo, f_hi],
-    and the maximum score itself."""
-    best = int(np.argmax(scores))
-    refined = _parabolic_refine(scores, best)
-    f0 = float(np.clip(cands[0] * 2.0 ** (refined / bins_per_octave), f_lo, f_hi))
-    return f0, float(scores[best])
+def _peak_estimates(scores: np.ndarray, cands: np.ndarray, bins_per_octave: int,
+                    f_lo: float, f_hi: float, live: np.ndarray):
+    """_estimates of the F0 at the parabola-refined maximum of each row of
+    scores, clipped to [f_lo, f_hi], and of the maximum score itself."""
+    scores = scores.reshape(-1, cands.size)
+    best = np.argmax(scores, axis=1)
+    octaves = (_refine(scores, best) / bins_per_octave).tolist()
+    # Python's float power is libm's pow; numpy's array power may round
+    # the last bit differently, and the estimates stay bit for bit
+    f0 = np.clip(cands[0] * np.array([2.0 ** v for v in octaves]), f_lo, f_hi)
+    return _estimates(f0, scores[np.arange(len(scores)), best], live)
 
 
-def _per_frame(pairs, live: np.ndarray):
-    """(f0_hz, salience) of each frame from an iterable of per-frame pairs:
-    two floats for a single frame, else two arrays with NaN at the frames
-    in which live is False."""
-    f0, salience = np.array(list(pairs)).reshape(live.shape + (2,)).T
+def _estimates(f0: np.ndarray, salience: np.ndarray, live: np.ndarray):
+    """(f0_hz, salience) from per-row arrays: two floats for a single frame
+    (0-d live), else two arrays with NaN at the frames where live is False."""
     if live.ndim == 0:
-        return float(f0), float(salience)
+        return float(f0[0]), float(salience[0])
     return np.where(live, f0, np.nan), np.where(live, salience, np.nan)
 
 
@@ -200,9 +205,8 @@ def pefac_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = Estimator
     """(f0_hz, salience) of the harmonic-summation response's maximum: two
     floats for one frame, two arrays (NaN at all-zero rows) for a stack."""
     cands, scores = pefac_scores(frame, cfg)
-    return _per_frame((_refined_peak(row, cands, cfg.bins_per_octave, cfg.f_min, cfg.f_max)
-                       for row in scores.reshape(-1, cands.size)),
-                      ~np.isnan(scores[..., 0]))
+    return _peak_estimates(scores, cands, cfg.bins_per_octave, cfg.f_min, cfg.f_max,
+                           ~np.isnan(scores[..., 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +235,6 @@ def subharmonic_ratio_curves(logspec: LogSpectrum, cand_hz: np.ndarray,
     return sh, ss
 
 
-def _shr_pick(sh: np.ndarray, ss: np.ndarray, cands: np.ndarray,
-              cfg: EstimatorConfig) -> tuple[float, float]:
-    """(f0_hz, salience) of one frame's harmonic-sum peak, demoted one
-    octave when the subharmonic-to-harmonic ratio exceeds the threshold."""
-    best = int(np.argmax(sh))
-    sh_best = float(sh[best])
-    ss_best = float(ss[best])
-    shr = ss_best / sh_best if sh_best > 0 else 0.0
-    f0 = float(cands[best])
-    if shr > cfg.shr_threshold and f0 / 2.0 >= cfg.f_min:
-        f0 /= 2.0
-    total = sh_best + ss_best
-    return f0, max(0.0, (sh_best - ss_best) / total) if total > 0 else 0.0
-
-
 def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorConfig()):
     """(f0_hz, salience) of the harmonic-sum peak, demoted one octave when
     the subharmonic-to-harmonic ratio exceeds the threshold: two floats for
@@ -254,9 +243,16 @@ def shr_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = EstimatorCo
     logspec = _log_spectrum(spec, cfg, cfg.shr_max_harmonics)
     del spec  # only the log-frequency views live through the comb reads
     cands = log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
-    sh, ss = subharmonic_ratio_curves(logspec, cands, cfg.shr_max_harmonics)
-    return _per_frame((_shr_pick(a, b, cands, cfg) for a, b in
-                       zip(sh.reshape(-1, cands.size), ss.reshape(-1, cands.size))), live)
+    sh, ss = np.atleast_2d(*subharmonic_ratio_curves(logspec, cands, cfg.shr_max_harmonics))
+    best = np.argmax(sh, axis=1)
+    rows = np.arange(len(best))
+    sh, ss, f0 = sh[rows, best], ss[rows, best], cands[best]
+    total = sh + ss
+    with np.errstate(divide="ignore", invalid="ignore"):
+        demote = (np.where(sh > 0, ss / sh, 0.0) > cfg.shr_threshold) & (f0 / 2.0 >= cfg.f_min)
+        salience = (sh - ss) / total
+    return _estimates(np.where(demote, f0 / 2.0, f0),
+                      np.where((total > 0) & (salience > 0), salience, 0.0), live)
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +287,13 @@ def swipe_estimate(frame: Frame | SampleBuffer, cfg: EstimatorConfig = Estimator
     spec, live = _frame_spectrum(frame, cfg, magnitude_spectrum)
     cands = log_grid(cfg.f_min, cfg.swipe_f_max, cfg.swipe_bins_per_octave)
     scores = swipe_apvd(spec, cands, cfg.swipe_num_peaks)
-    return _per_frame((_refined_peak(row, cands, cfg.swipe_bins_per_octave,
-                                     cfg.f_min, cfg.swipe_f_max)
-                       for row in scores.reshape(-1, cands.size)), live)
+    return _peak_estimates(scores, cands, cfg.swipe_bins_per_octave, cfg.f_min,
+                           cfg.swipe_f_max, live)
 
 
 # ---------------------------------------------------------------------------
 # HHT-Amp: candidates from the envelope ACF of each decomposition mode
 # ---------------------------------------------------------------------------
-
-def _first_acf_peak(r: np.ndarray, tau_min: int, tau_max: int) -> int | None:
-    """Smallest lag in [tau_min, tau_max] that is a local maximum:
-    r(t) > r(t-1) and r(t) >= r(t+1)."""
-    hi = min(tau_max, r.size - 2)
-    for tau in range(max(tau_min, 1), hi + 1):
-        if r[tau] > r[tau - 1] and r[tau] >= r[tau + 1]:
-            return tau
-    return None
-
 
 def hht_candidates(imfs: ImfSet) -> np.ndarray:
     """Candidates of every analysis frame as a (frames x hht_num_imfs)
@@ -328,28 +313,42 @@ def hht_candidates(imfs: ImfSet) -> np.ndarray:
             f"need {cfg.hht_num_imfs} modes for candidate extraction, "
             f"got {len(imfs)}")
     fs = imfs.sample_rate_hz
-    tau_min = int(math.ceil(fs / cfg.f_max))
-    tau_max = int(math.floor(fs / cfg.f_min))
-    max_lag = min(tau_max + 1, frame.frame_len(fs) - 1)
     out = np.full((frame.num_frames(imfs.residual.size, fs), cfg.hht_num_imfs),
                   np.nan, CANDIDATE)
     for k in range(cfg.hht_num_imfs):
-        for i, w in enumerate(frame.frames(envelope(imfs.modes[k]), fs)):
-            mean = w.mean()
-            w = w - mean
-            # an unmodulated envelope carries no pitch cue; the depth floor
-            # also rejects numerical ripple in the analytic envelope
-            if w.std() <= 1e-4 * max(abs(mean), 1e-30):
-                continue
-            r = autocorrelation(w, max_lag)
-            if r[0] <= 0.0:
-                continue
-            tau0 = _first_acf_peak(r, tau_min, tau_max)
-            if tau0 is None or r[tau0] <= 0.0:
-                continue
-            tau_ref = _parabolic_refine(r, tau0)
-            out[i, k] = np.clip(fs / tau_ref, cfg.f_min, cfg.f_max), r[tau0] / r[0]
+        # one mode's ACF stack is freed before the next envelope is built
+        found, f0, salience = _acf_peaks(frame.frames(envelope(imfs.modes[k]), fs), fs)
+        out["f0_hz"][found, k] = f0[found]
+        out["salience"][found, k] = salience[found]
     return out
+
+
+def _acf_peaks(windows: np.ndarray, fs: int):
+    """Which (frames x n) windows of one mode's envelope yield a candidate,
+    and each one's candidate F0 and salience (meaningful where found). A
+    window under the depth floor keeps an all-zero ACF, which r(0) <= 0
+    rejects; one comparison over the stacked ACFs finds every first peak."""
+    cfg = EstimatorConfig
+    tau_min, tau_max = math.ceil(fs / cfg.f_max), math.floor(fs / cfg.f_min)
+    max_lag = min(tau_max + 1, windows.shape[1] - 1)
+    # lag-major, so the comparisons read contiguous rows: on strided
+    # operands numpy allocates ufunc buffers larger than the whole stack
+    acf = np.zeros((max_lag + 1, len(windows)))
+    for i, w in enumerate(windows):
+        mean = w.mean()
+        w = w - mean
+        # an unmodulated envelope carries no pitch cue; the depth floor
+        # also rejects numerical ripple in the analytic envelope
+        if w.std() > 1e-4 * max(abs(mean), 1e-30):
+            acf[:, i] = autocorrelation(w, max_lag)
+    mid = acf[tau_min:-1]  # up to tau_max, or the last lag with a right neighbour
+    is_peak = (mid > acf[tau_min - 1:-2]) & (mid >= acf[tau_min + 1:])
+    tau0 = tau_min + np.argmax(is_peak, axis=0)
+    r0, r_tau0 = acf[0], acf[tau0, np.arange(len(windows))]
+    found = is_peak.any(axis=0) & (r0 > 0.0) & (r_tau0 > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (found, np.clip(fs / _refine(acf.T, tau0), cfg.f_min, cfg.f_max),
+                r_tau0 / r0)
 
 
 def pick(cands: np.ndarray) -> np.ndarray:

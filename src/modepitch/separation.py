@@ -346,7 +346,10 @@ class MethodResult:
 
 
 def check_keys(estimators: list[str], methods: list[str]) -> None:
-    """Reject estimator or method names the pipeline does not know."""
+    """Reject an empty estimator or method list, and names the pipeline
+    does not know."""
+    if not estimators or not methods:
+        raise ValueError("need at least one estimator and one method")
     for m in methods:
         if m not in ("raw", "pro"):
             raise ValueError(f"unknown method {m!r}")

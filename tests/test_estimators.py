@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import FS, glottal_pulse_train, tone
+from conftest import FS, glottal_pulse_train, tone, traced_peak
 from modepitch.audio import Frame, FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
 from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig, ImfSet, eemd_decompose
@@ -23,7 +25,7 @@ from modepitch.estimators import (
     swipe_estimate,
 )
 from modepitch import estimators, separation, spectral
-from modepitch.separation import check_keys, imf_pitch_vector
+from modepitch.separation import analyze_utterance, check_keys, imf_pitch_vector
 from modepitch.spectral import LogSpectrum, Spectrum
 
 CFG = EstimatorConfig()
@@ -108,6 +110,114 @@ def brute_force_subharmonic_curves(logspec, cand_hz, max_harmonics):
         sh[i] = float(np.sum(sample(logspec, base + np.log2(n))))
         ss[i] = float(np.sum(sample(logspec, base + np.log2(n - 0.5))))
     return sh, ss
+
+
+# Per-row oracles: the pickers the estimators ran one frame at a time
+# before every row of a call was picked in array code.
+
+def parabolic_refine(y, i):
+    """Fractional index of the peak around y[i], by parabola through 3 points."""
+    if i <= 0 or i >= y.size - 1:
+        return float(i)
+    if not (np.isfinite(y[i - 1]) and np.isfinite(y[i]) and np.isfinite(y[i + 1])):
+        return float(i)
+    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+    if denom == 0.0:
+        return float(i)
+    return i + 0.5 * (y[i - 1] - y[i + 1]) / denom
+
+
+def refined_peak(scores, cands, bins_per_octave, f_lo, f_hi):
+    """F0 at the parabola-refined score maximum, clipped to [f_lo, f_hi],
+    and the maximum score itself."""
+    best = int(np.argmax(scores))
+    refined = parabolic_refine(scores, best)
+    f0 = float(np.clip(cands[0] * 2.0 ** (refined / bins_per_octave), f_lo, f_hi))
+    return f0, float(scores[best])
+
+
+def per_frame(pairs, live):
+    """(f0_hz, salience) of each frame from an iterable of per-frame pairs:
+    two floats for a single frame, else two arrays with NaN at the frames
+    in which live is False."""
+    f0, salience = np.array(list(pairs)).reshape(live.shape + (2,)).T
+    if live.ndim == 0:
+        return float(f0), float(salience)
+    return np.where(live, f0, np.nan), np.where(live, salience, np.nan)
+
+
+def shr_pick(sh, ss, cands, cfg):
+    """(f0_hz, salience) of one frame's harmonic-sum peak, demoted one
+    octave when the subharmonic-to-harmonic ratio exceeds the threshold."""
+    best = int(np.argmax(sh))
+    sh_best = float(sh[best])
+    ss_best = float(ss[best])
+    shr = ss_best / sh_best if sh_best > 0 else 0.0
+    f0 = float(cands[best])
+    if shr > cfg.shr_threshold and f0 / 2.0 >= cfg.f_min:
+        f0 /= 2.0
+    total = sh_best + ss_best
+    return f0, max(0.0, (sh_best - ss_best) / total) if total > 0 else 0.0
+
+
+def frame_estimate_loop(name, frame, cfg=CFG):
+    """Oracle for the frame estimators: their own spectra and scores,
+    picked row by row."""
+    if name == "pefac":
+        cands, scores = estimators.pefac_scores(frame, cfg)
+        return per_frame((refined_peak(row, cands, cfg.bins_per_octave, cfg.f_min, cfg.f_max)
+                          for row in scores.reshape(-1, cands.size)),
+                         ~np.isnan(scores[..., 0]))
+    spec, live = estimators._frame_spectrum(frame, cfg, spectral.magnitude_spectrum)
+    if name == "swipe":
+        cands = spectral.log_grid(cfg.f_min, cfg.swipe_f_max, cfg.swipe_bins_per_octave)
+        scores = swipe_apvd(spec, cands, cfg.swipe_num_peaks)
+        return per_frame((refined_peak(row, cands, cfg.swipe_bins_per_octave,
+                                       cfg.f_min, cfg.swipe_f_max)
+                          for row in scores.reshape(-1, cands.size)), live)
+    logspec = estimators._log_spectrum(spec, cfg, cfg.shr_max_harmonics)
+    cands = spectral.log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave)
+    sh, ss = subharmonic_ratio_curves(logspec, cands, cfg.shr_max_harmonics)
+    return per_frame((shr_pick(a, b, cands, cfg) for a, b in
+                      zip(sh.reshape(-1, cands.size), ss.reshape(-1, cands.size))), live)
+
+
+def first_acf_peak(r, tau_min, tau_max):
+    """Smallest lag in [tau_min, tau_max] that is a local maximum:
+    r(t) > r(t-1) and r(t) >= r(t+1)."""
+    hi = min(tau_max, r.size - 2)
+    for tau in range(max(tau_min, 1), hi + 1):
+        if r[tau] > r[tau - 1] and r[tau] >= r[tau + 1]:
+            return tau
+    return None
+
+
+def acf_candidate(r, fs):
+    """(f0_hz, salience) one window's envelope ACF r gives, or None."""
+    if r[0] <= 0.0:
+        return None
+    tau0 = first_acf_peak(r, int(math.ceil(fs / CFG.f_max)), int(math.floor(fs / CFG.f_min)))
+    if tau0 is None or r[tau0] <= 0.0:
+        return None
+    return np.clip(fs / parabolic_refine(r, tau0), CFG.f_min, CFG.f_max), r[tau0] / r[0]
+
+
+def hht_candidates_loop(imfs):
+    """Oracle for hht_candidates: one window of one mode at a time."""
+    frame, fs = FrameSpec(), imfs.sample_rate_hz
+    max_lag = min(int(math.floor(fs / CFG.f_min)) + 1, frame.frame_len(fs) - 1)
+    out = np.full((frame.num_frames(imfs.residual.size, fs), CFG.hht_num_imfs),
+                  np.nan, CANDIDATE)
+    for k in range(CFG.hht_num_imfs):
+        for i, w in enumerate(frame.frames(spectral.envelope(imfs.modes[k]), fs)):
+            mean = w.mean()
+            w = w - mean
+            if w.std() <= 1e-4 * max(abs(mean), 1e-30):
+                continue
+            cand = acf_candidate(spectral.autocorrelation(w, max_lag), fs)
+            if cand is not None:
+                out[i, k] = cand
+    return out
 
 
 def random_log_spectrum(rng):
@@ -285,6 +395,9 @@ class TestFrameStacks:
         frames = stack_of_frames(fs, rows, zero_row)
         f0, salience = FRAME_ESTIMATORS[name](Frame(frames, fs, 0.0))
         assert f0.shape == salience.shape == (rows,)
+        # and the bytes of the per-row oracle
+        want = frame_estimate_loop(name, Frame(frames, fs, 0.0))
+        assert np.array([f0, salience]).tobytes() == np.array(want).tobytes()
         for i, row in enumerate(frames):
             if i == zero_row:
                 assert np.isnan(f0[i]) and np.isnan(salience[i])
@@ -327,6 +440,118 @@ class TestFrameStacks:
         got = swipe_apvd(Spectrum(bins=bins, bin_hz=15.625), cands)
         for i, row in enumerate(bins):
             assert np.array_equal(got[i], swipe_apvd(Spectrum(bins=row, bin_hz=15.625), cands))
+
+
+def mixed_stack(fs):
+    """Analysis frames that take every branch of the picks: a silent
+    lead-in (all-zero rows), an utterance in babble at 0 dB, white noise,
+    and a comb whose strong subharmonics demote SHR's pick to 100 Hz."""
+    buf, _ = synthesize_utterance(SynthUtteranceSpec(
+        f0_contour=((0, 120.0), (400, 220.0)), duration_ms=400, rng_seed=1,
+        sample_rate_hz=fs))
+    noisy = mix_at_snr(NoisyMix(buf, make_noise("babble", len(buf), fs, seed=2), 0.0, seed=3))
+    white = 0.3 * np.random.default_rng(fs).standard_normal(fs // 5)
+    comb = harmonic_comb(100.0, [0.8 if k % 2 == 0 else 1.0 for k in range(16)],
+                         duration_s=0.2, fs=fs).samples
+    x = np.concatenate([np.zeros(fs // 10), noisy.samples, white, comb])
+    return FrameSpec().frames(x, fs)
+
+
+def mixed_modes(fs):
+    """Three modes that pass, in turn and each at its own time, through
+    silence, a 125 Hz envelope (a peak in range), a 20 Hz envelope (no peak
+    below 1/f_min), an unmodulated carrier (the depth floor) and noise."""
+    t = np.arange(int(0.3 * fs)) / fs
+    carrier = np.cos(2 * np.pi * 1000 * t)
+    pieces = [np.zeros_like(t), carrier * (1 + 0.5 * np.cos(2 * np.pi * 125 * t)),
+              carrier * (1 + 0.5 * np.cos(2 * np.pi * 20 * t)), carrier,
+              np.random.default_rng(fs).standard_normal(t.size)]
+    modes = [np.concatenate(pieces[k:] + pieces[:k]) for k in range(CFG.hht_num_imfs)]
+    return ImfSet(np.array(modes), np.zeros(len(modes[0])), fs)
+
+
+class TestArrayPicks:
+    """Each call picks every row's peak in array code, byte for byte what
+    the per-row oracles pick. The F0 takes 2**x per value with libm's pow,
+    since numpy's array power may round the last bit differently."""
+
+    @RATES
+    @pytest.mark.parametrize("name", ["pefac", "shr", "swipe"])
+    def test_noisy_stack_equals_per_row_oracle(self, name, fs):
+        frame = Frame(mixed_stack(fs), fs, 0.0)
+        f0, salience = FRAME_ESTIMATORS[name](frame)
+        want = frame_estimate_loop(name, frame)
+        assert f0.tobytes() == want[0].tobytes()
+        assert salience.tobytes() == want[1].tobytes()
+        assert np.isnan(f0[0]) and np.isfinite(f0[-1])
+        if name == "shr":
+            assert f0[-1] == pytest.approx(100.0, rel=0.03)
+
+    @RATES
+    @pytest.mark.parametrize("source", ["mixed", "eemd"])
+    def test_hht_equals_per_window_oracle(self, fs, source):
+        if source == "mixed":
+            imfs = mixed_modes(fs)
+        else:
+            imfs = eemd_decompose(SampleBuffer(mixed_stack(fs)[::4].ravel(), fs),
+                                  EmdConfig(ensemble_size=2, rng_seed=0), CFG.hht_num_imfs)
+        want = hht_candidates_loop(imfs)
+        assert np.isnan(want["f0_hz"]).any() and not np.isnan(want["f0_hz"]).all()
+        assert hht_candidates(imfs).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(3, 8)),
+                        elements=st.sampled_from([-np.inf, np.nan, 0.0, 1.0, 2.0])
+                        | st.floats(-1e3, 1e3)),
+           data=st.data())
+    def test_refine_matches_scalar_parabola(self, y, data):
+        # any index, edges included; repeated values give flat tops
+        peak = np.array(data.draw(st.lists(st.integers(0, y.shape[1] - 1),
+                                           min_size=len(y), max_size=len(y))))
+        want = np.array([parabolic_refine(row, int(i)) for row, i in zip(y, peak)])
+        assert estimators._refine(y, peak).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(acfs=hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.just(22)),
+                           elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0])
+                           | st.floats(-2.0, 2.0).map(lambda v: round(v, 3))))
+    def test_first_peak_matches_lag_scan(self, acfs):
+        # at 1 kHz the search runs over lags 3..20 of a 22-lag ACF; the
+        # ramp windows pass the depth floor, so each window reads one row.
+        # Values on a 1e-3 grid tie often and keep r(tau)/r(0) finite.
+        fs = 1000
+        windows = np.tile(np.arange(float(FrameSpec().frame_len(fs))), (len(acfs), 1))
+        with mock.patch.object(estimators, "autocorrelation", side_effect=list(acfs)):
+            found, f0, salience = estimators._acf_peaks(windows, fs)
+        for i, r in enumerate(acfs):
+            want = acf_candidate(r, fs)
+            assert found[i] == (want is not None)
+            if want is not None:
+                assert (f0[i], salience[i]) == want
+
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    def test_hht_memory_peak_below_eemd(self, fs):
+        buf, _ = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, 140.0), (600, 180.0)), duration_ms=600, rng_seed=3,
+            sample_rate_hz=fs))
+        eemd_peak, imfs = traced_peak(lambda: eemd_decompose(
+            buf, EmdConfig(ensemble_size=2, rng_seed=0), CFG.hht_num_imfs))
+        hht_peak, _ = traced_peak(lambda: hht_candidates(imfs))
+        assert hht_peak < eemd_peak
+
+
+class TestNonFiniteSamples:
+    """A NaN or inf sample raises, where the estimators once returned a
+    confident 50 Hz for it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["pefac", "shr", "swipe"])
+    def test_rejected_in_a_frame_and_in_a_stack(self, name, bad):
+        frames = stack_of_frames(FS, 2)
+        frames[1, 100] = bad
+        for samples in (frames[1], frames):
+            with pytest.raises(ValueError, match="non-finite"):
+                FRAME_ESTIMATORS[name](Frame(samples, FS, 0.0))
 
 
 class TestHhtCandidates:
@@ -480,6 +705,12 @@ class TestInvariants:
         modes = np.tile(frame.samples, (4, 1))
         imf_pitch_vector(ImfSet(modes, np.zeros(frame.samples.size), FS))
         assert calls == [cand_grid] + 4 * expected["pefac"]
+
+    @pytest.mark.parametrize("keys", [([], ["pro"]), (["hht"], [])])
+    def test_empty_key_list_rejected(self, keys):
+        # before the VAD and EEMD run
+        with pytest.raises(ValueError, match="at least one estimator"):
+            analyze_utterance(tone(150.0), *keys)
 
     def test_unknown_estimator_rejected(self):
         assert "yin" not in FRAME_ESTIMATORS

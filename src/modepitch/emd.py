@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -203,39 +203,10 @@ def _sift_one_imf(r: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
     return h
 
 
-def _check_max_imfs(max_imfs: int) -> None:
-    if max_imfs < 1:
-        raise ValueError(f"max_imfs must be at least 1, got {max_imfs}")
-
-
-def _sift_into(remainder: np.ndarray, cfg: EmdConfig, mode_sums: np.ndarray) -> int:
-    """Sift up to len(mode_sums) modes out of remainder in place: mode k is
-    added into row k of mode_sums and subtracted from remainder, which ends
-    as the residual. Returns the number of modes found."""
-    for k, row in enumerate(mode_sums):
-        imf = _sift_one_imf(remainder, cfg)
-        if imf is None:
-            return k
-        row += imf
-        remainder -= imf
-    return len(mode_sums)
-
-
-def _hand_over(mode_sums: np.ndarray, count: int, residual: np.ndarray,
-               sample_rate_hz: int) -> ImfSet:
-    """An ImfSet of the first count rows of mode_sums and residual, which
-    the caller built and drops: the rows past count are cut off in place
-    (no view of mode_sums exists) and both arrays are adopted without a
-    copy."""
-    mode_sums.resize((count, residual.size), refcheck=False)
-    mode_sums.setflags(write=False)
-    residual.setflags(write=False)
-    return ImfSet(mode_sums, residual, sample_rate_hz)
-
-
 def emd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
                   max_imfs: int = DEFAULT_MAX_IMFS) -> ImfSet:
-    """Plain sifting decomposition into at most max_imfs modes.
+    """Plain sifting decomposition into at most max_imfs modes: the noise
+    ensemble's single noiseless trial.
 
     Sifting is sequential, so a smaller cap leaves the first modes of a
     larger one bit for bit. The input always equals the sum of modes plus
@@ -243,13 +214,7 @@ def emd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
     running remainder. Inputs with fewer than 4 extrema have nothing to
     sift and come back as a bare residual.
     """
-    _check_max_imfs(max_imfs)
-    remainder = x.samples.copy()
-    # -0.0 is the additive identity of every float (0.0 + -0.0 is 0.0), so
-    # adding each mode into it leaves the mode bit for bit
-    modes = np.full((max_imfs, remainder.size), -0.0)
-    count = _sift_into(remainder, cfg, modes)
-    return _hand_over(modes, count, remainder, x.sample_rate_hz)
+    return eemd_decompose(x, replace(cfg, wgn_std_ratio=0.0), max_imfs)
 
 
 def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
@@ -264,36 +229,53 @@ def eemd_decompose(x: SampleBuffer, cfg: EmdConfig = EmdConfig(),
     mean of the injected noise. Each trial draws from its own child seed of
     rng_seed, making the result independent of trial execution order.
     With zero noise (wgn_std_ratio 0 or a constant input) every trial would
-    decompose the same signal, so the result is plain `emd_decompose`.
+    decompose the same signal, so one trial decomposes the input itself:
+    that is plain `emd_decompose`.
 
-    Each trial's noisy input is drawn into one reused array, which the sift
+    Each trial's input is written into one reused array, which the sift
     reduces in place to the trial's residual; modes are summed as they are
     found.
     """
-    _check_max_imfs(max_imfs)
+    if max_imfs < 1:
+        raise ValueError(f"max_imfs must be at least 1, got {max_imfs}")
     data = x.samples
+    n = data.size
     # np.std of a constant can read ~1e-16 from rounding; its spread is 0
     noise_std = cfg.wgn_std_ratio * float(np.std(data)) if np.ptp(data) > 0 else 0.0
-    if noise_std == 0.0:
-        return emd_decompose(x, cfg, max_imfs)
-
-    n = data.size
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.ensemble_size)
-    mode_sums = np.zeros((max_imfs, n))
-    residual_sum = np.zeros(n)
+    trials = cfg.ensemble_size if noise_std else 1
+    # -0.0 is the additive identity of every float (0.0 + -0.0 is 0.0), so
+    # the sums of a single trial are its modes and residual bit for bit
+    mode_sums = np.full((max_imfs, n), -0.0)
+    residual_sum = np.full(n, -0.0)
     trial = np.empty(n)
     max_modes = 0
-    for seed in seeds:
-        np.random.default_rng(seed).standard_normal(out=trial)
-        trial *= noise_std
-        trial += data
-        max_modes = max(max_modes, _sift_into(trial, cfg, mode_sums))
+    for seed in np.random.SeedSequence(cfg.rng_seed).spawn(trials):
+        if noise_std:
+            np.random.default_rng(seed).standard_normal(out=trial)
+            trial *= noise_std
+            trial += data
+        else:
+            trial[:] = data
+        # mode k is added into row k and subtracted from the trial, which
+        # ends as the trial's residual
+        for k, row in enumerate(mode_sums):
+            imf = _sift_one_imf(trial, cfg)
+            if imf is None:
+                break
+            row += imf
+            trial -= imf
+            max_modes = max(max_modes, k + 1)
         residual_sum += trial
 
-    scale = 1.0 / cfg.ensemble_size
+    scale = 1.0 / trials
     mode_sums[:max_modes] *= scale
     residual_sum *= scale
-    return _hand_over(mode_sums, max_modes, residual_sum, x.sample_rate_hz)
+    # the rows past max_modes are cut off in place (no view of mode_sums
+    # exists), and both arrays are adopted without a copy
+    mode_sums.resize((max_modes, n), refcheck=False)
+    mode_sums.setflags(write=False)
+    residual_sum.setflags(write=False)
+    return ImfSet(mode_sums, residual_sum, x.sample_rate_hz)
 
 
 def write_imf_wav(path, imfset: ImfSet) -> None:

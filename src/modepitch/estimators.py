@@ -338,8 +338,10 @@ def _acf_peaks(windows: np.ndarray, fs: int):
         mean = w.mean()
         w = w - mean
         # an unmodulated envelope carries no pitch cue; the depth floor
-        # also rejects numerical ripple in the analytic envelope
-        if w.std() > 1e-4 * max(abs(mean), 1e-30):
+        # also rejects numerical ripple in the analytic envelope. It is
+        # relative to the (non-negative) envelope mean, so any gain leaves
+        # it alone, and an all-zero window, of spread 0, fails it
+        if w.std() > 1e-4 * mean:
             acf[:, i] = autocorrelation(w, max_lag)
     mid = acf[tau_min:-1]  # up to tau_max, or the last lag with a right neighbour
     is_peak = (mid > acf[tau_min - 1:-2]) & (mid >= acf[tau_min + 1:])

@@ -10,6 +10,7 @@ high) by octave shifts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -39,6 +40,10 @@ SMOOTH_FRAMES = 5  # per-mode PEFAC score curves are averaged over this many fra
 # comb_raw's peak_rss_mb by 0.2-0.3 MB, blocks of 4 did not
 _BLOCK_ROWS = 4
 ESTIMATORS = (*FRAME_ESTIMATORS, "hht")  # every name analyze_utterance accepts
+# binary exponents of an input peak left as they are: a quarter of float64's
+# exponent range either side of 0, so every square and sum of squares of the
+# samples (frame energies, spectra, sift sums) stays normal and finite
+_PEAK_EXPONENTS = range(sys.float_info.min_exp // 4, sys.float_info.max_exp // 4 + 1)
 
 
 @dataclass(frozen=True)
@@ -384,6 +389,13 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
+    exponent = math.frexp(max(buf.samples.max(), -buf.samples.min()))[1]
+    if exponent not in _PEAK_EXPONENTS:
+        # scaling by a power of two is exact, and every stage is invariant
+        # under it, so the peak is brought into [0.5, 1)
+        scaled = np.ldexp(buf.samples, -exponent)
+        scaled.setflags(write=False)
+        buf = SampleBuffer(scaled, fs)
     frames = cfg.frame.frames(buf.samples, fs)
     n_track = len(frames)
     times = np.arange(n_track) * cfg.frame.hop_ms

@@ -92,6 +92,13 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="knot times must strictly increase"):
             SynthUtteranceSpec(f0_contour=contour)
 
+    @pytest.mark.parametrize("contour", [((float("nan"), 100.0),),
+                                         ((float("-inf"), 100.0), (0, 150.0)),
+                                         ((0, 100.0), (float("inf"), 150.0))])
+    def test_knot_times_must_be_finite(self, contour):
+        with pytest.raises(ValueError, match="knot times must be finite"):
+            SynthUtteranceSpec(f0_contour=contour)
+
     def test_work_memory_bounded_by_the_output(self):
         # filtered, scaled and adopted in place; a new array per stage and
         # the buffer's copy peaked at 2.24x
@@ -193,20 +200,14 @@ class TestPulseLoopOracle:
         spec = SynthUtteranceSpec(f0_contour=((0.0, 50.0), (5e-324, 51.0)))
         assert_same_synthesis(synthesize_utterance(spec), per_pulse_synthesis(spec))
 
-    @settings(max_examples=300, deadline=None)
-    @given(knots=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(50.0, 400.0)),
-                          min_size=1, max_size=5, unique_by=lambda k: k[0]),
-           x=st.floats(-2e3, 2e3), at_knot=st.booleans(), nudge=st.integers(-2, 2))
-    def test_interp_at_equals_np_interp(self, knots, x, at_knot, nudge):
-        # x is drawn anywhere, or at a knot moved a few ulps either way
-        xp, fp = map(list, zip(*sorted(knots)))
-        if at_knot:
-            x = xp[len(xp) // 2]
-            for _ in range(abs(nudge)):
-                x = np.nextafter(x, np.inf if nudge > 0 else -np.inf)
-        x = float(x)
-        want = np.interp(x, np.array(xp), np.array(fp))
-        assert np.array_equal(corpus._interp_at(x, xp, fp), want)
+    @pytest.mark.parametrize("contour", [
+        ((-50.0, 100.0), (100.0, 300.0), (5000.0, 60.0)),  # every pulse between knots
+        ((250.0, 120.0), (260.0, 380.0)),                  # before the first, past the last
+        ((0.0, 100.0), (10.0, 59.9), (30.0, 101.7)),       # a pulse on the 10 ms knot
+    ])
+    def test_synthesize_equals_per_pulse_loop_on_each_side_of_the_knots(self, contour):
+        spec = SynthUtteranceSpec(f0_contour=contour, jitter_pct=0.0, rng_seed=3)
+        assert_same_synthesis(synthesize_utterance(spec), per_pulse_synthesis(spec))
 
     @pytest.mark.parametrize("fs", [8000, 16000])
     @pytest.mark.parametrize("kind", NOISE_KINDS)

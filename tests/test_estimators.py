@@ -212,7 +212,7 @@ def hht_candidates_loop(imfs):
         for i, w in enumerate(frame.frames(spectral.envelope(imfs.modes[k]), fs)):
             mean = w.mean()
             w = w - mean
-            if w.std() <= 1e-4 * max(abs(mean), 1e-30):
+            if w.std() <= 1e-4 * mean:
                 continue
             cand = acf_candidate(spectral.autocorrelation(w, max_lag), fs)
             if cand is not None:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import modepitch
 from modepitch.audio import SampleBuffer
 
 FS = 8000
@@ -36,6 +41,16 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a fresh interpreter that imports this
+    modepitch; its exit status, stdout and stderr come back as text."""
+    src = str(Path(modepitch.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 @pytest.fixture

@@ -1,10 +1,6 @@
 import math
-import os
 import re
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from conftest import traced_peak
-import modepitch
+from conftest import run_python, traced_peak
 from modepitch import audio
 from modepitch.audio import (
     FrameSpec,
@@ -335,10 +330,8 @@ class TestFrameSpecFrames:
 
 def _run_python(code: str) -> None:
     """Run code in a fresh interpreter that imports this modepitch."""
-    src = str(Path(modepitch.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
 
 
 class TestDeferredImports:

@@ -1,12 +1,13 @@
 import csv
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import FS, glottal_pulse_train
+from conftest import FS, glottal_pulse_train, run_python
 from modepitch import evaluation
 from modepitch.audio import SampleBuffer, load_wav, save_wav
 from modepitch.cli import DEFAULT_SNRS, OUT_DIR_ENV, main
@@ -53,6 +54,18 @@ def assert_click_error(result, message):
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"Error: {message}" in result.output
     assert "Traceback" not in result.output
+
+
+def _synth(runner, out_dir, *args):
+    """The corpus ``synth`` writes to OUT_DIR with ARGS; its directory."""
+    result = runner.invoke(main, ["synth", "--out-dir", str(out_dir), *args])
+    assert result.exit_code == 0, result.output
+    return out_dir
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
 
 
 class TestHelpDocSync:
@@ -251,6 +264,7 @@ class TestDecompose:
         assert "Traceback" not in result.output
         n_modes = int(result.output.split(" IMFs")[0])
         assert n_modes >= 1 and load_wav(out).samples.size == x.size
+        assert f"modes written to {out}" in result.output
 
     def test_missing_file_nonzero_exit(self, runner):
         result = runner.invoke(main, ["decompose", "/nope/missing.wav"])
@@ -443,14 +457,16 @@ class TestSeparate:
 
 class TestSynthAndBench:
     def test_synth_writes_corpus_and_noises(self, runner, tmp_path):
-        out_dir = str(tmp_path / "corpus")
+        out_dir = tmp_path / "corpus"
         result = runner.invoke(main, [
-            "synth", "--out-dir", out_dir, "--count", "2",
-            "--duration-ms", "300", "--seed", "5"])
+            "synth", "--out-dir", str(out_dir), "--count", "2",
+            "--duration-ms", "300", "--seed", "5", "--sample-rate", "16000"])
         assert result.exit_code == 0, result.output
-        assert os.path.exists(os.path.join(out_dir, "manifest.txt"))
-        noise_dir = os.path.join(out_dir, "noises")
-        assert len([f for f in os.listdir(noise_dir) if f.endswith(".wav")]) == 6
+        assert (out_dir / "manifest.txt").is_file()
+        noises = sorted((out_dir / "noises").glob("*.wav"))
+        assert len(noises) == 6
+        wavs = [*out_dir.glob("utt_*.wav"), *noises]
+        assert len(wavs) == 8 and {load_wav(w).sample_rate_hz for w in wavs} == {16000}
 
     @pytest.mark.parametrize("args,message", [
         (["--duration-ms", "100"], "duration_ms must be at least 200 ms"),
@@ -492,16 +508,14 @@ class TestSynthAndBench:
         assert len(text.splitlines()) == 2
 
     def test_bench_prints_mean_ge_per_key(self, runner, tmp_path):
-        # after the cells line, one line per estimator/method key, each the
-        # mean of that key's ge_percent over the report's cells
-        manifest = generate_corpus(tmp_path / "corpus", count=2, seed=0,
-                                   duration_ms=300.0)
-        noise_dir = tmp_path / "noises"
-        write_noise_set(noise_dir, kinds=("pink", "white"), duration_ms=1000.0, seed=0)
+        # synth's six noises x one SNR x the default shr, swipe and hht x raw
+        # and pro; after the cells line, one line per estimator/method key,
+        # each the mean of that key's ge_percent over the report's cells
+        corpus = _synth(runner, tmp_path, "--count", "2", "--duration-ms", "300")
         out = tmp_path / "r.csv"
         result = runner.invoke(main, [
-            "bench", "--manifest", manifest, "--noise-dir", str(noise_dir),
-            "--snrs", "0,5", "--estimators", "swipe,shr", "--methods", "raw,pro",
+            "bench", "--manifest", str(corpus / "manifest.txt"),
+            "--noise-dir", str(corpus / "noises"), "--snrs", "0",
             "--jobs", "1", "-o", str(out), "--emd-ensemble-size", "2"])
         assert result.exit_code == 0, result.output
         ges = {}
@@ -510,10 +524,11 @@ class TestSynthAndBench:
                 ges.setdefault((row["estimator"], row["method"]), []).append(
                     float(row["ge_percent"]))
         lines = result.output.splitlines()
-        assert lines[-6].startswith("16 cells written to")
-        assert lines[-5] == "mean GE by estimator/method:"
-        assert len(ges) == 4 and all(len(v) == 4 for v in ges.values())
-        for line, key in zip(lines[-4:], sorted(ges)):
+        assert lines[-8].startswith("36 cells written to")
+        assert lines[-7] == "mean GE by estimator/method:"
+        assert len(ges) == 6 and all(len(v) == 6 for v in ges.values())
+        for line, key in zip(lines[-6:], sorted(ges)):
+            assert re.fullmatch(r"  (shr|swipe|hht) +(raw|pro) +: +[0-9.]+%", line), line
             est, meth, colon, value = line.split()
             assert (est, meth, colon) == (*key, ":")
             # the CSV holds 4 decimals, the summary 1
@@ -588,11 +603,14 @@ class TestSynthAndBench:
     def test_bench_jobs_below_one_usage_error(self, runner, tmp_path, jobs):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("missing.wav missing.f0\n")
+        out = tmp_path / "r.csv"
         result = runner.invoke(main, ["bench", "--manifest", str(manifest),
-                                      "--noise-dir", str(tmp_path), "--jobs", jobs])
+                                      "--noise-dir", str(tmp_path), "--jobs", jobs,
+                                      "-o", str(out)])
         assert result.exit_code == 2
         assert "Invalid value for '--jobs'" in result.output
         assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_empty_manifest_fails_before_work(self, runner, tmp_path):
         manifest = tmp_path / "manifest.txt"
@@ -612,3 +630,87 @@ class TestSynthAndBench:
         assert result.exit_code == 0, result.output
         written = list(out_dir.glob("*.csv"))
         assert len(written) == 1
+
+
+class TestRecipes:
+    """The README's command chains, run through the CLI end to end."""
+
+    def test_separate_and_track_pro_agree_on_regions(self, runner, tmp_path):
+        # both commands run the same decomposition (one --seed, one ensemble
+        # size) and read one region table, so every row of track --pro that
+        # has a region carries separate's region, mean F0 and mode pair
+        wav = _synth(runner, tmp_path, "--count", "1", "--no-noises", "--seed", "2") \
+            / "utt_000_high.wav"
+        emd = ["--seed", "3", "--emd-ensemble-size", "5"]
+        regions, track = tmp_path / "regions.csv", tmp_path / "track.csv"
+        for command in (["separate", str(wav), "-o", str(regions)],
+                        ["track", str(wav), "--estimator", "swipe", "--pro",
+                         "-o", str(track)]):
+            result = runner.invoke(main, [*command, *emd])
+            assert result.exit_code == 0, result.output
+        separated = [(t, region, f0, f"{a}+{b}" if a else "")
+                     for t, region, f0, a, b in _rows(regions)]
+        tracked = [(row[0], *row[3:6]) for row in _rows(track) if row[3]]
+        assert separated and separated == tracked
+
+    def test_bench_dump_then_track_pro(self, runner, tmp_path):
+        # the separate-and-correct recipe: bench prints hht's raw and pro
+        # mean GE and dumps the babble mix, and a --pro track of that mix
+        # writes the raw and corrected candidate columns
+        corpus = _synth(runner, tmp_path / "demo", "--count", "1", "--low-fraction", "0",
+                        "--seed", "1")
+        mixes = corpus / "mixes"
+        emd = ["--emd-ensemble-size", "20", "--seed", "1"]
+        result = runner.invoke(main, [
+            "bench", "--manifest", str(corpus / "manifest.txt"),
+            "--noise-dir", str(corpus / "noises"), "--snrs", "0", "--estimators", "hht",
+            "--jobs", "1", "--dump-mixes", str(mixes),
+            "-o", str(corpus / "bench_report.csv"), *emd])
+        assert result.exit_code == 0, result.output
+        for method in ("raw", "pro"):
+            assert re.search(rf"^  hht +{method} +: +[0-9.]+%$", result.output, re.M), method
+        mix = mixes / "utt_000_high_babble_0dB.wav"
+        assert mix.is_file()
+        track = corpus / "track.csv"
+        result = runner.invoke(main, ["track", str(mix), "--estimator", "hht", "--pro",
+                                      "-o", str(track), *emd])
+        assert result.exit_code == 0, result.output
+        assert ",raw_candidates,corrected_candidates," in track.read_text().splitlines()[0]
+
+
+class TestEntryPoint:
+    """``python -m modepitch.cli`` in a fresh interpreter: each exit status
+    comes from the process itself, and no traceback is printed."""
+
+    def test_track_pro_exits_0_without_heavy_imports(self, tmp_path):
+        # LAPACK comes from numpy's OpenBLAS (or scipy's _flapack extension
+        # loaded by file), WAV I/O is numpy and only a pooled bench loads
+        # multiprocessing, so a track of an 8 kHz WAV imports none of them
+        generate_corpus(tmp_path, count=1)
+        wav = tmp_path / "utt_000_high.wav"
+        out = tmp_path / "track.csv"
+        result = run_python("-X", "importtime", "-m", "modepitch.cli", "track", str(wav),
+                            "--pro", "--emd-ensemble-size", "2", "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"track written to {out}" in result.stdout and out.is_file()
+        heavy = re.findall(r"\| +(scipy\.(?:linalg|io|signal)|multiprocessing"
+                           r"|concurrent\.futures\.process)$", result.stderr, re.M)
+        assert not heavy, heavy
+
+    def test_unreadable_input_exits_1(self, tmp_path):
+        notes = tmp_path / "notes.wav"
+        notes.write_text("not audio\n")
+        result = run_python("-m", "modepitch.cli", "track", str(notes),
+                            "-o", str(tmp_path / "t.csv"))
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith(f"Error: unreadable WAV file {notes}")
+        assert "Traceback" not in result.stderr
+
+    def test_mode_cap_outside_decompose_exits_2(self, vowel_wav, tmp_path):
+        result = run_python("-m", "modepitch.cli", "track", vowel_wav, "--pro",
+                            "--emd-max-imfs", "2", "-o", str(tmp_path / "t.csv"))
+        assert result.returncode == 2, result.stderr
+        assert "Error:" in result.stderr and "--emd-max-imfs" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "t.csv").exists()

@@ -99,3 +99,18 @@ class TestMetamorphic:
         got, want = (_analysis(s, comb, ["raw"]) for s in (-x, x))
         assert {key: _outputs(r) for key, r in got.items()} == \
             {key: _outputs(r) for key, r in want.items()}
+
+    @settings(max_examples=20, deadline=None)
+    @given(x=noisy_vowels(), k=st.integers(1, 10))
+    def test_leading_hop_zeros_keep_raw_comb_f0(self, x, k):
+        # k hops of zeros shift the frame grid by k frames and leave every
+        # frame's samples as they were, so a frame voiced in both runs gets
+        # the same comb F0 bit for bit
+        comb = ["pefac", "shr", "swipe"]
+        hop = round(AnalysisConfig.frame.hop_ms * FS / 1000)
+        got = _analysis(np.concatenate([np.zeros(k * hop), x]), comb, ["raw"])
+        for key, want in _analysis(x, comb, ["raw"]).items():
+            shifted = got[key].track
+            both = shifted.voiced_mask[k:] & want.track.voiced_mask
+            assert both.any(), key
+            assert shifted.f0_hz[k:][both].tobytes() == want.track.f0_hz[both].tobytes(), key

@@ -27,7 +27,6 @@ from .estimators import (
     pefac_scores,
     pick,
 )
-from .spectral import log_grid
 from .track import FramePitchTrack
 from .vad import VadConfig, detect_voiced, voiced_segments
 
@@ -258,18 +257,19 @@ def imf_pitch_vector(imfs: ImfSet) -> np.ndarray:
     (all zeros) counts as missing in that average; a frame whose whole
     window is missing yields NaN for that mode.
     """
-    k_imfs, spec, est = ProConfig.k_imfs, AnalysisConfig.frame, EstimatorConfig
+    k_imfs, spec = ProConfig.k_imfs, AnalysisConfig.frame
     if len(imfs) < k_imfs:
         raise ValueError(
             f"separation needs {k_imfs} modes, decomposition produced {len(imfs)}")
     fs = imfs.sample_rate_hz
-    cands = log_grid(est.f_min, est.f_max, est.bins_per_octave)
     per_mode = []
     for mode in imfs.modes[:k_imfs]:
         frames = spec.frames(mode, fs)
-        scores = np.empty((len(frames), cands.size))
         for rows in _blocks(0, len(frames)):
-            scores[rows] = pefac_scores(Frame(frames[rows], fs, rows.start * spec.hop_ms))[1]
+            cands, block = pefac_scores(Frame(frames[rows], fs, rows.start * spec.hop_ms))
+            if rows.start == 0:  # the grid pefac_scores returns sizes the matrix
+                scores = np.empty((len(frames), cands.size))
+            scores[rows] = block
         per_mode.append(_smoothed_argmax_track(cands, scores, ~np.isnan(scores[:, 0])))
     return np.column_stack(per_mode)
 

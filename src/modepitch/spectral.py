@@ -125,7 +125,7 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
     n = x.size
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag={max_lag} out of range for length {n}")
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    nfft = next_pow2(2 * n)
     spec = np.fft.rfft(x, nfft)
     acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)
     return acf[:max_lag + 1]

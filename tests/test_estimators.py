@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -218,6 +219,96 @@ def hht_candidates_loop(imfs):
             if cand is not None:
                 out[i, k] = cand
     return out
+
+
+# Per-row oracles for the comb scorers: the estimators once read each
+# spectrum's comb values into one (candidates x max count) array per
+# offset, and each scorer reduced them one spectrum per loop step.
+
+def comb_rows(spectra, xp, at, cand_hz, counts, offsets):
+    """Per spectrum along the last axis of spectra, one (candidates x max
+    count) array per offset of its values at the comb positions
+    (h + offset) * f0, h = 1..count, and 0 where h exceeds the count."""
+    h = np.arange(1, counts.max(initial=0) + 1)
+    kept = h[:, None] <= counts
+    f0 = np.broadcast_to(cand_hz, kept.shape)[kept]
+    h_kept = np.broadcast_to(h[:, None], kept.shape)[kept]
+    positions = [at(f0, h_kept + offset) for offset in offsets]
+    for spectrum in spectra.reshape(-1, xp.size):
+        rows = []
+        for pos in positions:
+            values = np.zeros((cand_hz.size, h.size))
+            values.T[kept] = np.interp(pos, xp, spectrum)
+            rows.append(values)
+        yield rows
+
+
+def log_comb_rows(logspec, cand_hz, counts, offsets):
+    xp = np.arange(logspec.values.shape[-1], dtype=np.float64)
+    return comb_rows(logspec.values, xp,
+                     lambda f0, h: logspec.index(np.log2(f0) + np.log2(h)),
+                     cand_hz, counts, offsets)
+
+
+def harmonic_summation_loop(logspec, cand_hz, num_harmonics=CFG.pefac_num_harmonics):
+    top_log2 = logspec.grid_log2()[-1]
+    counts = np.minimum(num_harmonics,
+                        (2.0 ** (top_log2 - np.log2(cand_hz)) - 0.5).astype(int))
+    weights = 1.0 / np.sqrt(np.arange(1, counts.max(initial=0) + 1))
+    scores = np.full(logspec.values.shape[:-1] + cand_hz.shape, -np.inf)
+    for out, (peaks, lo, hi) in zip(scores.reshape(-1, cand_hz.size),
+                                    log_comb_rows(logspec, cand_hz, counts, (0.0, -0.5, 0.5))):
+        out[:] = np.where(counts >= 1, (peaks - 0.5 * (lo + hi)) @ weights, -np.inf)
+    return scores
+
+
+def subharmonic_ratio_loop(logspec, cand_hz, max_harmonics=CFG.shr_max_harmonics):
+    top_log2 = logspec.grid_log2()[-1]
+    counts = np.maximum(np.minimum(
+        max_harmonics, (2.0 ** (top_log2 - np.log2(cand_hz))).astype(int)), 1)
+    sh = np.zeros(logspec.values.shape[:-1] + cand_hz.shape)
+    ss = np.zeros_like(sh)
+    for sh_row, ss_row, (harmonic, subharmonic) in zip(
+            sh.reshape(-1, cand_hz.size), ss.reshape(-1, cand_hz.size),
+            log_comb_rows(logspec, cand_hz, counts, (0.0, -0.5))):
+        sh_row[:] = harmonic.sum(axis=1)
+        ss_row[:] = subharmonic.sum(axis=1)
+    return sh, ss
+
+
+def swipe_apvd_loop(spec, cand_hz, num_peaks=CFG.swipe_num_peaks):
+    counts = np.minimum(num_peaks, (spec.max_hz / cand_hz - 0.5).astype(int))
+    apvd = np.full(spec.bins.shape[:-1] + cand_hz.shape, -np.inf)
+    for out, (peak, lo, hi) in zip(apvd.reshape(-1, cand_hz.size),
+                                   comb_rows(spec.bins, spec.frequencies(),
+                                             lambda f0, h: h * f0,
+                                             cand_hz, counts, (0.0, -0.5, 0.5))):
+        np.divide((peak - 0.5 * (lo + hi)).sum(axis=1), counts, out=out,
+                  where=counts >= 1)
+    return apvd
+
+
+COMB_ORACLES = {"harmonic_summation_scores": harmonic_summation_loop,
+                "subharmonic_ratio_curves": subharmonic_ratio_loop,
+                "swipe_apvd": swipe_apvd_loop}
+
+
+def comb_inputs(name, frame, cfg=CFG):
+    """The comb scorer of estimator name, and the spectra and candidate
+    grid the estimator hands it for frame."""
+    if name == "pefac":
+        spec, _ = estimators._frame_spectrum(frame, cfg, spectral.power_spectrum)
+        logspec = estimators._log_spectrum(spec, cfg, cfg.pefac_num_harmonics)
+        return ("harmonic_summation_scores",
+                replace(logspec, values=logspec.values ** cfg.pefac_compression),
+                spectral.log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave))
+    spec, _ = estimators._frame_spectrum(frame, cfg, spectral.magnitude_spectrum)
+    if name == "swipe":
+        return ("swipe_apvd", spec,
+                spectral.log_grid(cfg.f_min, cfg.swipe_f_max, cfg.swipe_bins_per_octave))
+    return ("subharmonic_ratio_curves",
+            estimators._log_spectrum(spec, cfg, cfg.shr_max_harmonics),
+            spectral.log_grid(cfg.f_min, cfg.f_max, cfg.bins_per_octave))
 
 
 def random_log_spectrum(rng):
@@ -442,6 +533,61 @@ class TestFrameStacks:
             assert np.array_equal(got[i], swipe_apvd(Spectrum(bins=row, bin_hz=15.625), cands))
 
 
+class TestCombBlocks:
+    """Each comb scorer reads a block's comb values into one array and
+    reduces it in one expression, byte for byte what the per-row oracles
+    give."""
+
+    @RATES
+    @STACK_SHAPES
+    @pytest.mark.parametrize("name", ["pefac", "shr", "swipe"])
+    def test_frame_stack_equals_per_row_oracle(self, name, fs, rows, zero_row):
+        comb, spectra, cands = comb_inputs(
+            name, Frame(stack_of_frames(fs, rows, zero_row), fs, 0.0))
+        got = np.array(getattr(estimators, comb)(spectra, cands))
+        want = np.array(COMB_ORACLES[comb](spectra, cands))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @STACK_SHAPES
+    @pytest.mark.parametrize("comb", list(COMB_ORACLES))
+    def test_random_spectra_equal_per_row_oracle(self, comb, rows, zero_row, rng):
+        if comb == "swipe_apvd":
+            spectra = Spectrum(bins=rng.uniform(0, 1, (rows, 257)), bin_hz=15.625)
+            values, top_hz = spectra.bins, spectra.max_hz
+        else:
+            spectra = LogSpectrum(values=rng.uniform(0, 1, (rows, 300)),
+                                  log2_f_start=math.log2(25.0), step_log2=1 / 48)
+            values, top_hz = spectra.values, 2.0 ** spectra.grid_log2()[-1]
+        if zero_row is not None:
+            values[zero_row] = 0.0
+        cands = random_candidates(rng, top_hz)
+        got = np.array(getattr(estimators, comb)(spectra, cands))
+        want = np.array(COMB_ORACLES[comb](spectra, cands))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name,comb", [("pefac_scores", "harmonic_summation_scores"),
+                                           ("shr_estimate", "subharmonic_ratio_curves"),
+                                           ("swipe_estimate", "swipe_apvd")])
+    def test_block_call_memory_peak(self, name, comb, monkeypatch):
+        # one 4-row call at 16 kHz peaks at most 32 KB above the same call
+        # with its comb scorer swapped for the per-row oracle. With numpy
+        # 2.4 the per-row estimators peaked at 308,300 B (pefac_scores),
+        # 242,172 B (shr_estimate) and 253,404 B (swipe_estimate), and the
+        # oracle-swapped calls within 0.4 KB of them. The block spectra set
+        # the pefac and shr peaks; only swipe's comb runs while its linear
+        # spectra are still held, and it rose by 19 KB
+        fs = 16000
+        frame = Frame(stack_of_frames(fs, separation._BLOCK_ROWS), fs, 0.0)
+        call = getattr(estimators, name)
+
+        def peak_bytes():
+            call(frame)  # fills the interpreter's and numpy's free lists
+            return traced_peak(lambda: call(frame))[0]
+        block = peak_bytes()
+        monkeypatch.setattr(estimators, comb, COMB_ORACLES[comb])
+        assert block <= peak_bytes() + 32 * 1024
+
+
 def mixed_stack(fs):
     """Analysis frames that take every branch of the picks: a silent
     lead-in (all-zero rows), an utterance in babble at 0 dB, white noise,
@@ -498,6 +644,16 @@ class TestArrayPicks:
         want = hht_candidates_loop(imfs)
         assert np.isnan(want["f0_hz"]).any() and not np.isnan(want["f0_hz"]).all()
         assert hht_candidates(imfs).tobytes() == want.tobytes()
+
+    @RATES
+    def test_window_means_equal_per_window_means(self, fs):
+        # _acf_peaks takes every window's mean at once over the strided
+        # view; each equals the mean of the window alone, bit for bit,
+        # through silent, modulated, unmodulated and noisy windows
+        for mode in mixed_modes(fs).modes:
+            windows = FrameSpec().frames(spectral.envelope(mode), fs)
+            want = np.array([w.mean() for w in windows])
+            assert windows.mean(axis=1).tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(y=hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(3, 8)),
@@ -680,15 +836,15 @@ class TestInvariants:
             assert CFG.f_min <= f0 <= upper
 
     def test_every_grid_comes_from_log_grid(self, monkeypatch):
-        # the candidate grids of pefac, shr, swipe and the per-mode F0, and
-        # the log-frequency view pefac and shr read through to_log_frequency
+        # the candidate grids of pefac, shr and swipe, and the log-frequency
+        # view pefac and shr read through to_log_frequency
         calls = []
         real_log_grid = spectral.log_grid
 
         def recording(*args):
             calls.append(args)
             return real_log_grid(*args)
-        for module in (spectral, estimators, separation):
+        for module in (spectral, estimators):
             monkeypatch.setattr(module, "log_grid", recording)
         cand_grid = (CFG.f_min, CFG.f_max, CFG.bins_per_octave)
         # log views span f_min/2 up to Nyquist (pefac) or 8.5 f_max (shr)
@@ -704,7 +860,9 @@ class TestInvariants:
         calls.clear()
         modes = np.tile(frame.samples, (4, 1))
         imf_pitch_vector(ImfSet(modes, np.zeros(frame.samples.size), FS))
-        assert calls == [cand_grid] + 4 * expected["pefac"]
+        # the per-mode F0 reads its grid off pefac_scores and builds none
+        assert calls == 4 * expected["pefac"]
+        assert not hasattr(separation, "log_grid")
 
     @pytest.mark.parametrize("keys", [([], ["pro"]), (["hht"], [])])
     def test_empty_key_list_rejected(self, keys):

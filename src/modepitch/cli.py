@@ -238,9 +238,9 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
         corpus = load_manifest(manifest)
         noises = [(os.path.splitext(f)[0], load_wav(os.path.join(noise_dir, f)))
                   for f in noise_files]
-    reports, failures = run_benchmark(
-        corpus, noises, snr_list, est_list, meth_list, cfg,
-        seed=seed, gate=gate, jobs=jobs)
+        reports, failures = run_benchmark(
+            corpus, noises, snr_list, est_list, meth_list, cfg,
+            seed=seed, gate=gate, jobs=jobs)
     if dump_mixes:
         os.makedirs(dump_mixes, exist_ok=True)
         for noise_name, snr, mixes in mix_cells(corpus, noises, snr_list, seed):

@@ -164,18 +164,18 @@ def _bench_utterance(args):
     try:
         mixed = mix_at_snr(mix)
         analysis = analyze_utterance(mixed, estimators, methods, cfg)
+        frames = int(item.truth.voiced_mask.sum())
+        seps = {"raw": math.nan}  # pro's is scored once: every pro key holds one table
         scores = {}
-        for key, result in analysis.items():
+        for (est, meth), result in analysis.items():
             ge = gross_error(result.track, item.truth, gate)
             mae = mean_absolute_error(result.track, item.truth) \
                 if (result.track.estimated_mask() & item.truth.voiced_mask).any() \
                 else math.nan
-            if key[1] == "pro" and result.regions:
-                sep = separation_error(result.regions, item.truth)
-            else:
-                sep = math.nan
-            frames = int(item.truth.voiced_mask.sum())
-            scores[key] = (ge, mae, sep, frames)
+            if meth not in seps:
+                regions = result.regions
+                seps[meth] = separation_error(regions, item.truth) if regions else math.nan
+            scores[(est, meth)] = (ge, mae, seps[meth], frames)
         return scores
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not fatal
         return f"{type(exc).__name__}: {exc}"
@@ -193,11 +193,11 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     Each report averages the scores of the utterances that succeeded. Every
     failed utterance is recorded once per estimator/method key, with its
     reason prefixed by the corpus item name; a cell with no successful
-    utterance is left out of the reports. Unknown estimator, method or gate
-    names raise before anything is mixed. The mixes are those of `mix_cells`, so
-    the result is deterministic for a fixed seed. Utterances run in a pool
-    of min(jobs, corpus size) worker processes, or in this process when
-    that is 1.
+    utterance is left out of the reports. An unknown name or gate, and a
+    grid value listed twice, raise before anything is mixed. The mixes are
+    those of `mix_cells`, so the result is deterministic for a fixed seed.
+    Utterances run in a pool of min(jobs, corpus size) worker processes, or
+    in this process when that is 1.
     """
     if not corpus or not noises or not snrs or not estimators or not methods:
         raise ValueError("benchmark grids must be non-empty")
@@ -206,6 +206,10 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     check_keys(estimators, methods)
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
+    for kind, values in (("noise", [name for name, _ in noises]), ("SNR", snrs)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{kind} {value!r} is listed twice")
     reports: list[EvalReport] = []
     failures: list[BenchFailure] = []
     # under fork the pool starts all its workers with the first task, and a

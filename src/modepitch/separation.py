@@ -234,18 +234,16 @@ def _blocks(start: int, stop: int):
         yield slice(first, min(first + _BLOCK_ROWS, stop))
 
 
-def _comb_candidates(estimate, frames: np.ndarray, fs: int, segments) -> np.ndarray:
-    """(frames x 1) CANDIDATE array of a comb estimator's (f0_hz, salience)
-    over the rows of each segment (a slice of frames), scored _BLOCK_ROWS
-    rows per call; rows outside the segments, and all-zero rows, stay empty."""
-    hop_ms = AnalysisConfig.frame.hop_ms
-    cands = np.full((len(frames), 1), np.nan, CANDIDATE)
-    for segment in segments:
-        for rows in _blocks(segment.start, segment.stop):
-            f0, salience = estimate(Frame(frames[rows], fs, rows.start * hop_ms))
-            cands["f0_hz"][rows, 0] = f0
-            cands["salience"][rows, 0] = salience
-    return cands
+def _comb_candidates(cands: dict[str, np.ndarray], frames: np.ndarray, fs: int,
+                     rows: slice) -> None:
+    """Write each comb estimator's (f0_hz, salience) over the frame rows
+    into the (frames x 1) CANDIDATE array cands maps it to, block-major:
+    every estimator scores a block of _BLOCK_ROWS rows before the next
+    block starts. An all-zero row's slot stays empty."""
+    for block in _blocks(rows.start, rows.stop):
+        frame = Frame(frames[block], fs, block.start * AnalysisConfig.frame.hop_ms)
+        for est, c in cands.items():
+            c["f0_hz"][block, 0], c["salience"][block, 0] = FRAME_ESTIMATORS[est](frame)
 
 
 def imf_pitch_vector(imfs: ImfSet) -> np.ndarray:
@@ -351,8 +349,8 @@ class MethodResult:
 
 
 def check_keys(estimators: list[str], methods: list[str]) -> None:
-    """Reject an empty estimator or method list, and names the pipeline
-    does not know."""
+    """Reject an empty estimator or method list, a name listed twice and a
+    name the pipeline does not know."""
     if not estimators or not methods:
         raise ValueError("need at least one estimator and one method")
     for m in methods:
@@ -362,6 +360,10 @@ def check_keys(estimators: list[str], methods: list[str]) -> None:
         if est not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}; "
                              f"expected one of {sorted(FRAME_ESTIMATORS)} or 'hht'")
+    for kind, names in (("estimator", estimators), ("method", methods)):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{kind} {name!r} is listed twice")
 
 
 def analyze_utterance(buf: SampleBuffer, estimators: list[str],
@@ -369,23 +371,20 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
                       ) -> dict[tuple[str, str], MethodResult]:
     """Run the requested estimator/method combinations over one utterance.
 
-    Every stage writes onto the utterance's frame grid, and the utterance
-    is framed once. Each voiced segment is decomposed once, sifting exactly
-    the modes the requested keys read (pro.k_imfs for pro,
-    estimator.hht_num_imfs for hht, the larger for both); its per-mode
-    F0 rows and hht candidates land at the segment's frames. pefac, shr and
-    swipe then score each segment's rows of the utterance framing,
-    _BLOCK_ROWS per call, and each (f0_hz, salience) pair they return fills
-    the frame's one slot (left empty for an all-zero frame). Each
-    estimator keeps one (frames x slots) CANDIDATE array (one slot per mode
-    for hht, one slot otherwise). One region pass then classifies all
-    voiced frames in order, so a frame without mode evidence inherits the
-    previous voiced frame's region, across segments too. The raw F0 is each
-    frame's most salient candidate. Every candidate of the voiced frames is
-    folded into its frame's region in one pass over the band table, and the
-    pro F0 is the most salient folded candidate. Folding keeps salience and
-    order, so this equals the raw pick folded. No per-frame object is built:
-    each pro key keeps the region table and its estimator's candidate array.
+    The utterance is framed once and every stage writes onto that grid.
+    Each estimator fills one (frames x slots) CANDIDATE array, one slot
+    per mode for hht and one otherwise, left empty for an all-zero frame.
+    One loop over the voiced segments marks each segment's frames voiced,
+    scores its rows with every requested comb estimator, block by block,
+    then decomposes it once, sifting exactly the modes the keys read
+    (pro.k_imfs for pro, estimator.hht_num_imfs for hht, the larger for
+    both), for its per-mode F0 rows and hht candidates. One region pass
+    then classifies all voiced frames in order, so a frame without mode
+    evidence inherits the previous voiced frame's region, across segments
+    too. The raw F0 is each frame's most salient candidate, and the pro F0
+    is the raw F0 folded into its frame's region by the band table. No
+    per-frame object is built: each pro key keeps the region table and its
+    estimator's candidate array.
     """
     check_keys(estimators, methods)
     fs = buf.sample_rate_hz
@@ -409,26 +408,24 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
 
     voiced = np.zeros(n_track, dtype=bool)
     mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
-    hht_cands = np.full((n_track, cfg.estimator.hht_num_imfs), np.nan, CANDIDATE)
-    segments = []  # the frame rows of each voiced segment
+    cands = {est: np.full((n_track, cfg.estimator.hht_num_imfs if est == "hht" else 1),
+                          np.nan, CANDIDATE) for est in estimators}
+    combs = {est: c for est, c in cands.items() if est != "hht"}
     for first, last in voiced_segments(detect_voiced(buf)):
         seg = buf.samples[first * hop:last * hop + vad_len]
         n_frames = cfg.frame.num_frames(len(seg), fs)
+        # a segment's frame i is the utterance's frame first + i, so the comb
+        # estimators score the segment's rows of the one utterance framing
         rows = slice(first, first + n_frames)
         voiced[rows] = True
-        segments.append(rows)
+        _comb_candidates(combs, frames, fs, rows)
         if n_frames == 0 or not (pro or hht):
             continue
         decomposition = eemd_decompose(SampleBuffer(seg, fs), cfg.emd, n_modes)
         if pro and len(decomposition) >= cfg.pro.k_imfs:
             mode_f0[rows] = imf_pitch_vector(decomposition)
         if hht and len(decomposition) >= cfg.estimator.hht_num_imfs:
-            hht_cands[rows] = hht_candidates(decomposition)
-    # a segment's frame i is the utterance's frame first + i, so the comb
-    # estimators score the segment's rows of the one utterance framing
-    cands = {est: hht_cands if est == "hht"
-             else _comb_candidates(FRAME_ESTIMATORS[est], frames, fs, segments)
-             for est in estimators}
+            cands["hht"][rows] = hht_candidates(decomposition)
 
     voiced_rows = np.flatnonzero(voiced)
     regions = _region_table(mode_f0, voiced_rows) if pro else None
@@ -436,10 +433,8 @@ def analyze_utterance(buf: SampleBuffer, estimators: list[str],
     for est in estimators:
         f0 = {"raw": pick(cands[est])}
         if pro:
-            folded = cands[est].copy()
-            folded["f0_hz"][voiced_rows] = _fold(folded["f0_hz"][voiced_rows],
-                                                 regions["high"][:, None])
-            f0["pro"] = pick(folded)
+            f0["pro"] = f0["raw"].copy()
+            f0["pro"][voiced_rows] = _fold(f0["raw"][voiced_rows], regions["high"])
         for meth in methods:
             track = FramePitchTrack(frame_times_ms=times.copy(), f0_hz=f0[meth],
                                     voiced_mask=voiced.copy())

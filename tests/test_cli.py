@@ -549,6 +549,31 @@ class TestSynthAndBench:
         assert result.output.count("unknown estimator 'yin'") == 1
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["--snrs", "0,5,0"], "SNR 0.0 is listed twice"),
+        (["--snrs", "inf,inf"], "SNR inf is listed twice"),
+        (["--estimators", "swipe,swipe"], "estimator 'swipe' is listed twice"),
+        (["--methods", "raw,pro,raw"], "method 'raw' is listed twice")])
+    def test_bench_repeated_grid_value_is_click_error(self, runner, tmp_path, monkeypatch,
+                                                      args, message):
+        # one Error: line before anything is mixed; repeats once wrote one
+        # cell's rows twice, with different numbers
+        manifest = generate_corpus(tmp_path / "corpus", count=1, seed=0,
+                                   duration_ms=300.0)
+        noise_dir = tmp_path / "noises"
+        write_noise_set(noise_dir, kinds=("white",), duration_ms=1000.0, seed=0)
+
+        def no_mixing(mix):
+            raise AssertionError("mixed before the grid was checked")
+        monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
+        result = runner.invoke(main, [
+            "bench", "--manifest", manifest, "--noise-dir", str(noise_dir),
+            "--snrs", "5", "--estimators", "shr", "--methods", "raw", *args,
+            "--jobs", "1", "-o", str(tmp_path / "r.csv"), "--emd-ensemble-size", "2"])
+        assert_click_error(result, message)
+        assert result.output.count("Error:") == 1
+        assert not (tmp_path / "r.csv").exists()
+
     def test_dump_mixes_materializes_wavs(self, runner, tmp_path, monkeypatch):
         # each WAV holds the mix run_benchmark scored for its (noise, SNR,
         # utterance): analyses run noise-major, then SNR, then utterance

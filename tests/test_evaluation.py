@@ -363,6 +363,25 @@ class TestRunBenchmark:
             run_benchmark(small_corpus(1), noises, [5.0], estimators, methods,
                           FAST_CFG)
 
+    @pytest.mark.parametrize("noise_names,snrs,estimators,match", [
+        (["white", "white"], [5.0], ["shr"], "noise 'white' is listed twice"),
+        (["white"], [0.0, 5.0, 0.0], ["shr"], "SNR 0.0 is listed twice"),
+        (["white"], [math.inf, math.inf], ["shr"], "SNR inf is listed twice"),
+        (["white"], [5.0], ["swipe", "swipe"], "estimator 'swipe' is listed twice")])
+    def test_repeated_grid_values_rejected_before_mixing(self, monkeypatch, noise_names,
+                                                         snrs, estimators, match):
+        # a repeat would report the same cell twice with different numbers,
+        # since the mixing seeds follow the noise and SNR indices
+        from modepitch import evaluation
+
+        def no_mixing(mix):
+            raise AssertionError("mixed before the grid was checked")
+        monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
+        noise = make_noise("white", 2 * FS, FS, seed=1)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            run_benchmark(small_corpus(1), [(name, noise) for name in noise_names], snrs,
+                          estimators, ["raw"], FAST_CFG)
+
     def test_unknown_gate_rejected_before_analysis(self, monkeypatch):
         # like an unknown name, an unknown gate must fail the run at once,
         # not once per utterance after every analysis

@@ -114,3 +114,26 @@ class TestMetamorphic:
             both = shifted.voiced_mask[k:] & want.track.voiced_mask
             assert both.any(), key
             assert shifted.f0_hz[k:][both].tobytes() == want.track.f0_hz[both].tobytes(), key
+
+    @settings(max_examples=6, deadline=None)
+    @given(x=noisy_vowels(), log10_gain=st.floats(-3.0, 3.0))
+    def test_gain_keeps_f0_voicing_and_regions(self, x, log10_gain):
+        # the extreme gains and one drawn gain, all in [1e-3, 1e3]: the peak
+        # stays inside the unscaled exponent band, so the samples are not
+        # normalised and rounding moves the F0 by a few ulps at most; the
+        # voicing, the frames with an estimate and the region labels do not
+        # move
+        base = _analysis(x)
+        for gain in (1e-3, 1e3, 10.0 ** log10_gain):
+            got = _analysis(gain * x)
+            for key, want in base.items():
+                track, ref = got[key].track, want.track
+                assert track.voiced_mask.tobytes() == ref.voiced_mask.tobytes(), (gain, key)
+                assert track.estimated_mask().tobytes() == \
+                    ref.estimated_mask().tobytes(), (gain, key)
+                np.testing.assert_allclose(track.f0_hz, ref.f0_hz, rtol=1e-9, atol=0,
+                                           err_msg=f"{gain} {key}")
+                if want.region_table is not None:
+                    for field in ("frame_index", "high"):
+                        assert got[key].region_table[field].tobytes() == \
+                            want.region_table[field].tobytes(), (gain, key)

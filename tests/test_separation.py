@@ -86,19 +86,95 @@ def per_segment_comb_loop(buf, est, cfg):
     return pick(cands)
 
 
-def per_frame_comb_candidates(estimate, frames, fs, segments):
+def per_frame_comb_candidates(cands, frames, fs, rows):
     """Oracle for separation._comb_candidates: the loop analyze_utterance ran
     before frames were stacked, one estimator call per voiced frame, a frame
     the estimator rejects (all zeros) left without a candidate."""
     hop_ms = AnalysisConfig.frame.hop_ms
-    cands = np.full((len(frames), 1), np.nan, CANDIDATE)
-    for segment in segments:
-        for i in range(segment.start, segment.stop):
+    for est, c in cands.items():
+        for i in range(rows.start, rows.stop):
             try:
-                cands[i, 0] = estimate(Frame(frames[i], fs, i * hop_ms))
+                c[i, 0] = FRAME_ESTIMATORS[est](Frame(frames[i], fs, i * hop_ms))
             except ValueError:
                 pass
-    return cands
+
+
+def two_pass_analysis(buf, estimators, methods, cfg):
+    """Oracle for analyze_utterance's one loop over the voiced segments: the
+    two passes it ran before. The segment loop collects each segment's rows
+    and its mode evidence; then each comb estimator scores every segment,
+    _BLOCK_ROWS rows per call, one estimator after the other; each pro F0 is
+    the pick of a copy of the candidate array with every candidate folded.
+    The input's peak must need no power-of-two scaling."""
+    fs = buf.sample_rate_hz
+    frames = cfg.frame.frames(buf.samples, fs)
+    n_track = len(frames)
+    hop, vad_len = cfg.frame.hop(fs), cfg.vad.frame_spec.frame_len(fs)
+    pro, hht = "pro" in methods, "hht" in estimators
+    n_modes = max(cfg.pro.k_imfs if pro else 1, cfg.estimator.hht_num_imfs if hht else 1)
+    voiced = np.zeros(n_track, dtype=bool)
+    mode_f0 = np.full((n_track, cfg.pro.k_imfs), np.nan)
+    hht_cands = np.full((n_track, cfg.estimator.hht_num_imfs), np.nan, CANDIDATE)
+    segments = []
+    for first, last in voiced_segments(detect_voiced(buf)):
+        seg = buf.samples[first * hop:last * hop + vad_len]
+        n_frames = cfg.frame.num_frames(len(seg), fs)
+        rows = slice(first, first + n_frames)
+        voiced[rows] = True
+        segments.append(rows)
+        if n_frames == 0 or not (pro or hht):
+            continue
+        decomposition = eemd_decompose(SampleBuffer(seg, fs), cfg.emd, n_modes)
+        if pro and len(decomposition) >= cfg.pro.k_imfs:
+            mode_f0[rows] = separation.imf_pitch_vector(decomposition)
+        if hht and len(decomposition) >= cfg.estimator.hht_num_imfs:
+            hht_cands[rows] = hht_candidates(decomposition)
+    cands = {"hht": hht_cands}
+    for est in estimators:
+        if est != "hht":
+            cands[est] = np.full((n_track, 1), np.nan, CANDIDATE)
+            for rows in segments:
+                for block in separation._blocks(rows.start, rows.stop):
+                    f0, salience = FRAME_ESTIMATORS[est](
+                        Frame(frames[block], fs, block.start * cfg.frame.hop_ms))
+                    cands[est]["f0_hz"][block, 0] = f0
+                    cands[est]["salience"][block, 0] = salience
+    voiced_rows = np.flatnonzero(voiced)
+    regions = separation._region_table(mode_f0, voiced_rows) if pro else None
+    out = {}
+    for est in estimators:
+        f0 = {"raw": pick(cands[est])}
+        if pro:
+            folded = cands[est].copy()
+            folded["f0_hz"][voiced_rows] = separation._fold(folded["f0_hz"][voiced_rows],
+                                                            regions["high"][:, None])
+            f0["pro"] = pick(folded)
+        for meth in methods:
+            track = FramePitchTrack(np.arange(n_track) * cfg.frame.hop_ms, f0[meth],
+                                    voiced.copy())
+            out[(est, meth)] = (MethodResult(track, regions, cands[est]) if meth == "pro"
+                                else MethodResult(track))
+    return out
+
+
+def sparse_pitch_vector(imfs):
+    """imf_pitch_vector with the first two frames of a segment and one of
+    every four later ones left with too few mode F0s."""
+    mode_f0 = imf_pitch_vector(imfs)
+    mode_f0[:2] = np.nan
+    mode_f0[5::4, 1:] = np.nan
+    return mode_f0
+
+
+def result_bytes(result):
+    """A result's track, voicing, frame times, region table and candidate
+    array as bytes, and its diagnostics as their repr (which round-trips
+    floats exactly and prints NaN equal to NaN)."""
+    def raw(a):
+        return None if a is None else a.tobytes()
+    track = result.track
+    return (raw(track.f0_hz), raw(track.voiced_mask), raw(track.frame_times_ms),
+            raw(result.region_table), raw(result.candidates), repr(result.diagnostics))
 
 
 def per_frame_imf_pitch_vector(imfs):
@@ -688,10 +764,35 @@ class TestCombCandidates:
         segments = [slice(0, 1), slice(2, 2 + b + 1), slice(2 + b + 1, 2 + b + 1),
                     slice(20, 40)]
         assert not frames[25:27].any()
-        got = separation._comb_candidates(FRAME_ESTIMATORS[est], frames, fs, segments)
-        want = per_frame_comb_candidates(FRAME_ESTIMATORS[est], frames, fs, segments)
-        assert got.tobytes() == want.tobytes()
-        assert np.isnan(got["f0_hz"][25:27]).all()
+        got = {est: np.full((len(frames), 1), np.nan, CANDIDATE)}
+        want = {est: np.full((len(frames), 1), np.nan, CANDIDATE)}
+        for rows in segments:
+            separation._comb_candidates(got, frames, fs, rows)
+            per_frame_comb_candidates(want, frames, fs, rows)
+        assert got[est].tobytes() == want[est].tobytes()
+        assert np.isnan(got[est]["f0_hz"][25:27]).all()
+
+    def test_block_major_order(self, monkeypatch):
+        # every requested comb estimator, in the order requested, scores a
+        # block of _BLOCK_ROWS rows (fewer at a segment's end) before the
+        # next block starts, across all three voiced segments
+        fs, b = 16000, separation._BLOCK_ROWS
+        calls = []
+        for est in ("pefac", "shr", "swipe"):
+            def spy(frame, est=est, real=FRAME_ESTIMATORS[est]):
+                calls.append((est, round(frame.start_ms / AnalysisConfig.frame.hop_ms),
+                              len(frame.samples)))
+                return real(frame)
+            monkeypatch.setitem(FRAME_ESTIMATORS, est, spy)
+        out = analyze_utterance(SampleBuffer(gapped_utterance(fs), fs),
+                                ["swipe", "hht", "pefac"], ["raw"],
+                                AnalysisConfig(emd=EmdConfig(ensemble_size=1)))
+        segments = voiced_segments(out[("swipe", "raw")].track.voiced_mask)
+        assert len(segments) == 3
+        assert calls == [(est, start, min(b, last + 1 - start))
+                         for first, last in segments
+                         for start in range(first, last + 1, b)
+                         for est in ("swipe", "pefac")]
 
     @pytest.mark.parametrize("est", ["pefac", "shr", "swipe"])
     def test_work_memory_does_not_grow_with_the_rows(self, est):
@@ -704,9 +805,10 @@ class TestCombCandidates:
         frames = FrameSpec().frames(glottal_pulse_train(150.0, 2.2, fs).samples, fs)[:200]
 
         def work_bytes(rows):
-            peak, cands = traced_peak(lambda: separation._comb_candidates(
-                FRAME_ESTIMATORS[est], frames[:rows], fs, [slice(0, rows)]))
-            return peak - cands.nbytes
+            cands = {est: np.full((rows, 1), np.nan, CANDIDATE)}
+            peak, _ = traced_peak(lambda: separation._comb_candidates(
+                cands, frames[:rows], fs, slice(0, rows)))
+            return peak
         work_bytes(200)  # fills the interpreter's and numpy's free lists
         rows = 200 - separation._BLOCK_ROWS
         assert work_bytes(200) <= work_bytes(separation._BLOCK_ROWS) + 32 * rows
@@ -929,13 +1031,6 @@ class TestPipeline:
         # and diagnostics equal those of the per-frame inheritance loop and
         # the nested fold loop over the raw candidate arrays the pipeline
         # picked from
-        real_pitch_vector = separation.imf_pitch_vector
-
-        def sparse_pitch_vector(imfs):
-            mode_f0 = real_pitch_vector(imfs)
-            mode_f0[:2] = np.nan
-            mode_f0[5::4, 1:] = np.nan
-            return mode_f0
         picked, classified = [], []
         real_region_table = separation._region_table
         monkeypatch.setattr(separation, "imf_pitch_vector", sparse_pitch_vector)
@@ -949,8 +1044,9 @@ class TestPipeline:
         regions = tuple(classify_frames_loop(mode_f0, rows))
         assert {r.region for r in regions} == {LOW, HIGH}
         assert sum(r.selected_imfs is None for r in regions) >= 10
+        assert len(picked) == len(ALL_KEYS[0])  # one pick per estimator
         moved = 0
-        for est, raw in zip(ALL_KEYS[0], picked[::2]):
+        for est, raw in zip(ALL_KEYS[0], picked):
             folded = fold_loop(raw, regions)
             moved += np.sum(~np.isnan(raw["f0_hz"]) & (folded["f0_hz"] != raw["f0_hz"]))
             np.testing.assert_array_equal(out[(est, "raw")].track.f0_hz, pick(raw))
@@ -960,6 +1056,26 @@ class TestPipeline:
                 diagnostic_oracle(raw[r.frame_index], folded[r.frame_index], r)
                 for r in regions))
         assert moved > 0
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 22050])
+    def test_outputs_equal_two_pass_oracle(self, fs, monkeypatch):
+        # every key: the track, voicing, frame times, region table,
+        # candidate array and diagnostics of the one segment loop equal
+        # those of the two passes byte for byte; sparse mode evidence makes
+        # frames inherit their region and the fold move candidates
+        monkeypatch.setattr(separation, "imf_pitch_vector", sparse_pitch_vector)
+        buf = SampleBuffer(gapped_utterance(fs), fs)
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=3))
+        got = analyze_utterance(buf, *ALL_KEYS, cfg)
+        want = two_pass_analysis(buf, *ALL_KEYS, cfg)
+        assert len(voiced_segments(got[("shr", "raw")].track.voiced_mask)) == 3
+        assert got.keys() == want.keys() and len(got) == 8
+        for key, result in got.items():
+            assert result_bytes(result) == result_bytes(want[key]), key
+        moved = [np.isfinite(raw) & (pro != raw) for raw, pro in (
+            (got[(est, "raw")].track.f0_hz, got[(est, "pro")].track.f0_hz)
+            for est in ALL_KEYS[0])]
+        assert np.any(moved)
 
     @pytest.mark.parametrize("fs", [8000, 16000])
     def test_comb_tracks_equal_per_segment_loop(self, fs):
@@ -1059,6 +1175,17 @@ class TestPipeline:
         for estimators in (["yin"], ["shr", "yin"]):
             with pytest.raises(ValueError, match="unknown estimator 'yin'"):
                 analyze_utterance(buf, estimators, ["raw"], AnalysisConfig())
+
+
+    @pytest.mark.parametrize("estimators,methods,match", [
+        (["shr", "shr"], ["raw"], "estimator 'shr' is listed twice"),
+        (["swipe", "hht", "swipe"], ["pro"], "estimator 'swipe' is listed twice"),
+        (["shr"], ["raw", "pro", "raw"], "method 'raw' is listed twice")])
+    def test_repeated_name_rejected(self, estimators, methods, match):
+        # a repeated key must not be dropped from the result in silence
+        buf = SampleBuffer(voiced_with_a_gap(FS), FS)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            analyze_utterance(buf, estimators, methods, AnalysisConfig())
 
 
 ALL_KEYS = (["pefac", "shr", "swipe", "hht"], ["raw", "pro"])

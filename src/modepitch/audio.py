@@ -36,6 +36,14 @@ def adopt(values) -> np.ndarray:
     return copy
 
 
+def _as_integer(name: str, value) -> int:
+    """value as an int; TypeError naming it when it is a bool or not an
+    integer (a numpy integer is one, a float with an integral value is not)."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SampleBuffer:
     """Uniformly sampled mono signal, full scale +-1.0.
@@ -53,13 +61,11 @@ class SampleBuffer:
             raise ValueError("SampleBuffer requires a non-empty 1-D sample array")
         if not np.all(np.isfinite(samples)):
             raise ValueError("SampleBuffer samples must be finite")
-        rate = self.sample_rate_hz
-        if isinstance(rate, (bool, np.bool_)) or not hasattr(rate, "__index__"):
-            raise TypeError(f"sample_rate_hz must be an integer, got {rate!r}")
+        rate = _as_integer("sample_rate_hz", self.sample_rate_hz)
         if rate <= 0:
             raise ValueError("sample_rate_hz must be positive")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate_hz", operator.index(rate))
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -77,8 +83,9 @@ class FrameSpec:
     hop_ms: float = 10.0
 
     def __post_init__(self):
-        if self.frame_len_ms <= 0 or self.hop_ms <= 0:
-            raise ValueError("frame_len_ms and hop_ms must be positive")
+        if not (0 < self.frame_len_ms < math.inf and 0 < self.hop_ms < math.inf):
+            raise ValueError("frame_len_ms and hop_ms must be positive and finite, got "
+                             f"{self.frame_len_ms} and {self.hop_ms}")
         if self.hop_ms > self.frame_len_ms:
             raise ValueError("hop_ms must not exceed frame_len_ms")
 
@@ -262,16 +269,31 @@ def resample(buf: SampleBuffer, target_hz: int) -> SampleBuffer:
     return SampleBuffer(out, target_hz)
 
 
+def _snr_power_ratio(snr_db: float) -> float:
+    """The clean-to-noise power ratio 10 ** (snr_db / 10) of an SNR, +inf at
+    snr_db = +inf (no noise). ValueError, naming snr_db, where the ratio is
+    not a positive float: snr_db NaN or -inf, above about 3082.5 dB (the
+    ratio overflows) or below about -3233 dB (it underflows to 0)."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.nan
+    if not (0.0 < ratio < math.inf or snr_db == math.inf):
+        raise ValueError(f"snr_db must be a number of dB or +inf whose power ratio "
+                         f"10 ** (snr_db / 10) is positive and finite, got {snr_db}")
+    return ratio
+
+
 def mix_at_snr(mix: NoisyMix) -> SampleBuffer:
     """Add scaled noise to clean speech so the power ratio hits snr_db exactly.
 
     SNR is referenced to the full clean-utterance power. The noise is read
     from a seed-derived circular offset and resampled first if its rate
-    differs from the clean signal. snr_db may be +inf (no noise) but not
-    NaN or -inf, which no gain reaches.
+    differs from the clean signal. snr_db may be +inf (no noise); an SNR
+    _snr_power_ratio rejects, and one so low that the scaled noise
+    overflows float64, raise ValueError.
     """
-    if math.isnan(mix.snr_db) or mix.snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number of dB or +inf, got {mix.snr_db}")
+    ratio = _snr_power_ratio(mix.snr_db)
     clean = mix.clean
     noise = mix.noise
     if noise.sample_rate_hz != clean.sample_rate_hz:
@@ -294,11 +316,15 @@ def mix_at_snr(mix: NoisyMix) -> SampleBuffer:
         raise ValueError("SNR undefined for an all-zero clean signal")
     if p_noise == 0.0:
         raise ValueError("SNR undefined for an all-zero noise segment")
-    gain = math.sqrt(p_clean / (p_noise * 10.0 ** (mix.snr_db / 10.0)))
-    segment *= gain
-    segment += clean.samples
+    noise_power = p_noise * ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        segment *= math.sqrt(p_clean / noise_power) if noise_power else math.inf
+        segment += clean.samples
     segment.setflags(write=False)
-    return SampleBuffer(segment, clean.sample_rate_hz)
+    try:
+        return SampleBuffer(segment, clean.sample_rate_hz)
+    except ValueError:  # non-finite samples: the one check a mix of two buffers can fail
+        raise ValueError(f"noise scaled to snr_db={mix.snr_db} overflows float64") from None
 
 
 def measured_snr_db(mixed: SampleBuffer, clean: SampleBuffer) -> float:

@@ -8,14 +8,13 @@ constant of AnalysisConfig.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import sys
 
 import click
 import numpy as np
 
-from .audio import load_wav, mix_at_snr, save_wav
+from .audio import _snr_power_ratio, load_wav, mix_at_snr, save_wav
 from .corpus import (
     NOISE_KINDS,
     generate_corpus,
@@ -24,7 +23,7 @@ from .corpus import (
 )
 from .emd import DEFAULT_MAX_IMFS, EmdConfig, eemd_decompose, mode_energies, write_imf_wav
 from .evaluation import GATES, mix_cells, run_benchmark, write_report_csv
-from .separation import ESTIMATORS, AnalysisConfig, analyze_utterance, check_keys
+from .separation import ESTIMATORS, HIGH, LOW, AnalysisConfig, analyze_utterance, check_keys
 
 OUT_DIR_ENV = "MODEPITCH_OUT_DIR"
 DEFAULT_SNRS = (-15.0, -10.0, -5.0, 0.0, 5.0)
@@ -74,10 +73,14 @@ def _csv_list(flag: str, text: str, convert=str) -> list:
 
 
 def _snr_db(text: str) -> float:
-    """One --snrs value in dB; inf mixes no noise, and no mix reaches NaN or -inf."""
+    """One --snrs value in dB, by mix_at_snr's rule (_snr_power_ratio); inf
+    mixes no noise."""
     snr_db = float(text)
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"SNR must be a number of dB or inf, got {text}")
+    try:
+        _snr_power_ratio(snr_db)
+    except ValueError:
+        raise ValueError(f"SNR must be a number of dB or inf, got {text}: its power "
+                         "ratio 10^(SNR/10) is not a positive float") from None
     return snr_db
 
 
@@ -189,14 +192,14 @@ def separate(audio, output, ensemble_size, wgn_std_ratio, seed):
     with _input_errors():
         buf = load_wav(audio)
         result = analyze_utterance(buf, ["pefac"], ["pro"], cfg)
-    regions = result[("pefac", "pro")].regions
+    table = result[("pefac", "pro")].region_table
     hop = cfg.frame.hop_ms
     with open(output, "w") as fh:
         fh.write("time_ms,region,mean_f0,imf_a,imf_b\n")
-        for r in regions:
-            a, b = r.selected_imfs or ("", "")
-            fh.write(f"{r.frame_index * hop:g},{r.region},{_num(r.mean_f0)},{a},{b}\n")
-    click.echo(f"{len(regions)} voiced frames classified; regions written to {output}")
+        for i, high, mean_f0, a, b in table.tolist():
+            a, b = (a, b) if a else ("", "")
+            fh.write(f"{i * hop:g},{(LOW, HIGH)[high]},{_num(mean_f0)},{a},{b}\n")
+    click.echo(f"{len(table)} voiced frames classified; regions written to {output}")
 
 
 @main.command()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import solve_unit_lower_band
-from .audio import FrameSpec, SampleBuffer, load_wav, save_wav
+from .audio import FrameSpec, SampleBuffer, _as_integer, load_wav, save_wav
 from .track import FramePitchTrack
 
 DEFAULT_FORMANTS = ((500.0, 80.0), (1500.0, 120.0), (2500.0, 160.0))
@@ -38,8 +38,9 @@ class SynthUtteranceSpec:
     sample_rate_hz: int = 8000
 
     def __post_init__(self):
-        if self.duration_ms < 200.0:
-            raise ValueError("duration_ms must be at least 200 ms")
+        if not 200.0 <= self.duration_ms < math.inf:
+            raise ValueError(f"duration_ms must be at least 200 ms and finite, "
+                             f"got {self.duration_ms}")
         if not self.f0_contour:
             raise ValueError("f0_contour needs at least one knot")
         for _, hz in self.f0_contour:
@@ -50,20 +51,28 @@ class SynthUtteranceSpec:
             raise ValueError(f"contour knot times must strictly increase, got {times}")
         if not all(map(math.isfinite, times)):
             raise ValueError(f"contour knot times must be finite, got {times}")
-        if self.sample_rate_hz < 1:
-            raise ValueError(f"sample_rate_hz must be at least 1, got {self.sample_rate_hz}")
+        fs = _as_integer("sample_rate_hz", self.sample_rate_hz)
+        if fs < 1:
+            raise ValueError(f"sample_rate_hz must be at least 1, got {fs}")
+        if _as_integer("rng_seed", self.rng_seed) < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if not 0.0 <= self.jitter_pct <= 30.0:
             raise ValueError(f"jitter_pct must lie in [0, 30], got {self.jitter_pct}")
         if len(self.formant_set) != 3:
             raise ValueError("formant_set must name three resonances")
+        for freq, bw in self.formant_set:
+            # a bandwidth <= 0 puts the resonator's poles on or outside the
+            # unit circle, and a formant at or past Nyquist aliases
+            if not 0.0 < freq < fs / 2:
+                raise ValueError(f"formant frequencies must lie in (0, {fs / 2:g}) Hz "
+                                 f"at {fs} Hz, got {freq}")
+            if not 0.0 < bw < math.inf:
+                raise ValueError(f"formant bandwidths must be positive and finite, got {bw}")
 
     def knots(self) -> tuple[np.ndarray, np.ndarray]:
         """The contour as the (times_ms, f0_hz) arrays ``np.interp`` reads."""
         return (np.array([t for t, _ in self.f0_contour]),
                 np.array([f for _, f in self.f0_contour]))
-
-    def contour_at(self, times_ms) -> np.ndarray:
-        return np.interp(np.asarray(times_ms, dtype=np.float64), *self.knots())
 
 
 def _all_pole(a, x: np.ndarray) -> None:
@@ -189,16 +198,16 @@ def make_noise(kind: str, n_samples: int, sample_rate_hz: int, seed: int = 0
 
     The output array is allocated once, scaled in place and handed to the
     buffer read-only, without a copy."""
-    if n_samples < 1:
+    if _as_integer("n_samples", n_samples) < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if sample_rate_hz < MIN_NOISE_RATE_HZ:
+    if _as_integer("sample_rate_hz", sample_rate_hz) < MIN_NOISE_RATE_HZ:
         raise ValueError(f"noise sample_rate_hz must be at least {MIN_NOISE_RATE_HZ} Hz, "
                          f"got {sample_rate_hz}")
     top_hz = BABBLE_FORMANT_RANGES[-1][1]
     if kind == "babble" and sample_rate_hz <= 2 * top_hz:
         raise ValueError(f"babble sample_rate_hz must exceed {2 * top_hz:g} Hz, twice the "
                          f"{top_hz:g} Hz top formant, got {sample_rate_hz}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_integer("seed", seed))
     fs = sample_rate_hz
     if kind == "white":
         x = rng.standard_normal(n_samples)
@@ -319,6 +328,9 @@ def read_reference(path) -> FramePitchTrack:
             except ValueError:
                 raise ValueError(f"reference file {path} line {number}: expected "
                                  f"'time_ms f0_hz' numbers, got {line!r}") from None
+            if not (math.isfinite(t) and math.isfinite(f0)):
+                raise ValueError(f"reference file {path} line {number}: time and F0 "
+                                 f"must be finite, got {line!r}")
             times.append(t)
             voiced.append(f0 > 0)
             f0s.append(f0 if f0 > 0 else np.nan)
@@ -364,14 +376,22 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
     """Write WAVs, reference tracks, and a manifest; returns the manifest path.
 
     Half the contours (by low_fraction) stay at or below 200 Hz, the rest
-    above, so separation experiments see both regions.
+    above, so separation experiments see both regions. Every option is
+    checked before out_dir is created.
     """
-    if count < 1:
+    if _as_integer("count", count) < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if seed < 0:
+    if _as_integer("seed", seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0.0 <= low_fraction <= 1.0:
         raise ValueError(f"low_fraction must lie in [0, 1], got {low_fraction}")
+    if _as_integer("sample_rate_hz", sample_rate_hz) < 1:
+        raise ValueError(f"sample_rate_hz must be at least 1, got {sample_rate_hz}")
+    FrameSpec().hop(sample_rate_hz)  # rejects a rate the reference grid cannot sample
+    top_hz = CORPUS_FORMANT_RANGES[-1][1]
+    if sample_rate_hz <= 2 * top_hz:
+        raise ValueError(f"corpus sample_rate_hz must exceed {2 * top_hz:g} Hz, twice the "
+                         f"{top_hz:g} Hz top formant, got {sample_rate_hz}")
     rng = np.random.default_rng(seed)
     specs = []
     n_low = int(round(count * low_fraction))
@@ -396,11 +416,6 @@ def generate_corpus(out_dir, count: int = 20, seed: int = 0,
             jitter_pct=0.5, rng_seed=int(rng.integers(0, 2 ** 31)),
             sample_rate_hz=sample_rate_hz,
         ))
-    FrameSpec().hop(sample_rate_hz)  # rejects a rate the reference grid cannot sample
-    top_hz = CORPUS_FORMANT_RANGES[-1][1]
-    if sample_rate_hz <= 2 * top_hz:
-        raise ValueError(f"corpus sample_rate_hz must exceed {2 * top_hz:g} Hz, twice the "
-                         f"{top_hz:g} Hz top formant, got {sample_rate_hz}")
     os.makedirs(out_dir, exist_ok=True)  # only once every option has passed
     entries = []
     for i, spec in enumerate(specs):
@@ -419,7 +434,7 @@ def write_noise_set(out_dir, kinds=NOISE_KINDS, duration_ms: float = 3000.0,
     """Materialize one WAV per noise kind; returns kind -> path. Every noise
     is made before out_dir is created, so a rejected option leaves no
     directory."""
-    if seed < 0:
+    if _as_integer("seed", seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     n = int(round(duration_ms * sample_rate_hz / 1000.0))
     bufs = [make_noise(kind, n, sample_rate_hz, seed=seed + k)

@@ -7,14 +7,13 @@ suppresses mode mixing at the cost of a small reconstruction residue.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
 from ._lapack import solve_tridiagonal
-from .audio import SampleBuffer, adopt, save_wav_multichannel
+from .audio import SampleBuffer, _as_integer, adopt, save_wav_multichannel
 
 DEFAULT_MAX_IMFS = 8
 
@@ -32,10 +31,7 @@ class EmdConfig:
 
     def __post_init__(self):
         for name in ("ensemble_size", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
         if self.ensemble_size < 1:
             raise ValueError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
         if self.rng_seed < 0:

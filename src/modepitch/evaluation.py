@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import NoisyMix, SampleBuffer, mix_at_snr, resample
+from .audio import NoisyMix, SampleBuffer, _snr_power_ratio, mix_at_snr, resample
 from .corpus import CorpusItem
 from .separation import (
     AnalysisConfig,
@@ -159,6 +159,8 @@ def _bench_utterance(args):
 
     Module-level so a process pool can pickle it. Returns
     {key: (ge, mae, sep, frames)}, or an error string if any step raised.
+    A separation error no classified frame can score (none is reference
+    voiced with a reference F0) is NaN, as is a MAE with nothing to score.
     """
     (item, mix, estimators, methods, cfg, gate) = args
     try:
@@ -166,6 +168,7 @@ def _bench_utterance(args):
         analysis = analyze_utterance(mixed, estimators, methods, cfg)
         frames = int(item.truth.voiced_mask.sum())
         seps = {"raw": math.nan}  # pro's is scored once: every pro key holds one table
+        scorable = item.truth.voiced_mask & has_estimate(item.truth.f0_hz)
         scores = {}
         for (est, meth), result in analysis.items():
             ge = gross_error(result.track, item.truth, gate)
@@ -173,8 +176,9 @@ def _bench_utterance(args):
                 if (result.track.estimated_mask() & item.truth.voiced_mask).any() \
                 else math.nan
             if meth not in seps:
-                regions = result.regions
-                seps[meth] = separation_error(regions, item.truth) if regions else math.nan
+                seps[meth] = (separation_error(result.regions, item.truth)
+                              if scorable[result.region_table["frame_index"]].any()
+                              else math.nan)
             scores[(est, meth)] = (ge, mae, seps[meth], frames)
         return scores
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not fatal
@@ -193,8 +197,9 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
     Each report averages the scores of the utterances that succeeded. Every
     failed utterance is recorded once per estimator/method key, with its
     reason prefixed by the corpus item name; a cell with no successful
-    utterance is left out of the reports. An unknown name or gate, and a
-    grid value listed twice, raise before anything is mixed. The mixes are
+    utterance is left out of the reports. An unknown name or gate, a grid
+    value listed twice and an SNR _snr_power_ratio rejects raise before
+    anything is mixed. The mixes are
     those of `mix_cells`, so the result is deterministic for a fixed seed.
     Utterances run in a pool of min(jobs, corpus size) worker processes, or
     in this process when that is 1.
@@ -210,6 +215,8 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValueError(f"{kind} {value!r} is listed twice")
+    for snr in snrs:
+        _snr_power_ratio(snr)
     reports: list[EvalReport] = []
     failures: list[BenchFailure] = []
     # under fork the pool starts all its workers with the first task, and a

@@ -153,29 +153,16 @@ REGION_ROW = np.dtype([("frame_index", np.intp), ("high", np.int8),
                        ("mean_f0", np.float64), ("imf_a", np.int32), ("imf_b", np.int32)])
 
 
-def _region_table(mode_f0: np.ndarray, frames: np.ndarray | None = None) -> np.ndarray:
-    """Classify the given rows (strictly increasing integer frame indices;
-    default all) of a (frames x modes) F0 matrix in one array pass, as a
-    REGION_ROW array: the select_imf_pair rule over each row's usable
+def _region_table(mode_f0: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Classify the given rows (strictly increasing frame indices) of a
+    (frames x modes) matrix of positive or NaN mode F0s in one array pass,
+    as a REGION_ROW array: the select_imf_pair rule over each row's usable
     (finite) modes, then region_of's gamma rule on the pair's mean F0. Each
     frame takes the region of the last frame, itself included, with two
     usable modes; low before it.
     """
-    mode_f0 = np.asarray(mode_f0, dtype=np.float64)
-    if mode_f0.ndim != 2 or mode_f0.shape[1] < 2:
-        raise ValueError("need a (frames x modes) array of at least two mode estimates")
-    rows = np.arange(len(mode_f0)) if frames is None else np.asarray(frames)
-    if rows.size and rows.dtype.kind not in "iu":
-        raise ValueError(f"frames must be integer row indices, got {rows.dtype} rows")
-    rows = rows.astype(np.intp)
-    if (rows.ndim != 1 or np.any(rows < 0) or np.any(rows >= len(mode_f0))
-            or np.any(rows[1:] <= rows[:-1])):
-        raise ValueError("frames must be strictly increasing row indices "
-                         f"in [0, {len(mode_f0)})")
     v = mode_f0[rows]
     usable = np.isfinite(v)
-    if np.any(usable & (v <= 0)):
-        raise ValueError("mode F0 entries must be positive or NaN")
     # unusable modes get a stand-in F0, add 0 to every row sum and never win
     v = np.where(usable, v, 1.0)
     scores = np.where(usable[:, None, :], distance_matrix(v), 0.0).sum(axis=-1)
@@ -198,26 +185,18 @@ def _region_objects(table: np.ndarray) -> list[FrequencyRegion]:
             for i, h, mean, a, b in table.tolist()]
 
 
-def classify_frames(mode_f0: np.ndarray, frames: np.ndarray | None = None
-                    ) -> list[FrequencyRegion]:
-    """The FrequencyRegion of each row _region_table classifies (same
-    arguments, same rules)."""
-    return _region_objects(_region_table(mode_f0, frames))
-
-
 def _smoothed_argmax_track(cands: np.ndarray, scores: np.ndarray,
-                           valid: np.ndarray, window: int = SMOOTH_FRAMES
-                           ) -> np.ndarray:
+                           valid: np.ndarray) -> np.ndarray:
     """Per-frame argmax over score curves averaged across neighbor frames.
 
     Pools pitch evidence over time the way a tracking back end would, which
     stabilizes estimates on noisy bandlimited modes. Each frame averages the
-    valid rows among the 2 * (window // 2) + 1 frames centred on it. Invalid
-    rows and the padding past either end enter the window sums as zeros, so
-    each sum equals the sum of its valid rows. Frames whose window holds no
-    valid curves come out NaN.
+    valid rows among the 2 * (SMOOTH_FRAMES // 2) + 1 frames centred on it.
+    Invalid rows and the padding past either end enter the window sums as
+    zeros, so each sum equals the sum of its valid rows. Frames whose window
+    holds no valid curves come out NaN.
     """
-    half = max(0, window // 2)
+    half = SMOOTH_FRAMES // 2
     width = 2 * half + 1
     masked = np.pad(np.where(valid[:, None], scores, 0.0), ((half, half), (0, 0)))
     sums = sliding_window_view(masked, width, axis=0).sum(axis=-1)

@@ -127,7 +127,7 @@ def per_pulse_synthesis(spec):
     t = 0.0
     while t < n:
         pulses[int(t)] += 1.0
-        f0 = float(spec.contour_at(1000.0 * t / fs))
+        f0 = float(np.interp(1000.0 * t / fs, *spec.knots()))
         period = fs / f0
         if spec.jitter_pct > 0:
             wobble = np.clip(rng.standard_normal(), -3.0, 3.0)
@@ -146,7 +146,7 @@ def per_pulse_synthesis(spec):
     frame = FrameSpec()
     n_frames = frame.num_frames(n, fs)
     times = np.arange(n_frames) * frame.hop_ms
-    truth_f0 = spec.contour_at(times + frame.frame_len_ms / 2.0)
+    truth_f0 = np.interp(times + frame.frame_len_ms / 2.0, *spec.knots())
     truth = FramePitchTrack(frame_times_ms=times, f0_hz=truth_f0,
                             voiced_mask=np.ones(n_frames, dtype=bool))
     return buf, truth

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS
+from modepitch.audio import SampleBuffer
 from modepitch.corpus import CorpusItem, SynthUtteranceSpec, make_noise, synthesize_utterance
 from modepitch.emd import EmdConfig
 from modepitch.evaluation import (
@@ -421,6 +422,36 @@ class TestRunBenchmark:
         assert not reports
         assert len(failures) == 1
         assert "SNR undefined" in failures[0].reason
+
+    def test_undefined_separation_error_is_nan_not_a_failure(self):
+        # a 600 ms 150 Hz vowel whose reference is voiced on its last 3 frames
+        # only, with those samples zeroed: no classified frame is reference
+        # voiced, so its separation error is undefined, and it is left out of
+        # the cell mean as an undefined MAE is; every key is still scored
+        # (the whole utterance used to be recorded as failed)
+        clean, truth = synthesize_utterance(SynthUtteranceSpec(
+            f0_contour=((0, 150.0),), duration_ms=600.0))
+        voiced = np.arange(len(truth)) >= len(truth) - 3
+        hop = round(AnalysisConfig.frame.hop_ms * FS / 1000)
+        samples = clean.samples.copy()
+        samples[(len(truth) - 3) * hop:] = 0.0
+        probe = CorpusItem("probe", SampleBuffer(samples, FS),
+                           track(np.where(voiced, truth.f0_hz, np.nan), voiced))
+        good = small_corpus(1)
+        noises = [("white", make_noise("white", 2 * FS, FS, seed=0))]
+        cfg = AnalysisConfig(emd=EmdConfig(ensemble_size=2))
+        grid = (noises, [20.0], ["shr"], ["raw", "pro"], cfg)
+        reports, failures = run_benchmark([probe], *grid)
+        assert failures == []
+        assert [(r.method, r.ge_percent, r.frames_scored) for r in reports] == \
+            [("raw", 100.0, 3), ("pro", 100.0, 3)]
+        assert all(math.isnan(r.mae_hz) and math.isnan(r.sep_error_percent)
+                   for r in reports)
+        alone = run_benchmark(good, *grid)[0][1]  # the pro cells
+        both = run_benchmark(good + [probe], *grid)[0][1]
+        assert both.sep_error_percent == alone.sep_error_percent
+        assert both.mae_hz == alone.mae_hz
+        assert both.ge_percent == pytest.approx((alone.ge_percent + 100.0) / 2)
 
     def test_csv_schema(self, tmp_path):
         report = EvalReport(noise="white", snr_db=-5.0, estimator="shr",

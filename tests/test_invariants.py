@@ -1,4 +1,5 @@
-"""The input contract and metamorphic relations of analyze_utterance.
+"""The input contract and metamorphic relations of analyze_utterance and
+the inputs it is fed.
 
 A contract row feeds one kind of input a caller can supply and asserts
 what must come back. A metamorphic property relates the analyses of two
@@ -13,10 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS
-from modepitch.audio import NoisyMix, SampleBuffer, mix_at_snr
-from modepitch.corpus import SynthUtteranceSpec, make_noise, synthesize_utterance
+from modepitch.audio import FrameSpec, NoisyMix, SampleBuffer, mix_at_snr
+from modepitch.cli import _snr_db
+from modepitch.corpus import (
+    DEFAULT_FORMANTS,
+    CorpusItem,
+    SynthUtteranceSpec,
+    generate_corpus,
+    make_noise,
+    read_reference,
+    synthesize_utterance,
+    write_noise_set,
+)
 from modepitch.emd import EmdConfig
+from modepitch.evaluation import run_benchmark
 from modepitch.separation import ESTIMATORS, AnalysisConfig, analyze_utterance
+from modepitch.track import FramePitchTrack
 
 METHODS = ["raw", "pro"]
 CFG = AnalysisConfig(emd=EmdConfig(ensemble_size=2, rng_seed=1))
@@ -53,6 +66,129 @@ class TestGainContract:
         hits = {key: float(np.mean(np.abs(r.track.f0_hz - 150.0) <= 0.2 * 150.0))
                 for key, r in out.items()}
         assert len(hits) == 8 and min(hits.values()) >= 0.95, hits
+
+
+def _spec(**kwargs):
+    """A 600 ms 150 Hz vowel's recipe at 8 kHz."""
+    return SynthUtteranceSpec(((0, 150.0),), **kwargs)
+
+
+def _mix(snr_db):
+    return mix_at_snr(NoisyMix(synthesize_utterance(_spec())[0], _noise("white"), snr_db))
+
+
+def _bench(snrs):
+    # the utterance is all zeros, so every mix fails and is recorded; only
+    # a check made before mixing raises
+    truth = synthesize_utterance(_spec())[1]
+    item = CorpusItem("u", SampleBuffer(np.zeros(4800), FS), truth)
+    return run_benchmark([item], [("white", _noise("white"))], snrs, ["shr"], ["raw"])
+
+
+def _reference(out, line):
+    out.mkdir()
+    (out / "ref.f0").write_text(f"0.0 0.0\n{line}\n")
+    return read_reference(out / "ref.f0")
+
+
+def _track(times=(0.0, 10.0), f0=(100.0, 110.0)):
+    return FramePitchTrack(frame_times_ms=times, f0_hz=f0, voiced_mask=np.ones(np.shape(f0)))
+
+
+_SNR_RULE = r"^snr_db must be a number of dB or \+inf whose power ratio " \
+            r"10 \*\* \(snr_db / 10\) is positive and finite, got "
+_FORMANTS = r"^formant frequencies must lie in \(0, 4000\) Hz at 8000 Hz, got "
+
+
+def _formants(*changed):
+    """DEFAULT_FORMANTS with the first len(changed) resonances replaced."""
+    return _spec(formant_set=(*changed, *DEFAULT_FORMANTS[len(changed):]))
+
+
+def _integer(name, value):
+    return TypeError, f"^{name} must be an integer, got {value}$"
+
+
+# each row is an input a caller can supply that was accepted, or rejected
+# late, with another exception or without naming the value: (id, call of
+# the output directory, exception, message)
+_REJECTED = [
+    # the SNR's power ratio 10 ** (snr_db / 10) overflows, underflows to 0,
+    # or the noise scaled by it overflows (OverflowError, "SampleBuffer
+    # samples must be finite" and ZeroDivisionError before)
+    ("mix-at-3083dB", lambda out: _mix(3083.0), ValueError, _SNR_RULE + r"3083\.0$"),
+    ("mix-at-1e308dB", lambda out: _mix(1e308), ValueError, _SNR_RULE + r"1e\+308$"),
+    ("mix-at-minus-3100dB", lambda out: _mix(-3100.0), ValueError,
+     r"^noise scaled to snr_db=-3100\.0 overflows float64$"),
+    ("mix-at-minus-3200dB", lambda out: _mix(-3200.0), ValueError,
+     r"^noise scaled to snr_db=-3200\.0 overflows float64$"),
+    ("mix-at-minus-3300dB", lambda out: _mix(-3300.0), ValueError,
+     _SNR_RULE + r"-3300\.0$"),
+    ("bench-at-1e308dB", lambda out: _bench([0.0, 1e308]), ValueError,
+     _SNR_RULE + r"1e\+308$"),
+    ("bench-at-minus-3300dB", lambda out: _bench([-3300.0]), ValueError,
+     _SNR_RULE + r"-3300\.0$"),
+    ("snrs-flag-1e308", lambda out: _snr_db("1e308"), ValueError,
+     r"^SNR must be a number of dB or inf, got 1e308: its power ratio "
+     r"10\^\(SNR/10\) is not a positive float$"),
+    # synthesis options
+    ("duration-nan", lambda out: _spec(duration_ms=math.nan), ValueError,
+     "^duration_ms must be at least 200 ms and finite, got nan$"),
+    ("duration-inf", lambda out: _spec(duration_ms=math.inf), ValueError,
+     "^duration_ms must be at least 200 ms and finite, got inf$"),
+    ("formant-at-nyquist", lambda out: _formants((4000.0, 80.0)), ValueError,
+     _FORMANTS + r"4000\.0$"),
+    ("formant-at-0hz", lambda out: _formants((0.0, 80.0)), ValueError,
+     _FORMANTS + r"0\.0$"),
+    ("negative-bandwidth", lambda out: _formants((500.0, -80.0)), ValueError,
+     r"^formant bandwidths must be positive and finite, got -80\.0$"),
+    ("nan-bandwidth", lambda out: _formants((500.0, math.nan)), ValueError,
+     "^formant bandwidths must be positive and finite, got nan$"),
+    ("spec-float-rate", lambda out: _spec(sample_rate_hz=8000.0),
+     *_integer("sample_rate_hz", "8000.0")),
+    ("spec-bool-seed", lambda out: _spec(rng_seed=True), *_integer("rng_seed", "True")),
+    ("spec-negative-seed", lambda out: _spec(rng_seed=-1), ValueError,
+     "^rng_seed must be non-negative, got -1$"),
+    ("frame-nan", lambda out: FrameSpec(math.nan, 10.0), ValueError,
+     r"^frame_len_ms and hop_ms must be positive and finite, got nan and 10\.0$"),
+    ("frame-inf", lambda out: FrameSpec(math.inf, 10.0), ValueError,
+     r"^frame_len_ms and hop_ms must be positive and finite, got inf and 10\.0$"),
+    # corpus options, each named before the output directory is made
+    ("corpus-float-rate", lambda out: generate_corpus(out, sample_rate_hz=8000.0),
+     *_integer("sample_rate_hz", "8000.0")),
+    ("corpus-bool-count", lambda out: generate_corpus(out, count=True),
+     *_integer("count", "True")),
+    ("corpus-bool-seed", lambda out: generate_corpus(out, count=1, seed=True),
+     *_integer("seed", "True")),
+    ("corpus-nan-duration", lambda out: generate_corpus(out, count=1, duration_ms=math.nan),
+     ValueError, "^duration_ms must be at least 200 ms and finite, got nan$"),
+    ("noise-set-bool-seed", lambda out: write_noise_set(out, ("white",), seed=True),
+     *_integer("seed", "True")),
+    ("noise-bool-length", lambda out: make_noise("white", True, FS),
+     *_integer("n_samples", "True")),
+    # reference tracks
+    ("track-inf-f0", lambda out: _track(f0=(100.0, math.inf)), ValueError,
+     r"^f0 values must be positive and finite, or NaN \(no estimate\)$"),
+    ("track-nan-time", lambda out: _track(times=(0.0, math.nan)), ValueError,
+     "^frame times must be finite$"),
+    ("track-inf-time", lambda out: _track(times=(0.0, math.inf)), ValueError,
+     "^frame times must be finite$"),
+    ("track-2d", lambda out: _track(((0.0, 10.0), (20.0, 30.0)), ((100.0, 110.0),) * 2),
+     ValueError, r"^track arrays must be 1-D, got shapes \(2, 2\), \(2, 2\) and \(2, 2\)$"),
+    ("reference-inf-f0", lambda out: _reference(out, "10.0 inf"), ValueError,
+     r"^reference file \S+ref\.f0 line 2: time and F0 must be finite, got '10\.0 inf'$"),
+    ("reference-nan-time", lambda out: _reference(out, "nan 120.0"), ValueError,
+     r"^reference file \S+ref\.f0 line 2: time and F0 must be finite, got 'nan 120\.0'$"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [row[1:] for row in _REJECTED],
+                         ids=[row[0] for row in _REJECTED])
+def test_rejected_input_is_named_before_any_output(tmp_path, call, error, message):
+    out = tmp_path / "out"
+    with pytest.raises(error, match=message):
+        call(out)
+    assert not out.exists() or [p.name for p in out.iterdir()] == ["ref.f0"]
 
 
 @functools.cache

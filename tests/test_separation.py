@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from modepitch.separation import (
     ProConfig,
     _smoothed_argmax_track,
     analyze_utterance,
-    classify_frames,
     correct_candidate,
     distance_matrix,
     imf_pitch_vector,
@@ -46,7 +46,7 @@ from modepitch.separation import (
     select_imf_pair,
 )
 from modepitch.spectral import log_grid
-from modepitch.track import FramePitchTrack
+from modepitch.track import FramePitchTrack, tracks_aligned
 from modepitch.vad import VadConfig, detect_voiced, voiced_segments
 
 
@@ -207,13 +207,21 @@ def voiced_with_a_gap(fs, seconds=0.61):
     return x
 
 
+def classify(mode_f0, rows=None):
+    """The FrequencyRegion of each given row (default all) of a mode F0
+    matrix, as the pipeline's region pass classifies them."""
+    mode_f0 = np.asarray(mode_f0, dtype=np.float64)
+    rows = np.arange(len(mode_f0)) if rows is None else np.asarray(rows, dtype=np.intp)
+    return separation._region_objects(separation._region_table(mode_f0, rows))
+
+
 def classify_frames_loop(mode_f0, frames=None):
-    """Per-frame oracle for classify_frames: each row is cut down to its
+    """Per-frame oracle for the region pass: each row is cut down to its
     finite entries, the two smallest stable-sorted row sums of their
     distance matrix pick the pair, whose indices map back to mode numbers;
     a row with fewer than two finite entries inherits the region decided
-    before it, low at first (the Python loop classify_frames ran before
-    its inheritance became an array pass)."""
+    before it, low at first (the Python loop the pass ran before its
+    inheritance became an array pass)."""
     regions = []
     last = LOW
     for i in range(len(mode_f0)) if frames is None else frames:
@@ -371,41 +379,37 @@ class TestSelectImfPair:
 
 
 class TestClassifyRegion:
-    """Examples of one frame's region, each a one-row classify_frames call."""
+    """Examples of one frame's region, each a one-row region pass."""
 
     def test_low_example(self):
-        (region,) = classify_frames([[180.0, 190.0, 185.0, 186.0]])
+        (region,) = classify([[180.0, 190.0, 185.0, 186.0]])
         assert region.region == LOW
         assert region.mean_f0 <= 200.0
 
     def test_high_example(self):
-        (region,) = classify_frames([[210.0, 230.0, 215.0, 214.0]])
+        (region,) = classify([[210.0, 230.0, 215.0, 214.0]])
         assert region.region == HIGH
 
     def test_exactly_gamma_is_low(self):
-        (region,) = classify_frames([[200.0, 200.0, 200.0, 200.0]])
+        (region,) = classify([[200.0, 200.0, 200.0, 200.0]])
         assert region.mean_f0 == 200.0
         assert region.region == LOW
 
     def test_mean_uses_selected_pair_only(self):
         # modes 1 and 2 agree near 100; the pair mean ignores the outliers
-        (region,) = classify_frames([[100.0, 101.0, 399.0, 250.0]])
+        (region,) = classify([[100.0, 101.0, 399.0, 250.0]])
         assert region.selected_imfs == (1, 2)
         assert region.mean_f0 == pytest.approx(100.5)
 
     def test_missing_entries_excluded(self):
-        (region,) = classify_frames([[np.nan, 150.0, 151.0, np.nan]])
+        (region,) = classify([[np.nan, 150.0, 151.0, np.nan]])
         assert region.region == LOW
         assert region.selected_imfs == (2, 3)
 
-    def test_single_mode_rejected(self):
-        with pytest.raises(ValueError, match="two mode estimates"):
-            classify_frames([[150.0]])
-
     @pytest.mark.parametrize("bad", [0.0, -150.0])
     def test_non_positive_entry_rejected(self, bad):
-        with pytest.raises(ValueError, match="positive or NaN"):
-            classify_frames([[150.0, bad, 151.0, 152.0]])
+        with pytest.raises(ValueError, match="strictly positive F0 entries"):
+            classify([[150.0, bad, 151.0, 152.0]])
 
     @pytest.mark.parametrize("f0", [math.nan, math.inf, -math.inf])
     def test_region_of_non_finite_rejected(self, f0):
@@ -421,7 +425,7 @@ class TestClassifyRegion:
         # the region is region_of the pair's mean F0, and raising gamma never
         # flips that mean from low to high
         lo, hi = sorted((gamma_lo, gamma_hi))
-        (region,) = classify_frames(np.random.default_rng(seed).uniform(60, 390, size=(1, 4)))
+        (region,) = classify(np.random.default_rng(seed).uniform(60, 390, size=(1, 4)))
         assert region.region == region_of(region.mean_f0, ProConfig.gamma_hz)
         at_lo = region_of(region.mean_f0, lo)
         at_hi = region_of(region.mean_f0, hi)
@@ -431,7 +435,7 @@ class TestClassifyRegion:
 class TestClassifyFrames:
     def test_inheritance_defaults_low(self):
         mode_f0 = np.array([[np.nan] * 4, [300.0, 301.0, 60.0, 80.0], [np.nan] * 4])
-        regions = classify_frames(mode_f0)
+        regions = classify(mode_f0)
         assert [r.region for r in regions] == [LOW, HIGH, HIGH]
         assert [r.frame_index for r in regions] == [0, 1, 2]
         assert regions[0].selected_imfs is None
@@ -443,14 +447,10 @@ class TestClassifyFrames:
         mode_f0 = np.full((6, 4), np.nan)
         mode_f0[1] = [300.0, 301.0, 60.0, 80.0]
         mode_f0[3] = [120.0, 121.0, 60.0, 80.0]
-        regions = classify_frames(mode_f0, [1, 4, 5])
+        regions = classify(mode_f0, [1, 4, 5])
         assert [r.frame_index for r in regions] == [1, 4, 5]
         assert [r.region for r in regions] == [HIGH, HIGH, HIGH]
         assert [r.selected_imfs is None for r in regions] == [False, True, True]
-
-    def test_single_mode_column_rejected(self):
-        with pytest.raises(ValueError, match="two mode estimates"):
-            classify_frames(np.full((3, 1), 150.0))
 
     def test_matches_per_frame_oracle(self):
         # NaN and infinite entries, whole missing rows, exact ties (F0s on a
@@ -476,31 +476,11 @@ class TestClassifyFrames:
             picked = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
             frames = [None, picked.tolist(), picked, np.array([], dtype=np.intp)][trial % 4]
             expected = classify_frames_loop(m, frames)
-            assert repr(classify_frames(m, frames)) == repr(expected)
+            assert repr(classify(m, frames)) == repr(expected)
             inherited += sum(r.selected_imfs is None for r in expected)
             tied += sum(len(set(row[np.isfinite(row)])) < np.isfinite(row).sum()
                         for row in m)
         assert inherited > 0 and tied > 0
-
-    @pytest.mark.parametrize("frames", [[-1], [3], [1, 0], [0, 2, 2], [[0, 1]]])
-    def test_rows_outside_the_matrix_or_out_of_order_rejected(self, frames):
-        # a negative row wrapped round to the last frame, and inheritance
-        # reads the rows in frame order
-        mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [np.nan] * 4,
-                            [300.0, 301.0, 302.0, 303.0]])
-        with pytest.raises(ValueError, match=r"strictly increasing row indices in \[0, 3\)"):
-            classify_frames(mode_f0, frames)
-
-    @pytest.mark.parametrize("frames", [[0.9], [1.0], np.array([0.0, 2.0]), [True],
-                                        [False, True], np.array([True, False, True])])
-    def test_rows_that_are_not_integers_rejected(self, frames):
-        # a float row was truncated ([0.9] gave frame 0), and a bool row or
-        # mask was read as 0 and 1 ([True] gave frame 1, [False, True] rows
-        # 0 and 1)
-        mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [np.nan] * 4,
-                            [300.0, 301.0, 302.0, 303.0]])
-        with pytest.raises(ValueError, match="frames must be integer row indices"):
-            classify_frames(mode_f0, frames)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), coarse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
@@ -520,15 +500,15 @@ class TestClassifyFrames:
         if coarse:
             f0 = np.round(f0 / 25.0) * 25.0
         m = np.where(usable, f0, np.nan)
-        assert repr(classify_frames(m, frames)) == repr(classify_frames_loop(m, frames))
+        assert repr(classify(m, frames)) == repr(classify_frames_loop(m, frames))
 
     @pytest.mark.parametrize("bad", [0.0, -150.0])
     def test_non_positive_entry_rejected_not_inherited(self, bad):
         # a bad frame raises; with no other finite entry it must not be
         # taken for a frame without evidence and inherit a region
         mode_f0 = np.array([[150.0, 151.0, 152.0, 153.0], [bad, np.nan, np.nan, np.nan]])
-        with pytest.raises(ValueError, match="positive or NaN"):
-            classify_frames(mode_f0)
+        with pytest.raises(ValueError, match="strictly positive F0 entries"):
+            classify(mode_f0)
 
 
 BAND_EDGES = [float(x) for edge in (50.0, 100.0, 200.0, 400.0)
@@ -702,7 +682,8 @@ class TestSmoothedArgmaxTrack:
         scores[:, dead] = -np.inf
         scores[~valid] = -np.inf
         cands = np.sort(gen.uniform(50.0, 400.0, c))
-        got = _smoothed_argmax_track(cands, scores, valid, window)
+        with mock.patch.object(separation, "SMOOTH_FRAMES", window):
+            got = _smoothed_argmax_track(cands, scores, valid)
         want = smoothed_argmax_loop(cands, scores, valid, window)
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -1116,7 +1097,9 @@ class TestPipeline:
         # the analysis frame, VAD, estimator and region constants are read
         # where they are used; no function takes one as a parameter
         removed = {
-            classify_frames: {"cfg"},
+            separation._region_table: {"cfg"},
+            separation._smoothed_argmax_track: {"window"},
+            tracks_aligned: {"tol_ms"},
             imf_pitch_vector: {"spec", "cfg", "est_cfg"},
             correct_candidate: {"gamma_hz"},
             detect_voiced: {"cfg", "frame"},

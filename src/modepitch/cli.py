@@ -239,6 +239,11 @@ def bench(manifest, noise_dir, snrs, estimators, methods, gate, jobs,
         snr_list = _csv_list("--snrs", snrs, _snr_db)
         check_keys(est_list, meth_list)
         corpus = load_manifest(manifest)
+        names = [item.name for item in corpus]
+        if dump_mixes and len(set(names)) < len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"--dump-mixes: two corpus items are named {twice!r}, "
+                             "so their mixes would share file names")
         noises = [(os.path.splitext(f)[0], load_wav(os.path.join(noise_dir, f)))
                   for f in noise_files]
         reports, failures = run_benchmark(

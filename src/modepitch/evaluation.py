@@ -26,7 +26,7 @@ GATES = ("ref_voiced", "detected_voiced")  # which voicing gates the GE denomina
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Scores for one (noise, SNR, estimator, method) cell."""
+    """Scores for one (noise, SNR, estimator, method) cell; a NaN score is undefined."""
 
     noise: str
     snr_db: float
@@ -34,7 +34,7 @@ class EvalReport:
     method: str
     ge_percent: float
     mae_hz: float
-    sep_error_percent: float  # NaN for methods without region predictions
+    sep_error_percent: float  # NaN also for methods without region predictions
     frames_scored: int
 
     def __post_init__(self):
@@ -46,10 +46,10 @@ class EvalReport:
             raise ValueError("a reportable cell needs frames_scored > 0")
 
     def csv_row(self) -> str:
-        sep = "" if math.isnan(self.sep_error_percent) else \
-            f"{self.sep_error_percent:.4f}"
+        ge, mae, sep = ("" if math.isnan(x) else f"{x:.4f}"
+                        for x in (self.ge_percent, self.mae_hz, self.sep_error_percent))
         return (f"{self.noise},{self.snr_db:g},{self.estimator},{self.method},"
-                f"{self.ge_percent:.4f},{self.mae_hz:.4f},{sep},{self.frames_scored}")
+                f"{ge},{mae},{sep},{self.frames_scored}")
 
 
 @dataclass(frozen=True)
@@ -94,32 +94,33 @@ def gross_error(est: FramePitchTrack, ref: FramePitchTrack,
 
 def mean_absolute_error(est: FramePitchTrack, ref: FramePitchTrack) -> float:
     """Mean |estimate - reference| in Hz over reference-voiced frames where
-    both tracks carry an estimate."""
+    both tracks carry an estimate; NaN (undefined) where there is none."""
     if not tracks_aligned(est, ref):
         raise ValueError("tracks are not on the same frame grid")
     scorable = ref.voiced_mask & est.estimated_mask() & has_estimate(ref.f0_hz)
     if not scorable.any():
-        raise ValueError("no frames with estimates to score")
+        return math.nan
     return float(np.mean(np.abs(est.f0_hz[scorable] - ref.f0_hz[scorable])))
 
 
 def separation_error(pred_regions: list[FrequencyRegion], ref: FramePitchTrack,
                      gamma_hz: float = ProConfig.gamma_hz) -> float:
-    """Percent of voiced frames whose predicted region disagrees with the
-    region implied by the reference F0 (reference at gamma counts as low)."""
+    """Percent of the predicted frames reference voiced with a reference F0
+    whose region disagrees with that F0's (a reference at gamma is low); NaN
+    (undefined) where there is none. An index past the reference raises."""
     scored = 0
     wrong = 0
     ref_ok = has_estimate(ref.f0_hz)
     for region in pred_regions:
         i = region.frame_index
-        if i >= len(ref) or not ref.voiced_mask[i] or not ref_ok[i]:
+        if i >= len(ref):
+            raise ValueError(f"predicted frame {i} is past the reference's {len(ref)} frames")
+        if not ref.voiced_mask[i] or not ref_ok[i]:
             continue
         scored += 1
         if region.region != region_of(ref.f0_hz[i], gamma_hz):
             wrong += 1
-    if scored == 0:
-        raise ValueError("no voiced frames with region predictions to score")
-    return 100.0 * wrong / scored
+    return 100.0 * wrong / scored if scored else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +160,21 @@ def _bench_utterance(args):
 
     Module-level so a process pool can pickle it. Returns
     {key: (ge, mae, sep, frames)}, or an error string if any step raised.
-    A separation error no classified frame can score (none is reference
-    voiced with a reference F0) is NaN, as is a MAE with nothing to score.
+    A MAE or separation error with nothing to score is its metric's NaN
+    (raw keys carry no regions, so raw's separation error is NaN).
     """
     (item, mix, estimators, methods, cfg, gate) = args
     try:
         mixed = mix_at_snr(mix)
         analysis = analyze_utterance(mixed, estimators, methods, cfg)
         frames = int(item.truth.voiced_mask.sum())
-        seps = {"raw": math.nan}  # pro's is scored once: every pro key holds one table
-        scorable = item.truth.voiced_mask & has_estimate(item.truth.f0_hz)
+        seps = {}  # scored once per method: every key of a method holds one table
         scores = {}
         for (est, meth), result in analysis.items():
             ge = gross_error(result.track, item.truth, gate)
-            mae = mean_absolute_error(result.track, item.truth) \
-                if (result.track.estimated_mask() & item.truth.voiced_mask).any() \
-                else math.nan
+            mae = mean_absolute_error(result.track, item.truth)
             if meth not in seps:
-                seps[meth] = (separation_error(result.regions, item.truth)
-                              if scorable[result.region_table["frame_index"]].any()
-                              else math.nan)
+                seps[meth] = separation_error(result.regions, item.truth)
             scores[(est, meth)] = (ge, mae, seps[meth], frames)
         return scores
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not fatal
@@ -245,17 +241,14 @@ def run_benchmark(corpus: list[CorpusItem], noises: list[tuple[str, SampleBuffer
                     cell = [u[(est, meth)] for u in per_utt]
                     if not cell:
                         continue
-                    ges = [c[0] for c in cell]
-                    maes = [c[1] for c in cell if not math.isnan(c[1])]
-                    seps = [c[2] for c in cell if not math.isnan(c[2])]
-                    frames = sum(c[3] for c in cell)
+                    # each score's mean leaves out the utterances where it is NaN
+                    defined = [[x for x in column if not math.isnan(x)]
+                               for column in list(zip(*cell))[:3]]
+                    ge, mae, sep = (float(np.mean(d)) if d else math.nan for d in defined)
                     reports.append(EvalReport(
                         noise=noise_name, snr_db=snr, estimator=est, method=meth,
-                        ge_percent=float(np.mean(ges)),
-                        mae_hz=float(np.mean(maes)) if maes else math.nan,
-                        sep_error_percent=float(np.mean(seps)) if seps else math.nan,
-                        frames_scored=frames,
-                    ))
+                        ge_percent=ge, mae_hz=mae, sep_error_percent=sep,
+                        frames_scored=sum(c[3] for c in cell)))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -603,6 +603,39 @@ class TestSynthAndBench:
             pcm = np.round(np.clip(samples, -1.0, 1.0) * 32767.0) / 32768.0
             np.testing.assert_array_equal(load_wav(mixes / name).samples, pcm)
 
+    def test_dump_mixes_rejects_two_items_of_one_name(self, runner, tmp_path,
+                                                      monkeypatch):
+        # an item is named by its WAV's stem, so a/utt.wav and b/utt.wav (the
+        # TIMIT layout) are both 'utt': their dumped mixes once overwrote each
+        # other; without --dump-mixes such a corpus still runs
+        corpus = tmp_path / "corpus"
+        generate_corpus(corpus, count=1, seed=0, duration_ms=300.0)
+        for sub in ("a", "b"):
+            (corpus / sub).mkdir()
+            for ext in ("wav", "f0"):
+                (corpus / sub / f"utt.{ext}").write_bytes(
+                    (corpus / f"utt_000_high.{ext}").read_bytes())
+        manifest = corpus / "nested.txt"
+        manifest.write_text("a/utt.wav a/utt.f0\nb/utt.wav b/utt.f0\n")
+        noise_dir = tmp_path / "noises"
+        write_noise_set(noise_dir, kinds=("white",), duration_ms=1000.0, seed=0)
+        args = ["bench", "--manifest", str(manifest), "--noise-dir", str(noise_dir),
+                "--snrs", "5", "--estimators", "shr", "--methods", "raw",
+                "--jobs", "1", "-o", str(tmp_path / "r.csv"), "--emd-ensemble-size", "2"]
+
+        def no_mixing(mix):
+            raise AssertionError("mixed before the names were checked")
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "mix_at_snr", no_mixing)
+            result = runner.invoke(main, [*args, "--dump-mixes", str(tmp_path / "m")])
+        assert_click_error(result, "--dump-mixes: two corpus items are named 'utt'")
+        assert result.output.count("Error:") == 1
+        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "m").exists()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(_rows(tmp_path / "r.csv")) == 1
+
     @pytest.mark.parametrize("args,message", [
         (["--snrs", "abc"], "--snrs: could not convert string to float: 'abc'"),
         (["--snrs", ""], "--snrs names no values"),

@@ -48,11 +48,12 @@ def naive_gross_error(est, ref, gate_mask):
 
 
 def naive_mae(est, ref):
+    """Per-frame summation oracle; NaN when no frame has a value."""
     values = []
     for e, r, v in zip(est.f0_hz, ref.f0_hz, ref.voiced_mask):
         if v and np.isfinite(e) and e > 0 and np.isfinite(r) and r > 0:
             values.append(abs(e - r))
-    return sum(values) / len(values)
+    return sum(values) / len(values) if values else math.nan
 
 
 class TestFramePitchTrack:
@@ -159,10 +160,10 @@ class TestMae:
         assert mean_absolute_error(est, ref) == pytest.approx(10.0)
 
     def test_no_scorable_frames_rejected(self):
+        # nothing to score is an undefined MAE, not an error
         ref = track([100.0] * 3)
         est = track([np.nan] * 3, voiced=[True] * 3)
-        with pytest.raises(ValueError):
-            mean_absolute_error(est, ref)
+        assert math.isnan(mean_absolute_error(est, ref))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
@@ -173,12 +174,13 @@ class TestMae:
         est_f0 = ref_f0 + gen.normal(0, 30, n)
         est_f0 = np.abs(est_f0) + 1.0
         est_f0[gen.random(n) < 0.15] = np.nan
-        if not np.isfinite(est_f0).any():
-            est_f0[0] = 100.0
-        ref = track(ref_f0)
+        ref_voiced = gen.random(n) < 0.9
+        # voiced frames without an F0 too, at times all of them
+        ref_f0[gen.random(n) < gen.uniform(0, 1)] = np.nan
+        ref = track(ref_f0, voiced=ref_voiced)
         est = track(est_f0, voiced=np.isfinite(est_f0))
         assert mean_absolute_error(est, ref) == pytest.approx(
-            naive_mae(est, ref), abs=1e-12)
+            naive_mae(est, ref), abs=1e-12, nan_ok=True)
 
 
 class TestSeparationError:
@@ -218,9 +220,16 @@ class TestSeparationError:
         assert separation_error(preds, ref) == 0.0
 
     def test_no_scored_frames_rejected(self):
+        # nothing to score is an undefined separation error, not an error
         ref = track([np.nan], voiced=[False])
-        with pytest.raises(ValueError):
-            separation_error(self._regions([LOW]), ref)
+        assert math.isnan(separation_error(self._regions([LOW]), ref))
+
+    def test_index_outside_reference_rejected(self):
+        # six predictions on a 3-frame reference were once scored from the
+        # three that fit
+        with pytest.raises(ValueError,
+                           match=r"^predicted frame 3 is past the reference's 3 frames$"):
+            separation_error(self._regions([LOW] * 6), track([100.0] * 3))
 
 
 def small_corpus(n=2, duration_ms=400.0):
@@ -453,14 +462,42 @@ class TestRunBenchmark:
         assert both.mae_hz == alone.mae_hz
         assert both.ge_percent == pytest.approx((alone.ge_percent + 100.0) / 2)
 
+    def test_voiced_reference_without_f0_is_nan_not_a_failure(self):
+        # a reference voiced on all 52 frames with an F0 on frames 0-1 only,
+        # which lie in the zeroed first 200 ms: no frame with an estimate has
+        # a reference F0, so MAE and separation error are undefined, and GE
+        # counts every frame (each key of the utterance used to be recorded
+        # as failed)
+        clean, truth = synthesize_utterance(SynthUtteranceSpec(
+            ((0, 150.0), (600, 150.0)), rng_seed=1))
+        samples = clean.samples.copy()
+        samples[:1600] = 0.0
+        f0 = np.where(np.arange(len(truth)) < 2, truth.f0_hz, np.nan)
+        probe = CorpusItem("probe", SampleBuffer(samples, FS),
+                           track(f0, np.ones(len(truth), dtype=bool)))
+        noises = [("white", make_noise("white", 2 * FS, FS))]
+        reports, failures = run_benchmark(
+            [probe], noises, [20.0], ["shr"], ["raw", "pro"],
+            AnalysisConfig(emd=EmdConfig(ensemble_size=2)))
+        assert failures == []
+        assert [(r.method, r.ge_percent, r.frames_scored) for r in reports] == \
+            [("raw", 100.0, 52), ("pro", 100.0, 52)]
+        assert all(math.isnan(r.mae_hz) and math.isnan(r.sep_error_percent)
+                   for r in reports)
+
     def test_csv_schema(self, tmp_path):
         report = EvalReport(noise="white", snr_db=-5.0, estimator="shr",
                             method="raw", ge_percent=12.5, mae_hz=8.25,
                             sep_error_percent=math.nan, frames_scored=120)
+        # an undefined MAE is an empty field too (it was written as nan)
+        undefined_mae = EvalReport(noise="white", snr_db=5.0, estimator="shr",
+                                   method="pro", ge_percent=100.0, mae_hz=math.nan,
+                                   sep_error_percent=25.0, frames_scored=52)
         path = tmp_path / "report.csv"
-        write_report_csv(path, [report])
+        write_report_csv(path, [report, undefined_mae])
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_SCHEMA
         assert lines[0] == ("noise,snr_db,estimator,method,ge_percent,"
                             "mae_hz,sep_error_percent,frames")
         assert lines[1] == "white,-5,shr,raw,12.5000,8.2500,,120"
+        assert lines[2] == "white,5,shr,pro,100.0000,,25.0000,52"
